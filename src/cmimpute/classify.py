@@ -8,7 +8,7 @@ from typing import Mapping
 
 from .dataset import Dataset, Record
 from .errors import CannotClassifyError, NoDonorsError
-from .impute import MODE_ABSOLUTE, difference_table, nearest_record
+from .impute import MODE_ABSOLUTE, nearest_record
 from .kmeans import ClusterModel
 from .mapping import build_mapping, type1_distance
 
@@ -63,10 +63,10 @@ def classify_mapped(
         raise ValueError("model was built on different records than the training dataset")
 
     maps = build_mapping(dataset.records, [query], model)
-    table = difference_table(maps)
-    nearest = nearest_record(table, query.id, mode)
+    nearest = nearest_record(maps, query.id, mode)
     labels = tuple(sorted({dataset.record(i).label for i in nearest}))
-    column = {i: table.entries[(i, query.id)] for i in table.g1_ids}
+    c = maps.query_map[query.id]
+    column = {i: v - c for i, v in maps.complete_map.items()}
     return ClassificationResult(labels, nearest, column)
 
 

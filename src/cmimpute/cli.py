@@ -110,15 +110,27 @@ def _env_seed() -> int | None:
         ) from None
 
 
+def _integer(value, name: str) -> int:
+    """An option value that must be an integer; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _resolve_seed(flag_value, config: dict) -> int:
     seed = _pick(flag_value, config, "seed", None)
     if seed is None:
         seed = _env_seed()
     if seed is None:
         seed = 0
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    return seed
+    return _integer(seed, "seed")
+
+
+def _resolve_k(flag_value, config: dict) -> int | None:
+    k = _pick(flag_value, config, "k", None)
+    if k is not None and _integer(k, "k") < 1:
+        raise ConfigError(f"k must be positive, got {k}")
+    return k
 
 
 def _init_from_config(value, seed: int):
@@ -134,9 +146,9 @@ def _init_from_config(value, seed: int):
             raise ConfigError("fixed-partition init needs 'groups': a list of id lists")
         return FixedPartition(tuple(tuple(str(i) for i in g) for g in groups))
     if policy == "farthest-first":
-        return FarthestFirst(int(value.get("seed", seed)))
+        return FarthestFirst(_integer(value.get("seed", seed), "init seed"))
     if policy == "seeded-random":
-        return SeededRandom(int(value.get("seed", seed)))
+        return SeededRandom(_integer(value.get("seed", seed), "init seed"))
     raise ConfigError(f"unknown init policy {policy!r}")
 
 
@@ -345,7 +357,7 @@ def _resolve_impute(args: argparse.Namespace) -> RunConfig:
         schema=_pick(args.schema, config, "schema", None),
         mode=mode,
         seed=seed,
-        k=_pick(args.k, config, "k", None),
+        k=_resolve_k(args.k, config),
         init=_init_from_config(config.get("init"), seed),
         out=_pick(args.out, config, "out", None),
         report=_pick(args.report, config, "report", None),
@@ -366,7 +378,7 @@ def _resolve_classify(args: argparse.Namespace) -> RunConfig:
         query=_pick(args.query, config, "query", None),
         mode=mode,
         seed=seed,
-        k=_pick(args.k, config, "k", None),
+        k=_resolve_k(args.k, config),
         init=_init_from_config(config.get("init"), seed),
         out=_pick(args.out, config, "out", None),
         with_knn_baseline=bool(

@@ -8,6 +8,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DecodeError, ParseError, SchemaError
@@ -222,10 +223,15 @@ class Dataset:
         )
 
     def record(self, record_id: str) -> Record:
+        return self._by_id[record_id]
+
+    @cached_property
+    def _by_id(self) -> dict[str, Record]:
+        """Record per id, the first one when ids repeat."""
+        by_id: dict[str, Record] = {}
         for r in self.records:
-            if r.id == record_id:
-                return r
-        raise KeyError(record_id)
+            by_id.setdefault(r.id, r)
+        return by_id
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -34,7 +35,10 @@ MODES = (MODE_SIGNED, MODE_ABSOLUTE)
 
 @dataclass(frozen=True)
 class DifferenceTable:
-    """d_ij = Map(R_i) - Map'(R_j) for every donor i and query j."""
+    """d_ij = Map(R_i) - Map'(R_j) for every donor i and query j.
+
+    Donor selection never builds it; it exists to print and check the
+    reference difference grids."""
 
     entries: Mapping[tuple[str, str], float]
     g1_ids: tuple[str, ...]
@@ -57,23 +61,45 @@ def difference_table(maps: MappingTable) -> DifferenceTable:
     return DifferenceTable(entries, g1_ids, query_ids)
 
 
-def nearest_record(table: DifferenceTable, query_id: str, mode: str) -> tuple[str, ...]:
-    """All donor ids attaining the minimal difference for one query.
+def nearest_record(maps: MappingTable, query_id: str, mode: str) -> tuple[str, ...]:
+    """All donor ids attaining the minimal difference d_ij for one query.
 
     paper-signed minimizes the signed d_ij, which does not depend on
     the query at all: argmin_i (Map(R_i) - c) is argmin_i Map(R_i) for
     any constant c.  absolute minimizes |d_ij|, nearest neighbor on
     the mapping scalar.  Ties are exact float equality; ids come back
     in donor-pool order.
+
+    The search runs on the donor values sorted once per table, in
+    O(log m) plus the size of the tie set.  Float subtraction rounds
+    monotonically and fl(a - c) == -fl(c - a), so fl(a - c) never
+    decreases as a grows: the signed tie set is a prefix of the sorted
+    values, and the absolute tie set a contiguous run around the
+    insertion point of c whose minimum sits at one of its two
+    neighbours.  Each run is widened with the same arithmetic as d_ij,
+    so values that rounding merges tie exactly as they do in the table.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if query_id not in table.query_ids:
-        raise KeyError(query_id)
-    key = (lambda v: v) if mode == MODE_SIGNED else abs
-    values = {i: key(table.entries[(i, query_id)]) for i in table.g1_ids}
-    best = min(values.values())
-    return tuple(i for i in table.g1_ids if values[i] == best)
+    c = maps.query_map[query_id]
+    values, order = maps.sorted_donors
+    if not values:
+        raise NoDonorsError("no complete records to select from")
+    if mode == MODE_SIGNED:
+        best = values[0] - c
+        lo, hi = 0, 1
+        while hi < len(values) and values[hi] - c == best:
+            hi += 1
+    else:
+        pos = bisect_left(values, c)
+        best = min(abs(values[i] - c) for i in (pos - 1, pos) if 0 <= i < len(values))
+        lo = hi = pos
+        while lo > 0 and abs(values[lo - 1] - c) == best:
+            lo -= 1
+        while hi < len(values) and abs(values[hi] - c) == best:
+            hi += 1
+    ids = maps.donor_ids
+    return tuple(ids[i] for i in sorted(order[lo:hi]))
 
 
 def impute_cell(
@@ -91,15 +117,23 @@ def impute_cell(
     pool: the modal value for a categorical attribute, the mean for a
     numeric one.
     """
-    value, _ = _fill_value(query, attr, donors, g1, spec, maps)
+    value, _ = _fill_value(query, attr, donors, _class_pools(g1), spec, maps)
     return value
+
+
+def _class_pools(g1: Sequence[Record]) -> dict[str | None, list[Record]]:
+    """The donor pool grouped by decision class, each group in pool order."""
+    pools: dict[str | None, list[Record]] = {}
+    for r in g1:
+        pools.setdefault(r.label, []).append(r)
+    return pools
 
 
 def _fill_value(
     query: Record,
     attr: int,
     donors: Sequence[Record],
-    g1: Sequence[Record],
+    pools: Mapping[str | None, Sequence[Record]],
     spec: AttributeSpec,
     maps: MappingTable | None,
 ) -> tuple[float, str]:
@@ -114,7 +148,7 @@ def _fill_value(
     if len(donors) == 1:
         return float(donors[0].cells[attr]), "single-donor"
 
-    pool, labeled = _tie_pool(donors, g1, maps)
+    pool, labeled = _tie_pool(donors, pools, maps)
     suffix = "same-class" if labeled else "tied-donors"
     values = [float(r.cells[attr]) for r in pool]
     if spec.kind == CATEGORICAL:
@@ -127,9 +161,9 @@ def _fill_value(
 
 def _tie_pool(
     donors: Sequence[Record],
-    g1: Sequence[Record],
+    pools: Mapping[str | None, Sequence[Record]],
     maps: MappingTable | None,
-) -> tuple[list[Record], bool]:
+) -> tuple[Sequence[Record], bool]:
     """Records whose values settle a multi-donor tie.
 
     Majority decision class among the tied donors; a class-count tie
@@ -139,7 +173,7 @@ def _tie_pool(
     """
     labels = [d.label for d in donors if d.label is not None]
     if not labels:
-        return list(donors), False
+        return donors, False
     counts = Counter(labels)
     top = max(counts.values())
     candidates = {c for c, n in counts.items() if n == top}
@@ -152,7 +186,7 @@ def _tie_pool(
         else:
             chosen = contenders[0]
         klass = chosen.label
-    return [r for r in g1 if r.label == klass], True
+    return pools[klass], True
 
 
 @dataclass(frozen=True)
@@ -170,8 +204,8 @@ class ImputeConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.k is not None and self.k < 1:
-            raise ConfigError(f"k must be positive, got {self.k}")
+        if self.k is not None and (not isinstance(self.k, int) or self.k < 1):
+            raise ConfigError(f"k must be a positive integer, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -224,20 +258,20 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
     init = config.init if config.init is not None else FarthestFirst(config.seed)
     model = cluster(split.g1, k, init)
     maps = build_mapping(split.g1, split.g2, model, scaled=config.scale_partial)
-    table = difference_table(maps)
 
     by_id = {r.id: r for r in split.g1}
+    pools = _class_pools(split.g1)
     fills: list[CellFill] = []
     completed: list[Record] = []
     for r in dataset.records:
         if r.is_complete:
             completed.append(r)
             continue
-        donors = [by_id[i] for i in nearest_record(table, r.id, config.mode)]
+        donors = [by_id[i] for i in nearest_record(maps, r.id, config.mode)]
         cells = list(r.cells)
         for attr in r.missing_indices:
             spec = dataset.schema.attributes[attr]
-            value, policy = _fill_value(r, attr, donors, split.g1, spec, maps)
+            value, policy = _fill_value(r, attr, donors, pools, spec, maps)
             symbol = str(decode(value, spec)) if spec.kind == CATEGORICAL else None
             fills.append(
                 CellFill(r.id, attr, spec.name, tuple(d.id for d in donors), value, symbol, policy)

@@ -7,6 +7,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .dataset import Record
@@ -74,6 +75,19 @@ class MappingTable:
             for rid, value in table.items():
                 if not (math.isfinite(value) and value >= 0):
                     raise ValueError(f"{name}[{rid!r}] = {value!r} is not a finite non-negative value")
+
+    @cached_property
+    def donor_ids(self) -> tuple[str, ...]:
+        """Donor ids in donor-pool order."""
+        return tuple(self.complete_map)
+
+    @cached_property
+    def sorted_donors(self) -> tuple[list[float], list[int]]:
+        """Donor mapping values in ascending order, each paired with its
+        donor's position in donor-pool order.  Built once per table."""
+        values = list(self.complete_map.values())
+        order = sorted(range(len(values)), key=values.__getitem__)
+        return [values[i] for i in order], order
 
 
 def build_mapping(

@@ -188,12 +188,10 @@ def test_c4_classification_tables_and_label_match_reference():
     # value, see ERRATA.md) reproduces the narrative outcome: R8 is
     # the nearest record in both modes.  Recomputation moves the
     # absolute-mode nearest to R9 without changing the label.
-    printed = difference_table(
-        MappingTable(
-            complete_map=expected_values("table21"),
-            query_map=expected_values("table23"),
-            model_ref="printed-reference-tables",
-        )
+    printed = MappingTable(
+        complete_map=expected_values("table21"),
+        query_map=expected_values("table23"),
+        model_ref="printed-reference-tables",
     )
     assert nearest_record(printed, "R10", MODE_SIGNED) == ("R8",)
     assert nearest_record(printed, "R10", MODE_ABSOLUTE) == ("R8",)
@@ -230,9 +228,9 @@ def test_c6_signed_mode_nearest_is_query_independent():
             f"Q{i}": float(v)
             for i, v in enumerate(rng.uniform(0.0, 10.0, int(rng.integers(1, 6))))
         }
-        table = difference_table(MappingTable(donors, queries, model_ref="synthetic"))
+        maps = MappingTable(donors, queries, model_ref="synthetic")
         champion = min(donors, key=donors.get)
-        picks = {nearest_record(table, qid, MODE_SIGNED) for qid in queries}
+        picks = {nearest_record(maps, qid, MODE_SIGNED) for qid in queries}
         assert picks == {(champion,)}
 
 

@@ -204,6 +204,24 @@ def test_malformed_config_json_exits_2(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_non_integer_k_in_config_exits_2(impute_files, capsys):
+    tmp_path, data, schema, _ = impute_files
+    config = write(tmp_path / "k.json", json.dumps({"k": "2"}))
+    code = main(["impute", "--data", data, "--schema", schema, "--config", config, "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_USAGE
+    assert "k must be an integer" in capsys.readouterr().err
+
+
+def test_non_integer_init_seed_in_config_exits_2(impute_files, capsys):
+    tmp_path, data, schema, _ = impute_files
+    config = write(
+        tmp_path / "init.json", json.dumps({"init": {"policy": "farthest-first", "seed": "x"}})
+    )
+    code = main(["impute", "--data", data, "--schema", schema, "--config", config, "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_USAGE
+    assert "init seed must be an integer" in capsys.readouterr().err
+
+
 def test_seed_from_environment(impute_files, monkeypatch):
     tmp_path, data, schema, _ = impute_files
     monkeypatch.setenv(SEED_ENV_VAR, "7")

@@ -62,6 +62,15 @@ def test_fully_populated_row_is_complete():
     assert r1.cells == ("c11", 5.0, "d31", 10.0)
 
 
+def test_record_lookup_by_id():
+    schema = numeric_schema(1)
+    ds = Dataset(schema, (Record("R1", (1.0,), "a"), Record("R2", (2.0,), "b"), Record("R1", (3.0,), "c")))
+    assert ds.record("R2").cells == (2.0,)
+    assert ds.record("R1").label == "a"  # the first record wins on a repeated id
+    with pytest.raises(KeyError):
+        ds.record("R9")
+
+
 def test_custom_id_prefix():
     text = "x1,class\n1,a\n2,b\n"
     ds = parse_dataset(text, numeric_schema(1), id_prefix="Q")

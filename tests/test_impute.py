@@ -3,14 +3,22 @@ end-to-end fill pipeline."""
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmimpute.casestudy import (
+    CLASSIFICATION_PARTITION,
     IMPUTATION_PARTITION,
     expected_values,
+    load_classification_dataset,
     load_normalized_dataset,
+    new_record,
 )
+from cmimpute.classify import classify_mapped
 from cmimpute.dataset import (
     CATEGORICAL,
     NUMERIC,
@@ -25,6 +33,7 @@ from cmimpute.evaluate import make_synthetic_dataset, mask_cells
 from cmimpute.impute import (
     MODE_ABSOLUTE,
     MODE_SIGNED,
+    MODES,
     ImputeConfig,
     difference_table,
     impute_cell,
@@ -40,8 +49,22 @@ def rec(rid: str, *cells, label=None) -> Record:
     return Record(rid, tuple(None if c is None else float(c) for c in cells), label)
 
 
+def maps_of(complete: dict[str, float], queries: dict[str, float]) -> MappingTable:
+    return MappingTable(complete, queries, "m")
+
+
 def table_of(complete: dict[str, float], queries: dict[str, float]):
-    return difference_table(MappingTable(complete, queries, "m"))
+    return difference_table(maps_of(complete, queries))
+
+
+def brute_nearest(maps: MappingTable, query_id: str, mode: str) -> tuple[str, ...]:
+    """Donor selection by its definition: scan the whole difference
+    column of the query for the minimal (signed or absolute) entry."""
+    table = difference_table(maps)
+    key = (lambda d: d) if mode == MODE_SIGNED else abs
+    column = {i: key(table.entries[(i, query_id)]) for i in table.g1_ids}
+    best = min(column.values())
+    return tuple(i for i in table.g1_ids if column[i] == best)
 
 
 # --- difference table ---
@@ -81,28 +104,28 @@ def test_difference_requires_donors_and_queries():
 
 def test_nearest_signed_reference_replay():
     complete = expected_values("table09")
-    assert nearest_record(table_of(complete, {"R3": 6.791479}), "R3", MODE_SIGNED) == ("R8",)
-    assert nearest_record(table_of(complete, {"R5": 6.588532}), "R5", MODE_SIGNED) == ("R8",)
+    assert nearest_record(maps_of(complete, {"R3": 6.791479}), "R3", MODE_SIGNED) == ("R8",)
+    assert nearest_record(maps_of(complete, {"R5": 6.588532}), "R5", MODE_SIGNED) == ("R8",)
 
 
 def test_nearest_absolute_on_replayed_column_picks_zero():
     complete = expected_values("table09")
-    table = table_of(complete, {"R3": 6.791479})
-    assert nearest_record(table, "R3", MODE_ABSOLUTE) == ("R1",)
+    maps = maps_of(complete, {"R3": 6.791479})
+    assert nearest_record(maps, "R3", MODE_ABSOLUTE) == ("R1",)
 
 
 def test_nearest_returns_all_ties_in_donor_order():
-    table = table_of({"R1": 2.0, "R2": 4.0, "R3": 2.0}, {"Q1": 1.0})
-    assert nearest_record(table, "Q1", MODE_SIGNED) == ("R1", "R3")
-    assert nearest_record(table, "Q1", MODE_ABSOLUTE) == ("R1", "R3")
+    maps = maps_of({"R1": 2.0, "R2": 4.0, "R3": 2.0}, {"Q1": 1.0})
+    assert nearest_record(maps, "Q1", MODE_SIGNED) == ("R1", "R3")
+    assert nearest_record(maps, "Q1", MODE_ABSOLUTE) == ("R1", "R3")
 
 
 def test_nearest_rejects_unknown_query_and_mode():
-    table = table_of({"R1": 1.0}, {"Q1": 1.0})
+    maps = maps_of({"R1": 1.0}, {"Q1": 1.0})
     with pytest.raises(KeyError):
-        nearest_record(table, "Q9", MODE_SIGNED)
+        nearest_record(maps, "Q9", MODE_SIGNED)
     with pytest.raises(ValueError, match="mode"):
-        nearest_record(table, "Q1", "closest")
+        nearest_record(maps, "Q1", "closest")
 
 
 # Half-integer grid keeps the map subtraction exact, so difference
@@ -125,11 +148,11 @@ half_integers = st.integers(0, 100).map(lambda v: v / 2)
     ),
 )
 def test_signed_mode_ignores_the_query(complete, queries):
-    table = table_of(complete, queries)
+    maps = maps_of(complete, queries)
     best_map = min(complete.values())
-    expected = tuple(i for i in table.g1_ids if complete[i] == best_map)
+    expected = tuple(i for i in complete if complete[i] == best_map)
     for q in queries:
-        assert nearest_record(table, q, MODE_SIGNED) == expected
+        assert nearest_record(maps, q, MODE_SIGNED) == expected
 
 
 @given(
@@ -142,11 +165,56 @@ def test_signed_mode_ignores_the_query(complete, queries):
     st.floats(0, 50, allow_nan=False),
 )
 def test_absolute_mode_is_scalar_nearest_neighbor(complete, query_value):
-    table = table_of(complete, {"Q1": query_value})
-    got = nearest_record(table, "Q1", MODE_ABSOLUTE)
+    got = nearest_record(maps_of(complete, {"Q1": query_value}), "Q1", MODE_ABSOLUTE)
     best = min(abs(v - query_value) for v in complete.values())
-    expected = tuple(i for i in table.g1_ids if abs(complete[i] - query_value) == best)
+    expected = tuple(i for i in complete if abs(complete[i] - query_value) == best)
     assert got == expected
+
+
+def _ulps_up(value: float, n: int) -> float:
+    for _ in range(n):
+        value = float(np.nextafter(value, np.inf))
+    return value
+
+
+# Mapping values built to stress exact-float ties: exact duplicates,
+# np.nextafter neighbours, and magnitudes near 1e16 where one ulp is 2,
+# so a - c rounds distinct donors onto the same difference.
+close_values = st.one_of(
+    st.builds(
+        lambda base, shift, ulps: _ulps_up(base + shift, ulps),
+        st.sampled_from([0.0, 1.0, 7.25, 1e16, 2.0**53]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+        st.integers(0, 3),
+    ),
+    st.floats(0, 1e17, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(close_values, min_size=1, max_size=12),
+    st.lists(close_values, min_size=1, max_size=4),
+)
+def test_sorted_selection_matches_the_difference_table_scan(donor_values, query_values):
+    maps = maps_of(
+        {f"R{i}": v for i, v in enumerate(donor_values)},
+        {f"Q{j}": v for j, v in enumerate(query_values)},
+    )
+    for q in maps.query_map:
+        for mode in MODES:
+            assert nearest_record(maps, q, mode) == brute_nearest(maps, q, mode)
+
+
+def test_sorted_selection_keeps_ties_rounding_merges():
+    # One ulp at 1e16 is 2, so the differences of the first three
+    # donors all round to -1e16: they tie although their values differ.
+    donors = {"R1": 1.0, "R2": 0.0, "R3": 0.5, "R4": 4.0}
+    maps = maps_of(donors, {"Q1": 1e16})
+    assert nearest_record(maps, "Q1", MODE_SIGNED) == ("R1", "R2", "R3")
+    assert nearest_record(maps, "Q1", MODE_SIGNED) == brute_nearest(maps, "Q1", MODE_SIGNED)
+    assert nearest_record(maps, "Q1", MODE_ABSOLUTE) == ("R4",)
+    assert nearest_record(maps, "Q1", MODE_ABSOLUTE) == brute_nearest(maps, "Q1", MODE_ABSOLUTE)
 
 
 # --- single-cell fills ---
@@ -306,6 +374,9 @@ def test_config_validation():
         ImputeConfig(mode="sideways")
     with pytest.raises(ConfigError, match="k"):
         ImputeConfig(k=0)
+    for k in ("2", 1.5):
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            ImputeConfig(k=k)
 
 
 def test_natural_tie_flows_through_provenance():
@@ -331,34 +402,116 @@ def test_natural_tie_flows_through_provenance():
     assert fill.value == 1.0 and fill.symbol == "u"
 
 
+def reference_fill(donors, g1, attr, spec, maps) -> float:
+    """A cell's fill by its definition, scanning the whole donor pool
+    for the tie-settling class on every call."""
+    if len(donors) == 1:
+        return donors[0].cells[attr]
+    counts = Counter(d.label for d in donors if d.label is not None)
+    if counts:
+        top = max(counts.values())
+        contenders = [d for d in donors if counts[d.label] == top]
+        klass = min(contenders, key=lambda d: maps.complete_map[d.id]).label
+        pool = [r for r in g1 if r.label == klass]
+    else:
+        pool = donors
+    values = [r.cells[attr] for r in pool]
+    if spec.kind == CATEGORICAL:
+        modes = Counter(values)
+        return min(v for v, n in modes.items() if n == max(modes.values()))
+    return sum(values) / len(values)
+
+
+def check_stages_against_brute_force(masked: Dataset, seed: int):
+    """Recompute every pipeline stage independently and compare bit for bit."""
+    config = ImputeConfig(mode=MODE_ABSOLUTE, init=FarthestFirst(seed))
+    result = impute_dataset(masked, config)
+
+    split = split_groups(masked)
+    model = cluster(split.g1, masked.n_classes, FarthestFirst(seed))
+    assert model.to_json() == result.model.to_json()
+    maps = build_mapping(split.g1, split.g2, model)
+    assert maps == result.maps
+    by_id = {r.id: r for r in split.g1}
+
+    assert result.dataset.is_complete
+    for fill in result.fills:
+        donors = brute_nearest(maps, fill.query_id, MODE_ABSOLUTE)
+        assert fill.donor_ids == donors
+        query = masked.record(fill.query_id)
+        spec = masked.schema.attributes[fill.attr_index]
+        donor_records = [by_id[d] for d in donors]
+        expected = impute_cell(query, fill.attr_index, donor_records, split.g1, spec, maps)
+        assert fill.value == expected
+        assert expected == reference_fill(donor_records, split.g1, fill.attr_index, spec, maps)
+        assert result.dataset.record(fill.query_id).cells[fill.attr_index] == expected
+    return result
+
+
 def test_every_stage_matches_a_brute_force_recomputation():
     base = make_synthetic_dataset(20, seed=3)
     masked, _ = mask_cells(
         base, [(base.records[2].id, 0), (base.records[7].id, 4), (base.records[11].id, 6)]
     )
-    config = ImputeConfig(mode=MODE_ABSOLUTE, init=FarthestFirst(9))
-    result = impute_dataset(masked, config)
-
-    split = split_groups(masked)
-    model = cluster(split.g1, masked.n_classes, FarthestFirst(9))
-    assert model.to_json() == result.model.to_json()
-    maps = build_mapping(split.g1, split.g2, model)
-    assert maps == result.maps
-    table = difference_table(maps)
-    by_id = {r.id: r for r in split.g1}
-
+    result = check_stages_against_brute_force(masked, seed=9)
     assert len(result.fills) == 3
-    assert result.dataset.is_complete
-    for fill in result.fills:
-        donors = nearest_record(table, fill.query_id, MODE_ABSOLUTE)
-        assert fill.donor_ids == donors
-        query = masked.record(fill.query_id)
-        spec = masked.schema.attributes[fill.attr_index]
-        expected = impute_cell(
-            query, fill.attr_index, [by_id[d] for d in donors], split.g1, spec, maps
+
+
+def test_tie_heavy_stages_match_a_brute_force_recomputation():
+    # Every complete row has a twin with identical cells, so every query
+    # ties on at least two donors.  Even-numbered twins carry another
+    # class (a class-count tie settled by mapping value), odd-numbered
+    # twins the same class (a plain majority).
+    base = make_synthetic_dataset(24, seed=5)
+    classes = base.classes
+    twins = tuple(
+        Record(
+            f"T{n}",
+            r.cells,
+            classes[(classes.index(r.label) + (n % 2 == 0)) % len(classes)],
         )
-        assert fill.value == expected
-        assert result.dataset.record(fill.query_id).cells[fill.attr_index] == expected
+        for n, r in enumerate(base.records)
+    )
+    doubled = Dataset(base.schema, base.records + twins)
+    holes = [(base.records[i].id, attr) for i, attr in ((1, 0), (6, 6), (13, 3), (18, 6), (20, 2))]
+    masked, _ = mask_cells(doubled, holes)
+    result = check_stages_against_brute_force(masked, seed=2)
+    assert len(result.fills) == len(holes)
+    policies = Counter(f.tie_policy for f in result.fills)
+    assert policies["single-donor"] == 0
+    assert policies["mean-same-class"] > 0 and policies["modal-same-class"] > 0
+
+
+def test_selection_never_builds_the_difference_table(monkeypatch, missing_dataset):
+    def forbidden(maps):
+        raise AssertionError("donor selection built the m x q difference table")
+
+    bound = [
+        (module, attr)
+        for name, module in list(sys.modules.items())
+        if name == "cmimpute" or name.startswith("cmimpute.")
+        for attr, value in vars(module).items()
+        if value is difference_table
+    ]
+    assert bound
+    for module, attr in bound:
+        monkeypatch.setattr(module, attr, forbidden)
+
+    base = make_synthetic_dataset(40, seed=11)
+    synthetic, _ = mask_cells(base, [(base.records[i].id, i % 7) for i in range(0, 40, 5)])
+    for dataset in (missing_dataset, synthetic):
+        for mode in MODES:
+            result = impute_dataset(dataset, ImputeConfig(mode=mode, seed=1))
+            assert result.dataset.is_complete
+
+    training = load_classification_dataset()
+    model = cluster(training.records, 2, FixedPartition(CLASSIFICATION_PARTITION))
+    queries = make_synthetic_dataset(12, seed=12).records[:3]
+    synthetic_model = cluster(base.records, base.n_classes, FarthestFirst(0))
+    for mode in MODES:
+        assert classify_mapped(new_record(), training, model, mode).labels == ("Level-2",)
+        for query in queries:
+            assert len(classify_mapped(query, base, synthetic_model, mode).labels) >= 1
 
 
 def test_imputed_records_never_donate_to_each_other():
