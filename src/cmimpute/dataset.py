@@ -175,7 +175,7 @@ class Record:
 
     @property
     def is_complete(self) -> bool:
-        return all(c is not None for c in self.cells)
+        return None not in self.cells
 
     @property
     def missing_indices(self) -> tuple[int, ...]:
@@ -215,9 +215,10 @@ class Dataset:
     def is_complete(self) -> bool:
         return all(r.is_complete for r in self.records)
 
-    @property
+    @cached_property
     def is_encoded(self) -> bool:
-        """True when every present cell is numeric (symbols all encoded)."""
+        """True when every present cell is numeric (symbols all encoded).
+        Checked once per dataset: records and their cells are immutable."""
         return all(
             isinstance(c, float) for r in self.records for c in r.cells if c is not None
         )

@@ -62,6 +62,26 @@ def test_fully_populated_row_is_complete():
     assert r1.cells == ("c11", 5.0, "d31", 10.0)
 
 
+@pytest.mark.parametrize(
+    "cells, complete",
+    [
+        ((1.0, "s", 0.0), True),
+        ((float("nan"), 0.0), True),  # NaN is a value; only None is missing
+        ((1.0, None), False),
+        ((None,), False),
+        ((), True),
+    ],
+)
+def test_record_completeness_tests_for_none_only(cells, complete):
+    assert Record("R1", cells).is_complete is complete
+
+
+def test_encoded_flag_matches_cell_types():
+    schema = numeric_schema(2)
+    assert Dataset(schema, (Record("R1", (1.0, None)), Record("R2", (2.0, 3.0)))).is_encoded
+    assert not Dataset(schema, (Record("R1", (1.0, None)), Record("R2", ("a", 3.0)))).is_encoded
+
+
 def test_record_lookup_by_id():
     schema = numeric_schema(1)
     ds = Dataset(schema, (Record("R1", (1.0,), "a"), Record("R2", (2.0,), "b"), Record("R1", (3.0,), "c")))
