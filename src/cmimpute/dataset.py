@@ -234,6 +234,13 @@ class Dataset:
             by_id.setdefault(r.id, r)
         return by_id
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Work other modules derive from this dataset and keep for as
+        long as it lives (the classifier's fit).  Records and cells are
+        immutable, so an entry never goes stale."""
+        return {}
+
 
 @dataclass(frozen=True)
 class GroupSplit:

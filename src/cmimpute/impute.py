@@ -62,7 +62,14 @@ def difference_table(maps: MappingTable) -> DifferenceTable:
 
 
 def nearest_record(maps: MappingTable, query_id: str, mode: str) -> tuple[str, ...]:
-    """All donor ids attaining the minimal difference d_ij for one query.
+    """All donor ids attaining the minimal difference d_ij for one query
+    of the table; see nearest_donors."""
+    return nearest_donors(maps, maps.query_map[query_id], mode)
+
+
+def nearest_donors(maps: MappingTable, c: float, mode: str) -> tuple[str, ...]:
+    """All donor ids attaining the minimal difference d_ij for a query
+    whose mapping value is c.
 
     paper-signed minimizes the signed d_ij, which does not depend on
     the query at all: argmin_i (Map(R_i) - c) is argmin_i Map(R_i) for
@@ -81,7 +88,6 @@ def nearest_record(maps: MappingTable, query_id: str, mode: str) -> tuple[str, .
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    c = maps.query_map[query_id]
     values, order = maps.sorted_donors
     if not values:
         raise NoDonorsError("no complete records to select from")

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import Record
-from .errors import InsufficientDataError
+from .errors import ConfigError, InsufficientDataError
 
 MAX_ITERATIONS = 100
 
@@ -134,12 +134,12 @@ def cluster(g1: Sequence[Record], k: int, init: InitPolicy, max_iter: int = MAX_
         if (new_labels == labels).all():
             break
         labels = new_labels
-        centers = np.array([points[labels == c].mean(axis=0) for c in range(k)])
+        centers = _means(points, labels, k)
 
     # Finalize centers as exact means of the final assignment; a no-op
     # after convergence, and restores the centroid invariant if the
     # iteration cap was hit mid-step.
-    centers = np.array([points[labels == c].mean(axis=0) for c in range(k)])
+    centers = _means(points, labels, k)
     return ClusterModel(
         centroids=tuple(tuple(c) for c in centers.tolist()),
         assignment={rid: int(c) for rid, c in zip(ids, labels)},
@@ -148,23 +148,38 @@ def cluster(g1: Sequence[Record], k: int, init: InitPolicy, max_iter: int = MAX_
     )
 
 
+def _means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Mean of each cluster's points.  A cluster the re-seed step could
+    not keep populated has no mean.  That takes more clusters than
+    distinct points (fuzzing small integer grids found no other case),
+    so it is reported as too little data."""
+    for c in range(k):
+        if not (labels == c).any():
+            distinct = len(np.unique(points, axis=0))
+            raise InsufficientDataError(
+                f"cluster {c} lost all its points: {k} clusters over "
+                f"{distinct} distinct complete points"
+            )
+    return np.array([points[labels == c].mean(axis=0) for c in range(k)])
+
+
 def _fixed_partition_model(init: FixedPartition, ids: list[str], points: np.ndarray, k: int) -> ClusterModel:
     if len(init.groups) != k:
-        raise ValueError(f"fixed partition has {len(init.groups)} groups but k={k}")
+        raise ConfigError(f"fixed partition has {len(init.groups)} groups but k={k}")
     index = {rid: i for i, rid in enumerate(ids)}
     seen: set[str] = set()
     for group in init.groups:
         if not group:
-            raise ValueError("fixed partition contains an empty group")
+            raise ConfigError("fixed partition contains an empty group")
         for rid in group:
             if rid not in index:
-                raise ValueError(f"fixed partition names unknown record {rid!r}")
+                raise ConfigError(f"fixed partition names unknown record {rid!r}")
             if rid in seen:
-                raise ValueError(f"fixed partition repeats record {rid!r}")
+                raise ConfigError(f"fixed partition repeats record {rid!r}")
             seen.add(rid)
     if seen != set(ids):
         missing = sorted(set(ids) - seen)
-        raise ValueError(f"fixed partition does not cover records {missing}")
+        raise ConfigError(f"fixed partition does not cover records {missing}")
 
     assignment = {rid: c for c, group in enumerate(init.groups) for rid in group}
     centers = np.array(

@@ -61,6 +61,13 @@ def map_query(record: Record, model: ClusterModel, scaled: bool = False) -> floa
     return sum(type2_distance(record, c, scaled=scaled) for c in model.centroids)
 
 
+def check_map_value(table: str, rid: str, value: float) -> float:
+    """The value, if it is a usable mapping value: finite and non-negative."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{table}[{rid!r}] = {value!r} is not a finite non-negative value")
+    return value
+
+
 @dataclass(frozen=True)
 class MappingTable:
     """Scalar mapping values for the donor pool and for the queries,
@@ -73,8 +80,7 @@ class MappingTable:
     def __post_init__(self) -> None:
         for name, table in (("complete_map", self.complete_map), ("query_map", self.query_map)):
             for rid, value in table.items():
-                if not (math.isfinite(value) and value >= 0):
-                    raise ValueError(f"{name}[{rid!r}] = {value!r} is not a finite non-negative value")
+                check_map_value(name, rid, value)
 
     @cached_property
     def donor_ids(self) -> tuple[str, ...]:

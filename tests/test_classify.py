@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import cmimpute.classify
 from cmimpute.casestudy import expected_values, new_record
 from cmimpute.classify import classify_mapped, classify_raw_knn
 from cmimpute.dataset import NUMERIC, AttributeSpec, Dataset, Record, Schema
 from cmimpute.errors import CannotClassifyError, NoDonorsError
-from cmimpute.impute import MODE_ABSOLUTE, MODE_SIGNED
-from cmimpute.kmeans import SeededRandom, cluster
-from cmimpute.mapping import map_complete
+from cmimpute.impute import MODE_ABSOLUTE, MODE_SIGNED, MODES
+from cmimpute.kmeans import FarthestFirst, SeededRandom, cluster
+from cmimpute.mapping import map_complete, type1_distance
 
 
 def rec(rid: str, *cells, label=None) -> Record:
@@ -225,3 +228,158 @@ def test_model_trained_on_other_records_rejected(classification_dataset):
     foreign = cluster(training.records, 2, SeededRandom(1))
     with pytest.raises(ValueError, match="different records"):
         classify_mapped(new_record(), classification_dataset, foreign)
+
+
+# --- the fit: training-side work done once per (dataset, model) ---
+
+
+def copy_of(dataset: Dataset) -> Dataset:
+    """An equal dataset with nothing fitted on it yet."""
+    return Dataset(dataset.schema, dataset.records)
+
+
+def brute_nearest(table: dict[str, float], key) -> tuple[str, ...]:
+    best = min(key(v) for v in table.values())
+    return tuple(i for i, v in table.items() if key(v) == best)
+
+
+grid_point = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(grid_point, min_size=2, max_size=10),
+    st.lists(grid_point, min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.integers(0, 99),
+    # A step such as 0.1 rounds, so mirrored offsets can land an ulp apart.
+    st.sampled_from([1.0, 0.1, 0.3]),
+)
+def test_fitted_classifiers_match_a_brute_force_recomputation(points, queries, k, seed, step):
+    schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
+    training = Dataset(
+        schema,
+        tuple(
+            rec(f"R{i + 1}", *(v * step for v in p), label=f"L{i % 3}")
+            for i, p in enumerate(points)
+        ),
+    )
+    label_of = {r.id: r.label for r in training.records}
+    model = cluster(training.records, min(k, len(set(points))), FarthestFirst(seed))
+    maps = {r.id: map_complete(r, model) for r in training.records}
+    # Several queries in sequence against the same (dataset, model).
+    for j, q in enumerate(queries):
+        query = rec(f"Q{j + 1}", *(v * step for v in q))
+        c = map_complete(query, model)
+        column = {i: v - c for i, v in maps.items()}
+        for mode in MODES:
+            outcome = classify_mapped(query, training, model, mode)
+            nearest = brute_nearest(column, (lambda d: d) if mode == MODE_SIGNED else abs)
+            assert outcome.nearest == nearest
+            assert outcome.labels == tuple(sorted({label_of[i] for i in nearest}))
+            assert outcome.table == column
+        distances = {r.id: type1_distance(query, r.cells) for r in training.records}
+        knn = classify_raw_knn(query, training)
+        nearest = brute_nearest(distances, lambda d: d)
+        assert knn.nearest == nearest
+        assert knn.labels == tuple(sorted({label_of[i] for i in nearest}))
+        assert knn.table == distances
+
+
+def test_fit_still_rejects_a_foreign_model_after_a_successful_call(
+    classification_dataset, classification_model
+):
+    before = classify_mapped(new_record(), classification_dataset, classification_model)
+    foreign = cluster(tiny_training().records, 2, SeededRandom(1))
+    with pytest.raises(ValueError, match="different records"):
+        classify_mapped(new_record(), classification_dataset, foreign)
+    with pytest.raises(ValueError, match="different records"):
+        classify_mapped(new_record(), classification_dataset, foreign)
+    assert classify_mapped(new_record(), classification_dataset, classification_model) == before
+
+
+def test_two_models_used_alternately_each_give_their_own_answers(
+    classification_dataset, classification_model
+):
+    other = cluster(classification_dataset.records, 3, FarthestFirst(0))
+    queries = [new_record(), rec("Q2", 1, 1, 1, 1), Record("Q3", classification_dataset.records[4].cells)]
+    expected = {
+        id(model): [
+            classify_mapped(q, copy_of(classification_dataset), model, mode)
+            for q in queries
+            for mode in MODES
+        ]
+        for model in (classification_model, other)
+    }
+    assert expected[id(classification_model)] != expected[id(other)]
+    for _ in range(2):
+        for model in (classification_model, other, classification_model):
+            got = [classify_mapped(q, classification_dataset, model, mode) for q in queries for mode in MODES]
+            assert got == expected[id(model)]
+
+
+def test_training_set_is_mapped_once_per_model_across_queries(
+    classification_dataset, classification_model, monkeypatch
+):
+    calls = []
+    original = cmimpute.classify.build_mapping
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cmimpute.classify, "build_mapping", counting)
+    training = copy_of(classification_dataset)
+    for j in range(6):
+        query = rec(f"Q{j + 1}", j, 1, 2, j % 3)
+        for mode in MODES:
+            classify_mapped(query, training, classification_model, mode)
+        classify_raw_knn(query, training)
+    assert calls == [classification_model]
+    other = cluster(training.records, 3, FarthestFirst(0))
+    for j in range(3):
+        classify_mapped(rec(f"Q{j + 1}", j, 0, 0, 0), training, other)
+    assert calls == [classification_model, other]
+    # A new dataset gets its own fit, even with equal records.
+    classify_mapped(new_record(), copy_of(training), classification_model)
+    assert calls == [classification_model, other, classification_model]
+
+
+def test_fit_is_freed_with_its_dataset(classification_dataset, classification_model):
+    training = copy_of(classification_dataset)
+    classify_mapped(new_record(), training, classification_model)
+    classify_raw_knn(new_record(), training)
+    alive = weakref.ref(training)
+    gc.disable()
+    try:
+        del training
+        assert alive() is None  # freed by reference counting, no cycle to collect
+    finally:
+        gc.enable()
+
+
+def test_failed_training_checks_are_not_memoised(classification_dataset, classification_model):
+    records = tuple(
+        Record(r.id, r.cells, None if r.id == "R4" else r.label)
+        for r in classification_dataset.records
+    )
+    stripped = Dataset(classification_dataset.schema, records)
+    for _ in range(2):
+        with pytest.raises(CannotClassifyError, match="R4"):
+            classify_raw_knn(new_record(), stripped)
+        with pytest.raises(CannotClassifyError, match="R4"):
+            classify_mapped(new_record(), stripped, classification_model)
+
+
+def test_raw_knn_ties_are_exact_float_equality():
+    # 0.3 - 0.1 rounds to just under 0.2, so R1 is nearer than R2 by an ulp.
+    schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
+    training = Dataset(schema, (rec("R1", 0.1, 0, label="A"), rec("R2", 0.5, 0, label="B")))
+    outcome = classify_raw_knn(rec("Q", 0.3, 0), training)
+    assert outcome.nearest == ("R1",)
+    assert outcome.table["R1"] < outcome.table["R2"] == 0.2
+
+
+def test_raw_knn_rejects_a_query_of_the_wrong_arity(classification_dataset):
+    with pytest.raises(ValueError, match="3 cells"):
+        classify_raw_knn(rec("Q", 1, 1, 1), classification_dataset)

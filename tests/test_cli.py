@@ -222,6 +222,17 @@ def test_non_integer_init_seed_in_config_exits_2(impute_files, capsys):
     assert "init seed must be an integer" in capsys.readouterr().err
 
 
+def test_fixed_partition_naming_an_unknown_record_exits_2(impute_files, capsys):
+    tmp_path, data, schema, _ = impute_files
+    config = write(
+        tmp_path / "fp.json",
+        json.dumps({"init": {"policy": "fixed-partition", "groups": [["R1", "R99"], ["R2"]]}}),
+    )
+    code = main(["impute", "--data", data, "--schema", schema, "--config", config, "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_USAGE
+    assert "R99" in capsys.readouterr().err
+
+
 def test_seed_from_environment(impute_files, monkeypatch):
     tmp_path, data, schema, _ = impute_files
     monkeypatch.setenv(SEED_ENV_VAR, "7")
@@ -285,6 +296,24 @@ def test_classify_writes_to_stdout_without_out(classify_files, capsys):
     )
     assert code == EXIT_OK
     assert "Q1,Level-2" in capsys.readouterr().out
+
+
+def test_classify_with_more_clusters_than_distinct_points_exits_3(tmp_path, capsys):
+    rows = ["0,2,A", "0,0,B", "0,1,A", "0,0,B", "1,0,A", "0,1,B", "1,0,A", "0,0,B"]
+    train = write(tmp_path / "train.csv", "x,y,class\n" + "\n".join(rows) + "\n")
+    schema = write(
+        tmp_path / "schema.json",
+        json.dumps(
+            {
+                "attributes": [{"name": "x", "kind": "numeric"}, {"name": "y", "kind": "numeric"}],
+                "label_column": "class",
+            }
+        ),
+    )
+    query = write(tmp_path / "query.csv", "x,y\n1,1\n")
+    code = main(["classify", "--train", train, "--schema", schema, "--query", query, "--k", "5"])
+    assert code == EXIT_INSUFFICIENT
+    assert "4 distinct" in capsys.readouterr().err
 
 
 def test_classify_empty_query_file_gives_header_only_report(classify_files, tmp_path):

@@ -14,7 +14,7 @@ from cmimpute.casestudy import (
     expected_clusters,
 )
 from cmimpute.dataset import Record, split_groups
-from cmimpute.errors import InsufficientDataError
+from cmimpute.errors import ConfigError, InsufficientDataError
 from cmimpute.kmeans import FarthestFirst, FixedPartition, SeededRandom, centroid, cluster
 
 
@@ -113,15 +113,15 @@ def test_duplicate_record_ids_rejected():
 
 def test_fixed_partition_validation():
     records = grid_records([(0, 0), (1, 0), (5, 5)])
-    with pytest.raises(ValueError, match="unknown record"):
+    with pytest.raises(ConfigError, match="unknown record"):
         cluster(records, 2, FixedPartition((("R1", "R9"), ("R2", "R3"))))
-    with pytest.raises(ValueError, match="repeats"):
+    with pytest.raises(ConfigError, match="repeats"):
         cluster(records, 2, FixedPartition((("R1", "R2"), ("R2", "R3"))))
-    with pytest.raises(ValueError, match="does not cover"):
+    with pytest.raises(ConfigError, match="does not cover"):
         cluster(records, 2, FixedPartition((("R1",), ("R2",))))
-    with pytest.raises(ValueError, match="empty group"):
+    with pytest.raises(ConfigError, match="empty group"):
         cluster(records, 2, FixedPartition((("R1", "R2", "R3"), ())))
-    with pytest.raises(ValueError, match="groups but k"):
+    with pytest.raises(ConfigError, match="groups but k"):
         cluster(records, 3, FixedPartition((("R1",), ("R2", "R3"))))
 
 
@@ -132,6 +132,25 @@ def test_empty_cluster_is_reseeded_to_keep_k_clusters():
     model = cluster(records, 2, SeededRandom(3))
     assert sorted(set(model.assignment.values())) == [0, 1]
     assert all(len(model.members(c)) >= 1 for c in range(2))
+
+
+# Eight points on four distinct locations: with k = 5 the re-seed step
+# cannot keep every cluster populated, whatever the seed.
+THIN_GRID = [(0, 2), (0, 0), (0, 1), (0, 0), (1, 0), (0, 1), (1, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_more_clusters_than_distinct_points_is_insufficient_data(seed):
+    with pytest.raises(InsufficientDataError, match="5 clusters over 4 distinct"):
+        cluster(grid_records(THIN_GRID), 5, FarthestFirst(seed))
+
+
+def test_models_up_to_the_distinct_point_count_are_finite():
+    for k in range(1, 5):
+        for seed in range(8):
+            model = cluster(grid_records(THIN_GRID), k, FarthestFirst(seed))
+            assert np.isfinite(model.centroids).all()
+            assert sorted(set(model.assignment.values())) == list(range(k))
 
 
 # --- convergence properties ---
