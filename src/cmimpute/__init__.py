@@ -20,7 +20,6 @@ from .dataset import (
     Record,
     Schema,
     dataset_to_csv,
-    decode,
     decode_dataset,
     encode,
     load_dataset,
@@ -59,7 +58,6 @@ from .impute import (
     ImputationResult,
     ImputeConfig,
     difference_table,
-    impute_cell,
     impute_dataset,
     nearest_record,
 )
@@ -81,63 +79,3 @@ from .mapping import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_METHODS",
-    "AttributeSpec",
-    "CATEGORICAL",
-    "CannotClassifyError",
-    "ClassificationResult",
-    "ClusterModel",
-    "ConfigError",
-    "Dataset",
-    "DecodeError",
-    "DifferenceTable",
-    "EvaluationReport",
-    "ExperimentConfig",
-    "FarthestFirst",
-    "FixedPartition",
-    "GroupSplit",
-    "ImputationResult",
-    "ImputeConfig",
-    "InsufficientDataError",
-    "MODES",
-    "MODE_ABSOLUTE",
-    "MODE_SIGNED",
-    "MappingTable",
-    "MaskPlan",
-    "NUMERIC",
-    "NoDonorsError",
-    "ParseError",
-    "Record",
-    "Schema",
-    "SchemaError",
-    "SeededRandom",
-    "build_mapping",
-    "classify_mapped",
-    "classify_raw_knn",
-    "cluster",
-    "dataset_to_csv",
-    "decode",
-    "decode_dataset",
-    "difference_table",
-    "encode",
-    "impute_cell",
-    "impute_dataset",
-    "inject_mcar",
-    "load_dataset",
-    "load_experiment_config",
-    "load_schema",
-    "make_synthetic_dataset",
-    "map_complete",
-    "map_query",
-    "nearest_record",
-    "parse_dataset",
-    "run_experiment",
-    "schema_from_dict",
-    "score_imputation",
-    "split_groups",
-    "type1_distance",
-    "type2_distance",
-    "unmask",
-    "write_dataset",
-]

@@ -32,7 +32,7 @@ from .impute import (
     nearest_record,
 )
 from .kmeans import FixedPartition, cluster
-from .mapping import MappingTable, build_mapping, map_complete, map_query, type2_distance
+from .mapping import MappingTable, build_mapping, type2_distance
 
 TOLERANCE = 1e-5
 
@@ -69,10 +69,6 @@ def fixture_text(name: str) -> str:
     )
 
 
-def _numeric_schema(names: tuple[str, ...], label: str) -> Schema:
-    return Schema(tuple(AttributeSpec(n, NUMERIC) for n in names), label)
-
-
 def load_missing_dataset() -> Dataset:
     """The ingest table with two masked cells, encoded."""
     schema = schema_from_dict(json.loads(fixture_text("schema_missing.json")))
@@ -81,7 +77,7 @@ def load_missing_dataset() -> Dataset:
 
 def load_normalized_dataset() -> Dataset:
     """The complete encoded table the imputation must recover."""
-    schema = _numeric_schema(("A1", "A2", "A3", "A4"), "Class")
+    schema = Schema(tuple(AttributeSpec(n, NUMERIC) for n in ("A1", "A2", "A3", "A4")), "Class")
     return parse_dataset(fixture_text("table02_normalized.csv"), schema)
 
 
@@ -94,25 +90,26 @@ def new_record() -> Record:
     return Record("R10", NEW_RECORD_CELLS)
 
 
+def _expected_rows(name: str) -> list[list[str]]:
+    """The data rows of expected/<name>.csv, header dropped."""
+    return list(csv.reader(io.StringIO(fixture_text(f"expected/{name}.csv"))))[1:]
+
+
 def expected_values(name: str) -> dict[str, float]:
     """record -> value tables from expected/<name>.csv."""
-    rows = list(csv.reader(io.StringIO(fixture_text(f"expected/{name}.csv"))))
-    return {rid: float(value) for rid, value in rows[1:]}
+    return {rid: float(value) for rid, value in _expected_rows(name)}
 
 
 def expected_pairs(name: str) -> dict[str, tuple[float, float]]:
-    rows = list(csv.reader(io.StringIO(fixture_text(f"expected/{name}.csv"))))
-    return {rid: (float(a), float(b)) for rid, a, b in rows[1:]}
+    return {rid: (float(a), float(b)) for rid, a, b in _expected_rows(name)}
 
 
 def expected_clusters(name: str) -> dict[str, tuple[str, ...]]:
-    rows = list(csv.reader(io.StringIO(fixture_text(f"expected/{name}.csv"))))
-    return {cluster: tuple(members.split(";")) for cluster, members in rows[1:]}
+    return {cluster: tuple(members.split(";")) for cluster, members in _expected_rows(name)}
 
 
 def expected_donor_row(name: str) -> tuple[str, tuple[float, ...], str]:
-    rows = list(csv.reader(io.StringIO(fixture_text(f"expected/{name}.csv"))))
-    rid, *cells, label = rows[1]
+    rid, *cells, label = _expected_rows(name)[0]
     return rid, tuple(float(c) for c in cells), label
 
 

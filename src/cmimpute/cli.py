@@ -10,8 +10,9 @@ Every flag has a config-file equivalent (``--config run.json`` with
 keys named after the flags); flags win on conflict.  The default seed
 can also come from the ``CMIMPUTE_SEED`` environment variable.
 
-Exit codes: 0 success, 1 internal error, 2 parse/schema/config error,
-3 insufficient data, 4 unlabeled training data, 5 case-study mismatch.
+Exit codes: 0 success, 1 internal error, 2 parse/schema/config error
+or a path that cannot be read or written, 3 insufficient data,
+4 unlabeled training data, 5 case-study mismatch.
 """
 
 from __future__ import annotations
@@ -117,13 +118,20 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _seed(value, name: str) -> int:
+    """A seed option: a non-negative integer, as NumPy's generators take."""
+    if _integer(value, name) < 0:
+        raise ConfigError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def _resolve_seed(flag_value, config: dict) -> int:
     seed = _pick(flag_value, config, "seed", None)
     if seed is None:
         seed = _env_seed()
     if seed is None:
         seed = 0
-    return _integer(seed, "seed")
+    return _seed(seed, "seed")
 
 
 def _resolve_k(flag_value, config: dict) -> int | None:
@@ -146,9 +154,9 @@ def _init_from_config(value, seed: int):
             raise ConfigError("fixed-partition init needs 'groups': a list of id lists")
         return FixedPartition(tuple(tuple(str(i) for i in g) for g in groups))
     if policy == "farthest-first":
-        return FarthestFirst(_integer(value.get("seed", seed), "init seed"))
+        return FarthestFirst(_seed(value.get("seed", seed), "init seed"))
     if policy == "seeded-random":
-        return SeededRandom(_integer(value.get("seed", seed), "init seed"))
+        return SeededRandom(_seed(value.get("seed", seed), "init seed"))
     raise ConfigError(f"unknown init policy {policy!r}")
 
 
@@ -310,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="completed dataset CSV")
     p.add_argument("--report", help="provenance CSV, one row per filled cell")
     _add_common(p)
-    p.set_defaults(resolve=_resolve_impute, run=cmd_impute)
+    p.set_defaults(resolve=_resolve, run=cmd_impute)
 
     p = subparsers.add_parser("classify", help="label complete query records")
     p.add_argument("--train", help="labeled complete training CSV")
@@ -327,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="add raw nearest-neighbor comparison columns",
     )
     _add_common(p)
-    p.set_defaults(resolve=_resolve_classify, run=cmd_classify)
+    p.set_defaults(resolve=_resolve, run=cmd_classify)
 
     p = subparsers.add_parser("evaluate", help="run a masking benchmark")
     p.add_argument("--config", help="experiment spec JSON", dest="config")
@@ -340,51 +348,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float)
     p.add_argument("--out", help="write the diff report here as well as stdout")
     _add_common(p)
-    p.set_defaults(resolve=_resolve_casestudy, run=cmd_casestudy)
+    p.set_defaults(resolve=_resolve, run=cmd_casestudy)
 
     return parser
 
 
-def _resolve_impute(args: argparse.Namespace) -> RunConfig:
-    config = _load_run_config(args.config)
-    seed = _resolve_seed(args.seed, config)
-    mode = _pick(args.mode, config, "mode", MODE_ABSOLUTE)
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {sorted(MODES)}, got {mode!r}")
-    return RunConfig(
-        command="impute",
-        data=_pick(args.data, config, "data", None),
-        schema=_pick(args.schema, config, "schema", None),
-        mode=mode,
-        seed=seed,
-        k=_resolve_k(args.k, config),
-        init=_init_from_config(config.get("init"), seed),
-        out=_pick(args.out, config, "out", None),
-        report=_pick(args.report, config, "report", None),
-        verbose=bool(_pick(args.verbose, config, "verbose", False)),
-    )
+# Options that name a file; a config file must give each as a string.
+PATH_OPTIONS = ("data", "schema", "train", "query", "out", "report")
 
 
-def _resolve_classify(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> RunConfig:
+    """The options of an impute, classify or casestudy run, each from
+    its flag, else the config file, else (seed only) CMIMPUTE_SEED,
+    else its default.  A subcommand resolves only the options it
+    takes."""
     config = _load_run_config(args.config)
-    seed = _resolve_seed(args.seed, config)
-    mode = _pick(args.mode, config, "mode", MODE_ABSOLUTE)
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {sorted(MODES)}, got {mode!r}")
-    return RunConfig(
-        command="classify",
-        train=_pick(args.train, config, "train", None),
-        schema=_pick(args.schema, config, "schema", None),
-        query=_pick(args.query, config, "query", None),
-        mode=mode,
-        seed=seed,
-        k=_resolve_k(args.k, config),
-        init=_init_from_config(config.get("init"), seed),
-        out=_pick(args.out, config, "out", None),
-        with_knn_baseline=bool(
+    flags = vars(args)
+    options = {}
+    for key in PATH_OPTIONS:
+        if key in flags:
+            path = options[key] = _pick(flags[key], config, key, None)
+            if path is not None and (not isinstance(path, str) or "\0" in path):
+                raise ConfigError(f"{key} must be a file path, got {path!r}")
+    if "seed" in flags:
+        seed = _resolve_seed(args.seed, config)
+        mode = _pick(args.mode, config, "mode", MODE_ABSOLUTE)
+        if mode not in MODES:
+            raise ConfigError(f"mode must be one of {sorted(MODES)}, got {mode!r}")
+        options.update(
+            mode=mode,
+            seed=seed,
+            k=_resolve_k(args.k, config),
+            init=_init_from_config(config.get("init"), seed),
+        )
+    if "with_knn_baseline" in flags:
+        options["with_knn_baseline"] = bool(
             _pick(args.with_knn_baseline, config, "with_knn_baseline", False)
-        ),
+        )
+    if "tolerance" in flags:
+        tolerance = _pick(args.tolerance, config, "tolerance", 1e-5)
+        try:
+            tolerance = float(tolerance)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"tolerance must be a number, got {tolerance!r}") from None
+        if not tolerance > 0:  # also rejects NaN
+            raise ConfigError("tolerance must be positive")
+        options["tolerance"] = tolerance
+    return RunConfig(
+        command=args.command,
         verbose=bool(_pick(args.verbose, config, "verbose", False)),
+        **options,
     )
 
 
@@ -400,30 +413,13 @@ def _resolve_evaluate(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _resolve_casestudy(args: argparse.Namespace) -> RunConfig:
-    config = _load_run_config(args.config)
-    tolerance = _pick(args.tolerance, config, "tolerance", 1e-5)
-    try:
-        tolerance = float(tolerance)
-    except (TypeError, ValueError):
-        raise ConfigError(f"tolerance must be a number, got {tolerance!r}") from None
-    if tolerance <= 0:
-        raise ConfigError("tolerance must be positive")
-    return RunConfig(
-        command="casestudy",
-        tolerance=tolerance,
-        out=_pick(args.out, config, "out", None),
-        verbose=bool(_pick(args.verbose, config, "verbose", False)),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = args.resolve(args)
         return args.run(config)
-    except (ParseError, SchemaError, ConfigError, FileNotFoundError) as exc:
+    except (ParseError, SchemaError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InsufficientDataError as exc:

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DecodeError, ParseError, SchemaError
 
@@ -24,6 +24,12 @@ DEFAULT_MISSING_MARKERS = frozenset({"?", "NaN", ""})
 
 # Symbol used when a missing cell must be rendered back to text.
 MISSING_FIELD = "?"
+
+# Largest numeric magnitude a field may hold.  Differences of such
+# values, squared and summed over any realistic number of attributes
+# and records, stay far below the float range, so no distance, mean or
+# k-means sum the pipeline forms overflows.
+MAX_MAGNITUDE = 1e100
 
 
 @dataclass(frozen=True)
@@ -251,22 +257,18 @@ class GroupSplit:
     g2: tuple[Record, ...]
 
 
-def parse_dataset(
-    text: str,
-    schema: Schema,
-    missing_markers: Iterable[str] | None = None,
-    id_prefix: str = "R",
-) -> Dataset:
+def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     """Parse delimited text with a header row into a Dataset.
 
-    Fields matching a missing marker become None.  Numeric fields are
-    parsed as floats (non-finite values rejected), categorical fields
-    stay symbols until encode().  Records are assigned ids R1..Rm in
-    row order (the prefix is configurable so query files read as
-    Q1..Qm next to their training records).  An empty label field
-    means the record is unlabeled.
+    Fields matching one of the schema's missing markers become None.
+    Numeric fields are parsed as floats (non-finite values and
+    magnitudes above MAX_MAGNITUDE rejected), categorical fields stay
+    symbols until encode().  Records are assigned ids R1..Rm in row
+    order (the prefix is configurable so query files read as Q1..Qm
+    next to their training records).  An empty label field means the
+    record is unlabeled.
     """
-    markers = schema.missing_markers if missing_markers is None else frozenset(missing_markers)
+    markers = schema.missing_markers
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise ParseError("no header row")
@@ -299,6 +301,11 @@ def parse_dataset(
                 if not math.isfinite(value):
                     raise ParseError(
                         f"row {rownum}: non-finite value {text_value!r} for attribute {spec.name!r}"
+                    )
+                if abs(value) > MAX_MAGNITUDE:
+                    raise ParseError(
+                        f"row {rownum}: {text_value!r} for attribute {spec.name!r} exceeds "
+                        f"the magnitude bound {MAX_MAGNITUDE:g}"
                     )
                 cells.append(value)
             else:
@@ -364,12 +371,6 @@ def encode(dataset: Dataset) -> Dataset:
     return Dataset(new_schema, tuple(new_records))
 
 
-def decode(value: float, spec: AttributeSpec) -> str | float:
-    """Inverse of encode for one cell: categorical ordinals back to
-    symbols, numeric values unchanged."""
-    return spec.decode_value(value)
-
-
 def decode_dataset(dataset: Dataset) -> Dataset:
     """Render every encoded cell back to its symbol form."""
     new_records = []
@@ -379,7 +380,7 @@ def decode_dataset(dataset: Dataset) -> Dataset:
             if cell is None or spec.kind == NUMERIC:
                 cells.append(cell)
             else:
-                cells.append(decode(float(cell), spec))
+                cells.append(spec.decode_value(float(cell)))
         new_records.append(Record(r.id, tuple(cells), r.label))
     return Dataset(dataset.schema, tuple(new_records))
 

@@ -31,6 +31,7 @@ from .dataset import (
 from .errors import ConfigError, NoDonorsError
 from .impute import MODE_ABSOLUTE, MODE_SIGNED, ImputeConfig, impute_dataset
 from .kmeans import FarthestFirst, cluster
+from .mapping import _squared_distance
 
 METHOD_SIGNED = "cluster-map-paper-signed"
 METHOD_ABSOLUTE = "cluster-map-absolute"
@@ -225,15 +226,9 @@ def baseline_knn_donor(dataset: Dataset) -> Dataset:
         if r.is_complete:
             completed.append(r)
             continue
-        observed = r.present_indices
-        if not observed:
+        if not r.present_indices:
             raise NoDonorsError(f"record {r.id} has no observed values")
-        donor = min(
-            split.g1,
-            key=lambda g: sum(
-                (float(r.cells[i]) - float(g.cells[i])) ** 2 for i in observed
-            ),
-        )
+        donor = min(split.g1, key=lambda g: _squared_distance(r, g.cells))
         cells = [
             donor.cells[i] if c is None else c for i, c in enumerate(r.cells)
         ]

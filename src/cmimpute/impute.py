@@ -15,7 +15,6 @@ from .dataset import (
     AttributeSpec,
     Dataset,
     Record,
-    decode,
     format_number,
     split_groups,
 )
@@ -108,25 +107,6 @@ def nearest_donors(maps: MappingTable, c: float, mode: str) -> tuple[str, ...]:
     return tuple(ids[i] for i in sorted(order[lo:hi]))
 
 
-def impute_cell(
-    query: Record,
-    attr: int,
-    donors: Sequence[Record],
-    g1: Sequence[Record],
-    spec: AttributeSpec,
-    maps: MappingTable | None = None,
-) -> float:
-    """Value for one missing cell given the tied nearest donors.
-
-    A single donor contributes its value verbatim.  Multiple tied
-    donors defer to the donors' decision class over the whole donor
-    pool: the modal value for a categorical attribute, the mean for a
-    numeric one.
-    """
-    value, _ = _fill_value(query, attr, donors, _class_pools(g1), spec, maps)
-    return value
-
-
 def _class_pools(g1: Sequence[Record]) -> dict[str | None, list[Record]]:
     """The donor pool grouped by decision class, each group in pool order."""
     pools: dict[str | None, list[Record]] = {}
@@ -143,6 +123,14 @@ def _fill_value(
     spec: AttributeSpec,
     maps: MappingTable | None,
 ) -> tuple[float, str]:
+    """Value for one missing cell given the tied nearest donors, and
+    the tie policy that produced it.
+
+    A single donor contributes its value verbatim.  Multiple tied
+    donors defer to the donors' decision class over the whole donor
+    pool: the modal value for a categorical attribute, the mean for a
+    numeric one.
+    """
     if query.cells[attr] is not None:
         raise ValueError(f"record {query.id}: cell {attr} is not missing")
     if not donors:
@@ -198,14 +186,13 @@ def _tie_pool(
 @dataclass(frozen=True)
 class ImputeConfig:
     """Pipeline knobs: selection mode, cluster count (derived from the
-    labels when omitted), init policy (farthest-first from the seed
-    when omitted), and the optional partial-distance rescaling."""
+    labels when omitted), and init policy (farthest-first from the seed
+    when omitted)."""
 
     mode: str = MODE_ABSOLUTE
     k: int | None = None
     init: InitPolicy | None = None
     seed: int = 0
-    scale_partial: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -263,7 +250,7 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
             raise ConfigError("dataset has no labels; supply k explicitly")
     init = config.init if config.init is not None else FarthestFirst(config.seed)
     model = cluster(split.g1, k, init)
-    maps = build_mapping(split.g1, split.g2, model, scaled=config.scale_partial)
+    maps = build_mapping(split.g1, split.g2, model)
 
     by_id = {r.id: r for r in split.g1}
     pools = _class_pools(split.g1)
@@ -278,7 +265,7 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
         for attr in r.missing_indices:
             spec = dataset.schema.attributes[attr]
             value, policy = _fill_value(r, attr, donors, pools, spec, maps)
-            symbol = str(decode(value, spec)) if spec.kind == CATEGORICAL else None
+            symbol = str(spec.decode_value(value)) if spec.kind == CATEGORICAL else None
             fills.append(
                 CellFill(r.id, attr, spec.name, tuple(d.id for d in donors), value, symbol, policy)
             )

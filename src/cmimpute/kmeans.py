@@ -94,13 +94,14 @@ def _check_usable(records: Sequence[Record]) -> None:
             raise ValueError(f"record {r.id} is not encoded")
 
 
-def cluster(g1: Sequence[Record], k: int, init: InitPolicy, max_iter: int = MAX_ITERATIONS) -> ClusterModel:
+def cluster(g1: Sequence[Record], k: int, init: InitPolicy) -> ClusterModel:
     """Cluster complete records into k clusters.
 
-    Iterative policies run Lloyd steps until the assignment stops
-    changing or max_iter is hit; nearest-centroid ties go to the
-    lowest cluster index, and a cluster left empty is re-seeded from
-    the point farthest from its own centroid.
+    Iterative policies need k distinct points and run Lloyd steps until
+    the assignment stops changing or MAX_ITERATIONS is hit;
+    nearest-centroid ties go to the lowest cluster index, and a cluster
+    left empty is re-seeded from the point farthest from its own
+    centroid among the clusters that can spare one.
     """
     records = list(g1)
     if not records:
@@ -119,14 +120,20 @@ def cluster(g1: Sequence[Record], k: int, init: InitPolicy, max_iter: int = MAX_
     if isinstance(init, FixedPartition):
         return _fixed_partition_model(init, ids, points, k)
 
+    distinct = len({r.cells for r in records})
+    if k > distinct:
+        raise InsufficientDataError(f"{k} clusters over {distinct} distinct complete points")
     centers = _initial_centers(init, points, k)
     labels = np.full(len(records), -1, dtype=int)
     sse_history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITERATIONS):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)  # argmin takes the first minimum: lowest index wins ties
         for empty in [c for c in range(k) if not (new_labels == c).any()]:
             own = ((points - centers[new_labels]) ** 2).sum(axis=1)
+            # A sole member is never moved, so no re-seed empties
+            # another cluster; with m >= k some cluster has two.
+            own[np.bincount(new_labels, minlength=k)[new_labels] < 2] = -1.0
             j = int(own.argmax())
             centers[empty] = points[j]
             new_labels[j] = empty
@@ -149,17 +156,8 @@ def cluster(g1: Sequence[Record], k: int, init: InitPolicy, max_iter: int = MAX_
 
 
 def _means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Mean of each cluster's points.  A cluster the re-seed step could
-    not keep populated has no mean.  That takes more clusters than
-    distinct points (fuzzing small integer grids found no other case),
-    so it is reported as too little data."""
-    for c in range(k):
-        if not (labels == c).any():
-            distinct = len(np.unique(points, axis=0))
-            raise InsufficientDataError(
-                f"cluster {c} lost all its points: {k} clusters over "
-                f"{distinct} distinct complete points"
-            )
+    """Mean of each cluster's points; the re-seed step keeps every
+    cluster populated."""
     return np.array([points[labels == c].mean(axis=0) for c in range(k)])
 
 

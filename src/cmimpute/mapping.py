@@ -3,8 +3,6 @@ single scalar: the sum of its distances to all centroids."""
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,39 +12,35 @@ from .dataset import Record
 from .kmeans import ClusterModel
 
 
+def _squared_distance(record: Record, centroid: Sequence[float]) -> float:
+    """Sum of (c - u) ** 2 over the coordinates where the record has a
+    cell, in attribute order: the one distance kernel.  A complete
+    record's distance is its partial distance over every cell."""
+    if len(record.cells) != len(centroid):
+        raise ValueError(
+            f"record {record.id} has {len(record.cells)} cells, centroid has {len(centroid)}"
+        )
+    return sum((float(c) - float(u)) ** 2 for c, u in zip(record.cells, centroid) if c is not None)
+
+
 def type1_distance(record: Record, centroid: Sequence[float]) -> float:
     """Euclidean distance from a complete record to a centroid over
     all coordinates."""
-    if len(record.cells) != len(centroid):
-        raise ValueError(
-            f"record {record.id} has {len(record.cells)} cells, centroid has {len(centroid)}"
-        )
     if not record.is_complete:
         raise ValueError(f"record {record.id} has missing cells; use type2_distance")
-    return math.sqrt(
-        sum((float(c) - float(u)) ** 2 for c, u in zip(record.cells, centroid))
-    )
+    return math.sqrt(_squared_distance(record, centroid))
 
 
-def type2_distance(record: Record, centroid: Sequence[float], scaled: bool = False) -> float:
+def type2_distance(record: Record, centroid: Sequence[float]) -> float:
     """Euclidean distance over the record's observed coordinates only.
 
     Missing coordinates are discarded with no rescaling, so records
-    with more missing cells systematically measure shorter.  Passing
-    scaled=True multiplies by sqrt(n / observed) to compensate; the
-    default stays unscaled because the reproduced tables assume it.
+    with more missing cells systematically measure shorter; the
+    reproduced tables assume exactly that.
     """
-    if len(record.cells) != len(centroid):
-        raise ValueError(
-            f"record {record.id} has {len(record.cells)} cells, centroid has {len(centroid)}"
-        )
-    observed = record.present_indices
-    if not observed:
+    if record.cells.count(None) == len(record.cells):
         raise ValueError(f"record {record.id} has no observed values")
-    total = sum((float(record.cells[i]) - float(centroid[i])) ** 2 for i in observed)
-    if scaled:
-        total *= len(record.cells) / len(observed)
-    return math.sqrt(total)
+    return math.sqrt(_squared_distance(record, centroid))
 
 
 def map_complete(record: Record, model: ClusterModel) -> float:
@@ -55,10 +49,10 @@ def map_complete(record: Record, model: ClusterModel) -> float:
     return sum(type1_distance(record, c) for c in model.centroids)
 
 
-def map_query(record: Record, model: ClusterModel, scaled: bool = False) -> float:
+def map_query(record: Record, model: ClusterModel) -> float:
     """Map'(R): sum of type-2 distances to every centroid.  For a
     complete record this degenerates to map_complete."""
-    return sum(type2_distance(record, c, scaled=scaled) for c in model.centroids)
+    return sum(type2_distance(record, c) for c in model.centroids)
 
 
 def check_map_value(table: str, rid: str, value: float) -> float:
@@ -100,21 +94,10 @@ def build_mapping(
     g1: Sequence[Record],
     queries: Sequence[Record],
     model: ClusterModel,
-    scaled: bool = False,
 ) -> MappingTable:
     return MappingTable(
         complete_map={r.id: map_complete(r, model) for r in g1},
-        query_map={r.id: map_query(r, model, scaled=scaled) for r in queries},
+        query_map={r.id: map_query(r, model) for r in queries},
         model_ref=model.fingerprint(),
     )
 
-
-def mapping_to_csv(table: MappingTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["record", "role", "map"])
-    for rid, value in table.complete_map.items():
-        writer.writerow([rid, "complete", repr(value)])
-    for rid, value in table.query_map.items():
-        writer.writerow([rid, "query", repr(value)])
-    return buf.getvalue()

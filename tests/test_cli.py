@@ -4,8 +4,10 @@ subcommands, driven through main() with real files."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -248,6 +250,50 @@ def test_non_integer_environment_seed_exits_2(impute_files, monkeypatch, capsys)
     assert SEED_ENV_VAR in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2(impute_files, capsys):
+    tmp_path, data, schema, _ = impute_files
+    code = main(["impute", "--data", data, "--schema", schema, "--seed", "-1", "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_USAGE
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_non_string_report_path_in_config_exits_2(impute_files, capsys):
+    tmp_path, data, schema, _ = impute_files
+    config = write(tmp_path / "bad.json", json.dumps({"report": 5}))
+    code = main(["impute", "--data", data, "--schema", schema, "--config", config, "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_USAGE
+    assert "report must be a file path" in capsys.readouterr().err
+
+
+def test_output_path_that_is_a_directory_exits_2(impute_files):
+    tmp_path, data, schema, _ = impute_files
+    assert main(["impute", "--data", data, "--schema", schema, "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+def test_magnitude_above_the_bound_exits_2_without_warnings(tmp_path, capsys):
+    schema = write(
+        tmp_path / "schema.json",
+        json.dumps(
+            {
+                "attributes": [{"name": "a", "kind": "numeric"}, {"name": "b", "kind": "numeric"}],
+                "label_column": "class",
+            }
+        ),
+    )
+    rows = "a,b,class\n1e300,1,A\n-1e300,2,B\n3,?,A\n4,4,B\n5,5,A\n"
+    data = write(tmp_path / "data.csv", rows)
+    train = write(tmp_path / "train.csv", rows.replace("?", "3"))
+    query = write(tmp_path / "query.csv", "a,b\n1,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        impute = main(["impute", "--data", data, "--schema", schema, "--out", str(tmp_path / "o.csv")])
+        classify = main(
+            ["classify", "--train", train, "--schema", schema, "--query", query, "--with-knn-baseline"]
+        )
+    assert (impute, classify) == (EXIT_USAGE, EXIT_USAGE)
+    assert "magnitude bound" in capsys.readouterr().err
+
+
 # --- classify ---
 
 
@@ -315,6 +361,13 @@ def test_classify_with_more_clusters_than_distinct_points_exits_3(tmp_path, caps
     assert code == EXIT_INSUFFICIENT
     assert "4 distinct" in capsys.readouterr().err
 
+
+def test_non_string_out_path_in_config_exits_2_for_classify(classify_files, capsys):
+    tmp_path, train, schema, query, _ = classify_files
+    config = write(tmp_path / "bad.json", json.dumps({"out": 5}))
+    code = main(["classify", "--train", train, "--schema", schema, "--query", query, "--config", config])
+    assert code == EXIT_USAGE
+    assert "out must be a file path" in capsys.readouterr().err
 
 def test_classify_empty_query_file_gives_header_only_report(classify_files, tmp_path):
     _, train, schema, _, config = classify_files
@@ -455,6 +508,16 @@ def test_casestudy_nonpositive_tolerance_exits_2(capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_non_string_out_path_in_config_exits_2_for_casestudy(tmp_path, capsys):
+    config = write(tmp_path / "bad.json", json.dumps({"out": 5}))
+    assert main(["casestudy", "--config", config]) == EXIT_USAGE
+    assert "out must be a file path" in capsys.readouterr().err
+
+
+def test_nan_tolerance_in_config_exits_2(tmp_path):
+    config = write(tmp_path / "nan.json", '{"tolerance": NaN}')
+    assert main(["casestudy", "--config", config]) == EXIT_USAGE
+
 def test_casestudy_missing_fixture_exits_2(monkeypatch, capsys):
     def boom(name):
         raise FileNotFoundError(f"fixture {name} is gone")
@@ -480,10 +543,13 @@ def test_unknown_subcommand_raises_argparse_exit():
 
 
 def test_installed_console_script_smoke():
+    # The child imports the same cmimpute as this test run.
+    package_root = os.path.dirname(os.path.dirname(cmimpute.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "cmimpute.cli"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))),
     )
     # Module execution without a subcommand is a usage error.
     assert proc.returncode == EXIT_USAGE

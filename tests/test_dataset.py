@@ -16,7 +16,6 @@ from cmimpute.dataset import (
     Record,
     Schema,
     dataset_to_csv,
-    decode,
     decode_dataset,
     encode,
     parse_dataset,
@@ -122,6 +121,17 @@ def test_non_finite_numeric_rejected():
         parse_dataset(text, numeric_schema(1))
 
 
+@pytest.mark.parametrize("field", ["1e300", "-1e300", "1.0000001e100"])
+def test_magnitude_above_the_bound_rejected(field):
+    with pytest.raises(ParseError, match="row 3.*magnitude bound"):
+        parse_dataset(f"x1,class\n1,a\n{field},a\n", numeric_schema(1))
+
+
+def test_magnitudes_up_to_the_bound_parse():
+    ds = parse_dataset("x1,class\n1e99,a\n-1e100,a\n", numeric_schema(1))
+    assert [r.cells for r in ds.records] == [(1e99,), (-1e100,)]
+
+
 def test_header_must_match_schema():
     text = "wrong,class\n1,a\n"
     with pytest.raises(ParseError, match="header"):
@@ -143,7 +153,8 @@ def test_unknown_symbol_under_frozen_encoding():
 
 def test_custom_missing_markers_override():
     text = "x1,class\nNA,a\n"
-    ds = parse_dataset(text, numeric_schema(1), missing_markers={"NA"})
+    schema = Schema(numeric_schema(1).attributes, "class", missing_markers=frozenset({"NA"}))
+    ds = parse_dataset(text, schema)
     assert ds.record("R1").cells == (None,)
 
 
@@ -165,17 +176,17 @@ def test_encode_leaves_missing_cells_missing():
 
 def test_decode_reference_symbols():
     schema = missing_schema()
-    assert decode(2.0, schema.attribute("A3")) == "d32"
-    assert decode(3.0, schema.attribute("A1")) == "c13"
-    assert decode(7.0, schema.attribute("A4")) == 7.0
+    assert schema.attribute("A3").decode_value(2.0) == "d32"
+    assert schema.attribute("A1").decode_value(3.0) == "c13"
+    assert schema.attribute("A4").decode_value(7.0) == 7.0
 
 
 def test_decode_rejects_non_ordinal():
     spec = AttributeSpec("a", CATEGORICAL, {"x": 1, "y": 2})
     with pytest.raises(DecodeError):
-        decode(2.5, spec)
+        spec.decode_value(2.5)
     with pytest.raises(DecodeError):
-        decode(3.0, spec)
+        spec.decode_value(3.0)
 
 
 def test_decode_encode_round_trip_on_reference_table():

@@ -1,0 +1,159 @@
+"""Degenerate-input fuzzing: run configs of any JSON shape, thin
+clustering grids, constant columns and magnitudes up to the parse
+bound.  Each must give a documented exit code, a typed error or a
+finite result, never an internal error or a NaN."""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from cmimpute.casestudy import CLASSIFICATION_PARTITION, IMPUTATION_PARTITION, fixture_text
+from cmimpute.classify import classify_mapped, classify_raw_knn
+from cmimpute.cli import EXIT_INTERNAL, main
+from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Record, Schema, encode, parse_dataset
+from cmimpute.errors import InsufficientDataError
+from cmimpute.impute import MODES, ImputeConfig, impute_dataset
+from cmimpute.kmeans import FarthestFirst, SeededRandom, cluster
+
+# --- (a) run configs ---
+
+FIXTURES = (
+    "table03_missing_raw.csv",
+    "table16_classification.csv",
+    "schema_missing.json",
+    "schema_classification.json",
+)
+QUERY_FILE = "query.csv"
+
+# Short strings over an alphabet that spells ".", "..", "" and a NUL
+# byte: paths that are directories, missing, or not paths at all.
+short_text = st.text(alphabet="ab.\0", max_size=3)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | short_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(short_text, inner, max_size=3),
+    max_leaves=6,
+)
+paths = st.sampled_from(FIXTURES + (QUERY_FILE, "out.csv", ".", "no/such/dir.csv"))
+partitions = st.sampled_from((IMPUTATION_PARTITION, CLASSIFICATION_PARTITION, (("R1",), ("R2", "R99"))))
+inits = st.one_of(
+    st.fixed_dictionaries(
+        {"policy": st.sampled_from(["farthest-first", "seeded-random"]), "seed": st.integers(-2, 50)}
+    ),
+    partitions.map(lambda p: {"policy": "fixed-partition", "groups": [list(g) for g in p]}),
+)
+# Per key: a plausible value, so runs get deep into the pipeline, or any JSON.
+OPTIONS = {
+    "data": paths,
+    "schema": paths,
+    "train": paths,
+    "query": paths,
+    "out": paths,
+    "report": paths,
+    "mode": st.sampled_from(MODES),
+    "seed": st.integers(-1, 50),
+    "k": st.integers(0, 10),
+    "init": inits,
+    "verbose": st.booleans(),
+    "with_knn_baseline": st.booleans(),
+    "tolerance": st.floats(0, 1),
+}
+run_configs = st.fixed_dictionaries(
+    {}, optional={key: st.one_of(plausible, json_values) for key, plausible in OPTIONS.items()}
+)
+
+
+def run_in_scratch_dir(command: str, config: dict) -> int:
+    """main() on `command --config run.json`, in a fresh directory
+    holding the bundled fixtures and one complete query file."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in FIXTURES:
+            with open(os.path.join(scratch, name), "w", encoding="utf-8") as fh:
+                fh.write(fixture_text(name))
+        with open(os.path.join(scratch, QUERY_FILE), "w", encoding="utf-8") as fh:
+            fh.write("P1,P2,P3,P4\n2,5,2,9\n")
+        with open(os.path.join(scratch, "run.json"), "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        os.chdir(scratch)
+        try:
+            return main([command, "--config", "run.json"])
+        finally:
+            os.chdir(cwd)
+
+
+@pytest.mark.parametrize("command", ["impute", "classify", "casestudy"])
+@settings(max_examples=60, deadline=None)
+@given(config=run_configs)
+def test_no_run_config_is_an_internal_error(command, config):
+    assert run_in_scratch_dir(command, config) != EXIT_INTERNAL
+
+
+# --- (b) clustering on thin grids ---
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=10),
+    st.integers(1, 6),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+def test_cluster_fails_exactly_when_k_exceeds_the_distinct_points(points, k, seed, farthest):
+    records = [Record(f"R{i + 1}", tuple(map(float, p))) for i, p in enumerate(points)]
+    init = FarthestFirst(seed) if farthest else SeededRandom(seed)
+    if k > len(set(points)):
+        with pytest.raises(InsufficientDataError):
+            cluster(records, k, init)
+        return
+    model = cluster(records, k, init)
+    assert sorted(set(model.assignment.values())) == list(range(k))
+    assert np.isfinite(model.centroids).all()
+
+
+# --- (c) constant columns and magnitudes up to the parse bound ---
+
+bounded = st.one_of(
+    st.sampled_from([MAX_MAGNITUDE, -MAX_MAGNITUDE, 0.0, 1.0]),
+    st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE),
+)
+SCHEMA = Schema(tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(3)), label_column="class")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(bounded, bounded), min_size=4, max_size=10),
+    bounded,
+    st.data(),
+)
+def test_constant_columns_and_huge_values_give_finite_results(varying, constant, data):
+    """Column x1 is constant; x0 and x2 vary up to the parse bound."""
+    m = len(varying)
+    holes = data.draw(st.sets(st.tuples(st.integers(0, m - 1), st.sampled_from([0, 2])), max_size=m))
+    rows = [
+        [repr(a), repr(constant), repr(b), "AB"[i % 2]] for i, (a, b) in enumerate(varying)
+    ]
+    for i, j in holes:
+        rows[i][j] = "?"
+    complete = {tuple(r[:3]) for r in rows if "?" not in r}
+    assume(len({tuple(map(float, c)) for c in complete}) >= 2)
+    text = "x0,x1,x2,class\n" + "".join(",".join(r) + "\n" for r in rows)
+    dataset = encode(parse_dataset(text, SCHEMA))
+
+    mode = data.draw(st.sampled_from(MODES))
+    result = impute_dataset(dataset, ImputeConfig(mode=mode, seed=data.draw(st.integers(0, 99))))
+    assert all(math.isfinite(f.value) for f in result.fills)
+    train = result.dataset
+    assert train.is_complete
+
+    model = cluster(train.records, 2, FarthestFirst(0))
+    query = Record("Q1", (data.draw(bounded), constant, data.draw(bounded)))
+    for outcome in (classify_mapped(query, train, model, mode), classify_raw_knn(query, train)):
+        assert outcome.labels
+        assert all(math.isfinite(v) for v in outcome.table.values())

@@ -36,7 +36,8 @@ from cmimpute.impute import (
     MODES,
     ImputeConfig,
     difference_table,
-    impute_cell,
+    _class_pools,
+    _fill_value,
     impute_dataset,
     nearest_record,
     provenance_csv,
@@ -226,9 +227,10 @@ CAT_SPEC = AttributeSpec("c", CATEGORICAL, {"u": 1, "v": 2, "w": 3})
 def test_single_donor_fills_verbatim():
     query = rec("R3", 1, 7, None, 7)
     donor = rec("R8", 3, 6, 2, 7, label="CLASS-2")
-    assert impute_cell(query, 2, [donor], [donor], CAT_SPEC) == 2.0
+    pools = _class_pools([donor])
+    assert _fill_value(query, 2, [donor], pools, CAT_SPEC, None) == (2.0, "single-donor")
     query5 = rec("R5", 3, 3, 2, None)
-    assert impute_cell(query5, 3, [donor], [donor], NUM_SPEC) == 7.0
+    assert _fill_value(query5, 3, [donor], pools, NUM_SPEC, None) == (7.0, "single-donor")
 
 
 def test_tied_donors_numeric_mean_over_donor_class():
@@ -239,7 +241,7 @@ def test_tied_donors_numeric_mean_over_donor_class():
     ]
     query = rec("Q", 1, None)
     donors = [g1[0], g1[1]]
-    assert impute_cell(query, 1, donors, g1, NUM_SPEC) == 7.0
+    assert _fill_value(query, 1, donors, _class_pools(g1), NUM_SPEC, None) == (7.0, "mean-same-class")
 
 
 def test_tied_donors_categorical_mode_over_donor_class():
@@ -251,7 +253,7 @@ def test_tied_donors_categorical_mode_over_donor_class():
     ]
     query = rec("Q", 1, None)
     donors = [g1[0], g1[2]]
-    assert impute_cell(query, 1, donors, g1, CAT_SPEC) == 1.0
+    assert _fill_value(query, 1, donors, _class_pools(g1), CAT_SPEC, None) == (1.0, "modal-same-class")
 
 
 def test_categorical_modal_tie_takes_smallest_value():
@@ -260,7 +262,7 @@ def test_categorical_modal_tie_takes_smallest_value():
         rec("R2", 4, 1, label="A"),
     ]
     query = rec("Q", 1, None)
-    assert impute_cell(query, 1, g1, g1, CAT_SPEC) == 1.0
+    assert _fill_value(query, 1, g1, _class_pools(g1), CAT_SPEC, None) == (1.0, "modal-same-class")
 
 
 def test_class_count_tie_resolved_by_lowest_mapping_donor():
@@ -273,25 +275,28 @@ def test_class_count_tie_resolved_by_lowest_mapping_donor():
     maps = MappingTable({"R1": 2.0, "R2": 4.0, "R4": 3.0}, {"Q": 3.0}, "m")
     query = rec("Q", 1, None)
     # R1 has the lowest mapping value, so class A's records average.
-    assert impute_cell(query, 1, donors, g1, NUM_SPEC, maps) == 6.0
+    pools = _class_pools(g1)
+    assert _fill_value(query, 1, donors, pools, NUM_SPEC, maps) == (6.0, "mean-same-class")
     # Without mapping values the first listed donor's class wins.
-    assert impute_cell(query, 1, donors, g1, NUM_SPEC) == 9.0
+    assert _fill_value(query, 1, donors, pools, NUM_SPEC, None) == (9.0, "mean-same-class")
 
 
 def test_unlabeled_donors_pool_is_the_donors():
     g1 = [rec("R1", 0, 5), rec("R2", 4, 9), rec("R3", 2, 100)]
     query = rec("Q", 1, None)
-    assert impute_cell(query, 1, [g1[0], g1[1]], g1, NUM_SPEC) == 7.0
+    donors = [g1[0], g1[1]]
+    assert _fill_value(query, 1, donors, _class_pools(g1), NUM_SPEC, None) == (7.0, "mean-tied-donors")
 
 
-def test_impute_cell_contract_errors():
+def test_fill_value_contract_errors():
     donor = rec("R1", 1, 2)
+    pools = _class_pools([donor])
     with pytest.raises(ValueError, match="not missing"):
-        impute_cell(rec("Q", 1, 2), 1, [donor], [donor], NUM_SPEC)
+        _fill_value(rec("Q", 1, 2), 1, [donor], pools, NUM_SPEC, None)
     with pytest.raises(NoDonorsError):
-        impute_cell(rec("Q", 1, None), 1, [], [donor], NUM_SPEC)
+        _fill_value(rec("Q", 1, None), 1, [], pools, NUM_SPEC, None)
     with pytest.raises(ValueError, match="incomplete"):
-        impute_cell(rec("Q", 1, None), 1, [rec("R9", None, 2)], [donor], NUM_SPEC)
+        _fill_value(rec("Q", 1, None), 1, [rec("R9", None, 2)], pools, NUM_SPEC, None)
 
 
 # --- the full pipeline ---
@@ -441,9 +446,8 @@ def check_stages_against_brute_force(masked: Dataset, seed: int):
         query = masked.record(fill.query_id)
         spec = masked.schema.attributes[fill.attr_index]
         donor_records = [by_id[d] for d in donors]
-        expected = impute_cell(query, fill.attr_index, donor_records, split.g1, spec, maps)
+        expected = reference_fill(donor_records, split.g1, fill.attr_index, spec, maps)
         assert fill.value == expected
-        assert expected == reference_fill(donor_records, split.g1, fill.attr_index, spec, maps)
         assert result.dataset.record(fill.query_id).cells[fill.attr_index] == expected
     return result
 

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cmimpute.casestudy import (
     CLASSIFICATION_PARTITION,
@@ -15,7 +15,14 @@ from cmimpute.casestudy import (
 )
 from cmimpute.dataset import Record, split_groups
 from cmimpute.errors import ConfigError, InsufficientDataError
-from cmimpute.kmeans import FarthestFirst, FixedPartition, SeededRandom, centroid, cluster
+from cmimpute.kmeans import (
+    FarthestFirst,
+    FixedPartition,
+    SeededRandom,
+    _initial_centers,
+    centroid,
+    cluster,
+)
 
 
 def rec(rid: str, *cells: float) -> Record:
@@ -126,12 +133,31 @@ def test_fixed_partition_validation():
 
 
 def test_empty_cluster_is_reseeded_to_keep_k_clusters():
-    # Four identical points: the first assignment sends everything to
-    # cluster 0, and the re-seed rule must repopulate cluster 1.
-    records = grid_records([(1, 1)] * 4)
+    # Seed 3 picks two of the identical points as initial centers, so
+    # the first assignment sends everything to cluster 0 and the
+    # re-seed rule must repopulate cluster 1 with the far point.
+    records = grid_records([(1, 1), (1, 1), (1, 1), (4, 5)])
+    points = np.array([r.cells for r in records])
+    assert (_initial_centers(SeededRandom(3), points, 2) == (1.0, 1.0)).all()
     model = cluster(records, 2, SeededRandom(3))
-    assert sorted(set(model.assignment.values())) == [0, 1]
-    assert all(len(model.members(c)) >= 1 for c in range(2))
+    assert model.assignment == {"R1": 0, "R2": 0, "R3": 0, "R4": 1}
+    assert model.centroids == ((1.0, 1.0), (4.0, 5.0))
+
+
+def test_reseed_never_empties_another_cluster():
+    # Here the point farthest from its own centroid is the sole member
+    # of its cluster; moving it would leave that cluster empty.
+    records = grid_records([(1,), (3,), (1,), (3,), (3,), (1,), (1,), (1,), (2,), (0,), (2,)])
+    model = cluster(records, 4, SeededRandom(503676))
+    assert sorted(set(model.assignment.values())) == [0, 1, 2, 3]
+    assert sorted(c[0] for c in model.centroids) == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("policy", [SeededRandom, FarthestFirst])
+def test_identical_points_cannot_form_two_clusters_for_any_seed(policy):
+    for seed in range(16):
+        with pytest.raises(InsufficientDataError, match="2 clusters over 1 distinct"):
+            cluster(grid_records([(1, 1)] * 4), 2, policy(seed))
 
 
 # Eight points on four distinct locations: with k = 5 the re-seed step
@@ -188,6 +214,7 @@ def test_converged_assignment_matches_nearest_centroid(missing_dataset):
     st.booleans(),
 )
 def test_convergence_oracle_on_small_instances(points, seed, farthest):
+    assume(len(set(points)) >= 2)  # two clusters need two distinct points
     init = FarthestFirst(seed) if farthest else SeededRandom(seed)
     records = grid_records(points)
     model = cluster(records, 2, init)

@@ -12,10 +12,10 @@ from cmimpute.dataset import Record, split_groups
 from cmimpute.kmeans import ClusterModel
 from cmimpute.mapping import (
     MappingTable,
+    _squared_distance,
     build_mapping,
     map_complete,
     map_query,
-    mapping_to_csv,
     type1_distance,
     type2_distance,
 )
@@ -108,11 +108,28 @@ def test_type2_all_missing_rejected():
         type2_distance(rec("R", None, None), (0.0, 0.0))
 
 
-def test_type2_scaled_compensates_for_discarded_coordinates():
-    r = rec("R", 1, 7, None, 7)
-    plain = type2_distance(r, CENTROID_B)
-    scaled = type2_distance(r, CENTROID_B, scaled=True)
-    assert scaled == pytest.approx(plain * math.sqrt(4 / 3), rel=1e-12)
+# Thirds have long binary expansions, so differences and squares round.
+rounding = st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: x / 3)
+
+
+@given(st.lists(rounding, min_size=1, max_size=8), st.data())
+def test_distances_and_knn_donor_key_agree_bit_for_bit(cells, data):
+    n = len(cells)
+    center = data.draw(st.lists(rounding, min_size=n, max_size=n))
+    missing_at = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    complete = rec("R", *cells)
+    holed = rec("H", *(None if i in missing_at else c for i, c in enumerate(cells)))
+
+    def knn_key(r):
+        # The raw-kNN donor's key, written out over the observed indices.
+        return sum((float(r.cells[i]) - float(center[i])) ** 2 for i in r.present_indices)
+
+    assert _squared_distance(complete, center) == knn_key(complete)
+    assert _squared_distance(holed, center) == knn_key(holed)
+    d = math.sqrt(knn_key(complete))
+    assert type1_distance(complete, center) == d
+    assert type2_distance(complete, center) == d
+    assert type2_distance(holed, center) == math.sqrt(knn_key(holed))
 
 
 # --- mapping values ---
@@ -200,11 +217,3 @@ def test_unordered_pair_fixture_matches_computation(missing_dataset, imputation_
         )
         assert computed == pytest.approx(sorted(pair), abs=1e-5)
 
-
-def test_mapping_to_csv_lists_both_roles(missing_dataset, imputation_model):
-    split = split_groups(missing_dataset)
-    text = mapping_to_csv(build_mapping(split.g1, split.g2, imputation_model))
-    lines = text.strip().splitlines()
-    assert lines[0] == "record,role,map"
-    assert len(lines) == 1 + 7 + 2
-    assert any(line.startswith("R3,query,") for line in lines)
