@@ -1,22 +1,23 @@
 """Classification of new complete records: the mapped pipeline reused
 as a classifier, plus the raw 1-NN baseline it is compared against.
 
-The training side of both (the data checks, the rows as float columns
-and, per model, the training mapping table) is fitted once per training
+The training side of both (the data checks, the training matrix and,
+per model, the training mapping table) is fitted once per training
 dataset, on its first query, and kept on the dataset.  A query then
 pays only for its own mapping value, a bisect and the O(m) column."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .dataset import Dataset, Record
 from .errors import CannotClassifyError, NoDonorsError
 from .impute import MODE_ABSOLUTE, nearest_donors
 from .kmeans import ClusterModel
-from .mapping import MappingTable, build_mapping, check_map_value, map_query
+from .mapping import MappingTable, build_mapping, check_map_value, map_query, squared_distances
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,7 @@ class _Fit:
         _check_training_data(dataset)
         self.records = dataset.records
         self.ids = tuple(r.id for r in dataset.records)
-        self.columns = tuple(
-            tuple(map(float, column)) for column in zip(*(r.cells for r in dataset.records))
-        )
+        self.matrix = dataset.matrix
         self._maps: dict[int, tuple[ClusterModel, MappingTable]] = {}
 
     def mapping(self, model: ClusterModel) -> MappingTable:
@@ -114,21 +113,17 @@ def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
     labels; with neighbors from different classes this yields the
     multi-label ambiguity the mapped classifier avoids.
 
-    Distances are built a column at a time from type1_distance's own
-    terms, (q - x) ** 2, each record's terms added by sum() in
-    attribute order, so they equal type1_distance bit for bit.
+    Distances come from the mapping's own kernel, one call over the
+    training matrix, so they equal type1_distance bit for bit.
     """
     fit = _fit(dataset)
     if not query.is_complete:
         raise ValueError(f"query {query.id} has missing cells")
-    if len(query.cells) != len(fit.columns):
-        raise ValueError(
-            f"query {query.id} has {len(query.cells)} cells, training records have {len(fit.columns)}"
-        )
-    squares = [
-        [(q - x) ** 2 for x in column] for q, column in zip(map(float, query.cells), fit.columns)
-    ]
-    distances = dict(zip(fit.ids, map(math.sqrt, map(sum, zip(*squares)))))
+    n = fit.matrix.shape[1]
+    if len(query.cells) != n:
+        raise ValueError(f"query {query.id} has {len(query.cells)} cells, training records have {n}")
+    squared = squared_distances(fit.matrix, [query.cells])[:, 0]
+    distances = dict(zip(fit.ids, np.sqrt(squared).tolist()))
     best = min(distances.values())
     nearest = tuple(i for i in fit.ids if distances[i] == best)
     labels = tuple(sorted({dataset.record(i).label for i in nearest}))

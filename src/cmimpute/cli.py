@@ -33,6 +33,7 @@ from .dataset import (
     load_dataset,
     load_schema,
     parse_dataset,
+    read_text,
     write_dataset,
 )
 from .errors import (
@@ -41,6 +42,9 @@ from .errors import (
     InsufficientDataError,
     ParseError,
     SchemaError,
+    config_integer,
+    config_path,
+    config_seed,
 )
 from .evaluate import load_experiment_config, run_experiment
 from .impute import MODE_ABSOLUTE, MODES, ImputeConfig, impute_dataset, provenance_csv
@@ -85,6 +89,8 @@ def _load_run_config(path: str | None) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return raw
@@ -111,32 +117,18 @@ def _env_seed() -> int | None:
         ) from None
 
 
-def _integer(value, name: str) -> int:
-    """An option value that must be an integer; a bool is not one."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _seed(value, name: str) -> int:
-    """A seed option: a non-negative integer, as NumPy's generators take."""
-    if _integer(value, name) < 0:
-        raise ConfigError(f"{name} must be non-negative, got {value}")
-    return value
-
-
 def _resolve_seed(flag_value, config: dict) -> int:
     seed = _pick(flag_value, config, "seed", None)
     if seed is None:
         seed = _env_seed()
     if seed is None:
         seed = 0
-    return _seed(seed, "seed")
+    return config_seed(seed, "seed")
 
 
 def _resolve_k(flag_value, config: dict) -> int | None:
     k = _pick(flag_value, config, "k", None)
-    if k is not None and _integer(k, "k") < 1:
+    if k is not None and config_integer(k, "k") < 1:
         raise ConfigError(f"k must be positive, got {k}")
     return k
 
@@ -154,9 +146,9 @@ def _init_from_config(value, seed: int):
             raise ConfigError("fixed-partition init needs 'groups': a list of id lists")
         return FixedPartition(tuple(tuple(str(i) for i in g) for g in groups))
     if policy == "farthest-first":
-        return FarthestFirst(_seed(value.get("seed", seed), "init seed"))
+        return FarthestFirst(config_seed(value.get("seed", seed), "init seed"))
     if policy == "seeded-random":
-        return SeededRandom(_seed(value.get("seed", seed), "init seed"))
+        return SeededRandom(config_seed(value.get("seed", seed), "init seed"))
     raise ConfigError(f"unknown init policy {policy!r}")
 
 
@@ -207,7 +199,7 @@ def cmd_impute(config: RunConfig) -> int:
 def _load_queries(path: str, train_schema: Schema):
     """Query files carry the training attributes without the label
     column; an empty or header-only file means no queries."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     if not text.strip():
         return None
     query_schema = Schema(
@@ -368,8 +360,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     for key in PATH_OPTIONS:
         if key in flags:
             path = options[key] = _pick(flags[key], config, key, None)
-            if path is not None and (not isinstance(path, str) or "\0" in path):
-                raise ConfigError(f"{key} must be a file path, got {path!r}")
+            if path is not None:
+                config_path(path, key)
     if "seed" in flags:
         seed = _resolve_seed(args.seed, config)
         mode = _pick(args.mode, config, "mode", MODE_ABSOLUTE)

@@ -9,7 +9,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from itertools import chain
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import DecodeError, ParseError, SchemaError
 
@@ -74,12 +77,17 @@ class AttributeSpec:
     def decode_value(self, value: float) -> str | float:
         if self.kind == NUMERIC:
             return value
-        for symbol, ordinal in self.encoding.items():
-            if value == ordinal:
-                return symbol
-        raise DecodeError(
-            f"attribute {self.name!r}: value {value!r} is not an ordinal of its encoding"
-        )
+        try:
+            return self._symbols[value]
+        except KeyError:
+            raise DecodeError(
+                f"attribute {self.name!r}: value {value!r} is not an ordinal of its encoding"
+            ) from None
+
+    @cached_property
+    def _symbols(self) -> dict[int, str]:
+        """The inverse of the encoding: symbol per ordinal."""
+        return {ordinal: symbol for symbol, ordinal in self.encoding.items()}
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,8 @@ def load_schema(path: str) -> Schema:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc})") from None
     return schema_from_dict(raw)
 
 
@@ -224,10 +234,18 @@ class Dataset:
     @cached_property
     def is_encoded(self) -> bool:
         """True when every present cell is numeric (symbols all encoded).
-        Checked once per dataset: records and their cells are immutable."""
-        return all(
-            isinstance(c, float) for r in self.records for c in r.cells if c is not None
-        )
+        Checked once per dataset, on the set of cell types: records and
+        their cells are immutable."""
+        types = set(map(type, chain.from_iterable(r.cells for r in self.records)))
+        return all(t is type(None) or issubclass(t, float) for t in types)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The cells as one read-only (m, n) float64 matrix, NaN for each
+        missing cell.  Built once per dataset, which must be encoded."""
+        if not self.is_encoded:
+            raise ValueError("dataset must be encoded before its cells form a matrix")
+        return cell_matrix(self.records, self.schema.arity)
 
     def record(self, record_id: str) -> Record:
         return self._by_id[record_id]
@@ -246,6 +264,15 @@ class Dataset:
         long as it lives (the classifier's fit).  Records and cells are
         immutable, so an entry never goes stale."""
         return {}
+
+
+def cell_matrix(records: Sequence[Record], arity: int) -> np.ndarray:
+    """The records' cells as a read-only (m, arity) float64 matrix, NaN
+    for each missing cell.  Raises ValueError when a record does not
+    have `arity` cells or holds a symbol that is not a number."""
+    matrix = np.array([r.cells for r in records], dtype=float).reshape(len(records), arity)
+    matrix.flags.writeable = False
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -323,9 +350,30 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     return Dataset(schema, tuple(records))
 
 
-def load_dataset(path: str, schema: Schema) -> Dataset:
+def read_text(path: str) -> str:
+    """The file's contents as UTF-8 text; other bytes are a ParseError."""
     with open(path, encoding="utf-8") as fh:
-        return parse_dataset(fh.read(), schema)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def load_dataset(path: str, schema: Schema) -> Dataset:
+    return parse_dataset(read_text(path), schema)
+
+
+def _columns(dataset: Dataset) -> list[tuple[Cell, ...]]:
+    """The cells of each attribute, one tuple per column, in record order."""
+    return list(zip(*(r.cells for r in dataset.records))) or [()] * dataset.schema.arity
+
+
+def _from_columns(dataset: Dataset, schema: Schema, columns: Sequence[Sequence[Cell]]) -> Dataset:
+    """The dataset's records, same ids and labels, with cells read from columns."""
+    return Dataset(
+        schema,
+        tuple(Record(r.id, cells, r.label) for r, cells in zip(dataset.records, zip(*columns))),
+    )
 
 
 def encode(dataset: Dataset) -> Dataset:
@@ -334,55 +382,48 @@ def encode(dataset: Dataset) -> Dataset:
     Attributes without a frozen encoding get one built from the data:
     distinct symbols in sorted order, ordinals 1..K.  An explicit
     encoding in the schema always wins, so table reproductions do not
-    depend on symbol naming.
+    depend on symbol naming.  Each column is checked and encoded once
+    per distinct cell, then mapped with one dict lookup per cell.
     """
     new_specs = []
-    for idx, spec in enumerate(dataset.schema.attributes):
-        if spec.kind == NUMERIC or spec.encoding:
+    new_columns = []
+    for spec, column in zip(dataset.schema.attributes, _columns(dataset)):
+        if spec.kind == NUMERIC:
             new_specs.append(spec)
+            new_columns.append(column)
             continue
-        symbols = set()
-        for r in dataset.records:
-            cell = r.cells[idx]
-            if cell is None:
-                continue
+        distinct = dict.fromkeys(column)  # first-appearance order
+        distinct.pop(None, None)
+        for cell in distinct:
             if not isinstance(cell, str):
+                r = dataset.records[column.index(cell)]
                 raise SchemaError(
                     f"record {r.id}: attribute {spec.name!r} expected a symbol, got {cell!r}"
                 )
-            symbols.add(cell)
-        built = {sym: i for i, sym in enumerate(sorted(symbols), start=1)}
-        new_specs.append(AttributeSpec(spec.name, spec.kind, built))
-
+        if not spec.encoding:
+            built = {sym: i for i, sym in enumerate(sorted(distinct), start=1)}
+            spec = AttributeSpec(spec.name, spec.kind, built)
+        codes = {cell: float(spec.encode_symbol(cell)) for cell in distinct}
+        codes[None] = None
+        new_specs.append(spec)
+        new_columns.append(list(map(codes.__getitem__, column)))
     new_schema = Schema(tuple(new_specs), dataset.schema.label_column, dataset.schema.missing_markers)
-    new_records = []
-    for r in dataset.records:
-        cells: list[Cell] = []
-        for spec, cell in zip(new_schema.attributes, r.cells):
-            if cell is None or spec.kind == NUMERIC:
-                cells.append(cell)
-            else:
-                if not isinstance(cell, str):
-                    raise SchemaError(
-                        f"record {r.id}: attribute {spec.name!r} expected a symbol, got {cell!r}"
-                    )
-                cells.append(float(spec.encode_symbol(cell)))
-        new_records.append(Record(r.id, tuple(cells), r.label))
-    return Dataset(new_schema, tuple(new_records))
+    return _from_columns(dataset, new_schema, new_columns)
 
 
 def decode_dataset(dataset: Dataset) -> Dataset:
-    """Render every encoded cell back to its symbol form."""
-    new_records = []
-    for r in dataset.records:
-        cells: list[Cell] = []
-        for spec, cell in zip(dataset.schema.attributes, r.cells):
-            if cell is None or spec.kind == NUMERIC:
-                cells.append(cell)
-            else:
-                cells.append(spec.decode_value(float(cell)))
-        new_records.append(Record(r.id, tuple(cells), r.label))
-    return Dataset(dataset.schema, tuple(new_records))
+    """Render every encoded cell back to its symbol form, decoding each
+    distinct value of a column once."""
+    columns = []
+    for spec, column in zip(dataset.schema.attributes, _columns(dataset)):
+        if spec.kind != NUMERIC:
+            symbols = {
+                cell: None if cell is None else spec.decode_value(float(cell))
+                for cell in dict.fromkeys(column)
+            }
+            column = list(map(symbols.__getitem__, column))
+        columns.append(column)
+    return _from_columns(dataset, dataset.schema, columns)
 
 
 def split_groups(dataset: Dataset) -> GroupSplit:
@@ -399,7 +440,7 @@ def format_number(value: float) -> str:
     """Integral floats render without a trailing .0 so written tables
     look like their sources; everything else uses repr (shortest
     round-tripping form)."""
-    if value == int(value) and abs(value) < 1e15:
+    if abs(value) < 1e15 and value == int(value):
         return str(int(value))
     return repr(value)
 
@@ -412,19 +453,32 @@ def format_cell(cell: Cell) -> str:
     return format_number(cell)
 
 
+def _format_column(column: Sequence[Cell]) -> list[str]:
+    """format_cell over one column.  A column of floats is rendered by
+    repr in bulk, then its integral values (found in one NumPy pass)
+    are rewritten as integers."""
+    if set(map(type, column)) != {float}:
+        return list(map(format_cell, column))
+    texts = list(map(repr, column))
+    values = np.array(column)
+    integral = np.flatnonzero((np.abs(values) < 1e15) & (values == np.trunc(values)))
+    for i, text in zip(integral.tolist(), map(str, values[integral].astype(np.int64).tolist())):
+        texts[i] = text
+    return texts
+
+
 def dataset_to_csv(dataset: Dataset) -> str:
-    """Serialize with a header row, newline-terminated, deterministic."""
+    """Serialize with a header row, newline-terminated, deterministic;
+    cells are formatted a column at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = list(dataset.schema.attribute_names)
+    columns = [_format_column(column) for column in _columns(dataset)]
     if dataset.schema.label_column is not None:
         header.append(dataset.schema.label_column)
+        columns.append(["" if r.label is None else r.label for r in dataset.records])
     writer.writerow(header)
-    for r in dataset.records:
-        row = [format_cell(c) for c in r.cells]
-        if dataset.schema.label_column is not None:
-            row.append(r.label if r.label is not None else "")
-        writer.writerow(row)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 

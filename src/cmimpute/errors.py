@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks of
+config values that raise ConfigError.
 
 Parsing and configuration problems subclass ValueError so callers that
 treat bad input generically keep working; data-adequacy problems
@@ -35,3 +36,34 @@ class NoDonorsError(InsufficientDataError):
 
 class CannotClassifyError(RuntimeError):
     """Training data carries no labels to assign."""
+
+
+def config_integer(value, name: str) -> int:
+    """A config value that must be an integer; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def config_number(value, name: str) -> float:
+    """A config value that must be a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is out of range: {value}") from None
+
+
+def config_path(value, name: str) -> str:
+    """A config value that names a file: a string holding no NUL byte."""
+    if not isinstance(value, str) or "\0" in value:
+        raise ConfigError(f"{name} must be a file path, got {value!r}")
+    return value
+
+
+def config_seed(value, name: str) -> int:
+    """A seed config value: a non-negative integer, as NumPy's generators take."""
+    if config_integer(value, name) < 0:
+        raise ConfigError(f"{name} must be non-negative, got {value}")
+    return value

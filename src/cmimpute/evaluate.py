@@ -23,15 +23,23 @@ from .dataset import (
     Dataset,
     Record,
     Schema,
+    cell_matrix,
     encode,
     load_dataset,
     load_schema,
     split_groups,
 )
-from .errors import ConfigError, NoDonorsError
+from .errors import (
+    ConfigError,
+    NoDonorsError,
+    config_integer,
+    config_number,
+    config_path,
+    config_seed,
+)
 from .impute import MODE_ABSOLUTE, MODE_SIGNED, ImputeConfig, impute_dataset
 from .kmeans import FarthestFirst, cluster
-from .mapping import _squared_distance
+from .mapping import squared_distances
 
 METHOD_SIGNED = "cluster-map-paper-signed"
 METHOD_ABSOLUTE = "cluster-map-absolute"
@@ -101,12 +109,12 @@ def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Data
     chosen: list[tuple[int, int]] = []
     for rid, attr in cells:
         if rid not in index:
-            raise ValueError(f"unknown record id {rid!r}")
+            raise ConfigError(f"unknown record id {rid!r}")
         if not 0 <= attr < n:
-            raise ValueError(f"attribute index {attr} out of range for record {rid}")
+            raise ConfigError(f"attribute index {attr} out of range for record {rid}")
         pair = (index[rid], attr)
         if pair in chosen:
-            raise ValueError(f"cell ({rid}, {attr}) listed twice")
+            raise ConfigError(f"cell ({rid}, {attr}) listed twice")
         chosen.append(pair)
     per_record = Counter(row for row, _ in chosen)
     for row, masked in per_record.items():
@@ -221,6 +229,7 @@ def baseline_knn_donor(dataset: Dataset) -> Dataset:
         return dataset
     if not split.g1:
         raise NoDonorsError("no complete records to donate")
+    donors = cell_matrix(split.g1, dataset.schema.arity)
     completed = []
     for r in dataset.records:
         if r.is_complete:
@@ -228,7 +237,9 @@ def baseline_knn_donor(dataset: Dataset) -> Dataset:
             continue
         if not r.present_indices:
             raise NoDonorsError(f"record {r.id} has no observed values")
-        donor = min(split.g1, key=lambda g: _squared_distance(r, g.cells))
+        # The query's NaN cells drop out of every distance, and argmin
+        # keeps the earliest of tied donors.
+        donor = split.g1[int(squared_distances(donors, [r.cells]).argmin())]
         cells = [
             donor.cells[i] if c is None else c for i, c in enumerate(r.cells)
         ]
@@ -570,6 +581,8 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     if not isinstance(raw, Mapping):
         raise ConfigError(f"{path}: experiment spec must be a JSON object")
 
@@ -578,12 +591,14 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         if not isinstance(synth, Mapping):
             raise ConfigError("'synthetic' must be an object")
         dataset = make_synthetic_dataset(
-            n_records=int(synth.get("records", 60)), seed=int(synth.get("seed", 7))
+            n_records=config_integer(synth.get("records", 60), "synthetic.records"),
+            seed=config_seed(synth.get("seed", 7), "synthetic.seed"),
         )
     elif "dataset" in raw and "schema" in raw:
         base = os.path.dirname(os.path.abspath(path))
-        schema = load_schema(os.path.join(base, str(raw["schema"])))
-        dataset = encode(load_dataset(os.path.join(base, str(raw["dataset"])), schema))
+        data_path = os.path.join(base, config_path(raw["dataset"], "dataset"))
+        schema = load_schema(os.path.join(base, config_path(raw["schema"], "schema")))
+        dataset = encode(load_dataset(data_path, schema))
     else:
         raise ConfigError("experiment spec needs either 'synthetic' or 'dataset' + 'schema'")
 
@@ -599,13 +614,15 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             isinstance(c, list) and len(c) == 2 for c in raw["plan"]
         ):
             raise ConfigError("'plan' must be a list of [record_id, attr_index] pairs")
-        plan = tuple((str(rid), int(idx)) for rid, idx in raw["plan"])
+        plan = tuple(
+            (str(rid), config_integer(idx, "plan attribute index")) for rid, idx in raw["plan"]
+        )
     return ExperimentConfig(
         dataset=dataset,
         methods=tuple(str(m) for m in methods),
-        rates=tuple(float(r) for r in rates),
-        trials=int(raw.get("trials", 1)),
-        master_seed=int(raw.get("master_seed", 0)),
-        holdout_fraction=float(raw.get("holdout_fraction", 0.2)),
+        rates=tuple(config_number(r, "rate") for r in rates),
+        trials=config_integer(raw.get("trials", 1), "trials"),
+        master_seed=config_seed(raw.get("master_seed", 0), "master_seed"),
+        holdout_fraction=config_number(raw.get("holdout_fraction", 0.2), "holdout_fraction"),
         plan=plan,
     )

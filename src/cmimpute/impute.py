@@ -240,7 +240,7 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
     if not split.g1:
         raise NoDonorsError("every record has missing values; nothing can donate")
     for r in split.g2:
-        if not r.present_indices:
+        if r.cells.count(None) == len(r.cells):
             raise InsufficientDataError(f"record {r.id} has no observed values")
 
     k = config.k

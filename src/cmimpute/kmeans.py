@@ -81,17 +81,26 @@ def centroid(members: Sequence[Record]) -> tuple[float, ...]:
     """Component-wise arithmetic mean of complete records."""
     if not members:
         raise ValueError("centroid of an empty member set is undefined")
-    _check_usable(members)
-    arr = np.array([[float(c) for c in r.cells] for r in members], dtype=float)
-    return tuple(arr.mean(axis=0).tolist())
+    return tuple(_usable_points(members).mean(axis=0).tolist())
 
 
-def _check_usable(records: Sequence[Record]) -> None:
-    for r in records:
-        if not r.is_complete:
-            raise ValueError(f"record {r.id} has missing cells")
-        if any(isinstance(c, str) for c in r.cells):
-            raise ValueError(f"record {r.id} is not encoded")
+def _usable_points(records: Sequence[Record]) -> np.ndarray:
+    """The records' cells as an (m, n) float matrix, checked to hold no
+    missing cell (None or NaN) and no symbol.  NumPy infers a numeric
+    dtype exactly when every cell is a number; otherwise the records
+    are scanned in order for the one to name."""
+    points = np.array([r.cells for r in records])
+    if points.dtype.kind not in "biuf":
+        for r in records:
+            if not r.is_complete:
+                raise ValueError(f"record {r.id} has missing cells")
+            if any(isinstance(c, str) for c in r.cells):
+                raise ValueError(f"record {r.id} is not encoded")
+    points = points.astype(float, copy=False)
+    missing = np.isnan(points).any(axis=1)
+    if missing.any():
+        raise ValueError(f"record {records[int(missing.argmax())].id} has missing cells")
+    return points
 
 
 def cluster(g1: Sequence[Record], k: int, init: InitPolicy) -> ClusterModel:
@@ -110,12 +119,11 @@ def cluster(g1: Sequence[Record], k: int, init: InitPolicy) -> ClusterModel:
         raise ValueError(f"k must be positive, got {k}")
     if len(records) < k:
         raise InsufficientDataError(f"{len(records)} complete records cannot form {k} clusters")
-    _check_usable(records)
+    points = _usable_points(records)
 
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate record ids")
-    points = np.array([[float(c) for c in r.cells] for r in records], dtype=float)
 
     if isinstance(init, FixedPartition):
         return _fixed_partition_model(init, ids, points, k)

@@ -8,27 +8,75 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .dataset import Record
+import numpy as np
+
+from .dataset import Record, cell_matrix
 from .kmeans import ClusterModel
 
 
-def _squared_distance(record: Record, centroid: Sequence[float]) -> float:
-    """Sum of (c - u) ** 2 over the coordinates where the record has a
-    cell, in attribute order: the one distance kernel.  A complete
-    record's distance is its partial distance over every cell."""
-    if len(record.cells) != len(centroid):
-        raise ValueError(
-            f"record {record.id} has {len(record.cells)} cells, centroid has {len(centroid)}"
-        )
-    return sum((float(c) - float(u)) ** 2 for c, u in zip(record.cells, centroid) if c is not None)
+def squared_distances(X, U) -> np.ndarray:
+    """(m, k) squared Euclidean distances from every row of X to every
+    row of U over the coordinates both observe: the one distance
+    kernel.  NaN marks a missing cell, so a complete record's distance
+    is its partial distance over every cell.
+
+    The arithmetic is Python's sum((c - u) ** 2 ...) bit for bit: each
+    term is squared by libm pow (np.float_power; NumPy's square, x * x
+    and power(x, 2) round differently for roughly 0.1% of values), a
+    missing term adds an exact +0.0, and each row's terms are added
+    left to right in attribute order (never np.sum, einsum or @, whose
+    order differs).
+    """
+    X = np.asarray(X, dtype=float)
+    U = np.asarray(U, dtype=float)
+    d = X[:, None, :] - U[None, :, :]
+    terms = np.float_power(np.where(np.isnan(d), 0.0, d), 2.0)
+    total = np.zeros(terms.shape[:2])
+    for attr in range(terms.shape[2]):
+        total += terms[:, :, attr]
+    return total
+
+
+def map_values(X, centroids) -> np.ndarray:
+    """Map'(R) for every row of X: its distances to the centroids,
+    added left to right in centroid order as Python's sum() adds them."""
+    distances = np.sqrt(squared_distances(X, centroids))
+    total = np.zeros(len(distances))
+    for column in distances.T:
+        total += column
+    return total
+
+
+def _row(record: Record, centroids: Sequence[Sequence[float]]) -> list[tuple]:
+    """The record as a one-row input of the kernel, once its arity is
+    checked against every centroid."""
+    for centroid in centroids:
+        if len(record.cells) != len(centroid):
+            raise ValueError(
+                f"record {record.id} has {len(record.cells)} cells, centroid has {len(centroid)}"
+            )
+    return [record.cells]
+
+
+MISSING = "record {} has missing cells; use type2_distance"
+UNOBSERVED = "record {} has no observed values"
+
+
+def _check_complete(record: Record) -> None:
+    if not record.is_complete:
+        raise ValueError(MISSING.format(record.id))
+
+
+def _check_observed(record: Record) -> None:
+    if record.cells.count(None) == len(record.cells):
+        raise ValueError(UNOBSERVED.format(record.id))
 
 
 def type1_distance(record: Record, centroid: Sequence[float]) -> float:
     """Euclidean distance from a complete record to a centroid over
     all coordinates."""
-    if not record.is_complete:
-        raise ValueError(f"record {record.id} has missing cells; use type2_distance")
-    return math.sqrt(_squared_distance(record, centroid))
+    _check_complete(record)
+    return math.sqrt(squared_distances(_row(record, [centroid]), [centroid])[0, 0])
 
 
 def type2_distance(record: Record, centroid: Sequence[float]) -> float:
@@ -38,21 +86,22 @@ def type2_distance(record: Record, centroid: Sequence[float]) -> float:
     with more missing cells systematically measure shorter; the
     reproduced tables assume exactly that.
     """
-    if record.cells.count(None) == len(record.cells):
-        raise ValueError(f"record {record.id} has no observed values")
-    return math.sqrt(_squared_distance(record, centroid))
+    _check_observed(record)
+    return math.sqrt(squared_distances(_row(record, [centroid]), [centroid])[0, 0])
 
 
 def map_complete(record: Record, model: ClusterModel) -> float:
     """Map(R): sum of type-1 distances from a complete record to every
     centroid of the model."""
-    return sum(type1_distance(record, c) for c in model.centroids)
+    _check_complete(record)
+    return float(map_values(_row(record, model.centroids), model.centroids)[0])
 
 
 def map_query(record: Record, model: ClusterModel) -> float:
     """Map'(R): sum of type-2 distances to every centroid.  For a
     complete record this degenerates to map_complete."""
-    return sum(type2_distance(record, c) for c in model.centroids)
+    _check_observed(record)
+    return float(map_values(_row(record, model.centroids), model.centroids)[0])
 
 
 def check_map_value(table: str, rid: str, value: float) -> float:
@@ -90,14 +139,33 @@ class MappingTable:
         return [values[i] for i in order], order
 
 
+def _group_map(records: Sequence[Record], model: ClusterModel, complete: bool) -> dict[str, float]:
+    """Mapping value per record id for one group, with the same checks
+    and messages as map_complete (complete) or map_query, raised for
+    the first record that fails them."""
+    centroids = model.centroids
+    try:
+        X = cell_matrix(records, len(centroids[0]))
+    except ValueError:
+        for r in records:
+            _row(r, centroids)
+        raise
+    missing = np.isnan(X)
+    bad = missing.any(axis=1) if complete else missing.all(axis=1)
+    if bad.any():
+        raise ValueError((MISSING if complete else UNOBSERVED).format(records[int(bad.argmax())].id))
+    return dict(zip((r.id for r in records), map_values(X, centroids).tolist()))
+
+
 def build_mapping(
     g1: Sequence[Record],
     queries: Sequence[Record],
     model: ClusterModel,
 ) -> MappingTable:
+    """Map(R) for the donor pool and Map'(R) for the queries, one kernel
+    call per group."""
     return MappingTable(
-        complete_map={r.id: map_complete(r, model) for r in g1},
-        query_map={r.id: map_query(r, model) for r in queries},
+        complete_map=_group_map(g1, model, complete=True),
+        query_map=_group_map(queries, model, complete=False),
         model_ref=model.fingerprint(),
     )
-

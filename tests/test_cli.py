@@ -294,6 +294,40 @@ def test_magnitude_above_the_bound_exits_2_without_warnings(tmp_path, capsys):
     assert "magnitude bound" in capsys.readouterr().err
 
 
+NOT_UTF8 = b"\xff\xfe"
+
+
+def assert_not_utf8_exits_2(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("reader", ["data", "schema", "config"])
+def test_non_utf8_impute_input_exits_2(impute_files, capsys, reader):
+    tmp_path, data, schema, config = impute_files
+    files = {"data": data, "schema": schema, "config": config}
+    with open(files[reader], "wb") as fh:
+        fh.write(NOT_UTF8)
+    argv = ["impute", "--data", data, "--schema", schema, "--config", config]
+    assert_not_utf8_exits_2(argv + ["--out", str(tmp_path / "o.csv")], capsys)
+
+
+@pytest.mark.parametrize("reader", ["train", "query"])
+def test_non_utf8_classify_input_exits_2(classify_files, capsys, reader):
+    _, train, schema, query, config = classify_files
+    with open({"train": train, "query": query}[reader], "wb") as fh:
+        fh.write(NOT_UTF8)
+    argv = ["classify", "--train", train, "--schema", schema, "--query", query, "--config", config]
+    assert_not_utf8_exits_2(argv, capsys)
+
+
+def test_non_utf8_evaluate_spec_exits_2(tmp_path, capsys):
+    spec = tmp_path / "exp.json"
+    spec.write_bytes(NOT_UTF8)
+    assert_not_utf8_exits_2(["evaluate", "--config", str(spec)], capsys)
+
+
 # --- classify ---
 
 
@@ -465,6 +499,34 @@ def test_evaluate_unknown_method_exits_2(tmp_path, capsys):
     )
     assert main(["evaluate", "--config", spec]) == EXIT_USAGE
     assert "telepathy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"synthetic": {"records": "x"}}, "synthetic.records"),
+        ({"synthetic": {"records": 60.0}}, "synthetic.records"),
+        ({"synthetic": {"seed": True}}, "synthetic.seed"),
+        ({"synthetic": {"seed": -1}}, "synthetic.seed"),
+        ({"synthetic": {}, "trials": [1]}, "trials"),
+        ({"synthetic": {}, "trials": "2"}, "trials"),
+        ({"synthetic": {}, "master_seed": 1.5}, "master_seed"),
+        ({"synthetic": {}, "master_seed": -3}, "master_seed"),
+        ({"synthetic": {}, "rates": ["0.1"]}, "rate"),
+        ({"synthetic": {}, "rates": [10**400]}, "rate"),
+        ({"synthetic": {}, "holdout_fraction": None}, "holdout_fraction"),
+        ({"synthetic": {}, "plan": [["R1", "0"]]}, "plan attribute index"),
+        ({"synthetic": {}, "plan": [["R1", 1.0]]}, "plan attribute index"),
+        ({"synthetic": {}, "plan": [["R99", 0]]}, "R99"),
+        ({"dataset": 3, "schema": "schema.json"}, "dataset"),
+        ({"dataset": "data.csv", "schema": "a\0b"}, "schema"),
+    ],
+)
+def test_evaluate_spec_value_of_the_wrong_type_exits_2(tmp_path, capsys, spec, field):
+    path = write(tmp_path / "exp.json", json.dumps(spec))
+    assert main(["evaluate", "--config", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert field in err and "internal error" not in err
 
 
 def test_evaluate_requires_config_flag(capsys):

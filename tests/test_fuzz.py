@@ -19,6 +19,7 @@ from cmimpute.classify import classify_mapped, classify_raw_knn
 from cmimpute.cli import EXIT_INTERNAL, main
 from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Record, Schema, encode, parse_dataset
 from cmimpute.errors import InsufficientDataError
+from cmimpute.evaluate import ALL_METHODS
 from cmimpute.impute import MODES, ImputeConfig, impute_dataset
 from cmimpute.kmeans import FarthestFirst, SeededRandom, cluster
 
@@ -68,6 +69,37 @@ run_configs = st.fixed_dictionaries(
     {}, optional={key: st.one_of(plausible, json_values) for key, plausible in OPTIONS.items()}
 )
 
+# Evaluate specs.  Their integers stay small, because a plausible spec
+# with a huge record or trial count is a long run, not an error.
+small_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats(allow_nan=False) | short_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(short_text, inner, max_size=3),
+    max_leaves=6,
+)
+SPEC_FIELDS = {
+    "synthetic": st.fixed_dictionaries(
+        {},
+        optional={
+            "records": st.one_of(st.integers(0, 40), small_json),
+            "seed": st.one_of(st.integers(-1, 50), small_json),
+        },
+    ),
+    "dataset": paths,
+    "schema": paths,
+    "methods": st.lists(st.sampled_from(ALL_METHODS + ("telepathy",)), max_size=4),
+    "rates": st.lists(st.floats(0, 1), max_size=2),
+    "trials": st.integers(-1, 2),
+    "master_seed": st.integers(-1, 50),
+    "holdout_fraction": st.floats(0, 1),
+    "plan": st.lists(
+        st.tuples(st.sampled_from(["R1", "R3", "R5", "R99"]), st.integers(-1, 5)).map(list), max_size=3
+    ),
+}
+evaluate_specs = st.fixed_dictionaries(
+    {}, optional={key: st.one_of(plausible, small_json) for key, plausible in SPEC_FIELDS.items()}
+)
+CONFIGS = {"evaluate": evaluate_specs}
+
 
 def run_in_scratch_dir(command: str, config: dict) -> int:
     """main() on `command --config run.json`, in a fresh directory
@@ -88,10 +120,12 @@ def run_in_scratch_dir(command: str, config: dict) -> int:
             os.chdir(cwd)
 
 
-@pytest.mark.parametrize("command", ["impute", "classify", "casestudy"])
+@pytest.mark.parametrize("command", ["impute", "classify", "casestudy", "evaluate"])
 @settings(max_examples=60, deadline=None)
-@given(config=run_configs)
-def test_no_run_config_is_an_internal_error(command, config):
+@given(data=st.data())
+def test_no_run_config_is_an_internal_error(command, data):
+    """A run config, or for evaluate an experiment spec."""
+    config = data.draw(CONFIGS.get(command, run_configs))
     assert run_in_scratch_dir(command, config) != EXIT_INTERNAL
 
 

@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cmimpute.casestudy import expected_pairs, expected_values
-from cmimpute.dataset import Record, split_groups
+from cmimpute.dataset import MAX_MAGNITUDE, Record, split_groups
 from cmimpute.kmeans import ClusterModel
 from cmimpute.mapping import (
     MappingTable,
-    _squared_distance,
     build_mapping,
     map_complete,
     map_query,
+    map_values,
+    squared_distances,
     type1_distance,
     type2_distance,
 )
@@ -124,12 +126,66 @@ def test_distances_and_knn_donor_key_agree_bit_for_bit(cells, data):
         # The raw-kNN donor's key, written out over the observed indices.
         return sum((float(r.cells[i]) - float(center[i])) ** 2 for i in r.present_indices)
 
-    assert _squared_distance(complete, center) == knn_key(complete)
-    assert _squared_distance(holed, center) == knn_key(holed)
+    # The donor baseline puts the query's NaN row second.
+    assert squared_distances([center], [holed.cells])[0, 0] == knn_key(holed)
+    assert squared_distances([complete.cells, holed.cells], [center]).tolist() == [
+        [knn_key(complete)],
+        [knn_key(holed)],
+    ]
     d = math.sqrt(knn_key(complete))
     assert type1_distance(complete, center) == d
     assert type2_distance(complete, center) == d
     assert type2_distance(holed, center) == math.sqrt(knn_key(holed))
+
+
+# --- the kernel against a scalar reference ---
+
+
+def reference_squared(cells, center) -> float:
+    """Python's arithmetic: (c - u) ** 2 through libm pow, summed left
+    to right by sum() over the observed coordinates."""
+    return sum((c - u) ** 2 for c, u in zip(cells, center) if c is not None)
+
+
+# Values hypothesis picks: magnitudes up to the parse bound and small
+# integers, so that exact ties and duplicate rows are common.
+special_values = st.one_of(
+    st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE), st.integers(-3, 3).map(float)
+)
+
+
+@given(st.integers(1, 12), st.integers(1, 4), st.data())
+def test_kernel_matches_the_scalar_reference_bit_for_bit(n, k, data):
+    # Seeded sevenths of large integers: NumPy's square rounds their
+    # differences unlike pow about once in 130, and its sum adds 8 or
+    # more terms pairwise, so a kernel using either fails here.  Power
+    # of two scales keep the mantissas and reach the parse bound.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([2.0**-30, 1.0, 2.0**300]))
+    m = data.draw(st.integers(1, 8))
+    rows = (rng.integers(-(10**9), 10**9, (m + k, n)) / 7 * scale).tolist()
+    cell = st.tuples(st.integers(0, m + k - 1), st.integers(0, n - 1))
+    for i, j in data.draw(st.sets(cell, max_size=m + k)):
+        rows[i][j] = data.draw(special_values)
+    centers = rows[m:] if data.draw(st.booleans()) else data.draw(st.lists(st.sampled_from(rows), min_size=k, max_size=k))
+    rows = rows[:m] + data.draw(st.lists(st.sampled_from(rows), max_size=3))  # duplicates
+    holes = data.draw(st.sets(st.tuples(st.integers(0, len(rows) - 1), st.integers(0, n - 1)), max_size=m))
+    cells = [
+        tuple(None if (i, j) in holes else v for j, v in enumerate(r)) for i, r in enumerate(rows)
+    ]
+
+    got = squared_distances(cells, centers).tolist()
+    assert got == [[reference_squared(c, u) for u in centers] for c in cells]
+    maps = map_values(cells, centers).tolist()
+    assert maps == [sum(math.sqrt(reference_squared(c, u)) for u in centers) for c in cells]
+
+
+def test_kernel_squares_with_pow_not_multiplication():
+    # x * x and np.square give 0.13134695247455289 here; pow gives ...286.
+    x = 0.3624182010806754
+    assert x**2 == 0.13134695247455286 != x * x
+    assert squared_distances([[x]], [[0.0]])[0, 0] == x**2
+    assert type1_distance(rec("R", x), (0.0,)) == math.sqrt(x**2)
 
 
 # --- mapping values ---
