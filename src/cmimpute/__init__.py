@@ -48,7 +48,6 @@ from .evaluate import (
     make_synthetic_dataset,
     run_experiment,
     score_imputation,
-    unmask,
 )
 from .impute import (
     MODE_ABSOLUTE,
@@ -71,9 +70,7 @@ from .kmeans import (
 from .mapping import (
     MappingTable,
     build_mapping,
-    map_complete,
     map_query,
-    type1_distance,
     type2_distance,
 )
 

@@ -259,7 +259,7 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     )
 
     # --- difference grids under the printed query maps (Tables XII, XIV) ---
-    replay_maps = MappingTable(maps.complete_map, printed11, maps.model_ref)
+    replay_maps = MappingTable(maps.complete_map, printed11)
     replay_table = difference_table(replay_maps)
     for name, qid in (("table12", "R3"), ("table14", "R5")):
         expected = expected_values(name)
@@ -387,7 +387,7 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     checks.exact("label (absolute minimum)", "nearest", absolute.nearest, ("R9",))
     # Replaying the printed mapping column instead puts R8 nearest in
     # both modes, which is what the printed difference column shows.
-    printed_maps = MappingTable(t21, {"R10": t23["R10"]}, cmaps.model_ref)
+    printed_maps = MappingTable(t21, {"R10": t23["R10"]})
     checks.exact(
         "label (printed-table replay)",
         "nearest, both modes",

@@ -4,17 +4,18 @@ as a classifier, plus the raw 1-NN baseline it is compared against.
 The training side of both (the data checks, the training matrix and,
 per model, the training mapping table) is fitted once per training
 dataset, on its first query, and kept on the dataset.  A query then
-pays only for its own mapping value, a bisect and the O(m) column."""
+pays only for its own mapping value and a bisect (mapped) or one
+kernel call (raw 1-NN); its distance column is computed when read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from .dataset import Dataset, Record
-from .errors import CannotClassifyError, NoDonorsError
+from .errors import CannotClassifyError, NoDonorsError, ParseError
 from .impute import MODE_ABSOLUTE, nearest_donors
 from .kmeans import ClusterModel
 from .mapping import MappingTable, build_mapping, check_map_value, map_query, squared_distances
@@ -23,7 +24,8 @@ from .mapping import MappingTable, build_mapping, check_map_value, map_query, sq
 @dataclass(frozen=True)
 class ClassificationResult:
     """Predicted label(s), the training record(s) that carried them,
-    and the per-record distance column the decision came from."""
+    and the per-record distance column the decision came from, a
+    read-only mapping whose values are computed when read."""
 
     labels: tuple[str, ...]
     nearest: tuple[str, ...]
@@ -34,14 +36,35 @@ class ClassificationResult:
         return len(self.labels) > 1
 
 
-def _check_training_data(dataset: Dataset) -> None:
+class _Column(Mapping[str, float]):
+    """A read-only id -> value column that computes each value when it
+    is read, as value(source[id]), so a query whose column nobody reads
+    pays nothing for it."""
+
+    def __init__(self, source: Mapping[str, object], value: Callable[[object], float]) -> None:
+        self._source = source
+        self._value = value
+
+    def __getitem__(self, rid: str) -> float:
+        return self._value(self._source[rid])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._source)
+
+    def __len__(self) -> int:
+        return len(self._source)
+
+
+def check_training_data(dataset: Dataset) -> None:
+    """The checks both classifiers run on their training dataset: it is
+    non-empty, encoded, complete (a ParseError) and fully labeled."""
     if not dataset.records:
         raise NoDonorsError("empty training dataset")
     if not dataset.is_encoded:
         raise ValueError("training dataset must be encoded")
     for r in dataset.records:
         if not r.is_complete:
-            raise ValueError(f"training record {r.id} has missing cells; impute first")
+            raise ParseError(f"training record {r.id} has missing cells; impute first")
     unlabeled = [r.id for r in dataset.records if r.label is None]
     if unlabeled:
         raise CannotClassifyError(f"training records without labels: {unlabeled}")
@@ -53,9 +76,10 @@ class _Fit:
     the dataset that keeps it is still freed by reference counting."""
 
     def __init__(self, dataset: Dataset) -> None:
-        _check_training_data(dataset)
+        check_training_data(dataset)
         self.records = dataset.records
         self.ids = tuple(r.id for r in dataset.records)
+        self.rows = {rid: row for row, rid in enumerate(self.ids)}
         self.matrix = dataset.matrix
         self._maps: dict[int, tuple[ClusterModel, MappingTable]] = {}
 
@@ -102,8 +126,7 @@ def classify_mapped(
     c = check_map_value("query_map", query.id, map_query(query, model))
     nearest = nearest_donors(maps, c, mode)
     labels = tuple(sorted({dataset.record(i).label for i in nearest}))
-    column = {i: v - c for i, v in maps.complete_map.items()}
-    return ClassificationResult(labels, nearest, column)
+    return ClassificationResult(labels, nearest, _Column(maps.complete_map, lambda v: v - c))
 
 
 def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
@@ -114,7 +137,7 @@ def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
     multi-label ambiguity the mapped classifier avoids.
 
     Distances come from the mapping's own kernel, one call over the
-    training matrix, so they equal type1_distance bit for bit.
+    training matrix, so they equal type2_distance bit for bit.
     """
     fit = _fit(dataset)
     if not query.is_complete:
@@ -122,9 +145,7 @@ def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
     n = fit.matrix.shape[1]
     if len(query.cells) != n:
         raise ValueError(f"query {query.id} has {len(query.cells)} cells, training records have {n}")
-    squared = squared_distances(fit.matrix, [query.cells])[:, 0]
-    distances = dict(zip(fit.ids, np.sqrt(squared).tolist()))
-    best = min(distances.values())
-    nearest = tuple(i for i in fit.ids if distances[i] == best)
+    distances = np.sqrt(squared_distances(fit.matrix, [query.cells])[:, 0])
+    nearest = tuple(fit.ids[row] for row in np.flatnonzero(distances == distances.min()).tolist())
     labels = tuple(sorted({dataset.record(i).label for i in nearest}))
-    return ClassificationResult(labels, nearest, distances)
+    return ClassificationResult(labels, nearest, _Column(fit.rows, lambda row: float(distances[row])))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .casestudy import render_report, run_case_study
-from .classify import classify_mapped, classify_raw_knn
+from .classify import check_training_data, classify_mapped, classify_raw_knn
 from .dataset import (
     Schema,
     decode_dataset,
@@ -65,7 +65,6 @@ class RunConfig:
     """One resolved invocation: flags merged over config-file values
     merged over environment and built-in defaults."""
 
-    command: str
     data: str | None = None
     schema: str | None = None
     train: str | None = None
@@ -229,6 +228,7 @@ def cmd_classify(config: RunConfig) -> int:
         header += ["knn_labels", "knn_nearest"]
     lines = [",".join(header)]
     if queries is not None and len(queries) > 0:
+        check_training_data(train)
         k = config.k if config.k is not None else train.n_classes
         init = config.init if config.init is not None else FarthestFirst(config.seed)
         model = cluster(train.records, k, init)
@@ -387,7 +387,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("tolerance must be positive")
         options["tolerance"] = tolerance
     return RunConfig(
-        command=args.command,
         verbose=bool(_pick(args.verbose, config, "verbose", False)),
         **options,
     )
@@ -397,7 +396,6 @@ def _resolve_evaluate(args: argparse.Namespace) -> RunConfig:
     if args.config is None:
         raise ConfigError("missing required option --config")
     return RunConfig(
-        command="evaluate",
         data=args.config,
         out=args.out,
         summary=args.summary,

@@ -116,24 +116,6 @@ class Schema:
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    def attribute(self, name: str) -> AttributeSpec:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise SchemaError(f"no attribute named {name!r}")
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "attributes": [
-                {"name": a.name, "kind": a.kind, **({"encoding": dict(a.encoding)} if a.encoding else {})}
-                for a in self.attributes
-            ],
-            "missing_markers": sorted(self.missing_markers),
-        }
-        if self.label_column is not None:
-            out["label_column"] = self.label_column
-        return out
-
 
 def schema_from_dict(raw: Mapping) -> Schema:
     """Build a Schema from parsed JSON, validating the shape eagerly so
@@ -196,10 +178,6 @@ class Record:
     @property
     def missing_indices(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.cells) if c is None)
-
-    @property
-    def present_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.cells) if c is not None)
 
 
 @dataclass(frozen=True)

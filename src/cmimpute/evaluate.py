@@ -39,7 +39,7 @@ from .errors import (
 )
 from .impute import MODE_ABSOLUTE, MODE_SIGNED, ImputeConfig, impute_dataset
 from .kmeans import FarthestFirst, cluster
-from .mapping import squared_distances
+from .mapping import mean, squared_distances
 
 METHOD_SIGNED = "cluster-map-paper-signed"
 METHOD_ABSOLUTE = "cluster-map-absolute"
@@ -58,12 +58,9 @@ class MaskedCell:
 
 @dataclass(frozen=True)
 class MaskPlan:
-    """Ground truth for every masked cell; rate and seed are None for
-    explicitly chosen cells."""
+    """Ground truth for every masked cell, in record order."""
 
     cells: tuple[MaskedCell, ...]
-    rate: float | None = None
-    seed: int | None = None
 
 
 def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, MaskPlan]:
@@ -82,7 +79,7 @@ def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, Mask
             "masked without emptying a record"
         )
     if count == 0:
-        return dataset, MaskPlan((), rate, seed)
+        return dataset, MaskPlan(())
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(m * n)
@@ -97,7 +94,7 @@ def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, Mask
         per_record[row] += 1
         chosen.append((row, col))
     chosen.sort()
-    return _apply_mask(dataset, chosen, rate, seed)
+    return _apply_mask(dataset, chosen)
 
 
 def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Dataset, MaskPlan]:
@@ -121,12 +118,10 @@ def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Data
         if masked >= n:
             raise ConfigError(f"record {dataset.records[row].id} would lose every cell")
     chosen.sort()
-    return _apply_mask(dataset, chosen, None, None)
+    return _apply_mask(dataset, chosen)
 
 
-def _apply_mask(
-    dataset: Dataset, chosen: list[tuple[int, int]], rate: float | None, seed: int | None
-) -> tuple[Dataset, MaskPlan]:
+def _apply_mask(dataset: Dataset, chosen: list[tuple[int, int]]) -> tuple[Dataset, MaskPlan]:
     # chosen is sorted by (row, col), so the plan lists cells in
     # record order and the result is independent of selection order.
     masked_cells = []
@@ -143,19 +138,8 @@ def _apply_mask(
         new_records[row] = Record(r.id, tuple(cells), r.label)
     return (
         Dataset(dataset.schema, tuple(new_records)),
-        MaskPlan(tuple(masked_cells), rate, seed),
+        MaskPlan(tuple(masked_cells)),
     )
-
-
-def unmask(dataset: Dataset, plan: MaskPlan) -> Dataset:
-    """Restore every masked cell from the plan's ground truth."""
-    by_id = {r.id: r for r in dataset.records}
-    for cell in plan.cells:
-        r = by_id[cell.record_id]
-        cells = list(r.cells)
-        cells[cell.attr_index] = cell.true_value
-        by_id[cell.record_id] = Record(r.id, tuple(cells), r.label)
-    return Dataset(dataset.schema, tuple(by_id[r.id] for r in dataset.records))
 
 
 @dataclass(frozen=True)
@@ -182,7 +166,7 @@ def score_imputation(plan: MaskPlan, completed: Dataset) -> ImputationScore:
         else:
             categorical_hits.append(value == cell.true_value)
     return ImputationScore(
-        numeric_rmse=math.sqrt(sum(numeric_sq) / len(numeric_sq)) if numeric_sq else None,
+        numeric_rmse=math.sqrt(mean(numeric_sq)) if numeric_sq else None,
         categorical_accuracy=(
             sum(categorical_hits) / len(categorical_hits) if categorical_hits else None
         ),
@@ -215,7 +199,7 @@ def baseline_class_stats(dataset: Dataset) -> Dataset:
                 top = max(counts.values())
                 cells[attr] = min(v for v, c in counts.items() if c == top)
             else:
-                cells[attr] = sum(values) / len(values)
+                cells[attr] = mean(values)
         completed.append(Record(r.id, tuple(cells), r.label))
     return Dataset(dataset.schema, tuple(completed))
 
@@ -235,7 +219,7 @@ def baseline_knn_donor(dataset: Dataset) -> Dataset:
         if r.is_complete:
             completed.append(r)
             continue
-        if not r.present_indices:
+        if r.cells.count(None) == len(r.cells):
             raise NoDonorsError(f"record {r.id} has no observed values")
         # The query's NaN cells drop out of every distance, and argmin
         # keeps the earliest of tied donors.
@@ -371,7 +355,7 @@ class EvaluationReport:
 
 def _mean_or_none(values: Sequence[float | None]) -> float | None:
     defined = [v for v in values if v is not None]
-    return sum(defined) / len(defined) if defined else None
+    return mean(defined) if defined else None
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -505,8 +489,6 @@ def _downstream_accuracy(
         hits += record.label in result.labels
     return hits / len(holdout)
 
-
-SYNTHETIC_CLASSES = ("C1", "C2", "C3")
 
 # Latent layout of the synthetic benchmark: six segments along one
 # latent axis, paired into three classes so every class is bimodal.

@@ -20,7 +20,7 @@ from .dataset import (
 )
 from .errors import ConfigError, InsufficientDataError, NoDonorsError
 from .kmeans import ClusterModel, FarthestFirst, InitPolicy, cluster
-from .mapping import MappingTable, build_mapping
+from .mapping import MappingTable, build_mapping, mean
 
 # Literal reading of the selection rule: argmin of the signed
 # difference.  Provably query-independent (see nearest_record), kept
@@ -121,7 +121,7 @@ def _fill_value(
     donors: Sequence[Record],
     pools: Mapping[str | None, Sequence[Record]],
     spec: AttributeSpec,
-    maps: MappingTable | None,
+    maps: MappingTable,
 ) -> tuple[float, str]:
     """Value for one missing cell given the tied nearest donors, and
     the tie policy that produced it.
@@ -150,20 +150,19 @@ def _fill_value(
         top = max(counts.values())
         # Modal tie inside the pool: smallest value wins, deterministic.
         return min(v for v, c in counts.items() if c == top), f"modal-{suffix}"
-    return sum(values) / len(values), f"mean-{suffix}"
+    return mean(values), f"mean-{suffix}"
 
 
 def _tie_pool(
     donors: Sequence[Record],
     pools: Mapping[str | None, Sequence[Record]],
-    maps: MappingTable | None,
+    maps: MappingTable,
 ) -> tuple[Sequence[Record], bool]:
     """Records whose values settle a multi-donor tie.
 
     Majority decision class among the tied donors; a class-count tie
-    goes to the class of the donor with the lowest mapping value (or
-    the earliest donor when no mapping table is supplied).  With fully
-    unlabeled donors the donors themselves are the pool.
+    goes to the class of the donor with the lowest mapping value.  With
+    fully unlabeled donors the donors themselves are the pool.
     """
     labels = [d.label for d in donors if d.label is not None]
     if not labels:
@@ -175,11 +174,7 @@ def _tie_pool(
         klass = candidates.pop()
     else:
         contenders = [d for d in donors if d.label in candidates]
-        if maps is not None:
-            chosen = min(contenders, key=lambda d: maps.complete_map.get(d.id, float("inf")))
-        else:
-            chosen = contenders[0]
-        klass = chosen.label
+        klass = min(contenders, key=lambda d: maps.complete_map[d.id]).label
     return pools[klass], True
 
 

@@ -3,8 +3,6 @@ policies and a fixed-partition mode for exact table reproduction."""
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -46,42 +44,17 @@ InitPolicy = SeededRandom | FarthestFirst | FixedPartition
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """k centroids plus the record-to-cluster assignment that produced
-    them.  sse_history holds the total within-cluster sum of squared
-    distances after every assignment step (one entry for fixed
-    partitions)."""
+    """Centroids plus the record-to-cluster assignment that produced
+    them; k is len(centroids).  sse_history holds the total
+    within-cluster sum of squared distances after every assignment step
+    (one entry for fixed partitions)."""
 
     centroids: tuple[tuple[float, ...], ...]
     assignment: Mapping[str, int]
-    k: int
     sse_history: tuple[float, ...] = field(default=())
 
     def members(self, cluster_index: int) -> tuple[str, ...]:
         return tuple(rid for rid, c in self.assignment.items() if c == cluster_index)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "centroids": [list(c) for c in self.centroids],
-            "assignment": dict(self.assignment),
-            "sse_history": list(self.sse_history),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def fingerprint(self) -> str:
-        """Short stable identifier tying mapping tables to the model
-        they were computed from."""
-        digest = hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-        return digest[:12]
-
-
-def centroid(members: Sequence[Record]) -> tuple[float, ...]:
-    """Component-wise arithmetic mean of complete records."""
-    if not members:
-        raise ValueError("centroid of an empty member set is undefined")
-    return tuple(_usable_points(members).mean(axis=0).tolist())
 
 
 def _usable_points(records: Sequence[Record]) -> np.ndarray:
@@ -158,7 +131,6 @@ def cluster(g1: Sequence[Record], k: int, init: InitPolicy) -> ClusterModel:
     return ClusterModel(
         centroids=tuple(tuple(c) for c in centers.tolist()),
         assignment={rid: int(c) for rid, c in zip(ids, labels)},
-        k=k,
         sse_history=tuple(sse_history),
     )
 
@@ -196,7 +168,6 @@ def _fixed_partition_model(init: FixedPartition, ids: list[str], points: np.ndar
     return ClusterModel(
         centroids=tuple(tuple(c) for c in centers.tolist()),
         assignment=assignment,
-        k=k,
         sse_history=(sse,),
     )
 

@@ -20,12 +20,12 @@ def squared_distances(X, U) -> np.ndarray:
     kernel.  NaN marks a missing cell, so a complete record's distance
     is its partial distance over every cell.
 
-    The arithmetic is Python's sum((c - u) ** 2 ...) bit for bit: each
-    term is squared by libm pow (np.float_power; NumPy's square, x * x
-    and power(x, 2) round differently for roughly 0.1% of values), a
-    missing term adds an exact +0.0, and each row's terms are added
-    left to right in attribute order (never np.sum, einsum or @, whose
-    order differs).
+    The arithmetic is fixed: each term (c - u) ** 2 is squared by libm
+    pow (np.float_power; NumPy's square, x * x and power(x, 2) round
+    differently for roughly 0.1% of values), a missing term adds an
+    exact +0.0, and each row's terms are added left to right in
+    attribute order, starting from 0.0 (never np.sum, einsum or @, whose
+    order differs, nor Python's sum(), which compensates from 3.12 on).
     """
     X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -39,12 +39,21 @@ def squared_distances(X, U) -> np.ndarray:
 
 def map_values(X, centroids) -> np.ndarray:
     """Map'(R) for every row of X: its distances to the centroids,
-    added left to right in centroid order as Python's sum() adds them."""
+    added left to right in centroid order."""
     distances = np.sqrt(squared_distances(X, centroids))
     total = np.zeros(len(distances))
     for column in distances.T:
         total += column
     return total
+
+
+def mean(values: Sequence[float]) -> float:
+    """The arithmetic mean of values, added left to right from 0.0 as
+    the kernel adds its terms, so it is the same on every Python."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def _row(record: Record, centroids: Sequence[Sequence[float]]) -> list[tuple]:
@@ -62,21 +71,9 @@ MISSING = "record {} has missing cells; use type2_distance"
 UNOBSERVED = "record {} has no observed values"
 
 
-def _check_complete(record: Record) -> None:
-    if not record.is_complete:
-        raise ValueError(MISSING.format(record.id))
-
-
 def _check_observed(record: Record) -> None:
     if record.cells.count(None) == len(record.cells):
         raise ValueError(UNOBSERVED.format(record.id))
-
-
-def type1_distance(record: Record, centroid: Sequence[float]) -> float:
-    """Euclidean distance from a complete record to a centroid over
-    all coordinates."""
-    _check_complete(record)
-    return math.sqrt(squared_distances(_row(record, [centroid]), [centroid])[0, 0])
 
 
 def type2_distance(record: Record, centroid: Sequence[float]) -> float:
@@ -90,16 +87,9 @@ def type2_distance(record: Record, centroid: Sequence[float]) -> float:
     return math.sqrt(squared_distances(_row(record, [centroid]), [centroid])[0, 0])
 
 
-def map_complete(record: Record, model: ClusterModel) -> float:
-    """Map(R): sum of type-1 distances from a complete record to every
-    centroid of the model."""
-    _check_complete(record)
-    return float(map_values(_row(record, model.centroids), model.centroids)[0])
-
-
 def map_query(record: Record, model: ClusterModel) -> float:
     """Map'(R): sum of type-2 distances to every centroid.  For a
-    complete record this degenerates to map_complete."""
+    complete record this is Map(R), the sum of its type-1 distances."""
     _check_observed(record)
     return float(map_values(_row(record, model.centroids), model.centroids)[0])
 
@@ -113,12 +103,10 @@ def check_map_value(table: str, rid: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class MappingTable:
-    """Scalar mapping values for the donor pool and for the queries,
-    stamped with the fingerprint of the model that produced them."""
+    """Scalar mapping values for the donor pool and for the queries."""
 
     complete_map: Mapping[str, float]
     query_map: Mapping[str, float]
-    model_ref: str
 
     def __post_init__(self) -> None:
         for name, table in (("complete_map", self.complete_map), ("query_map", self.query_map)):
@@ -140,9 +128,9 @@ class MappingTable:
 
 
 def _group_map(records: Sequence[Record], model: ClusterModel, complete: bool) -> dict[str, float]:
-    """Mapping value per record id for one group, with the same checks
-    and messages as map_complete (complete) or map_query, raised for
-    the first record that fails them."""
+    """Mapping value per record id for one group, checked as map_query
+    checks a record (and, for donors, for a missing cell), raised for
+    the first record that fails."""
     centroids = model.centroids
     try:
         X = cell_matrix(records, len(centroids[0]))
@@ -167,5 +155,4 @@ def build_mapping(
     return MappingTable(
         complete_map=_group_map(g1, model, complete=True),
         query_map=_group_map(queries, model, complete=False),
-        model_ref=model.fingerprint(),
     )

@@ -3,6 +3,8 @@ cluster partitions, loaded once per test that needs them."""
 
 from __future__ import annotations
 
+import builtins
+
 import pytest
 
 from cmimpute.casestudy import (
@@ -47,3 +49,23 @@ def classification_model(classification_dataset):
     return cluster(
         classification_dataset.records, 2, FixedPartition(CLASSIFICATION_PARTITION)
     )
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """builtins.sum replaced by an emulation of Python 3.12's sum(),
+    which adds floats with Neumaier compensation (CPython gh-100425)."""
+    plain = builtins.sum
+
+    def neumaier(iterable, /, start=0):
+        items = list(iterable)
+        if not all(type(x) is float for x in items):
+            return plain(items, start)
+        total, compensation = float(start), 0.0
+        for x in items:
+            t = total + x
+            compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        return total + compensation
+
+    monkeypatch.setattr(builtins, "sum", neumaier)

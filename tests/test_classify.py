@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import sys
 import weakref
 
 import pytest
@@ -16,7 +17,7 @@ from cmimpute.dataset import NUMERIC, AttributeSpec, Dataset, Record, Schema
 from cmimpute.errors import CannotClassifyError, NoDonorsError
 from cmimpute.impute import MODE_ABSOLUTE, MODE_SIGNED, MODES
 from cmimpute.kmeans import FarthestFirst, SeededRandom, cluster
-from cmimpute.mapping import map_complete, type1_distance
+from cmimpute.mapping import map_query, type2_distance
 
 
 def rec(rid: str, *cells, label=None) -> Record:
@@ -84,13 +85,17 @@ def test_query_equal_to_training_record(classification_dataset, classification_m
 
 def test_mapped_table_is_map_difference(classification_dataset, classification_model):
     query = new_record()
-    outcome = classify_mapped(
-        query, classification_dataset, classification_model, MODE_ABSOLUTE
-    )
-    query_map = map_complete(query, classification_model)
-    for r in classification_dataset.records:
-        expected = map_complete(r, classification_model) - query_map
-        assert outcome.table[r.id] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    query_map = map_query(query, classification_model)
+    column = {
+        r.id: map_query(r, classification_model) - query_map
+        for r in classification_dataset.records
+    }
+    for mode in MODES:
+        outcome = classify_mapped(query, classification_dataset, classification_model, mode)
+        assert outcome.table == column
+        assert list(outcome.table) == list(column)
+    with pytest.raises(TypeError):
+        outcome.table["R1"] = 0.0
 
 
 def test_mapped_tie_returns_all_labels():
@@ -116,11 +121,15 @@ def test_predicted_label_always_from_training_classes(classification_dataset, cl
 
 
 def test_raw_knn_reference_distances(classification_dataset):
-    outcome = classify_raw_knn(new_record(), classification_dataset)
+    query = new_record()
+    outcome = classify_raw_knn(query, classification_dataset)
     expected = expected_values("table17")
     assert set(outcome.table) == set(expected)
     for rid, value in expected.items():
         assert outcome.table[rid] == pytest.approx(value, abs=1e-5), rid
+    assert outcome.table == {
+        r.id: type2_distance(query, r.cells) for r in classification_dataset.records
+    }
 
 
 def test_raw_knn_two_class_tie(classification_dataset):
@@ -266,11 +275,11 @@ def test_fitted_classifiers_match_a_brute_force_recomputation(points, queries, k
     )
     label_of = {r.id: r.label for r in training.records}
     model = cluster(training.records, min(k, len(set(points))), FarthestFirst(seed))
-    maps = {r.id: map_complete(r, model) for r in training.records}
+    maps = {r.id: map_query(r, model) for r in training.records}
     # Several queries in sequence against the same (dataset, model).
     for j, q in enumerate(queries):
         query = rec(f"Q{j + 1}", *(v * step for v in q))
-        c = map_complete(query, model)
+        c = map_query(query, model)
         column = {i: v - c for i, v in maps.items()}
         for mode in MODES:
             outcome = classify_mapped(query, training, model, mode)
@@ -278,12 +287,51 @@ def test_fitted_classifiers_match_a_brute_force_recomputation(points, queries, k
             assert outcome.nearest == nearest
             assert outcome.labels == tuple(sorted({label_of[i] for i in nearest}))
             assert outcome.table == column
-        distances = {r.id: type1_distance(query, r.cells) for r in training.records}
+        distances = {r.id: type2_distance(query, r.cells) for r in training.records}
         knn = classify_raw_knn(query, training)
         nearest = brute_nearest(distances, lambda d: d)
         assert knn.nearest == nearest
         assert knn.labels == tuple(sorted({label_of[i] for i in nearest}))
         assert knn.table == distances
+
+
+def python_lines(call) -> int:
+    """The Python lines call() executes, counted in every frame."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_a_query_runs_no_python_loop_over_the_training_set():
+    schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
+
+    def lines_per_query(m: int) -> tuple[int, int]:
+        training = Dataset(
+            schema, tuple(rec(f"R{i}", i, i * i % 7, label="AB"[i % 2]) for i in range(m))
+        )
+        model = cluster(training.records, 2, FarthestFirst(0))
+        query = rec("Q", 0.5, 3)
+        for _ in range(2):  # the first query pays for the fit
+            mapped = classify_mapped(query, training, model)
+            knn = classify_raw_knn(query, training)
+        assert len(mapped.nearest) == len(knn.nearest) == 1
+        return (
+            python_lines(lambda: classify_mapped(query, training, model)),
+            python_lines(lambda: classify_raw_knn(query, training)),
+        )
+
+    assert lines_per_query(20) == lines_per_query(2000)
 
 
 def test_fit_still_rejects_a_foreign_model_after_a_successful_call(

@@ -441,6 +441,28 @@ def test_classify_unlabeled_training_exits_4(tmp_path, capsys):
     assert "R3" in capsys.readouterr().err
 
 
+
+def test_classify_incomplete_training_record_exits_2(tmp_path, capsys):
+    rows = fixture_text("table16_classification.csv").splitlines()
+    rows[2] = "3,?,1,5,Level-1"  # R2
+    train = write(tmp_path / "train.csv", "\n".join(rows) + "\n")
+    schema = write(tmp_path / "schema.json", fixture_text("schema_classification.json"))
+    query = write(tmp_path / "query.csv", QUERY_HEADER + NEW_RECORD_ROW)
+    code = main(["classify", "--train", train, "--schema", schema, "--query", query])
+    assert code == EXIT_USAGE
+    assert "training record R2 has missing cells; impute first" in capsys.readouterr().err
+
+
+def test_classify_training_without_labels_and_without_k_exits_4(tmp_path, capsys):
+    rows = [row.rsplit(",", 1)[0] + "," for row in fixture_text("table16_classification.csv").splitlines()]
+    train = write(tmp_path / "train.csv", "P1,P2,P3,P4,Class\n" + "\n".join(rows[1:]) + "\n")
+    schema = write(tmp_path / "schema.json", fixture_text("schema_classification.json"))
+    query = write(tmp_path / "query.csv", QUERY_HEADER + NEW_RECORD_ROW)
+    code = main(["classify", "--train", train, "--schema", schema, "--query", query])
+    assert code == EXIT_UNLABELED
+    assert "training records without labels" in capsys.readouterr().err
+
+
 # --- evaluate ---
 
 

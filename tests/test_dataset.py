@@ -175,10 +175,10 @@ def test_encode_leaves_missing_cells_missing():
 
 
 def test_decode_reference_symbols():
-    schema = missing_schema()
-    assert schema.attribute("A3").decode_value(2.0) == "d32"
-    assert schema.attribute("A1").decode_value(3.0) == "c13"
-    assert schema.attribute("A4").decode_value(7.0) == 7.0
+    a1, _, a3, a4 = missing_schema().attributes
+    assert a3.decode_value(2.0) == "d32"
+    assert a1.decode_value(3.0) == "c13"
+    assert a4.decode_value(7.0) == 7.0
 
 
 def test_decode_rejects_non_ordinal():
@@ -197,7 +197,7 @@ def test_decode_encode_round_trip_on_reference_table():
 def test_auto_encoding_uses_sorted_symbol_order():
     schema = Schema((AttributeSpec("a", CATEGORICAL),), label_column="class")
     ds = encode(parse_dataset("a,class\nmid,x\nzed,x\napex,x\n", schema))
-    assert dict(ds.schema.attribute("a").encoding) == {"apex": 1, "mid": 2, "zed": 3}
+    assert dict(ds.schema.attributes[0].encoding) == {"apex": 1, "mid": 2, "zed": 3}
     assert [r.cells[0] for r in ds.records] == [2.0, 3.0, 1.0]
 
 
@@ -294,9 +294,20 @@ def test_parse_encode_split_is_deterministic():
 # --- schema config and serialization ---
 
 
-def test_schema_round_trips_through_dict():
-    schema = missing_schema()
-    assert schema_from_dict(schema.to_dict()) == schema
+def test_schema_from_dict_reads_every_field():
+    assert missing_schema() == Schema(
+        (
+            AttributeSpec("A1", CATEGORICAL, {"c11": 1, "c12": 2, "c13": 3}),
+            AttributeSpec("A2", NUMERIC),
+            AttributeSpec("A3", CATEGORICAL, {"d31": 1, "d32": 2}),
+            AttributeSpec("A4", NUMERIC),
+        ),
+        label_column="Class",
+        missing_markers=frozenset({"?", "NaN", ""}),
+    )
+    assert schema_from_dict({"attributes": [{"name": "x", "kind": "numeric"}]}) == Schema(
+        (AttributeSpec("x", NUMERIC),)
+    )
 
 
 def test_schema_from_dict_validates_shape():

@@ -4,6 +4,7 @@ driver."""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,11 @@ from cmimpute.evaluate import (
     METHOD_CLASS_STATS,
     METHOD_KNN_DONOR,
     METHOD_SIGNED,
+    EvaluationReport,
     ExperimentConfig,
+    MaskedCell,
+    MaskPlan,
+    TrialResult,
     baseline_class_stats,
     baseline_knn_donor,
     derive_seed,
@@ -37,7 +42,6 @@ from cmimpute.evaluate import (
     mask_cells,
     run_experiment,
     score_imputation,
-    unmask,
 )
 
 
@@ -68,8 +72,15 @@ def two_column_dataset() -> Dataset:
 
 def test_inject_then_unmask_is_identity(normalized_dataset):
     masked, plan = inject_mcar(normalized_dataset, 0.2, seed=5)
-    assert masked != normalized_dataset
-    assert unmask(masked, plan) == normalized_dataset
+    truth = {(c.record_id, c.attr_index): c.true_value for c in plan.cells}
+    assert truth
+    # Masked cells are missing and the plan holds their values; no
+    # other cell, id or label changes.
+    for r, original in zip(masked.records, normalized_dataset.records, strict=True):
+        assert (r.id, r.label) == (original.id, original.label)
+        for i, (cell, value) in enumerate(zip(r.cells, original.cells)):
+            assert cell == (None if (r.id, i) in truth else value)
+            assert truth.get((r.id, i), value) == value
 
 
 def test_inject_count_matches_rate(normalized_dataset):
@@ -94,7 +105,6 @@ def test_inject_never_empties_a_record(seed, rate):
     masked, plan = inject_mcar(ds, rate, seed)
     n = ds.schema.arity
     for r in masked.records:
-        assert len(r.present_indices) >= 1
         assert len(r.missing_indices) <= n - 1
     assert len(plan.cells) == round(rate * len(ds.records) * n)
 
@@ -194,8 +204,8 @@ def test_score_categorical_exact_match():
 def test_score_perfect_imputation_is_zero_rmse():
     # Use the mixed-type table so the masked A3 cell scores as a
     # categorical hit rather than folding into the numeric error.
-    masked, plan = mask_cells(mixed_complete_dataset(), MASKED_CELLS)
-    score = score_imputation(plan, unmask(masked, plan))
+    _, plan = mask_cells(mixed_complete_dataset(), MASKED_CELLS)
+    score = score_imputation(plan, mixed_complete_dataset())
     assert score.numeric_rmse == 0.0
     assert score.categorical_accuracy == 1.0
     assert (score.n_numeric, score.n_categorical) == (1, 1)
@@ -251,6 +261,30 @@ def test_baselines_need_at_least_one_complete_record():
 def test_baselines_are_identity_on_complete_data(normalized_dataset):
     assert baseline_class_stats(normalized_dataset) is normalized_dataset
     assert baseline_knn_donor(normalized_dataset) is normalized_dataset
+
+
+# One term and sixteen that each round away against it: left to right
+# they add to 1.0, a compensated sum() gives 1 + 2**-50.
+SPREAD = [1.0] + [2.0**-54] * 16
+
+
+def test_means_add_left_to_right_on_every_python(compensated_sum):
+    assert sum(SPREAD) != 1.0
+    mean = 1.0 / len(SPREAD)
+
+    x = Schema((AttributeSpec("x", NUMERIC),), "class")
+    donors = tuple(rec(f"R{i}", v, label="A") for i, v in enumerate(SPREAD))
+    filled = baseline_class_stats(Dataset(x, donors + (rec("Q", None, label="A"),)))
+    assert filled.record("Q").cells == (mean,)
+
+    # Squared errors 1 and 2**-54, from errors 1 and 2**-27.
+    plan = MaskPlan(tuple(MaskedCell(r.id, 0, 0.0) for r in donors))
+    errors = Dataset(x, tuple(rec(r.id, math.sqrt(v), label="A") for r, v in zip(donors, SPREAD)))
+    assert score_imputation(plan, errors).numeric_rmse == math.sqrt(mean)
+
+    rows = tuple(TrialResult("m", 0.1, t, 0, 1, v, None, None) for t, v in enumerate(SPREAD))
+    report = EvaluationReport(("m",), (0.1,), len(rows), 0, 0.2, rows)
+    assert report.aggregates()["m"]["numeric_rmse"] == mean
 
 
 # --- the synthetic generator ---

@@ -31,7 +31,11 @@ FIXTURES = (
     "schema_missing.json",
     "schema_classification.json",
 )
-QUERY_FILE = "query.csv"
+# Complete query files under each fixture schema's attributes.
+QUERY_FILES = {
+    "query.csv": "P1,P2,P3,P4\n2,5,2,9\n",
+    "query_missing.csv": "A1,A2,A3,A4\nc12,6,d31,8\n",
+}
 
 # Short strings over an alphabet that spells ".", "..", "" and a NUL
 # byte: paths that are directories, missing, or not paths at all.
@@ -41,7 +45,7 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(short_text, inner, max_size=3),
     max_leaves=6,
 )
-paths = st.sampled_from(FIXTURES + (QUERY_FILE, "out.csv", ".", "no/such/dir.csv"))
+paths = st.sampled_from(FIXTURES + tuple(QUERY_FILES) + ("out.csv", ".", "no/such/dir.csv"))
 partitions = st.sampled_from((IMPUTATION_PARTITION, CLASSIFICATION_PARTITION, (("R1",), ("R2", "R99"))))
 inits = st.one_of(
     st.fixed_dictionaries(
@@ -103,14 +107,15 @@ CONFIGS = {"evaluate": evaluate_specs}
 
 def run_in_scratch_dir(command: str, config: dict) -> int:
     """main() on `command --config run.json`, in a fresh directory
-    holding the bundled fixtures and one complete query file."""
+    holding the bundled fixtures and the complete query files."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         for name in FIXTURES:
             with open(os.path.join(scratch, name), "w", encoding="utf-8") as fh:
                 fh.write(fixture_text(name))
-        with open(os.path.join(scratch, QUERY_FILE), "w", encoding="utf-8") as fh:
-            fh.write("P1,P2,P3,P4\n2,5,2,9\n")
+        for name, text in QUERY_FILES.items():
+            with open(os.path.join(scratch, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         with open(os.path.join(scratch, "run.json"), "w", encoding="utf-8") as fh:
             json.dump(config, fh)
         os.chdir(scratch)

@@ -50,12 +50,8 @@ def rec(rid: str, *cells, label=None) -> Record:
     return Record(rid, tuple(None if c is None else float(c) for c in cells), label)
 
 
-def maps_of(complete: dict[str, float], queries: dict[str, float]) -> MappingTable:
-    return MappingTable(complete, queries, "m")
-
-
 def table_of(complete: dict[str, float], queries: dict[str, float]):
-    return difference_table(maps_of(complete, queries))
+    return difference_table(MappingTable(complete, queries))
 
 
 def brute_nearest(maps: MappingTable, query_id: str, mode: str) -> tuple[str, ...]:
@@ -105,24 +101,24 @@ def test_difference_requires_donors_and_queries():
 
 def test_nearest_signed_reference_replay():
     complete = expected_values("table09")
-    assert nearest_record(maps_of(complete, {"R3": 6.791479}), "R3", MODE_SIGNED) == ("R8",)
-    assert nearest_record(maps_of(complete, {"R5": 6.588532}), "R5", MODE_SIGNED) == ("R8",)
+    assert nearest_record(MappingTable(complete, {"R3": 6.791479}), "R3", MODE_SIGNED) == ("R8",)
+    assert nearest_record(MappingTable(complete, {"R5": 6.588532}), "R5", MODE_SIGNED) == ("R8",)
 
 
 def test_nearest_absolute_on_replayed_column_picks_zero():
     complete = expected_values("table09")
-    maps = maps_of(complete, {"R3": 6.791479})
+    maps = MappingTable(complete, {"R3": 6.791479})
     assert nearest_record(maps, "R3", MODE_ABSOLUTE) == ("R1",)
 
 
 def test_nearest_returns_all_ties_in_donor_order():
-    maps = maps_of({"R1": 2.0, "R2": 4.0, "R3": 2.0}, {"Q1": 1.0})
+    maps = MappingTable({"R1": 2.0, "R2": 4.0, "R3": 2.0}, {"Q1": 1.0})
     assert nearest_record(maps, "Q1", MODE_SIGNED) == ("R1", "R3")
     assert nearest_record(maps, "Q1", MODE_ABSOLUTE) == ("R1", "R3")
 
 
 def test_nearest_rejects_unknown_query_and_mode():
-    maps = maps_of({"R1": 1.0}, {"Q1": 1.0})
+    maps = MappingTable({"R1": 1.0}, {"Q1": 1.0})
     with pytest.raises(KeyError):
         nearest_record(maps, "Q9", MODE_SIGNED)
     with pytest.raises(ValueError, match="mode"):
@@ -149,7 +145,7 @@ half_integers = st.integers(0, 100).map(lambda v: v / 2)
     ),
 )
 def test_signed_mode_ignores_the_query(complete, queries):
-    maps = maps_of(complete, queries)
+    maps = MappingTable(complete, queries)
     best_map = min(complete.values())
     expected = tuple(i for i in complete if complete[i] == best_map)
     for q in queries:
@@ -166,7 +162,7 @@ def test_signed_mode_ignores_the_query(complete, queries):
     st.floats(0, 50, allow_nan=False),
 )
 def test_absolute_mode_is_scalar_nearest_neighbor(complete, query_value):
-    got = nearest_record(maps_of(complete, {"Q1": query_value}), "Q1", MODE_ABSOLUTE)
+    got = nearest_record(MappingTable(complete, {"Q1": query_value}), "Q1", MODE_ABSOLUTE)
     best = min(abs(v - query_value) for v in complete.values())
     expected = tuple(i for i in complete if abs(complete[i] - query_value) == best)
     assert got == expected
@@ -198,7 +194,7 @@ close_values = st.one_of(
     st.lists(close_values, min_size=1, max_size=4),
 )
 def test_sorted_selection_matches_the_difference_table_scan(donor_values, query_values):
-    maps = maps_of(
+    maps = MappingTable(
         {f"R{i}": v for i, v in enumerate(donor_values)},
         {f"Q{j}": v for j, v in enumerate(query_values)},
     )
@@ -211,7 +207,7 @@ def test_sorted_selection_keeps_ties_rounding_merges():
     # One ulp at 1e16 is 2, so the differences of the first three
     # donors all round to -1e16: they tie although their values differ.
     donors = {"R1": 1.0, "R2": 0.0, "R3": 0.5, "R4": 4.0}
-    maps = maps_of(donors, {"Q1": 1e16})
+    maps = MappingTable(donors, {"Q1": 1e16})
     assert nearest_record(maps, "Q1", MODE_SIGNED) == ("R1", "R2", "R3")
     assert nearest_record(maps, "Q1", MODE_SIGNED) == brute_nearest(maps, "Q1", MODE_SIGNED)
     assert nearest_record(maps, "Q1", MODE_ABSOLUTE) == ("R4",)
@@ -222,15 +218,17 @@ def test_sorted_selection_keeps_ties_rounding_merges():
 
 NUM_SPEC = AttributeSpec("x", NUMERIC)
 CAT_SPEC = AttributeSpec("c", CATEGORICAL, {"u": 1, "v": 2, "w": 3})
+# Only a class-count tie reads mapping values; these fills have none.
+NO_TIE_MAPS = MappingTable({}, {})
 
 
 def test_single_donor_fills_verbatim():
     query = rec("R3", 1, 7, None, 7)
     donor = rec("R8", 3, 6, 2, 7, label="CLASS-2")
     pools = _class_pools([donor])
-    assert _fill_value(query, 2, [donor], pools, CAT_SPEC, None) == (2.0, "single-donor")
+    assert _fill_value(query, 2, [donor], pools, CAT_SPEC, NO_TIE_MAPS) == (2.0, "single-donor")
     query5 = rec("R5", 3, 3, 2, None)
-    assert _fill_value(query5, 3, [donor], pools, NUM_SPEC, None) == (7.0, "single-donor")
+    assert _fill_value(query5, 3, [donor], pools, NUM_SPEC, NO_TIE_MAPS) == (7.0, "single-donor")
 
 
 def test_tied_donors_numeric_mean_over_donor_class():
@@ -241,7 +239,7 @@ def test_tied_donors_numeric_mean_over_donor_class():
     ]
     query = rec("Q", 1, None)
     donors = [g1[0], g1[1]]
-    assert _fill_value(query, 1, donors, _class_pools(g1), NUM_SPEC, None) == (7.0, "mean-same-class")
+    assert _fill_value(query, 1, donors, _class_pools(g1), NUM_SPEC, NO_TIE_MAPS) == (7.0, "mean-same-class")
 
 
 def test_tied_donors_categorical_mode_over_donor_class():
@@ -253,7 +251,7 @@ def test_tied_donors_categorical_mode_over_donor_class():
     ]
     query = rec("Q", 1, None)
     donors = [g1[0], g1[2]]
-    assert _fill_value(query, 1, donors, _class_pools(g1), CAT_SPEC, None) == (1.0, "modal-same-class")
+    assert _fill_value(query, 1, donors, _class_pools(g1), CAT_SPEC, NO_TIE_MAPS) == (1.0, "modal-same-class")
 
 
 def test_categorical_modal_tie_takes_smallest_value():
@@ -262,7 +260,7 @@ def test_categorical_modal_tie_takes_smallest_value():
         rec("R2", 4, 1, label="A"),
     ]
     query = rec("Q", 1, None)
-    assert _fill_value(query, 1, g1, _class_pools(g1), CAT_SPEC, None) == (1.0, "modal-same-class")
+    assert _fill_value(query, 1, g1, _class_pools(g1), CAT_SPEC, NO_TIE_MAPS) == (1.0, "modal-same-class")
 
 
 def test_class_count_tie_resolved_by_lowest_mapping_donor():
@@ -272,31 +270,49 @@ def test_class_count_tie_resolved_by_lowest_mapping_donor():
         rec("R4", 2, 7, label="A"),
     ]
     donors = [g1[1], g1[0]]  # donor order must not decide
-    maps = MappingTable({"R1": 2.0, "R2": 4.0, "R4": 3.0}, {"Q": 3.0}, "m")
+    maps = MappingTable({"R1": 2.0, "R2": 4.0, "R4": 3.0}, {"Q": 3.0})
     query = rec("Q", 1, None)
     # R1 has the lowest mapping value, so class A's records average.
     pools = _class_pools(g1)
     assert _fill_value(query, 1, donors, pools, NUM_SPEC, maps) == (6.0, "mean-same-class")
-    # Without mapping values the first listed donor's class wins.
-    assert _fill_value(query, 1, donors, pools, NUM_SPEC, None) == (9.0, "mean-same-class")
+
+
+def test_mean_fill_adds_left_to_right_on_every_python(compensated_sum):
+    # 1e16 + 1 rounds back to 1e16, so left to right the pool sums to
+    # 0; a compensated sum() gives 1 and a fill of 1/3.
+    assert sum([1e16, 1.0, -1e16]) == 1.0
+    schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
+    ds = Dataset(
+        schema,
+        (
+            rec("R1", 1e16, 0, label="A"),
+            rec("R2", 1, 0, label="A"),
+            rec("R3", -1e16, 0, label="A"),
+            rec("Q", None, 1e16, label="A"),
+        ),
+    )
+    # One centroid at the origin: R1 and R3 both map to 1e16, as Q does.
+    fill = impute_dataset(ds, ImputeConfig(mode=MODE_ABSOLUTE)).fills[0]
+    assert fill.donor_ids == ("R1", "R3")
+    assert (fill.value, fill.tie_policy) == (0.0, "mean-same-class")
 
 
 def test_unlabeled_donors_pool_is_the_donors():
     g1 = [rec("R1", 0, 5), rec("R2", 4, 9), rec("R3", 2, 100)]
     query = rec("Q", 1, None)
     donors = [g1[0], g1[1]]
-    assert _fill_value(query, 1, donors, _class_pools(g1), NUM_SPEC, None) == (7.0, "mean-tied-donors")
+    assert _fill_value(query, 1, donors, _class_pools(g1), NUM_SPEC, NO_TIE_MAPS) == (7.0, "mean-tied-donors")
 
 
 def test_fill_value_contract_errors():
     donor = rec("R1", 1, 2)
     pools = _class_pools([donor])
     with pytest.raises(ValueError, match="not missing"):
-        _fill_value(rec("Q", 1, 2), 1, [donor], pools, NUM_SPEC, None)
+        _fill_value(rec("Q", 1, 2), 1, [donor], pools, NUM_SPEC, NO_TIE_MAPS)
     with pytest.raises(NoDonorsError):
-        _fill_value(rec("Q", 1, None), 1, [], pools, NUM_SPEC, None)
+        _fill_value(rec("Q", 1, None), 1, [], pools, NUM_SPEC, NO_TIE_MAPS)
     with pytest.raises(ValueError, match="incomplete"):
-        _fill_value(rec("Q", 1, None), 1, [rec("R9", None, 2)], pools, NUM_SPEC, None)
+        _fill_value(rec("Q", 1, None), 1, [rec("R9", None, 2)], pools, NUM_SPEC, NO_TIE_MAPS)
 
 
 # --- the full pipeline ---
@@ -424,7 +440,10 @@ def reference_fill(donors, g1, attr, spec, maps) -> float:
     if spec.kind == CATEGORICAL:
         modes = Counter(values)
         return min(v for v, n in modes.items() if n == max(modes.values()))
-    return sum(values) / len(values)
+    total = 0.0
+    for v in values:  # left to right, as on every Python
+        total += v
+    return total / len(values)
 
 
 def check_stages_against_brute_force(masked: Dataset, seed: int):
@@ -434,7 +453,7 @@ def check_stages_against_brute_force(masked: Dataset, seed: int):
 
     split = split_groups(masked)
     model = cluster(split.g1, masked.n_classes, FarthestFirst(seed))
-    assert model.to_json() == result.model.to_json()
+    assert model == result.model
     maps = build_mapping(split.g1, split.g2, model)
     assert maps == result.maps
     by_id = {r.id: r for r in split.g1}

@@ -20,7 +20,6 @@ from cmimpute.kmeans import (
     FixedPartition,
     SeededRandom,
     _initial_centers,
-    centroid,
     cluster,
 )
 
@@ -49,7 +48,7 @@ def test_fixed_partition_reproduces_reference_imputation_clusters(missing_datase
     g1 = split_groups(missing_dataset).g1
     model = cluster(g1, 2, FixedPartition(IMPUTATION_PARTITION))
     expected = expected_clusters("table06_clusters")
-    computed = {frozenset(model.members(c)) for c in range(model.k)}
+    computed = {frozenset(model.members(c)) for c in range(len(model.centroids))}
     assert computed == {frozenset(ids) for ids in expected.values()}
 
 
@@ -60,8 +59,14 @@ def test_fixed_partition_reproduces_reference_classification_clusters(
         classification_dataset.records, 2, FixedPartition(CLASSIFICATION_PARTITION)
     )
     expected = expected_clusters("table18_clusters")
-    computed = {frozenset(model.members(c)) for c in range(model.k)}
+    computed = {frozenset(model.members(c)) for c in range(len(model.centroids))}
     assert computed == {frozenset(ids) for ids in expected.values()}
+
+
+def centroid(records) -> tuple[float, ...]:
+    """The mean of the records: the centroid of a one-group partition."""
+    ids = tuple(r.id for r in records)
+    return cluster(records, 1, FixedPartition((ids,))).centroids[0]
 
 
 def test_centroid_of_first_reference_cluster(missing_dataset):
@@ -79,7 +84,7 @@ def test_centroid_of_single_record_is_its_cells():
 
 
 def test_centroid_rejects_empty_and_incomplete_members():
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(InsufficientDataError, match="no complete records"):
         centroid([])
     with pytest.raises(ValueError, match="missing"):
         centroid([Record("R1", (1.0, None))])
@@ -93,7 +98,7 @@ def test_centroid_rejects_empty_and_incomplete_members():
 def test_k1_yields_single_cluster_at_global_mean():
     records = grid_records([(0, 0), (2, 0), (4, 6)])
     model = cluster(records, 1, SeededRandom(0))
-    assert model.k == 1
+    assert len(model.centroids) == 1
     assert set(model.assignment.values()) == {0}
     assert model.centroids[0] == pytest.approx((2.0, 2.0))
 
@@ -227,7 +232,7 @@ def test_convergence_oracle_on_small_instances(points, seed, farthest):
     history = model.sse_history
     assert all(later <= earlier + 1e-9 for earlier, later in zip(history, history[1:]))
     # Centroid invariant: each center is the mean of its members.
-    for c in range(model.k):
+    for c in range(len(model.centroids)):
         member_pts = np.array(
             [[float(v) for v in r.cells] for r in records if model.assignment[r.id] == c]
         )
@@ -238,14 +243,13 @@ def test_same_seed_same_data_identical_model(missing_dataset):
     g1 = split_groups(missing_dataset).g1
     a = cluster(g1, 2, FarthestFirst(21))
     b = cluster(g1, 2, FarthestFirst(21))
-    assert a.to_json() == b.to_json()
-    assert a.fingerprint() == b.fingerprint()
+    assert a == b
 
 
 def test_fixed_partition_centroid_invariant(missing_dataset):
     g1 = split_groups(missing_dataset).g1
     model = cluster(g1, 2, FixedPartition(IMPUTATION_PARTITION))
-    for c in range(model.k):
+    for c in range(len(model.centroids)):
         members = [missing_dataset.record(rid) for rid in model.members(c)]
         assert model.centroids[c] == pytest.approx(centroid(members), abs=1e-9)
     assert len(model.sse_history) == 1
@@ -286,16 +290,14 @@ def test_reference_classification_partition_is_the_global_sse_minimum(
     assert best_sse == pytest.approx(41.85, abs=1e-6)
 
 
-# --- serialization ---
+# --- the model's shape ---
 
 
-def test_model_serialization_shape():
+def test_model_has_k_centroids_and_assigns_every_record():
     model = cluster(grid_records([(0, 0), (0, 1), (9, 9)]), 2, SeededRandom(1))
-    payload = model.to_dict()
-    assert payload["k"] == 2
-    assert len(payload["centroids"]) == 2
-    assert set(payload["assignment"]) == {"R1", "R2", "R3"}
-    assert isinstance(model.fingerprint(), str) and len(model.fingerprint()) == 12
+    assert len(model.centroids) == 2
+    assert set(model.assignment) == {"R1", "R2", "R3"}
+    assert sorted(set(model.assignment.values())) == [0, 1]
 
 
 def test_cluster_rejects_unencoded_and_incomplete_records():

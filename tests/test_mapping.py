@@ -9,16 +9,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmimpute.casestudy import expected_pairs, expected_values
-from cmimpute.dataset import MAX_MAGNITUDE, Record, split_groups
+from cmimpute.classify import classify_raw_knn
+from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Dataset, Record, Schema, split_groups
 from cmimpute.kmeans import ClusterModel
 from cmimpute.mapping import (
     MappingTable,
     build_mapping,
-    map_complete,
     map_query,
     map_values,
     squared_distances,
-    type1_distance,
     type2_distance,
 )
 
@@ -34,25 +33,24 @@ def model_with(*centroids) -> ClusterModel:
     return ClusterModel(
         centroids=tuple(tuple(float(x) for x in c) for c in centroids),
         assignment={},
-        k=len(centroids),
     )
 
 
 finite = st.floats(-100, 100, allow_nan=False)
 
 
-# --- type-1 ---
+# --- type-1: a complete record's type2_distance, over every cell ---
 
 
 def test_type1_reference_values():
     r1 = rec("R1", 1, 5, 1, 10)
-    assert type1_distance(r1, CENTROID_A) == pytest.approx(1.47902, abs=1e-5)
-    assert type1_distance(r1, CENTROID_B) == pytest.approx(5.312459, abs=1e-5)
+    assert type2_distance(r1, CENTROID_A) == pytest.approx(1.47902, abs=1e-5)
+    assert type2_distance(r1, CENTROID_B) == pytest.approx(5.312459, abs=1e-5)
 
 
 def test_type1_zero_at_own_centroid():
     r = rec("R", 2, 3, 4)
-    assert type1_distance(r, (2, 3, 4)) == 0.0
+    assert type2_distance(r, (2, 3, 4)) == 0.0
 
 
 @given(st.lists(finite, min_size=1, max_size=8), st.data())
@@ -62,15 +60,16 @@ def test_type1_matches_brute_force(cells, data):
     )
     record = rec("R", *cells)
     expected = math.sqrt(sum((a - b) ** 2 for a, b in zip(cells, center)))
-    got = type1_distance(record, center)
+    got = type2_distance(record, center)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_type1_arity_and_missing_errors():
     with pytest.raises(ValueError, match="cells"):
-        type1_distance(rec("R", 1, 2), (1.0,))
-    with pytest.raises(ValueError, match="missing"):
-        type1_distance(rec("R", 1, None), (1.0, 2.0))
+        type2_distance(rec("R", 1, 2), (1.0,))
+    # Donors are mapped by type-1 distance, so a donor must be complete.
+    with pytest.raises(ValueError, match="R has missing cells"):
+        build_mapping([rec("R", 1, None)], [], model_with((1.0, 2.0)))
 
 
 # --- type-2 ---
@@ -86,8 +85,11 @@ def test_type2_reference_values():
 
 
 def test_type2_on_complete_record_equals_type1():
+    # Raw 1-NN measures complete records by type-1 distance.
     r = rec("R", 2, 5, 2, 9)
-    assert type2_distance(r, CENTROID_A) == type1_distance(r, CENTROID_A)
+    schema = Schema(tuple(AttributeSpec(f"a{i}", NUMERIC) for i in range(4)), "class")
+    training = Dataset(schema, (Record("C", CENTROID_A, "L"),))
+    assert type2_distance(r, CENTROID_A) == classify_raw_knn(r, training).table["C"]
 
 
 @given(st.lists(finite, min_size=2, max_size=6), st.data())
@@ -102,7 +104,7 @@ def test_type2_never_exceeds_any_completion(cells, data):
         completed = rec(
             "C", *(fill[i] if i in missing_at else c for i, c in enumerate(cells))
         )
-        assert partial <= type1_distance(completed, center) + 1e-9
+        assert partial <= type2_distance(completed, center) + 1e-9
 
 
 def test_type2_all_missing_rejected():
@@ -123,8 +125,8 @@ def test_distances_and_knn_donor_key_agree_bit_for_bit(cells, data):
     holed = rec("H", *(None if i in missing_at else c for i, c in enumerate(cells)))
 
     def knn_key(r):
-        # The raw-kNN donor's key, written out over the observed indices.
-        return sum((float(r.cells[i]) - float(center[i])) ** 2 for i in r.present_indices)
+        # The raw-kNN donor's key, written out over the observed cells.
+        return left_to_right((c - u) ** 2 for c, u in zip(r.cells, center) if c is not None)
 
     # The donor baseline puts the query's NaN row second.
     assert squared_distances([center], [holed.cells])[0, 0] == knn_key(holed)
@@ -132,19 +134,24 @@ def test_distances_and_knn_donor_key_agree_bit_for_bit(cells, data):
         [knn_key(complete)],
         [knn_key(holed)],
     ]
-    d = math.sqrt(knn_key(complete))
-    assert type1_distance(complete, center) == d
-    assert type2_distance(complete, center) == d
+    assert type2_distance(complete, center) == math.sqrt(knn_key(complete))
     assert type2_distance(holed, center) == math.sqrt(knn_key(holed))
 
 
 # --- the kernel against a scalar reference ---
 
 
+def left_to_right(terms) -> float:
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def reference_squared(cells, center) -> float:
-    """Python's arithmetic: (c - u) ** 2 through libm pow, summed left
-    to right by sum() over the observed coordinates."""
-    return sum((c - u) ** 2 for c, u in zip(cells, center) if c is not None)
+    """Python's arithmetic: (c - u) ** 2 through libm pow, added left
+    to right over the observed coordinates."""
+    return left_to_right((c - u) ** 2 for c, u in zip(cells, center) if c is not None)
 
 
 # Values hypothesis picks: magnitudes up to the parse bound and small
@@ -177,7 +184,7 @@ def test_kernel_matches_the_scalar_reference_bit_for_bit(n, k, data):
     got = squared_distances(cells, centers).tolist()
     assert got == [[reference_squared(c, u) for u in centers] for c in cells]
     maps = map_values(cells, centers).tolist()
-    assert maps == [sum(math.sqrt(reference_squared(c, u)) for u in centers) for c in cells]
+    assert maps == [left_to_right(math.sqrt(reference_squared(c, u)) for u in centers) for c in cells]
 
 
 def test_kernel_squares_with_pow_not_multiplication():
@@ -185,7 +192,7 @@ def test_kernel_squares_with_pow_not_multiplication():
     x = 0.3624182010806754
     assert x**2 == 0.13134695247455286 != x * x
     assert squared_distances([[x]], [[0.0]])[0, 0] == x**2
-    assert type1_distance(rec("R", x), (0.0,)) == math.sqrt(x**2)
+    assert type2_distance(rec("R", x), (0.0,)) == math.sqrt(x**2)
 
 
 # --- mapping values ---
@@ -193,9 +200,10 @@ def test_kernel_squares_with_pow_not_multiplication():
 
 def test_map_complete_reference_values(missing_dataset, imputation_model):
     expected = expected_values("table09")
+    split = split_groups(missing_dataset)
+    complete_map = build_mapping(split.g1, split.g2, imputation_model).complete_map
     for rid, value in expected.items():
-        got = map_complete(missing_dataset.record(rid), imputation_model)
-        assert got == pytest.approx(value, abs=1e-5), rid
+        assert complete_map[rid] == pytest.approx(value, abs=1e-5), rid
     assert min(expected, key=expected.get) == "R8"
 
 
@@ -218,12 +226,13 @@ def test_map_query_complete_record_reference_value(classification_model):
 def test_map_query_equals_map_complete_for_complete_records():
     model = model_with((0, 0), (3, 4))
     r = rec("R", 1, 1)
-    assert map_query(r, model) == map_complete(r, model)
+    table = build_mapping([r], [r], model)
+    assert map_query(r, model) == table.complete_map["R"] == table.query_map["R"]
 
 
 def test_map_zero_for_record_at_sole_centroid():
     model = model_with((2, 3, 4))
-    assert map_complete(rec("R", 2, 3, 4), model) == 0.0
+    assert map_query(rec("R", 2, 3, 4), model) == 0.0
 
 
 @given(
@@ -235,8 +244,8 @@ def test_map_invariant_under_centroid_permutation(cells, centers):
     record = rec("R", *cells[:2])
     forward = model_with(*centers)
     backward = model_with(*reversed(centers))
-    assert map_complete(record, forward) == pytest.approx(
-        map_complete(record, backward), rel=1e-12
+    assert map_query(record, forward) == pytest.approx(
+        map_query(record, backward), rel=1e-12
     )
 
 
@@ -245,11 +254,11 @@ def test_map_invariant_under_centroid_permutation(cells, centers):
 
 def test_mapping_table_rejects_bad_values():
     with pytest.raises(ValueError):
-        MappingTable({"R1": -0.5}, {}, "m")
+        MappingTable({"R1": -0.5}, {})
     with pytest.raises(ValueError):
-        MappingTable({"R1": 1.0}, {"Q1": float("nan")}, "m")
+        MappingTable({"R1": 1.0}, {"Q1": float("nan")})
     with pytest.raises(ValueError):
-        MappingTable({"R1": float("inf")}, {}, "m")
+        MappingTable({"R1": float("inf")}, {})
 
 
 def test_build_mapping_covers_exactly_the_given_ids(missing_dataset, imputation_model):
@@ -257,7 +266,6 @@ def test_build_mapping_covers_exactly_the_given_ids(missing_dataset, imputation_
     table = build_mapping(split.g1, split.g2, imputation_model)
     assert set(table.complete_map) == {r.id for r in split.g1}
     assert set(table.query_map) == {"R3", "R5"}
-    assert table.model_ref == imputation_model.fingerprint()
     assert all(v >= 0 and math.isfinite(v) for v in table.complete_map.values())
 
 
