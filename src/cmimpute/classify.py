@@ -58,30 +58,33 @@ class _Column(Mapping[str, float]):
 def check_training_data(dataset: Dataset) -> None:
     """The checks both classifiers run on their training dataset: it is
     non-empty, encoded, complete (a ParseError) and fully labeled."""
-    if not dataset.records:
+    if not len(dataset):
         raise NoDonorsError("empty training dataset")
     if not dataset.is_encoded:
         raise ValueError("training dataset must be encoded")
-    for r in dataset.records:
-        if not r.is_complete:
-            raise ParseError(f"training record {r.id} has missing cells; impute first")
-    unlabeled = [r.id for r in dataset.records if r.label is None]
+    incomplete = np.isnan(dataset.matrix).any(axis=1)
+    if incomplete.any():
+        rid = dataset.ids[int(incomplete.argmax())]
+        raise ParseError(f"training record {rid} has missing cells; impute first")
+    unlabeled = [rid for rid, label in zip(dataset.ids, dataset.labels) if label is None]
     if unlabeled:
         raise CannotClassifyError(f"training records without labels: {unlabeled}")
 
 
 class _Fit:
     """The training side of both classifiers for one checked training
-    dataset.  It holds the dataset's records but not the dataset, so
-    the dataset that keeps it is still freed by reference counting."""
+    dataset.  It holds a second dataset over the same columns but not
+    the dataset, so the dataset that keeps it is still freed by
+    reference counting."""
 
     def __init__(self, dataset: Dataset) -> None:
         check_training_data(dataset)
-        self.records = dataset.records
-        self.ids = tuple(r.id for r in dataset.records)
-        self.rows = {rid: row for row, rid in enumerate(self.ids)}
-        self.matrix = dataset.matrix
+        self.training = Dataset._of(dataset.schema, dataset.ids, dataset.labels, dataset.columns)
+        self.rows = self.training._by_id
         self._maps: dict[int, tuple[ClusterModel, MappingTable]] = {}
+
+    def labels_of(self, ids: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(sorted({self.training.labels[self.rows[rid]] for rid in ids}))
 
     def mapping(self, model: ClusterModel) -> MappingTable:
         """The training records mapped under the model, built and
@@ -90,9 +93,9 @@ class _Fit:
         matches a different model that reuses a freed id."""
         entry = self._maps.get(id(model))
         if entry is None or entry[0] is not model:
-            if set(model.assignment) != set(self.ids):
+            if set(model.assignment) != set(self.rows):
                 raise ValueError("model was built on different records than the training dataset")
-            entry = self._maps[id(model)] = (model, build_mapping(self.records, [], model))
+            entry = self._maps[id(model)] = (model, build_mapping(self.training, [], model))
         return entry[1]
 
 
@@ -125,8 +128,7 @@ def classify_mapped(
     maps = fit.mapping(model)
     c = check_map_value("query_map", query.id, map_query(query, model))
     nearest = nearest_donors(maps, c, mode)
-    labels = tuple(sorted({dataset.record(i).label for i in nearest}))
-    return ClassificationResult(labels, nearest, _Column(maps.complete_map, lambda v: v - c))
+    return ClassificationResult(fit.labels_of(nearest), nearest, _Column(maps.complete_map, lambda v: v - c))
 
 
 def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
@@ -142,10 +144,9 @@ def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
     fit = _fit(dataset)
     if not query.is_complete:
         raise ValueError(f"query {query.id} has missing cells")
-    n = fit.matrix.shape[1]
+    n = dataset.schema.arity
     if len(query.cells) != n:
         raise ValueError(f"query {query.id} has {len(query.cells)} cells, training records have {n}")
-    distances = np.sqrt(squared_distances(fit.matrix, [query.cells])[:, 0])
-    nearest = tuple(fit.ids[row] for row in np.flatnonzero(distances == distances.min()).tolist())
-    labels = tuple(sorted({dataset.record(i).label for i in nearest}))
-    return ClassificationResult(labels, nearest, _Column(fit.rows, lambda row: float(distances[row])))
+    distances = np.sqrt(squared_distances(fit.training.matrix, [query.cells])[:, 0])
+    nearest = tuple(fit.training.ids[row] for row in np.flatnonzero(distances == distances.min()).tolist())
+    return ClassificationResult(fit.labels_of(nearest), nearest, _Column(fit.rows, lambda row: float(distances[row])))

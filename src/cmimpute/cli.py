@@ -231,7 +231,7 @@ def cmd_classify(config: RunConfig) -> int:
         check_training_data(train)
         k = config.k if config.k is not None else train.n_classes
         init = config.init if config.init is not None else FarthestFirst(config.seed)
-        model = cluster(train.records, k, init)
+        model = cluster(train, k, init)
         for query in queries.records:
             outcome = classify_mapped(query, train, model, config.mode)
             row = [query.id, ";".join(outcome.labels), ";".join(outcome.nearest)]

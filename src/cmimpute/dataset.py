@@ -9,7 +9,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -180,26 +179,68 @@ class Record:
         return tuple(i for i, c in enumerate(self.cells) if c is None)
 
 
-@dataclass(frozen=True)
+# One attribute's cells in row order: a float64 array with NaN for each
+# missing cell when every present cell is a float, else a tuple of the
+# cells (symbols, None for a missing cell).
+Column = np.ndarray | tuple[Cell, ...]
+
+
+def _column(cells: Sequence[Cell]) -> Column:
+    if all(t is type(None) or issubclass(t, float) for t in set(map(type, cells))):
+        return np.array(cells, dtype=float)
+    return tuple(cells)
+
+
+def _cells(column: Column) -> Sequence[Cell]:
+    """The column's cells as a record holds them: None for a missing cell."""
+    if not isinstance(column, np.ndarray):
+        return column
+    values = column.tolist()
+    return [None if v != v else v for v in values] if np.isnan(column).any() else values
+
+
 class Dataset:
-    """An immutable sequence of records sharing one schema."""
+    """Rows sharing one schema, stored a column at a time: the record
+    ids, the labels (None for an unlabeled record) and one Column per
+    attribute.  Categorical columns hold symbols until encode() turns
+    them into float ordinals; once every column is an array the dataset
+    is encoded and its cells form one matrix.  Records are a view of
+    the columns, built when first read.  A dataset is never mutated."""
 
-    schema: Schema
-    records: tuple[Record, ...]
+    def __init__(self, schema: Schema, records: Sequence[Record]) -> None:
+        records = tuple(records)
+        for r in records:
+            if len(r.cells) != schema.arity:
+                raise SchemaError(f"record {r.id}: expected {schema.arity} cells, got {len(r.cells)}")
+        columns = tuple(zip(*(r.cells for r in records))) or ((),) * schema.arity
+        self._init(schema, [r.id for r in records], [r.label for r in records], map(_column, columns))
+        self.records = records
 
-    def __post_init__(self) -> None:
-        n = self.schema.arity
-        for r in self.records:
-            if len(r.cells) != n:
-                raise SchemaError(f"record {r.id}: expected {n} cells, got {len(r.cells)}")
+    @classmethod
+    def _of(cls, schema: Schema, ids: Sequence[str], labels: Sequence[str | None], columns) -> Dataset:
+        """A dataset straight from its columns; no record is built."""
+        dataset = cls.__new__(cls)
+        dataset._init(schema, ids, labels, columns)
+        return dataset
+
+    def _init(self, schema: Schema, ids, labels, columns) -> None:
+        self.schema, self.ids, self.labels, self.columns = schema, tuple(ids), tuple(labels), tuple(columns)
+        for column in self.columns:
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.schema, self.records) == (other.schema, other.records)
 
     @property
     def classes(self) -> tuple[str, ...]:
         """Distinct labels in sorted order; unlabeled records contribute nothing."""
-        return tuple(sorted({r.label for r in self.records if r.label is not None}))
+        return tuple(sorted(set(self.labels) - {None}))
 
     @property
     def n_classes(self) -> int:
@@ -207,15 +248,12 @@ class Dataset:
 
     @property
     def is_complete(self) -> bool:
-        return all(r.is_complete for r in self.records)
+        return not any(np.isnan(c).any() if isinstance(c, np.ndarray) else None in c for c in self.columns)
 
-    @cached_property
+    @property
     def is_encoded(self) -> bool:
-        """True when every present cell is numeric (symbols all encoded).
-        Checked once per dataset, on the set of cell types: records and
-        their cells are immutable."""
-        types = set(map(type, chain.from_iterable(r.cells for r in self.records)))
-        return all(t is type(None) or issubclass(t, float) for t in types)
+        """True when every present cell is numeric (symbols all encoded)."""
+        return all(isinstance(c, np.ndarray) for c in self.columns)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -223,34 +261,48 @@ class Dataset:
         missing cell.  Built once per dataset, which must be encoded."""
         if not self.is_encoded:
             raise ValueError("dataset must be encoded before its cells form a matrix")
-        return cell_matrix(self.records, self.schema.arity)
-
-    def record(self, record_id: str) -> Record:
-        return self._by_id[record_id]
+        matrix = np.column_stack(self.columns)
+        matrix.flags.writeable = False
+        return matrix
 
     @cached_property
-    def _by_id(self) -> dict[str, Record]:
-        """Record per id, the first one when ids repeat."""
-        by_id: dict[str, Record] = {}
-        for r in self.records:
-            by_id.setdefault(r.id, r)
-        return by_id
+    def records(self) -> tuple[Record, ...]:
+        return tuple(map(Record, self.ids, zip(*map(_cells, self.columns)), self.labels))
+
+    def record(self, record_id: str) -> Record:
+        return self.records[self._by_id[record_id]]
+
+    @cached_property
+    def _by_id(self) -> dict[str, int]:
+        """Row per id, the first one when ids repeat."""
+        return dict(zip(reversed(self.ids), range(len(self.ids) - 1, -1, -1)))
+
+    def take(self, rows: Sequence[int]) -> Dataset:
+        """The given rows, in the given order, as a new dataset."""
+        index = np.asarray(rows, dtype=np.intp)
+        rows = index.tolist()
+        return Dataset._of(
+            self.schema,
+            [self.ids[i] for i in rows],
+            [self.labels[i] for i in rows],
+            [c[index] if isinstance(c, np.ndarray) else tuple(c[i] for i in rows) for c in self.columns],
+        )
 
     @cached_property
     def _memo(self) -> dict:
         """Work other modules derive from this dataset and keep for as
-        long as it lives (the classifier's fit).  Records and cells are
-        immutable, so an entry never goes stale."""
+        long as it lives (the classifier's fit)."""
         return {}
 
 
-def cell_matrix(records: Sequence[Record], arity: int) -> np.ndarray:
-    """The records' cells as a read-only (m, arity) float64 matrix, NaN
-    for each missing cell.  Raises ValueError when a record does not
-    have `arity` cells or holds a symbol that is not a number."""
-    matrix = np.array([r.cells for r in records], dtype=float).reshape(len(records), arity)
-    matrix.flags.writeable = False
-    return matrix
+def as_dataset(rows: Dataset | Sequence[Record], arity: int | None = None) -> Dataset:
+    """A dataset as it is; records under a schema of `arity` (by default
+    the first record's) numeric attributes."""
+    if isinstance(rows, Dataset):
+        return rows
+    records = tuple(rows)
+    arity = len(records[0].cells) if arity is None else arity
+    return Dataset(Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(arity))), records)
 
 
 @dataclass(frozen=True)
@@ -265,16 +317,23 @@ class GroupSplit:
 def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     """Parse delimited text with a header row into a Dataset.
 
-    Fields matching one of the schema's missing markers become None.
-    Numeric fields are parsed as floats (non-finite values and
+    Fields matching one of the schema's missing markers become missing
+    cells.  Numeric fields are parsed as floats (non-finite values and
     magnitudes above MAX_MAGNITUDE rejected), categorical fields stay
     symbols until encode().  Records are assigned ids R1..Rm in row
     order (the prefix is configurable so query files read as Q1..Qm
     next to their training records).  An empty label field means the
-    record is unlabeled.
+    record is unlabeled.  The fields are parsed and checked a column at
+    a time; when a check fails, the rows are checked again one at a
+    time, so the error names the first bad field in row order.
     """
-    markers = schema.missing_markers
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    rows: list[list[str]] = []
+    try:
+        for row in csv.reader(io.StringIO(text)):
+            if row:
+                rows.append(row)
+    except csv.Error as exc:  # a field past csv.field_size_limit(), say
+        raise ParseError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ParseError("no header row")
     expected_header = list(schema.attribute_names)
@@ -284,48 +343,65 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     if header != expected_header:
         raise ParseError(f"header {header} does not match schema columns {expected_header}")
 
+    body = rows[1:]
+    try:
+        columns = _parse_columns(body, schema, len(expected_header))
+    except (ParseError, SchemaError):
+        for rownum, row in enumerate(body, start=2):
+            _parse_columns([row], schema, len(expected_header), rownum)
+        raise
     n = schema.arity
-    want = n + (1 if schema.label_column is not None else 0)
-    records = []
-    for rownum, row in enumerate(rows[1:], start=2):
-        if len(row) != want:
-            raise ParseError(f"row {rownum}: expected {want} fields, got {len(row)}")
-        cells: list[Cell] = []
-        for spec, raw_field in zip(schema.attributes, row[:n]):
-            text_value = raw_field.strip()
-            if text_value in markers:
-                cells.append(None)
+    labels = [f.strip() or None for f in columns[n]] if schema.label_column is not None else [None] * len(body)
+    ids = [f"{id_prefix}{i}" for i in range(1, len(body) + 1)]
+    return Dataset._of(schema, ids, labels, columns[:n])
+
+
+def _parse_columns(body: list[list[str]], schema: Schema, width: int, first_row: int = 2) -> list:
+    """The parsed attribute columns of the rows, then their raw label
+    fields.  Raises for a row of the wrong width or a bad field, which
+    for a single row is its first bad field."""
+    for i, row in enumerate(body):
+        if len(row) != width:
+            raise ParseError(f"row {first_row + i}: expected {width} fields, got {len(row)}")
+    markers, nan = schema.missing_markers, math.nan
+    fields = list(zip(*body)) or [()] * width
+    columns: list = []
+    for spec, raw in zip(schema.attributes, fields):
+        if spec.kind == CATEGORICAL:
+            symbols = [None if (t := f.strip()) in markers else t for f in raw]
+            if spec.is_frozen and not set(symbols) - {None} <= spec.encoding.keys():
+                i = next(i for i, s in enumerate(symbols) if s is not None and s not in spec.encoding)
+                raise SchemaError(
+                    f"row {first_row + i}: symbol {symbols[i]!r} not in the frozen encoding "
+                    f"of attribute {spec.name!r}"
+                )
+            columns.append(_column(symbols))
+            continue
+        try:
+            values = np.array([nan if (t := f.strip()) in markers else float(t) for f in raw])
+        except ValueError:
+            i, t = next((i, t) for i, f in enumerate(raw) if (t := f.strip()) not in markers and not _is_float(t))
+            raise ParseError(f"row {first_row + i}: {t!r} is not numeric for attribute {spec.name!r}") from None
+        for i in np.flatnonzero(~(np.abs(values) <= MAX_MAGNITUDE)).tolist():  # NaN fails <=
+            t = raw[i].strip()
+            if t in markers:
                 continue
-            if spec.kind == NUMERIC:
-                try:
-                    value = float(text_value)
-                except ValueError:
-                    raise ParseError(
-                        f"row {rownum}: {text_value!r} is not numeric for attribute {spec.name!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"row {rownum}: non-finite value {text_value!r} for attribute {spec.name!r}"
-                    )
-                if abs(value) > MAX_MAGNITUDE:
-                    raise ParseError(
-                        f"row {rownum}: {text_value!r} for attribute {spec.name!r} exceeds "
-                        f"the magnitude bound {MAX_MAGNITUDE:g}"
-                    )
-                cells.append(value)
-            else:
-                if spec.is_frozen and text_value not in spec.encoding:
-                    raise SchemaError(
-                        f"row {rownum}: symbol {text_value!r} not in the frozen encoding "
-                        f"of attribute {spec.name!r}"
-                    )
-                cells.append(text_value)
-        label: str | None = None
-        if schema.label_column is not None:
-            label_field = row[n].strip()
-            label = label_field if label_field else None
-        records.append(Record(f"{id_prefix}{rownum - 1}", tuple(cells), label))
-    return Dataset(schema, tuple(records))
+            if not math.isfinite(values[i]):
+                raise ParseError(f"row {first_row + i}: non-finite value {t!r} for attribute {spec.name!r}")
+            raise ParseError(
+                f"row {first_row + i}: {t!r} for attribute {spec.name!r} exceeds "
+                f"the magnitude bound {MAX_MAGNITUDE:g}"
+            )
+        columns.append(values)
+    return columns + fields[schema.arity :]
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def read_text(path: str) -> str:
@@ -341,19 +417,6 @@ def load_dataset(path: str, schema: Schema) -> Dataset:
     return parse_dataset(read_text(path), schema)
 
 
-def _columns(dataset: Dataset) -> list[tuple[Cell, ...]]:
-    """The cells of each attribute, one tuple per column, in record order."""
-    return list(zip(*(r.cells for r in dataset.records))) or [()] * dataset.schema.arity
-
-
-def _from_columns(dataset: Dataset, schema: Schema, columns: Sequence[Sequence[Cell]]) -> Dataset:
-    """The dataset's records, same ids and labels, with cells read from columns."""
-    return Dataset(
-        schema,
-        tuple(Record(r.id, cells, r.label) for r, cells in zip(dataset.records, zip(*columns))),
-    )
-
-
 def encode(dataset: Dataset) -> Dataset:
     """Replace categorical symbols by their ordinals.
 
@@ -363,45 +426,43 @@ def encode(dataset: Dataset) -> Dataset:
     depend on symbol naming.  Each column is checked and encoded once
     per distinct cell, then mapped with one dict lookup per cell.
     """
-    new_specs = []
-    new_columns = []
-    for spec, column in zip(dataset.schema.attributes, _columns(dataset)):
-        if spec.kind == NUMERIC:
-            new_specs.append(spec)
-            new_columns.append(column)
-            continue
-        distinct = dict.fromkeys(column)  # first-appearance order
-        distinct.pop(None, None)
-        for cell in distinct:
-            if not isinstance(cell, str):
-                r = dataset.records[column.index(cell)]
-                raise SchemaError(
-                    f"record {r.id}: attribute {spec.name!r} expected a symbol, got {cell!r}"
-                )
-        if not spec.encoding:
-            built = {sym: i for i, sym in enumerate(sorted(distinct), start=1)}
-            spec = AttributeSpec(spec.name, spec.kind, built)
-        codes = {cell: float(spec.encode_symbol(cell)) for cell in distinct}
-        codes[None] = None
-        new_specs.append(spec)
-        new_columns.append(list(map(codes.__getitem__, column)))
-    new_schema = Schema(tuple(new_specs), dataset.schema.label_column, dataset.schema.missing_markers)
-    return _from_columns(dataset, new_schema, new_columns)
+    specs, columns = [], []
+    for spec, column in zip(dataset.schema.attributes, dataset.columns):
+        if spec.kind == CATEGORICAL:
+            spec, column = _encode_column(spec, column, dataset.ids)
+        specs.append(spec)
+        columns.append(column)
+    schema = Schema(tuple(specs), dataset.schema.label_column, dataset.schema.missing_markers)
+    return Dataset._of(schema, dataset.ids, dataset.labels, columns)
+
+
+def _encode_column(spec: AttributeSpec, column: Column, ids: Sequence[str]) -> tuple[AttributeSpec, Column]:
+    # Cells in first-appearance order (NaN, a missing number, as None);
+    # every one present must be a symbol.
+    cells = _cells(column)
+    distinct = dict.fromkeys(cells)
+    distinct.pop(None, None)
+    for cell in distinct:
+        if not isinstance(cell, str):
+            raise SchemaError(f"record {ids[cells.index(cell)]}: attribute {spec.name!r} expected a symbol, got {cell!r}")
+    if not spec.encoding:
+        spec = AttributeSpec(spec.name, spec.kind, {sym: i for i, sym in enumerate(sorted(distinct), start=1)})
+    codes = {cell: float(spec.encode_symbol(cell)) for cell in distinct}
+    codes[None] = math.nan
+    return spec, np.fromiter(map(codes.__getitem__, cells), float, len(cells))
 
 
 def decode_dataset(dataset: Dataset) -> Dataset:
     """Render every encoded cell back to its symbol form, decoding each
     distinct value of a column once."""
     columns = []
-    for spec, column in zip(dataset.schema.attributes, _columns(dataset)):
-        if spec.kind != NUMERIC:
-            symbols = {
-                cell: None if cell is None else spec.decode_value(float(cell))
-                for cell in dict.fromkeys(column)
-            }
-            column = list(map(symbols.__getitem__, column))
+    for spec, column in zip(dataset.schema.attributes, dataset.columns):
+        if spec.kind != NUMERIC and isinstance(column, np.ndarray):
+            values = column.tolist()
+            symbols = {v: spec.decode_value(v) for v in dict.fromkeys(values) if v == v}
+            column = tuple(map(symbols.get, values))  # NaN finds no symbol: None
         columns.append(column)
-    return _from_columns(dataset, dataset.schema, columns)
+    return Dataset._of(dataset.schema, dataset.ids, dataset.labels, columns)
 
 
 def split_groups(dataset: Dataset) -> GroupSplit:
@@ -409,9 +470,9 @@ def split_groups(dataset: Dataset) -> GroupSplit:
     group, both keeping original order."""
     if not dataset.is_encoded:
         raise ValueError("dataset must be encoded before splitting")
-    g1 = tuple(r for r in dataset.records if r.is_complete)
-    g2 = tuple(r for r in dataset.records if not r.is_complete)
-    return GroupSplit(g1, g2)
+    complete = (~np.isnan(dataset.matrix).any(axis=1)).tolist()
+    pairs = list(zip(dataset.records, complete))
+    return GroupSplit(tuple(r for r, c in pairs if c), tuple(r for r, c in pairs if not c))
 
 
 def format_number(value: float) -> str:
@@ -423,41 +484,49 @@ def format_number(value: float) -> str:
     return repr(value)
 
 
-def format_cell(cell: Cell) -> str:
-    if cell is None:
-        return MISSING_FIELD
-    if isinstance(cell, str):
-        return cell
-    return format_number(cell)
-
-
-def _format_column(column: Sequence[Cell]) -> list[str]:
-    """format_cell over one column.  A column of floats is rendered by
-    repr in bulk, then its integral values (found in one NumPy pass)
-    are rewritten as integers."""
-    if set(map(type, column)) != {float}:
-        return list(map(format_cell, column))
-    texts = list(map(repr, column))
-    values = np.array(column)
-    integral = np.flatnonzero((np.abs(values) < 1e15) & (values == np.trunc(values)))
-    for i, text in zip(integral.tolist(), map(str, values[integral].astype(np.int64).tolist())):
+def format_column(column: Column) -> list[str]:
+    """The column's cells as text: the missing marker, a symbol or
+    format_number's rendering.  An array is rendered by repr in bulk,
+    then its integral values (found in one NumPy pass) are rewritten as
+    integers and its NaNs as the marker."""
+    if not isinstance(column, np.ndarray):
+        return [MISSING_FIELD if c is None else c if isinstance(c, str) else format_number(c) for c in column]
+    texts = list(map(repr, column.tolist()))
+    integral = np.flatnonzero((np.abs(column) < 1e15) & (column == np.trunc(column)))
+    for i, text in zip(integral.tolist(), map(str, column[integral].astype(np.int64).tolist())):
         texts[i] = text
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        texts[i] = MISSING_FIELD
     return texts
+
+
+def csv_text(header: list[str], columns: Sequence[Sequence[str]]) -> str:
+    """CSV text as csv.writer writes it with "\n" line ends: the header
+    row, then one row per position of the columns.  When no field needs
+    quoting, the rows are joined directly: the same text, written
+    several times faster."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    rows = zip(*columns)
+    joined = "".join(map("".join, columns))
+    if len(columns) > 1 and not any(ch in joined for ch in ',"\r\n'):
+        lines = "\n".join(map(",".join, rows))
+        buf.write(lines and lines + "\n")
+    else:
+        writer.writerows(rows)
+    return buf.getvalue()
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
     """Serialize with a header row, newline-terminated, deterministic;
     cells are formatted a column at a time."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = list(dataset.schema.attribute_names)
-    columns = [_format_column(column) for column in _columns(dataset)]
+    columns = [format_column(column) for column in dataset.columns]
     if dataset.schema.label_column is not None:
         header.append(dataset.schema.label_column)
-        columns.append(["" if r.label is None else r.label for r in dataset.records])
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
-    return buf.getvalue()
+        columns.append(["" if label is None else label for label in dataset.labels])
+    return csv_text(header, columns)
 
 
 def write_dataset(dataset: Dataset, path: str) -> None:

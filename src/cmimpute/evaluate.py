@@ -9,7 +9,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,11 +23,9 @@ from .dataset import (
     Dataset,
     Record,
     Schema,
-    cell_matrix,
     encode,
     load_dataset,
     load_schema,
-    split_groups,
 )
 from .errors import (
     ConfigError,
@@ -37,7 +35,7 @@ from .errors import (
     config_path,
     config_seed,
 )
-from .impute import MODE_ABSOLUTE, MODE_SIGNED, ImputeConfig, impute_dataset
+from .impute import MODE_ABSOLUTE, MODE_SIGNED, ImputeConfig, impute_dataset, missing_cells
 from .kmeans import FarthestFirst, cluster
 from .mapping import mean, squared_distances
 
@@ -71,7 +69,7 @@ def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, Mask
         raise ValueError("can only inject missingness into a complete dataset")
     if not 0 < rate < 1:
         raise ConfigError(f"rate must be in (0, 1), got {rate}")
-    m, n = len(dataset.records), dataset.schema.arity
+    m, n = len(dataset), dataset.schema.arity
     count = round(rate * m * n)
     if count > m * (n - 1):
         raise ConfigError(
@@ -101,7 +99,7 @@ def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Data
     """Mask an explicit list of (record id, attribute index) cells."""
     if not dataset.is_complete:
         raise ValueError("can only inject missingness into a complete dataset")
-    index = {r.id: i for i, r in enumerate(dataset.records)}
+    index = {rid: i for i, rid in enumerate(dataset.ids)}
     n = dataset.schema.arity
     chosen: list[tuple[int, int]] = []
     for rid, attr in cells:
@@ -116,7 +114,7 @@ def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Data
     per_record = Counter(row for row, _ in chosen)
     for row, masked in per_record.items():
         if masked >= n:
-            raise ConfigError(f"record {dataset.records[row].id} would lose every cell")
+            raise ConfigError(f"record {dataset.ids[row]} would lose every cell")
     chosen.sort()
     return _apply_mask(dataset, chosen)
 
@@ -124,22 +122,12 @@ def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Data
 def _apply_mask(dataset: Dataset, chosen: list[tuple[int, int]]) -> tuple[Dataset, MaskPlan]:
     # chosen is sorted by (row, col), so the plan lists cells in
     # record order and the result is independent of selection order.
-    masked_cells = []
-    new_records = list(dataset.records)
-    by_row: dict[int, list[int]] = {}
+    X = dataset.matrix.copy()
+    cells = []
     for row, col in chosen:
-        by_row.setdefault(row, []).append(col)
-    for row, cols in by_row.items():
-        r = new_records[row]
-        cells = list(r.cells)
-        for col in cols:
-            masked_cells.append(MaskedCell(r.id, col, cells[col]))
-            cells[col] = None
-        new_records[row] = Record(r.id, tuple(cells), r.label)
-    return (
-        Dataset(dataset.schema, tuple(new_records)),
-        MaskPlan(tuple(masked_cells)),
-    )
+        cells.append(MaskedCell(dataset.ids[row], col, X[row, col].item()))
+        X[row, col] = math.nan
+    return Dataset._of(dataset.schema, dataset.ids, dataset.labels, X.T), MaskPlan(tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -180,55 +168,46 @@ def baseline_class_stats(dataset: Dataset) -> Dataset:
     (categorical, ties to the smallest value) over the complete
     records of the query's class, falling back to all complete records
     when the class pool is empty or the query is unlabeled."""
-    split = split_groups(dataset)
-    if not split.g2:
+    missing = missing_cells(dataset, "no complete records to aggregate")
+    if missing is None:
         return dataset
-    if not split.g1:
-        raise NoDonorsError("no complete records to aggregate")
-    completed = []
-    for r in dataset.records:
-        if r.is_complete:
-            completed.append(r)
-            continue
-        pool = [g for g in split.g1 if r.label is not None and g.label == r.label] or list(split.g1)
-        cells = list(r.cells)
-        for attr in r.missing_indices:
-            values = [float(g.cells[attr]) for g in pool]
-            if dataset.schema.attributes[attr].kind == CATEGORICAL:
-                counts = Counter(values)
-                top = max(counts.values())
-                cells[attr] = min(v for v, c in counts.items() if c == top)
-            else:
-                cells[attr] = mean(values)
-        completed.append(Record(r.id, tuple(cells), r.label))
-    return Dataset(dataset.schema, tuple(completed))
+    X, labels = dataset.matrix, dataset.labels
+    complete = np.flatnonzero(~missing.any(axis=1)).tolist()
+    pools: dict[str | None, list[int]] = {}
+    for i in complete:
+        pools.setdefault(labels[i], []).append(i)
+    filled = X.copy()
+    for row, attr in zip(*(a.tolist() for a in np.nonzero(missing))):
+        pool = (labels[row] is not None and pools.get(labels[row])) or complete
+        values = X[pool, attr].tolist()
+        if dataset.schema.attributes[attr].kind == CATEGORICAL:
+            counts = Counter(values)
+            top = max(counts.values())
+            filled[row, attr] = min(v for v, c in counts.items() if c == top)
+        else:
+            filled[row, attr] = mean(values)
+    return Dataset._of(dataset.schema, dataset.ids, labels, filled.T)
 
 
 def baseline_knn_donor(dataset: Dataset) -> Dataset:
     """Fill each incomplete record from its nearest complete record,
     measured by Euclidean distance over the observed coordinates (ties
     to the earliest complete record)."""
-    split = split_groups(dataset)
-    if not split.g2:
+    missing = missing_cells(dataset, "no complete records to donate")
+    if missing is None:
         return dataset
-    if not split.g1:
-        raise NoDonorsError("no complete records to donate")
-    donors = cell_matrix(split.g1, dataset.schema.arity)
-    completed = []
-    for r in dataset.records:
-        if r.is_complete:
-            completed.append(r)
-            continue
-        if r.cells.count(None) == len(r.cells):
-            raise NoDonorsError(f"record {r.id} has no observed values")
-        # The query's NaN cells drop out of every distance, and argmin
-        # keeps the earliest of tied donors.
-        donor = split.g1[int(squared_distances(donors, [r.cells]).argmin())]
-        cells = [
-            donor.cells[i] if c is None else c for i, c in enumerate(r.cells)
-        ]
-        completed.append(Record(r.id, tuple(cells), r.label))
-    return Dataset(dataset.schema, tuple(completed))
+    X, incomplete = dataset.matrix, missing.any(axis=1)
+    empty = missing.all(axis=1)
+    if empty.any():
+        raise NoDonorsError(f"record {dataset.ids[int(empty.argmax())]} has no observed values")
+    complete, rows = np.flatnonzero(~incomplete), np.flatnonzero(incomplete)
+    # The query's NaN cells drop out of every distance, and argmin
+    # keeps the earliest of tied donors.
+    G = X[complete]
+    donors = complete[[int(squared_distances(G, X[row : row + 1]).argmin()) for row in rows.tolist()]]
+    filled = X.copy()
+    filled[rows] = np.where(missing[rows], X[donors], X[rows])
+    return Dataset._of(dataset.schema, dataset.ids, dataset.labels, filled.T)
 
 
 @dataclass(frozen=True)
@@ -303,19 +282,7 @@ class EvaluationReport:
             "trials": self.trials,
             "master_seed": self.master_seed,
             "holdout_fraction": self.holdout_fraction,
-            "results": [
-                {
-                    "method": r.method,
-                    "rate": r.rate,
-                    "trial": r.trial,
-                    "mask_seed": r.mask_seed,
-                    "n_masked": r.n_masked,
-                    "numeric_rmse": r.numeric_rmse,
-                    "categorical_accuracy": r.categorical_accuracy,
-                    "downstream_accuracy": r.downstream_accuracy,
-                }
-                for r in self.results
-            ],
+            "results": [asdict(r) for r in self.results],
             "aggregates": self.aggregates(),
         }
 
@@ -323,33 +290,12 @@ class EvaluationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def summary_csv(self) -> str:
+        """One row per trial result; csv writes None as an empty field
+        and a float as its repr."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "method",
-                "rate",
-                "trial",
-                "mask_seed",
-                "n_masked",
-                "numeric_rmse",
-                "categorical_accuracy",
-                "downstream_accuracy",
-            ]
-        )
-        for r in self.results:
-            writer.writerow(
-                [
-                    r.method,
-                    r.rate,
-                    r.trial,
-                    r.mask_seed,
-                    r.n_masked,
-                    "" if r.numeric_rmse is None else repr(r.numeric_rmse),
-                    "" if r.categorical_accuracy is None else repr(r.categorical_accuracy),
-                    "" if r.downstream_accuracy is None else repr(r.downstream_accuracy),
-                ]
-            )
+        writer.writerow([f.name for f in fields(TrialResult)])
+        writer.writerows(map(astuple, self.results))
         return buf.getvalue()
 
 
@@ -449,17 +395,16 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
 
 
 def _split_holdout(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, tuple[Record, ...]]:
-    m = len(dataset.records)
+    m = len(dataset)
     h = round(fraction * m)
     if h == 0:
         return dataset, ()
     if m - h < 2:
         raise ConfigError(f"holdout of {h} records leaves too little training data")
     rng = np.random.default_rng(seed)
-    picks = set(rng.choice(m, size=h, replace=False).tolist())
-    train = tuple(r for i, r in enumerate(dataset.records) if i not in picks)
-    held = tuple(r for i, r in enumerate(dataset.records) if i in picks)
-    return Dataset(dataset.schema, train), held
+    held = np.zeros(m, dtype=bool)
+    held[rng.choice(m, size=h, replace=False)] = True
+    return dataset.take(np.flatnonzero(~held)), tuple(dataset.records[i] for i in np.flatnonzero(held).tolist())
 
 
 def _run_method(method: str, masked: Dataset, seed: int) -> Dataset:
@@ -482,7 +427,7 @@ def _downstream_accuracy(
     when the true label is among the returned labels."""
     if not holdout:
         return None
-    model = cluster(completed.records, completed.n_classes, FarthestFirst(seed))
+    model = cluster(completed, completed.n_classes, FarthestFirst(seed))
     hits = 0
     for record in holdout:
         result = classify_mapped(record, completed, model, MODE_ABSOLUTE)

@@ -3,20 +3,21 @@ the donor/tie fill rules for missing cells."""
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .dataset import (
     CATEGORICAL,
     AttributeSpec,
     Dataset,
     Record,
-    format_number,
-    split_groups,
+    csv_text,
+    format_column,
 )
 from .errors import ConfigError, InsufficientDataError, NoDonorsError
 from .kmeans import ClusterModel, FarthestFirst, InitPolicy, cluster
@@ -105,6 +106,28 @@ def nearest_donors(maps: MappingTable, c: float, mode: str) -> tuple[str, ...]:
             hi += 1
     ids = maps.donor_ids
     return tuple(ids[i] for i in sorted(order[lo:hi]))
+
+
+def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """nearest_donors for every query mapping value in c at once: the
+    donor-pool position of each query's nearest donor, and whether it
+    is alone in its tie run, i.e. no second neighbour ties it.  The keys
+    are formed elementwise as nearest_donors forms them, so both round
+    the same."""
+    values, order = map(np.array, maps.sorted_donors)
+    if mode == MODE_SIGNED:
+        pick = np.zeros(len(c), dtype=np.intp)
+        single = values[1] - c != values[0] - c if len(values) > 1 else np.ones(len(c), dtype=bool)
+    else:
+        # Two infinite sentinels on each side: their key never ties.
+        padded = np.concatenate(([math.inf] * 2, values, [math.inf] * 2))
+        pos = np.searchsorted(values, c)
+        key = [np.abs(padded[pos + shift] - c) for shift in range(4)]  # pos-2 .. pos+1
+        best = np.minimum(key[1], key[2])
+        left, right = key[1] == best, key[2] == best
+        single = (left != right) & ~(left & (key[0] == best)) & ~(right & (key[3] == best))
+        pick = pos - left
+    return order[pick], single
 
 
 def _class_pools(g1: Sequence[Record]) -> dict[str | None, list[Record]]:
@@ -196,7 +219,7 @@ class ImputeConfig:
             raise ConfigError(f"k must be a positive integer, got {self.k!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellFill:
     """Provenance for one imputed cell."""
 
@@ -218,25 +241,37 @@ class ImputationResult:
     maps: MappingTable | None
 
 
+def missing_cells(dataset: Dataset, no_donors: str) -> np.ndarray | None:
+    """The missing-cell mask of an encoded dataset, or None when no cell
+    is missing; NoDonorsError(no_donors) when no record is complete."""
+    if not dataset.is_encoded:
+        raise ValueError("dataset must be encoded before imputation")
+    missing = np.isnan(dataset.matrix)
+    incomplete = missing.any(axis=1)
+    if not incomplete.any():
+        return None
+    if incomplete.all():
+        raise NoDonorsError(no_donors)
+    return missing
+
+
 def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> ImputationResult:
     """Run the full pipeline: split, cluster the complete group, map
-    both groups to scalars, difference, pick nearest donors, fill.
+    both groups to scalars, pick nearest donors, fill.
 
     Every query record is imputed independently against the original
     complete group; freshly completed records never become donors.
     One nearest-donor search serves all of a record's missing cells.
-    """
+    Every query is selected at once and every single-donor fill is one
+    gather; only a query whose nearest donors tie goes through
+    nearest_donors and _fill_value."""
     config = config or ImputeConfig()
-    if not dataset.is_encoded:
-        raise ValueError("dataset must be encoded before imputation")
-    split = split_groups(dataset)
-    if not split.g2:
+    missing = missing_cells(dataset, "every record has missing values; nothing can donate")
+    if missing is None:
         return ImputationResult(dataset, (), config.mode, None, None)
-    if not split.g1:
-        raise NoDonorsError("every record has missing values; nothing can donate")
-    for r in split.g2:
-        if r.cells.count(None) == len(r.cells):
-            raise InsufficientDataError(f"record {r.id} has no observed values")
+    empty = missing.all(axis=1)
+    if empty.any():
+        raise InsufficientDataError(f"record {dataset.ids[int(empty.argmax())]} has no observed values")
 
     k = config.k
     if k is None:
@@ -244,48 +279,55 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
         if k == 0:
             raise ConfigError("dataset has no labels; supply k explicitly")
     init = config.init if config.init is not None else FarthestFirst(config.seed)
-    model = cluster(split.g1, k, init)
-    maps = build_mapping(split.g1, split.g2, model)
+    incomplete = missing.any(axis=1)
+    queries = np.flatnonzero(incomplete)
+    g1, g2 = dataset.take(np.flatnonzero(~incomplete)), dataset.take(queries)
+    model = cluster(g1, k, init)
+    maps = build_mapping(g1, g2, model)
 
-    by_id = {r.id: r for r in split.g1}
-    pools = _class_pools(split.g1)
-    fills: list[CellFill] = []
-    completed: list[Record] = []
-    for r in dataset.records:
-        if r.is_complete:
-            completed.append(r)
-            continue
-        donors = [by_id[i] for i in nearest_record(maps, r.id, config.mode)]
-        cells = list(r.cells)
-        for attr in r.missing_indices:
-            spec = dataset.schema.attributes[attr]
-            value, policy = _fill_value(r, attr, donors, pools, spec, maps)
-            symbol = str(spec.decode_value(value)) if spec.kind == CATEGORICAL else None
-            fills.append(
-                CellFill(r.id, attr, spec.name, tuple(d.id for d in donors), value, symbol, policy)
-            )
-            cells[attr] = value
-        completed.append(Record(r.id, tuple(cells), r.label))
-    return ImputationResult(
-        Dataset(dataset.schema, tuple(completed)), tuple(fills), config.mode, model, maps
-    )
+    c = np.array([maps.query_map[rid] for rid in g2.ids])
+    donor, single = _select_all(maps, c, config.mode)
+    holes = missing[queries]
+    filled = np.where(holes, g1.matrix[donor], g2.matrix)
+    singles = {d: (maps.donor_ids[d],) for d in set(donor.tolist())}  # shared: fewer objects to collect
+    donor_ids = [singles[d] for d in donor.tolist()]
+    policies: dict[tuple[int, int], str] = {}
+    ties = np.flatnonzero(~single).tolist()
+    if ties:
+        pools = _class_pools(g1.records)
+        by_id = dict(zip(g1.ids, g1.records))
+        for j, query in zip(ties, g2.take(ties).records):
+            donor_ids[j] = nearest_donors(maps, float(c[j]), config.mode)
+            donors = [by_id[i] for i in donor_ids[j]]
+            for attr in query.missing_indices:
+                spec = dataset.schema.attributes[attr]
+                filled[j, attr], policies[j, attr] = _fill_value(query, attr, donors, pools, spec, maps)
+
+    fills = []
+    rows, attrs = np.nonzero(holes)
+    for j, attr, value in zip(rows.tolist(), attrs.tolist(), filled[rows, attrs].tolist()):
+        spec = dataset.schema.attributes[attr]
+        symbol = str(spec.decode_value(value)) if spec.kind == CATEGORICAL else None
+        policy = policies.get((j, attr), "single-donor")
+        fills.append(CellFill(g2.ids[j], attr, spec.name, donor_ids[j], value, symbol, policy))
+    completed = dataset.matrix.copy()
+    completed[queries] = filled
+    completed = Dataset._of(dataset.schema, dataset.ids, dataset.labels, completed.T)
+    return ImputationResult(completed, tuple(fills), config.mode, model, maps)
 
 
 def provenance_csv(result: ImputationResult) -> str:
-    """One row per imputed cell, for audit."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["query", "attribute", "donors", "value", "symbol", "mode", "tie_policy"])
-    for f in result.fills:
-        writer.writerow(
-            [
-                f.query_id,
-                f.attr_name,
-                ";".join(f.donor_ids),
-                format_number(f.value),
-                f.symbol or "",
-                result.mode,
-                f.tie_policy,
-            ]
-        )
-    return buf.getvalue()
+    """One row per imputed cell, for audit, built a column at a time."""
+    fills = result.fills
+    return csv_text(
+        ["query", "attribute", "donors", "value", "symbol", "mode", "tie_policy"],
+        [
+            [f.query_id for f in fills],
+            [f.attr_name for f in fills],
+            [";".join(f.donor_ids) for f in fills],
+            format_column(np.array([f.value for f in fills], dtype=float)),
+            [f.symbol or "" for f in fills],
+            [result.mode] * len(fills),
+            [f.tie_policy for f in fills],
+        ],
+    )

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Record
+from .dataset import Dataset, Record, as_dataset
 from .errors import ConfigError, InsufficientDataError
 
 MAX_ITERATIONS = 100
@@ -57,27 +57,9 @@ class ClusterModel:
         return tuple(rid for rid, c in self.assignment.items() if c == cluster_index)
 
 
-def _usable_points(records: Sequence[Record]) -> np.ndarray:
-    """The records' cells as an (m, n) float matrix, checked to hold no
-    missing cell (None or NaN) and no symbol.  NumPy infers a numeric
-    dtype exactly when every cell is a number; otherwise the records
-    are scanned in order for the one to name."""
-    points = np.array([r.cells for r in records])
-    if points.dtype.kind not in "biuf":
-        for r in records:
-            if not r.is_complete:
-                raise ValueError(f"record {r.id} has missing cells")
-            if any(isinstance(c, str) for c in r.cells):
-                raise ValueError(f"record {r.id} is not encoded")
-    points = points.astype(float, copy=False)
-    missing = np.isnan(points).any(axis=1)
-    if missing.any():
-        raise ValueError(f"record {records[int(missing.argmax())].id} has missing cells")
-    return points
-
-
-def cluster(g1: Sequence[Record], k: int, init: InitPolicy) -> ClusterModel:
-    """Cluster complete records into k clusters.
+def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> ClusterModel:
+    """Cluster complete records, given as an encoded dataset or as a
+    sequence of records, into k clusters.
 
     Iterative policies need k distinct points and run Lloyd steps until
     the assignment stops changing or MAX_ITERATIONS is hit;
@@ -85,27 +67,30 @@ def cluster(g1: Sequence[Record], k: int, init: InitPolicy) -> ClusterModel:
     left empty is re-seeded from the point farthest from its own
     centroid among the clusters that can spare one.
     """
-    records = list(g1)
-    if not records:
+    if not isinstance(g1, Dataset):
+        g1 = tuple(g1)
+    if not len(g1):
         raise InsufficientDataError("no complete records to cluster")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if len(records) < k:
-        raise InsufficientDataError(f"{len(records)} complete records cannot form {k} clusters")
-    points = _usable_points(records)
-
-    ids = [r.id for r in records]
+    if len(g1) < k:
+        raise InsufficientDataError(f"{len(g1)} complete records cannot form {k} clusters")
+    g1 = as_dataset(g1)
+    missing = np.isnan(g1.matrix).any(axis=1)
+    if missing.any():
+        raise ValueError(f"record {g1.ids[int(missing.argmax())]} has missing cells")
+    ids, points = g1.ids, g1.matrix
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate record ids")
 
     if isinstance(init, FixedPartition):
         return _fixed_partition_model(init, ids, points, k)
 
-    distinct = len({r.cells for r in records})
+    distinct = _distinct_up_to(points, k)
     if k > distinct:
         raise InsufficientDataError(f"{k} clusters over {distinct} distinct complete points")
     centers = _initial_centers(init, points, k)
-    labels = np.full(len(records), -1, dtype=int)
+    labels = np.full(len(points), -1, dtype=int)
     sse_history: list[float] = []
     for _ in range(MAX_ITERATIONS):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -129,19 +114,36 @@ def cluster(g1: Sequence[Record], k: int, init: InitPolicy) -> ClusterModel:
     # iteration cap was hit mid-step.
     centers = _means(points, labels, k)
     return ClusterModel(
-        centroids=tuple(tuple(c) for c in centers.tolist()),
-        assignment={rid: int(c) for rid, c in zip(ids, labels)},
+        centroids=tuple(map(tuple, centers.tolist())),
+        assignment=dict(zip(ids, labels.tolist())),
         sse_history=tuple(sse_history),
     )
+
+
+def _distinct_up_to(points: np.ndarray, k: int) -> int:
+    """The number of distinct points, counted up to k, in O(m k n)."""
+    fresh = np.ones(len(points), dtype=bool)
+    count = 0
+    while count < k and fresh.any():
+        fresh &= (points != points[int(fresh.argmax())]).any(axis=1)
+        count += 1
+    return count
+
+
+def _mean(points: np.ndarray) -> np.ndarray:
+    """The mean of the points, each coordinate's values added row by
+    row from the first (np.mean adds a single column pairwise, so its
+    rounding would depend on the number of attributes)."""
+    return np.cumsum(points, axis=0)[-1] / len(points)
 
 
 def _means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Mean of each cluster's points; the re-seed step keeps every
     cluster populated."""
-    return np.array([points[labels == c].mean(axis=0) for c in range(k)])
+    return np.array([_mean(points[labels == c]) for c in range(k)])
 
 
-def _fixed_partition_model(init: FixedPartition, ids: list[str], points: np.ndarray, k: int) -> ClusterModel:
+def _fixed_partition_model(init: FixedPartition, ids: Sequence[str], points: np.ndarray, k: int) -> ClusterModel:
     if len(init.groups) != k:
         raise ConfigError(f"fixed partition has {len(init.groups)} groups but k={k}")
     index = {rid: i for i, rid in enumerate(ids)}
@@ -160,9 +162,7 @@ def _fixed_partition_model(init: FixedPartition, ids: list[str], points: np.ndar
         raise ConfigError(f"fixed partition does not cover records {missing}")
 
     assignment = {rid: c for c, group in enumerate(init.groups) for rid in group}
-    centers = np.array(
-        [points[[index[rid] for rid in group]].mean(axis=0) for group in init.groups]
-    )
+    centers = np.array([_mean(points[[index[rid] for rid in group]]) for group in init.groups])
     labels = np.array([assignment[rid] for rid in ids])
     sse = float(((points - centers[labels]) ** 2).sum())
     return ClusterModel(

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Record, cell_matrix
+from .dataset import Dataset, Record, as_dataset
 from .kmeans import ClusterModel
 
 
@@ -56,24 +56,18 @@ def mean(values: Sequence[float]) -> float:
     return total / len(values)
 
 
-def _row(record: Record, centroids: Sequence[Sequence[float]]) -> list[tuple]:
-    """The record as a one-row input of the kernel, once its arity is
-    checked against every centroid."""
-    for centroid in centroids:
-        if len(record.cells) != len(centroid):
-            raise ValueError(
-                f"record {record.id} has {len(record.cells)} cells, centroid has {len(centroid)}"
-            )
-    return [record.cells]
-
-
 MISSING = "record {} has missing cells; use type2_distance"
 UNOBSERVED = "record {} has no observed values"
 
 
-def _check_observed(record: Record) -> None:
-    if record.cells.count(None) == len(record.cells):
+def _one_row(record: Record, arity: int) -> list[tuple]:
+    """The record as a one-row input of the kernel, checked to have
+    arity cells, at least one of them observed."""
+    if len(record.cells) != arity:
+        raise ValueError(f"record {record.id} has {len(record.cells)} cells, expected {arity}")
+    if record.cells.count(None) == arity:
         raise ValueError(UNOBSERVED.format(record.id))
+    return [record.cells]
 
 
 def type2_distance(record: Record, centroid: Sequence[float]) -> float:
@@ -83,15 +77,13 @@ def type2_distance(record: Record, centroid: Sequence[float]) -> float:
     with more missing cells systematically measure shorter; the
     reproduced tables assume exactly that.
     """
-    _check_observed(record)
-    return math.sqrt(squared_distances(_row(record, [centroid]), [centroid])[0, 0])
+    return math.sqrt(squared_distances(_one_row(record, len(centroid)), [centroid])[0, 0])
 
 
 def map_query(record: Record, model: ClusterModel) -> float:
     """Map'(R): sum of type-2 distances to every centroid.  For a
     complete record this is Map(R), the sum of its type-1 distances."""
-    _check_observed(record)
-    return float(map_values(_row(record, model.centroids), model.centroids)[0])
+    return float(map_values(_one_row(record, len(model.centroids[0])), model.centroids)[0])
 
 
 def check_map_value(table: str, rid: str, value: float) -> float:
@@ -110,8 +102,11 @@ class MappingTable:
 
     def __post_init__(self) -> None:
         for name, table in (("complete_map", self.complete_map), ("query_map", self.query_map)):
-            for rid, value in table.items():
-                check_map_value(name, rid, value)
+            values = np.fromiter(table.values(), float, len(table))
+            bad = ~((values >= 0) & (values < math.inf))  # NaN fails both
+            if bad.any():
+                rid = list(table)[int(bad.argmax())]
+                check_map_value(name, rid, table[rid])
 
     @cached_property
     def donor_ids(self) -> tuple[str, ...]:
@@ -120,38 +115,35 @@ class MappingTable:
 
     @cached_property
     def sorted_donors(self) -> tuple[list[float], list[int]]:
-        """Donor mapping values in ascending order, each paired with its
-        donor's position in donor-pool order.  Built once per table."""
-        values = list(self.complete_map.values())
-        order = sorted(range(len(values)), key=values.__getitem__)
-        return [values[i] for i in order], order
+        """Donor mapping values in ascending order (a stable sort), each
+        paired with its donor's position in donor-pool order."""
+        values = np.fromiter(self.complete_map.values(), float, len(self.complete_map))
+        order = np.argsort(values, kind="stable")
+        return values[order].tolist(), order.tolist()
 
 
-def _group_map(records: Sequence[Record], model: ClusterModel, complete: bool) -> dict[str, float]:
+def _group_map(rows: Dataset | Sequence[Record], model: ClusterModel, complete: bool) -> dict[str, float]:
     """Mapping value per record id for one group, checked as map_query
     checks a record (and, for donors, for a missing cell), raised for
     the first record that fails."""
-    centroids = model.centroids
-    try:
-        X = cell_matrix(records, len(centroids[0]))
-    except ValueError:
-        for r in records:
-            _row(r, centroids)
-        raise
-    missing = np.isnan(X)
+    if not len(rows):
+        return {}
+    rows = as_dataset(rows, len(model.centroids[0]))
+    missing = np.isnan(rows.matrix)
     bad = missing.any(axis=1) if complete else missing.all(axis=1)
     if bad.any():
-        raise ValueError((MISSING if complete else UNOBSERVED).format(records[int(bad.argmax())].id))
-    return dict(zip((r.id for r in records), map_values(X, centroids).tolist()))
+        raise ValueError((MISSING if complete else UNOBSERVED).format(rows.ids[int(bad.argmax())]))
+    return dict(zip(rows.ids, map_values(rows.matrix, model.centroids).tolist()))
 
 
 def build_mapping(
-    g1: Sequence[Record],
-    queries: Sequence[Record],
+    g1: Dataset | Sequence[Record],
+    queries: Dataset | Sequence[Record],
     model: ClusterModel,
 ) -> MappingTable:
-    """Map(R) for the donor pool and Map'(R) for the queries, one kernel
-    call per group."""
+    """Map(R) for the donor pool and Map'(R) for the queries, each
+    group an encoded dataset or a sequence of records, one kernel call
+    per group."""
     return MappingTable(
         complete_map=_group_map(g1, model, complete=True),
         query_map=_group_map(queries, model, complete=False),

@@ -3,6 +3,7 @@ subcommands, driven through main() with real files."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -420,6 +421,31 @@ def test_classify_wrong_arity_query_exits_2_naming_row(classify_files, tmp_path,
     code = main(["classify", "--train", train, "--schema", schema, "--query", bad, "--config", config])
     assert code == EXIT_USAGE
     assert "row 3" in capsys.readouterr().err
+
+
+def oversized_field() -> str:
+    """One field longer than the csv module accepts."""
+    return "9" * (csv.field_size_limit() + 1)
+
+
+def test_impute_oversized_field_exits_2_naming_row(impute_files, capsys):
+    tmp_path, _, schema, config = impute_files
+    rows = fixture_text("table03_missing_raw.csv").splitlines()
+    rows[3] = oversized_field() + rows[3][rows[3].index(",") :]
+    data = write(tmp_path / "big.csv", "\n".join(rows) + "\n")
+    code = main(["impute", "--data", data, "--schema", schema, "--config", config, "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "row 4" in err and "field larger than field limit" in err
+
+
+def test_classify_oversized_query_field_exits_2_naming_row(classify_files, tmp_path, capsys):
+    _, train, schema, _, config = classify_files
+    big = write(tmp_path / "big.csv", QUERY_HEADER + NEW_RECORD_ROW + oversized_field() + ",5,2,9\n")
+    code = main(["classify", "--train", train, "--schema", schema, "--query", big, "--config", config])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "row 3" in err and "field larger than field limit" in err
 
 
 def test_classify_incomplete_query_exits_2(classify_files, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -15,6 +17,7 @@ from cmimpute.dataset import (
     Dataset,
     Record,
     Schema,
+    csv_text,
     dataset_to_csv,
     decode_dataset,
     encode,
@@ -156,6 +159,43 @@ def test_custom_missing_markers_override():
     schema = Schema(numeric_schema(1).attributes, "class", missing_markers=frozenset({"NA"}))
     ds = parse_dataset(text, schema)
     assert ds.record("R1").cells == (None,)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        # The first bad field in row order wins, whatever its column or kind.
+        ("x1,x2,class\n1,bogus,a\n1,a\n", "row 2: 'bogus'"),
+        ("x1,x2,class\n1,2,a\n1,a\nnan,1,a\n", "row 3: expected 3 fields"),
+        ("x1,x2,class\n1,2,a\n1,nan,a\ninf,1,a\n", "row 3: non-finite value 'nan'"),
+        ("x1,x2,class\n1,2e100,a\nbogus,1,a\n", "row 2: '2e100' .* magnitude bound"),
+    ],
+)
+def test_the_first_bad_field_in_row_order_is_named(text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_dataset(text, numeric_schema(2))
+
+
+def test_fields_parse_as_python_floats_and_markers_are_stripped():
+    ds = parse_dataset("x1,x2,class\n1_000, ? ,a\n -0.0 ,2,b\n", numeric_schema(2))
+    assert [r.cells for r in ds.records] == [(1000.0, None), (-0.0, 2.0)]
+    assert str(ds.records[1].cells[0]) == "-0.0"
+
+
+@given(
+    st.lists(
+        st.lists(st.text(alphabet='ab ,"\r\n?', max_size=3), min_size=3, max_size=3),
+        max_size=6,
+    ),
+    st.integers(1, 3),
+)
+def test_csv_text_is_what_csv_writer_writes(rows, width):
+    rows = [row[:width] for row in rows]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["h"] * width)
+    writer.writerows(rows)
+    assert csv_text(["h"] * width, [list(c) for c in zip(*rows)] or [[]] * width) == buf.getvalue()
 
 
 # --- encoding and decoding ---

@@ -5,6 +5,7 @@ finite result, never an internal error or a NaN."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cmimpute.casestudy import CLASSIFICATION_PARTITION, IMPUTATION_PARTITION, fixture_text
 from cmimpute.classify import classify_mapped, classify_raw_knn
-from cmimpute.cli import EXIT_INTERNAL, main
+from cmimpute.cli import EXIT_INTERNAL, EXIT_USAGE, main
 from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Record, Schema, encode, parse_dataset
 from cmimpute.errors import InsufficientDataError
 from cmimpute.evaluate import ALL_METHODS
@@ -37,6 +38,15 @@ QUERY_FILES = {
     "query_missing.csv": "A1,A2,A3,A4\nc12,6,d31,8\n",
 }
 
+# A data file whose last field is one character longer than the csv
+# module accepts.
+OVERSIZED = "oversized.csv"
+
+
+def oversized_text() -> str:
+    return fixture_text("table03_missing_raw.csv") + "c11,5,d31,10," + "x" * (csv.field_size_limit() + 1) + "\n"
+
+
 # Short strings over an alphabet that spells ".", "..", "" and a NUL
 # byte: paths that are directories, missing, or not paths at all.
 short_text = st.text(alphabet="ab.\0", max_size=3)
@@ -45,7 +55,7 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(short_text, inner, max_size=3),
     max_leaves=6,
 )
-paths = st.sampled_from(FIXTURES + tuple(QUERY_FILES) + ("out.csv", ".", "no/such/dir.csv"))
+paths = st.sampled_from(FIXTURES + tuple(QUERY_FILES) + (OVERSIZED, "out.csv", ".", "no/such/dir.csv"))
 partitions = st.sampled_from((IMPUTATION_PARTITION, CLASSIFICATION_PARTITION, (("R1",), ("R2", "R99"))))
 inits = st.one_of(
     st.fixed_dictionaries(
@@ -107,13 +117,12 @@ CONFIGS = {"evaluate": evaluate_specs}
 
 def run_in_scratch_dir(command: str, config: dict) -> int:
     """main() on `command --config run.json`, in a fresh directory
-    holding the bundled fixtures and the complete query files."""
+    holding the bundled fixtures, the complete query files and the
+    data file with an oversized field."""
     cwd = os.getcwd()
+    files = {name: fixture_text(name) for name in FIXTURES} | QUERY_FILES | {OVERSIZED: oversized_text()}
     with tempfile.TemporaryDirectory() as scratch:
-        for name in FIXTURES:
-            with open(os.path.join(scratch, name), "w", encoding="utf-8") as fh:
-                fh.write(fixture_text(name))
-        for name, text in QUERY_FILES.items():
+        for name, text in files.items():
             with open(os.path.join(scratch, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         with open(os.path.join(scratch, "run.json"), "w", encoding="utf-8") as fh:
@@ -132,6 +141,20 @@ def test_no_run_config_is_an_internal_error(command, data):
     """A run config, or for evaluate an experiment spec."""
     config = data.draw(CONFIGS.get(command, run_configs))
     assert run_in_scratch_dir(command, config) != EXIT_INTERNAL
+
+
+@pytest.mark.parametrize(
+    ("command", "config"),
+    [
+        ("impute", {"data": OVERSIZED, "schema": "schema_missing.json", "out": "out.csv"}),
+        ("classify", {"train": "table16_classification.csv", "schema": "schema_classification.json", "query": OVERSIZED}),
+        ("evaluate", {"dataset": OVERSIZED, "schema": "schema_missing.json"}),
+    ],
+)
+def test_an_oversized_field_is_a_usage_error(command, config):
+    """The run configs above reach the oversized-field file only now
+    and then; these three reach it on purpose."""
+    assert run_in_scratch_dir(command, config) == EXIT_USAGE
 
 
 # --- (b) clustering on thin grids ---

@@ -3,17 +3,21 @@ end-to-end fill pipeline."""
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cmimpute.casestudy import (
     CLASSIFICATION_PARTITION,
     IMPUTATION_PARTITION,
     expected_values,
+    fixture_text,
     load_classification_dataset,
     load_normalized_dataset,
     new_record,
@@ -26,6 +30,11 @@ from cmimpute.dataset import (
     Dataset,
     Record,
     Schema,
+    dataset_to_csv,
+    decode_dataset,
+    encode,
+    parse_dataset,
+    schema_from_dict,
     split_groups,
 )
 from cmimpute.errors import ConfigError, InsufficientDataError, NoDonorsError
@@ -423,51 +432,88 @@ def test_natural_tie_flows_through_provenance():
     assert fill.value == 1.0 and fill.symbol == "u"
 
 
-def reference_fill(donors, g1, attr, spec, maps) -> float:
-    """A cell's fill by its definition, scanning the whole donor pool
-    for the tie-settling class on every call."""
+def reference_fill(donors, g1, attr, spec, maps) -> tuple[float, str]:
+    """A cell's fill and tie policy by their definition, scanning the
+    whole donor pool for the tie-settling class on every call."""
     if len(donors) == 1:
-        return donors[0].cells[attr]
+        return donors[0].cells[attr], "single-donor"
     counts = Counter(d.label for d in donors if d.label is not None)
     if counts:
         top = max(counts.values())
         contenders = [d for d in donors if counts[d.label] == top]
         klass = min(contenders, key=lambda d: maps.complete_map[d.id]).label
-        pool = [r for r in g1 if r.label == klass]
+        pool, suffix = [r for r in g1 if r.label == klass], "same-class"
     else:
-        pool = donors
+        pool, suffix = donors, "tied-donors"
     values = [r.cells[attr] for r in pool]
     if spec.kind == CATEGORICAL:
         modes = Counter(values)
-        return min(v for v, n in modes.items() if n == max(modes.values()))
+        return min(v for v, n in modes.items() if n == max(modes.values())), f"modal-{suffix}"
     total = 0.0
     for v in values:  # left to right, as on every Python
         total += v
-    return total / len(values)
+    return total / len(values), f"mean-{suffix}"
 
 
-def check_stages_against_brute_force(masked: Dataset, seed: int):
-    """Recompute every pipeline stage independently and compare bit for bit."""
-    config = ImputeConfig(mode=MODE_ABSOLUTE, init=FarthestFirst(seed))
+def reference_text(dataset: Dataset, fills: dict, mode: str) -> tuple[str, str]:
+    """The completed table and the provenance CSV written one record at
+    a time, from the masked records and the expected fills (donors,
+    value and policy per (query id, attribute))."""
+
+    def render(spec, value):
+        if value is None:
+            return "?"
+        if spec.kind == CATEGORICAL:
+            return {ordinal: symbol for symbol, ordinal in spec.encoding.items()}[value]
+        return str(int(value)) if abs(value) < 1e15 and value == int(value) else repr(value)
+
+    attrs = dataset.schema.attributes
+    table, provenance = io.StringIO(), io.StringIO()
+    table_writer = csv.writer(table, lineterminator="\n")
+    table_writer.writerow([*dataset.schema.attribute_names, dataset.schema.label_column])
+    provenance_writer = csv.writer(provenance, lineterminator="\n")
+    provenance_writer.writerow(["query", "attribute", "donors", "value", "symbol", "mode", "tie_policy"])
+    for r in dataset.records:
+        cells = list(r.cells)
+        for attr in r.missing_indices:
+            donors, value, policy = fills[r.id, attr]
+            cells[attr] = value
+            symbol = render(attrs[attr], value) if attrs[attr].kind == CATEGORICAL else ""
+            number = str(int(value)) if abs(value) < 1e15 and value == int(value) else repr(value)
+            provenance_writer.writerow([r.id, attrs[attr].name, ";".join(donors), number, symbol, mode, policy])
+        table_writer.writerow([render(spec, c) for spec, c in zip(attrs, cells)] + [r.label or ""])
+    return table.getvalue(), provenance.getvalue()
+
+
+def check_stages_against_brute_force(masked: Dataset, seed: int, mode: str = MODE_ABSOLUTE, k: int | None = None):
+    """Recompute every pipeline stage independently, one record at a
+    time, and compare bit for bit, down to the bytes written."""
+    k = masked.n_classes if k is None else k
+    config = ImputeConfig(mode=mode, k=k, init=FarthestFirst(seed))
     result = impute_dataset(masked, config)
 
     split = split_groups(masked)
-    model = cluster(split.g1, masked.n_classes, FarthestFirst(seed))
+    model = cluster(split.g1, k, FarthestFirst(seed))
     assert model == result.model
     maps = build_mapping(split.g1, split.g2, model)
     assert maps == result.maps
     by_id = {r.id: r for r in split.g1}
 
     assert result.dataset.is_complete
+    expected = {}
+    for r in split.g2:
+        donors = brute_nearest(maps, r.id, mode)
+        for attr in r.missing_indices:
+            spec = masked.schema.attributes[attr]
+            value, policy = reference_fill([by_id[d] for d in donors], split.g1, attr, spec, maps)
+            expected[r.id, attr] = (donors, value, policy)
+    assert [(f.query_id, f.attr_index) for f in result.fills] == list(expected)
     for fill in result.fills:
-        donors = brute_nearest(maps, fill.query_id, MODE_ABSOLUTE)
-        assert fill.donor_ids == donors
-        query = masked.record(fill.query_id)
-        spec = masked.schema.attributes[fill.attr_index]
-        donor_records = [by_id[d] for d in donors]
-        expected = reference_fill(donor_records, split.g1, fill.attr_index, spec, maps)
-        assert fill.value == expected
-        assert result.dataset.record(fill.query_id).cells[fill.attr_index] == expected
+        assert (fill.donor_ids, fill.value, fill.tie_policy) == expected[fill.query_id, fill.attr_index]
+        assert result.dataset.record(fill.query_id).cells[fill.attr_index] == fill.value
+    table, provenance = reference_text(masked, expected, mode)
+    assert dataset_to_csv(decode_dataset(result.dataset)) == table
+    assert provenance_csv(result) == provenance
     return result
 
 
@@ -503,6 +549,63 @@ def test_tie_heavy_stages_match_a_brute_force_recomputation():
     policies = Counter(f.tie_policy for f in result.fills)
     assert policies["single-donor"] == 0
     assert policies["mean-same-class"] > 0 and policies["modal-same-class"] > 0
+
+
+# Cells from a small grid, -0.0 included, and their next one or two
+# floats up: rows repeat, so mapping values repeat, and nearly equal
+# rows map to nextafter neighbours.
+grid_cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5]),
+    st.builds(_ulps_up, st.sampled_from([0.0, 1.0, 2.0]), st.integers(1, 2)),
+)
+TIE_SCHEMA = Schema(
+    (
+        AttributeSpec("x", NUMERIC),
+        AttributeSpec("y", NUMERIC),
+        AttributeSpec("c", CATEGORICAL, {"u": 1, "v": 2, "w": 3}),
+    ),
+    "class",
+)
+
+
+@st.composite
+def masked_tables(draw):
+    rows = draw(
+        st.lists(
+            st.tuples(grid_cells, grid_cells, st.sampled_from([1.0, 2.0, 3.0]), st.sampled_from([None, "A", "B"])),
+            min_size=3,
+            max_size=14,
+        )
+    )
+    holes = draw(st.sets(st.tuples(st.integers(0, len(rows) - 1), st.integers(0, 2)), min_size=1))
+    records = []
+    for i, (*cells, label) in enumerate(rows):
+        holed = tuple(None if (i, j) in holes else c for j, c in enumerate(cells))
+        records.append(Record(f"R{i + 1}", holed if None in holed and holed.count(None) < 3 else tuple(cells), label))
+    return Dataset(TIE_SCHEMA, tuple(records))
+
+
+@settings(max_examples=150, deadline=None)
+@given(masked_tables(), st.sampled_from(MODES), st.integers(1, 2), st.integers(0, 20))
+def test_tie_runs_match_a_record_at_a_time_reference(masked, mode, k, seed):
+    """Repeated and nextafter-close mapping values, unlabeled rows,
+    -0.0 cells and categorical fills, in both modes: the batched
+    selection and its tie fallback agree with the reference, and so do
+    the bytes written."""
+    assume(not masked.is_complete)
+    assume(len({r.cells for r in masked.records if r.is_complete}) >= k)
+    check_stages_against_brute_force(masked, seed, mode, k)
+
+
+def test_the_columnar_chain_builds_no_records():
+    schema = schema_from_dict(json.loads(fixture_text("schema_missing.json")))
+    raw = parse_dataset(fixture_text("table03_missing_raw.csv"), schema)
+    encoded = encode(raw)
+    result = impute_dataset(encoded, ImputeConfig(mode=MODE_ABSOLUTE, k=2))
+    decoded = decode_dataset(result.dataset)
+    assert dataset_to_csv(decoded).count("\n") == 10
+    for dataset in (raw, encoded, result.dataset, decoded):
+        assert "records" not in vars(dataset)
 
 
 def test_selection_never_builds_the_difference_table(monkeypatch, missing_dataset):

@@ -305,3 +305,30 @@ def test_cluster_rejects_unencoded_and_incomplete_records():
         cluster([Record("R1", ("sym", 1.0)), Record("R2", (1.0, 1.0))], 1, SeededRandom(0))
     with pytest.raises(ValueError, match="missing"):
         cluster([Record("R1", (None, 1.0)), Record("R2", (1.0, 1.0))], 1, SeededRandom(0))
+
+
+# --- the arithmetic of a mean ---
+
+
+def left_to_right_mean(rows) -> tuple[float, ...]:
+    """Each coordinate's values added row by row from the first, then
+    divided by the row count."""
+    total = list(rows[0])
+    for row in rows[1:]:
+        total = [t + v for t, v in zip(total, row)]
+    return tuple(t / len(rows) for t in total)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_centroids_add_their_members_left_to_right(n, data):
+    # NumPy's mean adds a single column pairwise, which rounds
+    # differently from a row loop once a cluster has nine or more members.
+    rows = data.draw(
+        st.lists(st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * n), min_size=1, max_size=40)
+    )
+    records = grid_records(rows)
+    fixed = cluster(records, 1, FixedPartition((tuple(r.id for r in records),)))
+    lloyd = cluster(records, 1, SeededRandom(0))
+    assert fixed.centroids == lloyd.centroids == (left_to_right_mean(rows),)
