@@ -196,13 +196,13 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     checks.exact(
         "group split (Tables IV-V)",
         "complete group",
-        tuple(r.id for r in split.g1),
+        split.g1.ids,
         ("R1", "R2", "R4", "R6", "R7", "R8", "R9"),
     )
     checks.exact(
         "group split (Tables IV-V)",
         "missing group",
-        tuple(r.id for r in split.g2),
+        split.g2.ids,
         ("R3", "R5"),
     )
 
@@ -218,7 +218,7 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     # unordered, which is labeling-independent.
     t7 = expected_values("table07")
     t8 = expected_values("table08")
-    for r in split.g1:
+    for r in split.g1.records:
         computed = (
             type2_distance(r, model.centroids[0]),
             type2_distance(r, model.centroids[1]),
@@ -228,12 +228,12 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     # --- mapping values of the complete group (Table IX) ---
     t9 = expected_values("table09")
     maps = build_mapping(split.g1, split.g2, model)
-    for r in split.g1:
+    for r in split.g1.records:
         checks.number("mapping values (Table IX)", r.id, maps.complete_map[r.id], t9[r.id])
 
     # --- observed-coordinate distances of the queries (Table X) ---
     t10 = expected_pairs("table10")
-    for r in split.g2:
+    for r in split.g2.records:
         computed = (
             type2_distance(r, model.centroids[0]),
             type2_distance(r, model.centroids[1]),
@@ -264,7 +264,7 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     for name, qid in (("table12", "R3"), ("table14", "R5")):
         expected = expected_values(name)
         label = f"difference grid, replay (Table {'XII' if qid == 'R3' else 'XIV'})"
-        for r in split.g1:
+        for r in split.g1.records:
             checks.number(label, r.id, replay_table.entries[(r.id, qid)], expected[r.id])
 
     # --- nearest donor and the imputed cells (Tables XIII, XV) ---
@@ -313,7 +313,7 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     )
 
     # clusters over all records (Table XVIII)
-    model2 = cluster(cds.records, 2, FixedPartition(CLASSIFICATION_PARTITION))
+    model2 = cluster(cds, 2, FixedPartition(CLASSIFICATION_PARTITION))
     clusters18 = expected_clusters("table18_clusters")
     checks.exact("clusters (Table XVIII)", "C1", set(model2.members(0)), set(clusters18["C1"]))
     checks.exact("clusters (Table XVIII)", "C2", set(model2.members(1)), set(clusters18["C2"]))
@@ -322,7 +322,7 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     t19 = expected_values("table19")
     t20 = expected_values("table20")
     t21 = expected_values("table21")
-    cmaps = build_mapping(cds.records, [query], model2)
+    cmaps = build_mapping(cds, Dataset(cds.schema, [query]), model2)
     for r in cds.records:
         checks.number(
             "centroid distances (Table XIX)",

@@ -95,7 +95,7 @@ class _Fit:
         if entry is None or entry[0] is not model:
             if set(model.assignment) != set(self.rows):
                 raise ValueError("model was built on different records than the training dataset")
-            entry = self._maps[id(model)] = (model, build_mapping(self.training, [], model))
+            entry = self._maps[id(model)] = (model, build_mapping(self.training, self.training.take([]), model))
         return entry[1]
 
 

@@ -295,23 +295,13 @@ class Dataset:
         return {}
 
 
-def as_dataset(rows: Dataset | Sequence[Record], arity: int | None = None) -> Dataset:
-    """A dataset as it is; records under a schema of `arity` (by default
-    the first record's) numeric attributes."""
-    if isinstance(rows, Dataset):
-        return rows
-    records = tuple(rows)
-    arity = len(records[0].cells) if arity is None else arity
-    return Dataset(Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(arity))), records)
-
-
 @dataclass(frozen=True)
 class GroupSplit:
     """Complete records (g1, the donor pool) and records with at least
     one missing cell (g2, the queries), both in original order."""
 
-    g1: tuple[Record, ...]
-    g2: tuple[Record, ...]
+    g1: Dataset
+    g2: Dataset
 
 
 def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
@@ -467,12 +457,9 @@ def decode_dataset(dataset: Dataset) -> Dataset:
 
 def split_groups(dataset: Dataset) -> GroupSplit:
     """Partition records into the complete group and the missing-value
-    group, both keeping original order."""
-    if not dataset.is_encoded:
-        raise ValueError("dataset must be encoded before splitting")
-    complete = (~np.isnan(dataset.matrix).any(axis=1)).tolist()
-    pairs = list(zip(dataset.records, complete))
-    return GroupSplit(tuple(r for r, c in pairs if c), tuple(r for r, c in pairs if not c))
+    group, both keeping original order.  The dataset must be encoded."""
+    incomplete = np.isnan(dataset.matrix).any(axis=1)
+    return GroupSplit(dataset.take(np.flatnonzero(~incomplete)), dataset.take(np.flatnonzero(incomplete)))
 
 
 def format_number(value: float) -> str:

@@ -9,7 +9,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -282,7 +282,19 @@ class EvaluationReport:
             "trials": self.trials,
             "master_seed": self.master_seed,
             "holdout_fraction": self.holdout_fraction,
-            "results": [asdict(r) for r in self.results],
+            "results": [
+                {
+                    "method": r.method,
+                    "rate": r.rate,
+                    "trial": r.trial,
+                    "mask_seed": r.mask_seed,
+                    "n_masked": r.n_masked,
+                    "numeric_rmse": r.numeric_rmse,
+                    "categorical_accuracy": r.categorical_accuracy,
+                    "downstream_accuracy": r.downstream_accuracy,
+                }
+                for r in self.results
+            ],
             "aggregates": self.aggregates(),
         }
 
@@ -290,12 +302,33 @@ class EvaluationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def summary_csv(self) -> str:
-        """One row per trial result; csv writes None as an empty field
-        and a float as its repr."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f.name for f in fields(TrialResult)])
-        writer.writerows(map(astuple, self.results))
+        writer.writerow(
+            [
+                "method",
+                "rate",
+                "trial",
+                "mask_seed",
+                "n_masked",
+                "numeric_rmse",
+                "categorical_accuracy",
+                "downstream_accuracy",
+            ]
+        )
+        for r in self.results:
+            writer.writerow(
+                [
+                    r.method,
+                    r.rate,
+                    r.trial,
+                    r.mask_seed,
+                    r.n_masked,
+                    "" if r.numeric_rmse is None else repr(r.numeric_rmse),
+                    "" if r.categorical_accuracy is None else repr(r.categorical_accuracy),
+                    "" if r.downstream_accuracy is None else repr(r.downstream_accuracy),
+                ]
+            )
         return buf.getvalue()
 
 

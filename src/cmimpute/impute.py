@@ -11,14 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (
-    CATEGORICAL,
-    AttributeSpec,
-    Dataset,
-    Record,
-    csv_text,
-    format_column,
-)
+from .dataset import CATEGORICAL, AttributeSpec, Dataset, csv_text, format_column, split_groups
 from .errors import ConfigError, InsufficientDataError, NoDonorsError
 from .kmeans import ClusterModel, FarthestFirst, InitPolicy, cluster
 from .mapping import MappingTable, build_mapping, mean
@@ -86,6 +79,12 @@ def nearest_donors(maps: MappingTable, c: float, mode: str) -> tuple[str, ...]:
     neighbours.  Each run is widened with the same arithmetic as d_ij,
     so values that rounding merges tie exactly as they do in the table.
     """
+    ids = maps.donor_ids
+    return tuple(ids[i] for i in _nearest_rows(maps, c, mode))
+
+
+def _nearest_rows(maps: MappingTable, c: float, mode: str) -> tuple[int, ...]:
+    """nearest_donors as donor-pool positions, in ascending order."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     values, order = maps.sorted_donors
@@ -104,8 +103,7 @@ def nearest_donors(maps: MappingTable, c: float, mode: str) -> tuple[str, ...]:
             lo -= 1
         while hi < len(values) and abs(values[hi] - c) == best:
             hi += 1
-    ids = maps.donor_ids
-    return tuple(ids[i] for i in sorted(order[lo:hi]))
+    return tuple(sorted(order[lo:hi]))
 
 
 def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -130,44 +128,44 @@ def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> tuple[np.ndarra
     return order[pick], single
 
 
-def _class_pools(g1: Sequence[Record]) -> dict[str | None, list[Record]]:
-    """The donor pool grouped by decision class, each group in pool order."""
-    pools: dict[str | None, list[Record]] = {}
-    for r in g1:
-        pools.setdefault(r.label, []).append(r)
+def _class_pools(g1: Dataset) -> dict[str | None, list[int]]:
+    """Donor-pool positions per decision class, each in pool order;
+    built on the first tie and kept with the pool."""
+    pools = g1._memo.get(_class_pools)
+    if pools is None:
+        pools = g1._memo[_class_pools] = {}
+        for i, label in enumerate(g1.labels):
+            pools.setdefault(label, []).append(i)
     return pools
 
 
 def _fill_value(
-    query: Record,
+    query: Sequence[float],
     attr: int,
-    donors: Sequence[Record],
-    pools: Mapping[str | None, Sequence[Record]],
+    donors: Sequence[int],
+    g1: Dataset,
     spec: AttributeSpec,
     maps: MappingTable,
 ) -> tuple[float, str]:
-    """Value for one missing cell given the tied nearest donors, and
-    the tie policy that produced it.
+    """Value for one missing cell of a query, given its row of cells
+    and the donor-pool positions of its tied nearest donors, and the
+    tie policy that produced it.
 
     A single donor contributes its value verbatim.  Multiple tied
     donors defer to the donors' decision class over the whole donor
     pool: the modal value for a categorical attribute, the mean for a
     numeric one.
     """
-    if query.cells[attr] is not None:
-        raise ValueError(f"record {query.id}: cell {attr} is not missing")
+    if not math.isnan(query[attr]):
+        raise ValueError(f"cell {attr} of the query is not missing")
     if not donors:
-        raise NoDonorsError(f"record {query.id}: empty donor set")
-    for d in donors:
-        if not d.is_complete:
-            raise ValueError(f"donor {d.id} is incomplete")
-
+        raise NoDonorsError("empty donor set")
     if len(donors) == 1:
-        return float(donors[0].cells[attr]), "single-donor"
+        return float(g1.matrix[donors[0], attr]), "single-donor"
 
-    pool, labeled = _tie_pool(donors, pools, maps)
+    pool, labeled = _tie_pool(donors, g1, maps)
     suffix = "same-class" if labeled else "tied-donors"
-    values = [float(r.cells[attr]) for r in pool]
+    values = g1.matrix[pool, attr].tolist()
     if spec.kind == CATEGORICAL:
         counts = Counter(values)
         top = max(counts.values())
@@ -176,18 +174,14 @@ def _fill_value(
     return mean(values), f"mean-{suffix}"
 
 
-def _tie_pool(
-    donors: Sequence[Record],
-    pools: Mapping[str | None, Sequence[Record]],
-    maps: MappingTable,
-) -> tuple[Sequence[Record], bool]:
-    """Records whose values settle a multi-donor tie.
+def _tie_pool(donors: Sequence[int], g1: Dataset, maps: MappingTable) -> tuple[Sequence[int], bool]:
+    """Donor-pool positions whose values settle a multi-donor tie.
 
     Majority decision class among the tied donors; a class-count tie
     goes to the class of the donor with the lowest mapping value.  With
     fully unlabeled donors the donors themselves are the pool.
     """
-    labels = [d.label for d in donors if d.label is not None]
+    labels = [g1.labels[d] for d in donors if g1.labels[d] is not None]
     if not labels:
         return donors, False
     counts = Counter(labels)
@@ -196,9 +190,9 @@ def _tie_pool(
     if len(candidates) == 1:
         klass = candidates.pop()
     else:
-        contenders = [d for d in donors if d.label in candidates]
-        klass = min(contenders, key=lambda d: maps.complete_map[d.id]).label
-    return pools[klass], True
+        contenders = [d for d in donors if g1.labels[d] in candidates]
+        klass = g1.labels[min(contenders, key=lambda d: maps.complete_map[g1.ids[d]])]
+    return _class_pools(g1)[klass], True
 
 
 @dataclass(frozen=True)
@@ -261,10 +255,10 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
 
     Every query record is imputed independently against the original
     complete group; freshly completed records never become donors.
-    One nearest-donor search serves all of a record's missing cells.
-    Every query is selected at once and every single-donor fill is one
-    gather; only a query whose nearest donors tie goes through
-    nearest_donors and _fill_value."""
+    One nearest-donor search serves all of a record's missing cells:
+    every query is selected at once, and only a query whose nearest
+    donors tie goes through nearest_donors' search.  Every cell is
+    filled by _fill_value."""
     config = config or ImputeConfig()
     missing = missing_cells(dataset, "every record has missing values; nothing can donate")
     if missing is None:
@@ -279,39 +273,28 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
         if k == 0:
             raise ConfigError("dataset has no labels; supply k explicitly")
     init = config.init if config.init is not None else FarthestFirst(config.seed)
-    incomplete = missing.any(axis=1)
-    queries = np.flatnonzero(incomplete)
-    g1, g2 = dataset.take(np.flatnonzero(~incomplete)), dataset.take(queries)
+    split = split_groups(dataset)
+    g1, g2 = split.g1, split.g2
     model = cluster(g1, k, init)
     maps = build_mapping(g1, g2, model)
 
     c = np.array([maps.query_map[rid] for rid in g2.ids])
     donor, single = _select_all(maps, c, config.mode)
-    holes = missing[queries]
-    filled = np.where(holes, g1.matrix[donor], g2.matrix)
-    singles = {d: (maps.donor_ids[d],) for d in set(donor.tolist())}  # shared: fewer objects to collect
-    donor_ids = [singles[d] for d in donor.tolist()]
-    policies: dict[tuple[int, int], str] = {}
-    ties = np.flatnonzero(~single).tolist()
-    if ties:
-        pools = _class_pools(g1.records)
-        by_id = dict(zip(g1.ids, g1.records))
-        for j, query in zip(ties, g2.take(ties).records):
-            donor_ids[j] = nearest_donors(maps, float(c[j]), config.mode)
-            donors = [by_id[i] for i in donor_ids[j]]
-            for attr in query.missing_indices:
-                spec = dataset.schema.attributes[attr]
-                filled[j, attr], policies[j, attr] = _fill_value(query, attr, donors, pools, spec, maps)
+    donors = [(d,) for d in donor.tolist()]
+    for j in np.flatnonzero(~single).tolist():
+        donors[j] = _nearest_rows(maps, float(c[j]), config.mode)
+    names = {ds: tuple(maps.donor_ids[d] for d in ds) for ds in set(donors)}  # shared: fewer objects to collect
 
-    fills = []
-    rows, attrs = np.nonzero(holes)
-    for j, attr, value in zip(rows.tolist(), attrs.tolist(), filled[rows, attrs].tolist()):
+    fills, values = [], []
+    rows, attrs = np.nonzero(missing[missing.any(axis=1)])  # the holes of g2, row by row
+    for j, attr in zip(rows.tolist(), attrs.tolist()):
         spec = dataset.schema.attributes[attr]
+        value, policy = _fill_value(g2.matrix[j], attr, donors[j], g1, spec, maps)
         symbol = str(spec.decode_value(value)) if spec.kind == CATEGORICAL else None
-        policy = policies.get((j, attr), "single-donor")
-        fills.append(CellFill(g2.ids[j], attr, spec.name, donor_ids[j], value, symbol, policy))
+        fills.append(CellFill(g2.ids[j], attr, spec.name, names[donors[j]], value, symbol, policy))
+        values.append(value)
     completed = dataset.matrix.copy()
-    completed[queries] = filled
+    completed[missing] = values  # the same holes in the same order
     completed = Dataset._of(dataset.schema, dataset.ids, dataset.labels, completed.T)
     return ImputationResult(completed, tuple(fills), config.mode, model, maps)
 

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Record, as_dataset
+from .dataset import NUMERIC, AttributeSpec, Dataset, Record, Schema
 from .errors import ConfigError, InsufficientDataError
 
 MAX_ITERATIONS = 100
@@ -59,7 +59,7 @@ class ClusterModel:
 
 def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> ClusterModel:
     """Cluster complete records, given as an encoded dataset or as a
-    sequence of records, into k clusters.
+    sequence of records with numeric cells, into k clusters.
 
     Iterative policies need k distinct points and run Lloyd steps until
     the assignment stops changing or MAX_ITERATIONS is hit;
@@ -68,14 +68,15 @@ def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> Cluster
     centroid among the clusters that can spare one.
     """
     if not isinstance(g1, Dataset):
-        g1 = tuple(g1)
+        records = tuple(g1)
+        arity = len(records[0].cells) if records else 1
+        g1 = Dataset(Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(arity))), records)
     if not len(g1):
         raise InsufficientDataError("no complete records to cluster")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if len(g1) < k:
         raise InsufficientDataError(f"{len(g1)} complete records cannot form {k} clusters")
-    g1 = as_dataset(g1)
     missing = np.isnan(g1.matrix).any(axis=1)
     if missing.any():
         raise ValueError(f"record {g1.ids[int(missing.argmax())]} has missing cells")

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Record, as_dataset
+from .dataset import Dataset, Record
 from .kmeans import ClusterModel
 
 
@@ -122,13 +122,15 @@ class MappingTable:
         return values[order].tolist(), order.tolist()
 
 
-def _group_map(rows: Dataset | Sequence[Record], model: ClusterModel, complete: bool) -> dict[str, float]:
+def _group_map(rows: Dataset, model: ClusterModel, complete: bool) -> dict[str, float]:
     """Mapping value per record id for one group, checked as map_query
     checks a record (and, for donors, for a missing cell), raised for
     the first record that fails."""
+    arity = len(model.centroids[0])
+    if rows.schema.arity != arity:
+        raise ValueError(f"dataset has {rows.schema.arity} attributes, the model's centroids {arity}")
     if not len(rows):
         return {}
-    rows = as_dataset(rows, len(model.centroids[0]))
     missing = np.isnan(rows.matrix)
     bad = missing.any(axis=1) if complete else missing.all(axis=1)
     if bad.any():
@@ -136,14 +138,9 @@ def _group_map(rows: Dataset | Sequence[Record], model: ClusterModel, complete: 
     return dict(zip(rows.ids, map_values(rows.matrix, model.centroids).tolist()))
 
 
-def build_mapping(
-    g1: Dataset | Sequence[Record],
-    queries: Dataset | Sequence[Record],
-    model: ClusterModel,
-) -> MappingTable:
+def build_mapping(g1: Dataset, queries: Dataset, model: ClusterModel) -> MappingTable:
     """Map(R) for the donor pool and Map'(R) for the queries, each
-    group an encoded dataset or a sequence of records, one kernel call
-    per group."""
+    group an encoded dataset, one kernel call per group."""
     return MappingTable(
         complete_map=_group_map(g1, model, complete=True),
         query_map=_group_map(queries, model, complete=False),

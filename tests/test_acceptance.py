@@ -34,6 +34,7 @@ from cmimpute.casestudy import (
 )
 from cmimpute.classify import classify_mapped, classify_raw_knn
 from cmimpute.dataset import (
+    Dataset,
     Record,
     decode_dataset,
     encode,
@@ -94,8 +95,8 @@ def test_c2_per_cluster_distances_match_reference_unordered():
     # cluster headings, so each record's pair is compared unordered.
     _, groups, model = imputation_setup()
     expected = expected_pairs("table10")
-    assert {r.id for r in groups.g2} == expected.keys()
-    for record in groups.g2:
+    assert set(groups.g2.ids) == expected.keys()
+    for record in groups.g2.records:
         computed = sorted(type2_distance(record, c) for c in model.centroids)
         assert computed == approx(sorted(expected[record.id]), abs=TABLE_TOL), record.id
 
@@ -144,7 +145,7 @@ def test_c4_classification_tables_and_label_match_reference():
         {r.id: type2_distance(r, centroid) for r in dataset.records}
         for centroid in model.centroids
     ]
-    mapping = build_mapping(dataset.records, [query], model)
+    mapping = build_mapping(dataset, Dataset(dataset.schema, [query]), model)
     for name, computed, corrections in (
         ("table19", per_centroid[0], CORRECTED_TABLE19),
         ("table20", per_centroid[1], CORRECTED_TABLE20),

@@ -267,15 +267,15 @@ def test_numeric_attribute_rejects_encoding():
 def test_split_reference_dataset():
     ds = encode(parse_dataset(fixture_text("table03_missing_raw.csv"), missing_schema()))
     split = split_groups(ds)
-    assert [r.id for r in split.g1] == ["R1", "R2", "R4", "R6", "R7", "R8", "R9"]
-    assert [r.id for r in split.g2] == ["R3", "R5"]
+    assert split.g1.ids == ("R1", "R2", "R4", "R6", "R7", "R8", "R9")
+    assert split.g2.ids == ("R3", "R5")
 
 
 def test_split_complete_dataset_has_empty_g2():
     ds = encode(parse_dataset(fixture_text("table01_raw.csv"), missing_schema()))
     split = split_groups(ds)
-    assert split.g2 == ()
-    assert len(split.g1) == 9
+    assert len(split.g2) == 0
+    assert split.g1 == ds
 
 
 def test_split_all_records_incomplete_has_empty_g1():
@@ -284,8 +284,8 @@ def test_split_all_records_incomplete_has_empty_g1():
         (Record("R1", (None, 1.0)), Record("R2", (2.0, None))),
     )
     split = split_groups(ds)
-    assert split.g1 == ()
-    assert len(split.g2) == 2
+    assert len(split.g1) == 0
+    assert split.g2 == ds
 
 
 def test_split_requires_encoded_dataset():
@@ -315,12 +315,12 @@ def test_split_partitions_every_record(rows):
     ds = Dataset(numeric_schema(3, label=None), records)
     split = split_groups(ds)
     assert len(split.g1) + len(split.g2) == len(records)
-    g1_ids = {r.id for r in split.g1}
-    g2_ids = {r.id for r in split.g2}
+    g1_ids = set(split.g1.ids)
+    g2_ids = set(split.g2.ids)
     assert g1_ids.isdisjoint(g2_ids)
     assert g1_ids | g2_ids == {r.id for r in records}
-    assert all(r.is_complete for r in split.g1)
-    assert all(not r.is_complete for r in split.g2)
+    assert split.g1.is_complete
+    assert all(not r.is_complete for r in split.g2.records)
 
 
 def test_parse_encode_split_is_deterministic():

@@ -45,7 +45,6 @@ from cmimpute.impute import (
     MODES,
     ImputeConfig,
     difference_table,
-    _class_pools,
     _fill_value,
     impute_dataset,
     nearest_record,
@@ -231,59 +230,59 @@ CAT_SPEC = AttributeSpec("c", CATEGORICAL, {"u": 1, "v": 2, "w": 3})
 NO_TIE_MAPS = MappingTable({}, {})
 
 
+def pool(*records: Record) -> Dataset:
+    """Donor records under a schema of numeric attributes."""
+    return Dataset(Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(len(records[0].cells)))), records)
+
+
+def row(*cells) -> np.ndarray:
+    """A query's row of cells, NaN for a missing one."""
+    return np.array([np.nan if c is None else float(c) for c in cells])
+
+
 def test_single_donor_fills_verbatim():
-    query = rec("R3", 1, 7, None, 7)
-    donor = rec("R8", 3, 6, 2, 7, label="CLASS-2")
-    pools = _class_pools([donor])
-    assert _fill_value(query, 2, [donor], pools, CAT_SPEC, NO_TIE_MAPS) == (2.0, "single-donor")
-    query5 = rec("R5", 3, 3, 2, None)
-    assert _fill_value(query5, 3, [donor], pools, NUM_SPEC, NO_TIE_MAPS) == (7.0, "single-donor")
+    g1 = pool(rec("R8", 3, 6, 2, 7, label="CLASS-2"))
+    assert _fill_value(row(1, 7, None, 7), 2, (0,), g1, CAT_SPEC, NO_TIE_MAPS) == (2.0, "single-donor")
+    assert _fill_value(row(3, 3, 2, None), 3, (0,), g1, NUM_SPEC, NO_TIE_MAPS) == (7.0, "single-donor")
 
 
 def test_tied_donors_numeric_mean_over_donor_class():
-    g1 = [
+    g1 = pool(
         rec("R1", 0, 5, label="A"),
         rec("R2", 4, 9, label="A"),
         rec("R3", 2, 100, label="B"),
-    ]
-    query = rec("Q", 1, None)
-    donors = [g1[0], g1[1]]
-    assert _fill_value(query, 1, donors, _class_pools(g1), NUM_SPEC, NO_TIE_MAPS) == (7.0, "mean-same-class")
+    )
+    assert _fill_value(row(1, None), 1, (0, 1), g1, NUM_SPEC, NO_TIE_MAPS) == (7.0, "mean-same-class")
 
 
 def test_tied_donors_categorical_mode_over_donor_class():
-    g1 = [
+    g1 = pool(
         rec("R1", 0, 1, label="A"),
         rec("R2", 4, 1, label="A"),
         rec("R3", 2, 2, label="A"),
         rec("R4", 9, 3, label="B"),
-    ]
-    query = rec("Q", 1, None)
-    donors = [g1[0], g1[2]]
-    assert _fill_value(query, 1, donors, _class_pools(g1), CAT_SPEC, NO_TIE_MAPS) == (1.0, "modal-same-class")
+    )
+    assert _fill_value(row(1, None), 1, (0, 2), g1, CAT_SPEC, NO_TIE_MAPS) == (1.0, "modal-same-class")
 
 
 def test_categorical_modal_tie_takes_smallest_value():
-    g1 = [
+    g1 = pool(
         rec("R1", 0, 2, label="A"),
         rec("R2", 4, 1, label="A"),
-    ]
-    query = rec("Q", 1, None)
-    assert _fill_value(query, 1, g1, _class_pools(g1), CAT_SPEC, NO_TIE_MAPS) == (1.0, "modal-same-class")
+    )
+    assert _fill_value(row(1, None), 1, (0, 1), g1, CAT_SPEC, NO_TIE_MAPS) == (1.0, "modal-same-class")
 
 
 def test_class_count_tie_resolved_by_lowest_mapping_donor():
-    g1 = [
+    g1 = pool(
         rec("R1", 0, 5, label="A"),
         rec("R2", 4, 9, label="B"),
         rec("R4", 2, 7, label="A"),
-    ]
-    donors = [g1[1], g1[0]]  # donor order must not decide
+    )
+    donors = (1, 0)  # donor order must not decide
     maps = MappingTable({"R1": 2.0, "R2": 4.0, "R4": 3.0}, {"Q": 3.0})
-    query = rec("Q", 1, None)
     # R1 has the lowest mapping value, so class A's records average.
-    pools = _class_pools(g1)
-    assert _fill_value(query, 1, donors, pools, NUM_SPEC, maps) == (6.0, "mean-same-class")
+    assert _fill_value(row(1, None), 1, donors, g1, NUM_SPEC, maps) == (6.0, "mean-same-class")
 
 
 def test_mean_fill_adds_left_to_right_on_every_python(compensated_sum):
@@ -307,21 +306,16 @@ def test_mean_fill_adds_left_to_right_on_every_python(compensated_sum):
 
 
 def test_unlabeled_donors_pool_is_the_donors():
-    g1 = [rec("R1", 0, 5), rec("R2", 4, 9), rec("R3", 2, 100)]
-    query = rec("Q", 1, None)
-    donors = [g1[0], g1[1]]
-    assert _fill_value(query, 1, donors, _class_pools(g1), NUM_SPEC, NO_TIE_MAPS) == (7.0, "mean-tied-donors")
+    g1 = pool(rec("R1", 0, 5), rec("R2", 4, 9), rec("R3", 2, 100))
+    assert _fill_value(row(1, None), 1, (0, 1), g1, NUM_SPEC, NO_TIE_MAPS) == (7.0, "mean-tied-donors")
 
 
 def test_fill_value_contract_errors():
-    donor = rec("R1", 1, 2)
-    pools = _class_pools([donor])
+    g1 = pool(rec("R1", 1, 2))
     with pytest.raises(ValueError, match="not missing"):
-        _fill_value(rec("Q", 1, 2), 1, [donor], pools, NUM_SPEC, NO_TIE_MAPS)
+        _fill_value(row(1, 2), 1, (0,), g1, NUM_SPEC, NO_TIE_MAPS)
     with pytest.raises(NoDonorsError):
-        _fill_value(rec("Q", 1, None), 1, [], pools, NUM_SPEC, NO_TIE_MAPS)
-    with pytest.raises(ValueError, match="incomplete"):
-        _fill_value(rec("Q", 1, None), 1, [rec("R9", None, 2)], pools, NUM_SPEC, NO_TIE_MAPS)
+        _fill_value(row(1, None), 1, (), g1, NUM_SPEC, NO_TIE_MAPS)
 
 
 # --- the full pipeline ---
@@ -497,15 +491,16 @@ def check_stages_against_brute_force(masked: Dataset, seed: int, mode: str = MOD
     assert model == result.model
     maps = build_mapping(split.g1, split.g2, model)
     assert maps == result.maps
-    by_id = {r.id: r for r in split.g1}
+    g1 = split.g1.records
+    by_id = {r.id: r for r in g1}
 
     assert result.dataset.is_complete
     expected = {}
-    for r in split.g2:
+    for r in split.g2.records:
         donors = brute_nearest(maps, r.id, mode)
         for attr in r.missing_indices:
             spec = masked.schema.attributes[attr]
-            value, policy = reference_fill([by_id[d] for d in donors], split.g1, attr, spec, maps)
+            value, policy = reference_fill([by_id[d] for d in donors], g1, attr, spec, maps)
             expected[r.id, attr] = (donors, value, policy)
     assert [(f.query_id, f.attr_index) for f in result.fills] == list(expected)
     for fill in result.fills:

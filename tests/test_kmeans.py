@@ -202,7 +202,7 @@ def test_converged_assignment_matches_nearest_centroid(missing_dataset):
     g1 = split_groups(missing_dataset).g1
     model = cluster(g1, 2, FarthestFirst(14))
     centers = np.array(model.centroids)
-    for r in g1:
+    for r in g1.records:
         point = np.array([float(c) for c in r.cells])
         d2 = ((point - centers) ** 2).sum(axis=1)
         assert d2[model.assignment[r.id]] <= d2.min() + 1e-9
@@ -274,7 +274,7 @@ def exhaustive_best_two_partition(records):
 
 def test_reference_imputation_partition_is_the_global_sse_minimum(missing_dataset):
     g1 = split_groups(missing_dataset).g1
-    best_sse, best_key = exhaustive_best_two_partition(g1)
+    best_sse, best_key = exhaustive_best_two_partition(g1.records)
     reference = frozenset(frozenset(g) for g in IMPUTATION_PARTITION)
     assert best_key == reference
     assert best_sse == pytest.approx(25.583333333, abs=1e-6)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmimpute.casestudy import expected_pairs, expected_values
-from cmimpute.classify import classify_raw_knn
+from cmimpute.classify import classify_mapped, classify_raw_knn
 from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Dataset, Record, Schema, split_groups
 from cmimpute.kmeans import ClusterModel
 from cmimpute.mapping import (
@@ -27,6 +27,11 @@ CENTROID_B = (7 / 3, 6.0, 5 / 3, 5.0)  # mean of R2, R7, R8
 
 def rec(rid: str, *cells) -> Record:
     return Record(rid, tuple(None if c is None else float(c) for c in cells))
+
+
+def numeric(*records: Record) -> Dataset:
+    """The records under a schema of numeric attributes a0, a1, ..."""
+    return Dataset(Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(len(records[0].cells)))), records)
 
 
 def model_with(*centroids) -> ClusterModel:
@@ -69,7 +74,22 @@ def test_type1_arity_and_missing_errors():
         type2_distance(rec("R", 1, 2), (1.0,))
     # Donors are mapped by type-1 distance, so a donor must be complete.
     with pytest.raises(ValueError, match="R has missing cells"):
-        build_mapping([rec("R", 1, None)], [], model_with((1.0, 2.0)))
+        build_mapping(numeric(rec("R", 1, None)), numeric(rec("Q", 1, 2)).take([]), model_with((1.0, 2.0)))
+
+
+def test_build_mapping_rejects_a_dataset_of_another_arity():
+    # The kernel broadcasts, so without the check a one-attribute
+    # dataset would map to numbers under a two-attribute model.
+    queries = numeric(rec("Q", 1, 2)).take([])
+    with pytest.raises(ValueError, match="dataset has 1 attributes, the model's centroids 2"):
+        build_mapping(numeric(rec("R", 1)), queries, model_with((1.0, 2.0)))
+    with pytest.raises(ValueError, match="dataset has 1 attributes"):
+        build_mapping(numeric(rec("R", 1, 2)), numeric(rec("Q", 1)), model_with((1.0, 2.0)))
+    # The mapped classifier reaches it through a model whose ids match.
+    train = Dataset(Schema((AttributeSpec("x", NUMERIC),), "class"), (Record("R1", (1.0,), "A"),))
+    model = ClusterModel(((1.0, 2.0),), {"R1": 0})
+    with pytest.raises(ValueError, match="dataset has 1 attributes"):
+        classify_mapped(rec("Q", 1, 2), train, model)
 
 
 # --- type-2 ---
@@ -226,7 +246,7 @@ def test_map_query_complete_record_reference_value(classification_model):
 def test_map_query_equals_map_complete_for_complete_records():
     model = model_with((0, 0), (3, 4))
     r = rec("R", 1, 1)
-    table = build_mapping([r], [r], model)
+    table = build_mapping(numeric(r), numeric(r), model)
     assert map_query(r, model) == table.complete_map["R"] == table.query_map["R"]
 
 
@@ -264,7 +284,7 @@ def test_mapping_table_rejects_bad_values():
 def test_build_mapping_covers_exactly_the_given_ids(missing_dataset, imputation_model):
     split = split_groups(missing_dataset)
     table = build_mapping(split.g1, split.g2, imputation_model)
-    assert set(table.complete_map) == {r.id for r in split.g1}
+    assert set(table.complete_map) == set(split.g1.ids)
     assert set(table.query_map) == {"R3", "R5"}
     assert all(v >= 0 and math.isfinite(v) for v in table.complete_map.values())
 
