@@ -4,12 +4,14 @@ as a classifier, plus the raw 1-NN baseline it is compared against.
 The training side of both (the data checks, the training matrix and,
 per model, the training mapping table) is fitted once per training
 dataset, on its first query, and kept on the dataset.  A query then
-pays only for its own mapping value and a bisect (mapped) or one
-kernel call (raw 1-NN); its distance column is computed when read."""
+pays only for its own mapping value and a bisect (mapped) or a
+screened search that squares only the rows that may be nearest (raw
+1-NN); its distance column is computed when read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -18,7 +20,15 @@ from .dataset import Dataset, Record
 from .errors import CannotClassifyError, NoDonorsError, ParseError
 from .impute import MODE_ABSOLUTE, nearest_donors
 from .kmeans import ClusterModel
-from .mapping import MappingTable, build_mapping, check_map_value, map_query, squared_distances
+from .mapping import (
+    MappingTable,
+    build_mapping,
+    check_map_value,
+    map_query,
+    map_values,
+    nearest_rows,
+    squared_distances,
+)
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,7 @@ class _Fit:
         check_training_data(dataset)
         self.training = Dataset._of(dataset.schema, dataset.ids, dataset.labels, dataset.columns)
         self.rows = self.training._by_id
+        self.matrix = np.asfortranarray(self.training.matrix)  # column-major for nearest_rows
         self._maps: dict[int, tuple[ClusterModel, MappingTable]] = {}
 
     def labels_of(self, ids: tuple[str, ...]) -> tuple[str, ...]:
@@ -126,7 +137,32 @@ def classify_mapped(
     if not query.is_complete:
         raise ValueError(f"query {query.id} has missing cells")
     maps = fit.mapping(model)
-    c = check_map_value("query_map", query.id, map_query(query, model))
+    return _mapped(fit, maps, query.id, map_query(query, model), mode)
+
+
+def classify_mapped_all(
+    queries: Dataset,
+    dataset: Dataset,
+    model: ClusterModel,
+    mode: str = MODE_ABSOLUTE,
+) -> list[ClassificationResult]:
+    """classify_mapped for every record of queries, an encoded dataset
+    of complete records, in order: one mapping call for all of them,
+    then one selection per query."""
+    fit = _fit(dataset)
+    if queries.schema.arity != dataset.schema.arity:
+        raise ValueError(f"queries have {queries.schema.arity} attributes, training records {dataset.schema.arity}")
+    incomplete = np.isnan(queries.matrix).any(axis=1)
+    if incomplete.any():
+        raise ValueError(f"query {queries.ids[int(incomplete.argmax())]} has missing cells")
+    maps = fit.mapping(model)
+    values = map_values(queries.matrix, model.centroids).tolist()
+    return [_mapped(fit, maps, rid, c, mode) for rid, c in zip(queries.ids, values)]
+
+
+def _mapped(fit: _Fit, maps: MappingTable, rid: str, c: float, mode: str) -> ClassificationResult:
+    """The mapped classifier's answer for a query whose mapping value is c."""
+    c = check_map_value("query_map", rid, c)
     nearest = nearest_donors(maps, c, mode)
     return ClassificationResult(fit.labels_of(nearest), nearest, _Column(maps.complete_map, lambda v: v - c))
 
@@ -138,8 +174,11 @@ def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
     labels; with neighbors from different classes this yields the
     multi-label ambiguity the mapped classifier avoids.
 
-    Distances come from the mapping's own kernel, one call over the
-    training matrix, so they equal type2_distance bit for bit.
+    Distances come from the mapping's own kernel, so they equal
+    type2_distance bit for bit: nearest_rows screens the training
+    matrix and squares only the rows that may be nearest, and the
+    table's column is one kernel call over the whole matrix, made when
+    the table is first read.
     """
     fit = _fit(dataset)
     if not query.is_complete:
@@ -147,6 +186,9 @@ def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
     n = dataset.schema.arity
     if len(query.cells) != n:
         raise ValueError(f"query {query.id} has {len(query.cells)} cells, training records have {n}")
-    distances = np.sqrt(squared_distances(fit.training.matrix, [query.cells])[:, 0])
-    nearest = tuple(fit.training.ids[row] for row in np.flatnonzero(distances == distances.min()).tolist())
-    return ClassificationResult(fit.labels_of(nearest), nearest, _Column(fit.rows, lambda row: float(distances[row])))
+    X, q = fit.matrix, np.array(query.cells, dtype=float)
+    rows, exact = nearest_rows(X, q)
+    distances = np.sqrt(exact)
+    nearest = tuple(fit.training.ids[row] for row in rows[distances == distances.min()].tolist())
+    column = cache(lambda: np.sqrt(squared_distances(X, q[None, :])[:, 0]))
+    return ClassificationResult(fit.labels_of(nearest), nearest, _Column(fit.rows, lambda row: float(column()[row])))

@@ -18,6 +18,7 @@ or a path that cannot be read or written, 3 insufficient data,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .casestudy import render_report, run_case_study
-from .classify import check_training_data, classify_mapped, classify_raw_knn
+from .classify import check_training_data, classify_mapped_all, classify_raw_knn
 from .dataset import (
     Schema,
     decode_dataset,
@@ -232,8 +233,8 @@ def cmd_classify(config: RunConfig) -> int:
         k = config.k if config.k is not None else train.n_classes
         init = config.init if config.init is not None else FarthestFirst(config.seed)
         model = cluster(train, k, init)
-        for query in queries.records:
-            outcome = classify_mapped(query, train, model, config.mode)
+        outcomes = classify_mapped_all(queries, train, model, config.mode)
+        for query, outcome in zip(queries.records, outcomes):
             row = [query.id, ";".join(outcome.labels), ";".join(outcome.nearest)]
             if config.with_knn_baseline:
                 knn = classify_raw_knn(query, train)
@@ -403,9 +404,15 @@ def _resolve_evaluate(args: argparse.Namespace) -> RunConfig:
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of the process: parsing does
+    not change it, and building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = args.resolve(args)
         return args.run(config)

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .classify import classify_mapped
+from .classify import classify_mapped_all
 from .dataset import (
     CATEGORICAL,
     NUMERIC,
@@ -202,9 +202,13 @@ def baseline_knn_donor(dataset: Dataset) -> Dataset:
         raise NoDonorsError(f"record {dataset.ids[int(empty.argmax())]} has no observed values")
     complete, rows = np.flatnonzero(~incomplete), np.flatnonzero(incomplete)
     # The query's NaN cells drop out of every distance, and argmin
-    # keeps the earliest of tied donors.
+    # keeps the earliest of tied donors.  Queries go in blocks of at
+    # most 2**20 kernel terms, which bounds the kernel's temporaries.
     G = X[complete]
-    donors = complete[[int(squared_distances(G, X[row : row + 1]).argmin()) for row in rows.tolist()]]
+    block = max(1, 2**20 // G.size)
+    donors = complete[
+        np.concatenate([squared_distances(G, X[rows[i : i + block]]).argmin(axis=0) for i in range(0, len(rows), block)])
+    ]
     filled = X.copy()
     filled[rows] = np.where(missing[rows], X[donors], X[rows])
     return Dataset._of(dataset.schema, dataset.ids, dataset.labels, filled.T)
@@ -370,7 +374,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     def score_methods(
         masked: Dataset,
         plan: MaskPlan,
-        holdout: tuple[Record, ...],
+        holdout: Dataset | None,
         rate: float | None,
         rate_idx: int,
         trial: int,
@@ -405,7 +409,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         # One deterministic pass over the named cells, with no holdout
         # so every planned record is guaranteed to be present.
         masked, plan = mask_cells(dataset, config.plan)
-        score_methods(masked, plan, (), rate=None, rate_idx=0, trial=0, mask_seed=None)
+        score_methods(masked, plan, None, rate=None, rate_idx=0, trial=0, mask_seed=None)
     else:
         for rate_idx, rate in enumerate(config.rates):
             for trial in range(config.trials):
@@ -427,17 +431,17 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     )
 
 
-def _split_holdout(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, tuple[Record, ...]]:
+def _split_holdout(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset | None]:
     m = len(dataset)
     h = round(fraction * m)
     if h == 0:
-        return dataset, ()
+        return dataset, None
     if m - h < 2:
         raise ConfigError(f"holdout of {h} records leaves too little training data")
     rng = np.random.default_rng(seed)
     held = np.zeros(m, dtype=bool)
     held[rng.choice(m, size=h, replace=False)] = True
-    return dataset.take(np.flatnonzero(~held)), tuple(dataset.records[i] for i in np.flatnonzero(held).tolist())
+    return dataset.take(np.flatnonzero(~held)), dataset.take(np.flatnonzero(held))
 
 
 def _run_method(method: str, masked: Dataset, seed: int) -> Dataset:
@@ -452,20 +456,15 @@ def _run_method(method: str, masked: Dataset, seed: int) -> Dataset:
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _downstream_accuracy(
-    completed: Dataset, holdout: Sequence[Record], seed: int
-) -> float | None:
+def _downstream_accuracy(completed: Dataset, holdout: Dataset | None, seed: int) -> float | None:
     """Accuracy of the mapped classifier, trained on the completed
     records, over the held-out complete records.  A prediction counts
     when the true label is among the returned labels."""
-    if not holdout:
+    if holdout is None:
         return None
     model = cluster(completed, completed.n_classes, FarthestFirst(seed))
-    hits = 0
-    for record in holdout:
-        result = classify_mapped(record, completed, model, MODE_ABSOLUTE)
-        hits += record.label in result.labels
-    return hits / len(holdout)
+    results = classify_mapped_all(holdout, completed, model, MODE_ABSOLUTE)
+    return sum(label in result.labels for label, result in zip(holdout.labels, results)) / len(holdout)
 
 
 # Latent layout of the synthetic benchmark: six segments along one

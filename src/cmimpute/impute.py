@@ -130,7 +130,8 @@ def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> tuple[np.ndarra
 
 def _class_pools(g1: Dataset) -> dict[str | None, list[int]]:
     """Donor-pool positions per decision class, each in pool order;
-    built on the first tie and kept with the pool."""
+    built on the first tie and kept with the pool, as is each class's
+    fill value per attribute (see _fill_value)."""
     pools = g1._memo.get(_class_pools)
     if pools is None:
         pools = g1._memo[_class_pools] = {}
@@ -154,7 +155,7 @@ def _fill_value(
     A single donor contributes its value verbatim.  Multiple tied
     donors defer to the donors' decision class over the whole donor
     pool: the modal value for a categorical attribute, the mean for a
-    numeric one.
+    numeric one, computed once per (class, attribute) and kept on g1.
     """
     if not math.isnan(query[attr]):
         raise ValueError(f"cell {attr} of the query is not missing")
@@ -163,36 +164,46 @@ def _fill_value(
     if len(donors) == 1:
         return float(g1.matrix[donors[0], attr]), "single-donor"
 
-    pool, labeled = _tie_pool(donors, g1, maps)
-    suffix = "same-class" if labeled else "tied-donors"
-    values = g1.matrix[pool, attr].tolist()
+    klass = _tie_class(donors, g1, maps)
+    if klass is None:
+        value, statistic = _pool_value(g1.matrix[list(donors), attr].tolist(), spec)
+        return value, f"{statistic}-tied-donors"
+    memo = g1._memo.setdefault(_pool_value, {})
+    key = (klass, attr, spec.kind)
+    if key not in memo:
+        memo[key] = _pool_value(g1.matrix[_class_pools(g1)[klass], attr].tolist(), spec)
+    value, statistic = memo[key]
+    return value, f"{statistic}-same-class"
+
+
+def _pool_value(values: list[float], spec: AttributeSpec) -> tuple[float, str]:
+    """The modal value of a categorical attribute, the mean of a numeric
+    one, and which statistic it is."""
     if spec.kind == CATEGORICAL:
         counts = Counter(values)
         top = max(counts.values())
         # Modal tie inside the pool: smallest value wins, deterministic.
-        return min(v for v, c in counts.items() if c == top), f"modal-{suffix}"
-    return mean(values), f"mean-{suffix}"
+        return min(v for v, c in counts.items() if c == top), "modal"
+    return mean(values), "mean"
 
 
-def _tie_pool(donors: Sequence[int], g1: Dataset, maps: MappingTable) -> tuple[Sequence[int], bool]:
-    """Donor-pool positions whose values settle a multi-donor tie.
+def _tie_class(donors: Sequence[int], g1: Dataset, maps: MappingTable) -> str | None:
+    """The decision class whose pool settles a multi-donor tie, or None
+    when every tied donor is unlabeled and the donors are the pool.
 
     Majority decision class among the tied donors; a class-count tie
-    goes to the class of the donor with the lowest mapping value.  With
-    fully unlabeled donors the donors themselves are the pool.
+    goes to the class of the donor with the lowest mapping value.
     """
     labels = [g1.labels[d] for d in donors if g1.labels[d] is not None]
     if not labels:
-        return donors, False
+        return None
     counts = Counter(labels)
     top = max(counts.values())
     candidates = {c for c, n in counts.items() if n == top}
     if len(candidates) == 1:
-        klass = candidates.pop()
-    else:
-        contenders = [d for d in donors if g1.labels[d] in candidates]
-        klass = g1.labels[min(contenders, key=lambda d: maps.complete_map[g1.ids[d]])]
-    return _class_pools(g1)[klass], True
+        return candidates.pop()
+    contenders = [d for d in donors if g1.labels[d] in candidates]
+    return g1.labels[min(contenders, key=lambda d: maps.complete_map[g1.ids[d]])]
 
 
 @dataclass(frozen=True)

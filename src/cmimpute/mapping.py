@@ -37,6 +37,33 @@ def squared_distances(X, U) -> np.ndarray:
     return total
 
 
+def nearest_rows(X, q) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a complete matrix X that may be nearest to the
+    complete row q, ascending, with their exact squared distances from
+    squared_distances: a superset of the kernel's tie set, found
+    without squaring every term through pow.
+
+    A screen squares each difference by multiplication and adds the
+    squares left to right.  pow(d, 2) and d * d differ by at most an
+    ulp, so over n non-negative terms a row's screen and kernel sums
+    differ by a few n ulps, plus n subnormal ulps where squares
+    underflow.  Any row whose kernel sum equals the kernel's minimum,
+    or rounds to the same square root, therefore has a screen sum
+    within min * (1 + (n + 2) * 2**-48) + (n + 2) * 2**-1060, a bound
+    with several times that slack; every other row is ruled out
+    unsquared.  A minimum so large that the bound overflows rules out
+    no row.
+    """
+    d = X.T - q[:, None]  # a column-major X makes this one contiguous pass
+    d *= d
+    screen = np.zeros(d.shape[1])
+    for squares in d:
+        screen += squares
+    n = len(d) + 2
+    rows = np.flatnonzero(screen <= screen.min() * (1 + n * 2.0**-48) + n * 2.0**-1060)
+    return rows, squared_distances(X[rows], q[None, :])[:, 0]
+
+
 def map_values(X, centroids) -> np.ndarray:
     """Map'(R) for every row of X: its distances to the centroids,
     added left to right in centroid order."""

@@ -7,17 +7,19 @@ import math
 import sys
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmimpute.classify
+import cmimpute.mapping
 from cmimpute.casestudy import expected_values, new_record
-from cmimpute.classify import classify_mapped, classify_raw_knn
-from cmimpute.dataset import NUMERIC, AttributeSpec, Dataset, Record, Schema
+from cmimpute.classify import classify_mapped, classify_mapped_all, classify_raw_knn
+from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Dataset, Record, Schema
 from cmimpute.errors import CannotClassifyError, NoDonorsError
 from cmimpute.impute import MODE_ABSOLUTE, MODE_SIGNED, MODES
 from cmimpute.kmeans import FarthestFirst, SeededRandom, cluster
-from cmimpute.mapping import map_query, type2_distance
+from cmimpute.mapping import map_query, nearest_rows, squared_distances, type2_distance
 
 
 def rec(rid: str, *cells, label=None) -> Record:
@@ -334,6 +336,17 @@ def test_a_query_runs_no_python_loop_over_the_training_set():
     assert lines_per_query(20) == lines_per_query(2000)
 
 
+def test_a_batch_of_queries_gets_each_query_s_own_answer(classification_dataset, classification_model):
+    records = (new_record(), rec("Q2", 1, 1, 1, 1), Record("Q3", classification_dataset.records[4].cells))
+    queries = Dataset(Schema(classification_dataset.schema.attributes, None), records)
+    for mode in MODES:
+        batch = classify_mapped_all(queries, classification_dataset, classification_model, mode)
+        assert batch == [classify_mapped(q, classification_dataset, classification_model, mode) for q in records]
+    holed = Dataset(queries.schema, records + (rec("Q4", 1, None, 1, 1),))
+    with pytest.raises(ValueError, match="Q4 has missing"):
+        classify_mapped_all(holed, classification_dataset, classification_model)
+
+
 def test_fit_still_rejects_a_foreign_model_after_a_successful_call(
     classification_dataset, classification_model
 ):
@@ -431,3 +444,102 @@ def test_raw_knn_ties_are_exact_float_equality():
 def test_raw_knn_rejects_a_query_of_the_wrong_arity(classification_dataset):
     with pytest.raises(ValueError, match="3 cells"):
         classify_raw_knn(rec("Q", 1, 1, 1), classification_dataset)
+
+
+# --- the screened raw 1-NN search ---
+
+# Differences whose square by multiplication is not their square by
+# pow, found among seeded normal draws.
+UNLIKE_POW = [x for x in np.random.default_rng(0).normal(size=20_000).tolist() if x * x != x**2]
+# Offsets from a zero query.  FLIP: multiplication ranks the first row
+# nearer, pow the second.  MERGE: pow sums an ulp apart with one square
+# root, which multiplication puts two ulps apart.  UNDERFLOW: the
+# squares are subnormal and pow ties the rows, which multiplication
+# puts a subnormal ulp apart.
+FLIP = ((-1.5024842013166917, 1.3150152787874059), (-1.502484201316692, 1.3150152787874057))
+MERGE = ((-0.30251784048326236, 0.08949838920891028), (-0.3025178404832624, 0.08949838920891025))
+UNDERFLOW = ((7.809802425170517e-156, 0.0), (7.809802425170518e-156, 0.0))
+
+
+def knn_training(rows, labels=None) -> Dataset:
+    n = len(rows[0])
+    schema = Schema(tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(n)), "class")
+    labels = labels or ["AB"[i % 2] for i in range(len(rows))]
+    return Dataset(schema, tuple(rec(f"R{i + 1}", *r, label=label) for i, (r, label) in enumerate(zip(rows, labels))))
+
+
+def check_against_the_full_kernel(training: Dataset, query: Record) -> None:
+    """classify_raw_knn's answer and table against one kernel call over
+    every training row, and the search's candidates against its ties."""
+    X = training.matrix
+    distances = np.sqrt(squared_distances(X, [query.cells])[:, 0])
+    ties = np.flatnonzero(distances == distances.min())
+    outcome = classify_raw_knn(query, training)
+    assert outcome.nearest == tuple(training.ids[i] for i in ties)
+    assert outcome.labels == tuple(sorted({training.labels[i] for i in ties}))
+    assert dict(outcome.table) == dict(zip(training.ids, distances.tolist()))
+    rows, exact = nearest_rows(X, np.array(query.cells))
+    assert set(ties) <= set(rows.tolist())
+    assert exact.tolist() == squared_distances(X, [query.cells])[rows, 0].tolist()
+
+
+@st.composite
+def knn_problems(draw):
+    n = draw(st.integers(2, 4))
+    # 2**-512 puts differences below 1e-154, where squares underflow.
+    scale = draw(st.sampled_from([2.0**-512, 1.0, 2.0**300]))
+    cell = st.one_of(
+        st.sampled_from(UNLIKE_POW).map(lambda x: x * scale),
+        st.integers(-2, 2).map(lambda x: x * scale),
+        st.sampled_from([MAX_MAGNITUDE, -MAX_MAGNITUDE]),
+    )
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=8))
+    pair, shift = draw(st.sampled_from([((), 1.0), (FLIP, 1.0), (FLIP, 2.0**300), (MERGE, 1.0), (MERGE, 2.0**-20), (UNDERFLOW, 1.0)]))
+    rows += [[v * shift for v in r] + [0.0] * (n - 2) for r in pair]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))  # duplicates
+    rows = draw(st.permutations(rows))
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=len(rows), max_size=len(rows)))
+    query = [0.0] * n if draw(st.booleans()) else draw(st.lists(cell, min_size=n, max_size=n))
+    return knn_training(rows, labels), rec("Q", *query)
+
+
+@settings(max_examples=200, deadline=None)
+@given(knn_problems())
+def test_screened_raw_knn_equals_a_full_kernel_argmin(problem):
+    check_against_the_full_kernel(*problem)
+
+
+@pytest.mark.parametrize("pair", [FLIP, MERGE, UNDERFLOW], ids=["flip", "merge", "underflow"])
+def test_rows_multiplication_would_misjudge_are_kept(pair):
+    q = np.zeros(2)
+    squares = [r[0] * r[0] + r[1] * r[1] for r in pair]
+    kernel = squared_distances(pair, [q])[:, 0]
+    if pair is FLIP:
+        # Multiplication and pow pick different nearest rows.
+        assert np.argmin(squares) == 0 and kernel.argmin() == 1
+    else:
+        # Two tied nearest rows that multiplication tells apart.
+        assert squares[0] < squares[1] and math.sqrt(kernel[0]) == math.sqrt(kernel[1])
+    for rows in (pair, pair[::-1]):
+        check_against_the_full_kernel(knn_training(rows), rec("Q", 0, 0))
+    outcome = classify_raw_knn(rec("Q", 0, 0), knn_training(pair))
+    assert outcome.nearest == (("R2",) if pair is FLIP else ("R1", "R2"))
+
+
+def test_the_search_squares_only_rows_that_may_be_nearest(monkeypatch):
+    rows = [[i, i * i % 7] for i in range(50)]
+    training = knn_training(rows)
+    calls = []
+
+    def counting(X, U):
+        calls.append(len(X))
+        return squared_distances(X, U)
+
+    for module in (cmimpute.mapping, cmimpute.classify):
+        monkeypatch.setattr(module, "squared_distances", counting)
+    outcome = classify_raw_knn(rec("Q", 10.2, 2), training)
+    assert outcome.nearest == ("R11",)
+    assert calls and max(calls) < len(rows)
+    calls.clear()
+    assert outcome.table["R11"] < outcome.table["R12"] < outcome.table["R13"]
+    assert calls == [len(rows)]  # the table's column: one kernel call, on the first read

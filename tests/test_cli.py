@@ -13,6 +13,7 @@ import warnings
 import pytest
 
 import cmimpute.casestudy
+import cmimpute.cli
 from cmimpute.casestudy import IMPUTATION_PARTITION, fixture_text
 from cmimpute.cli import (
     EXIT_INSUFFICIENT,
@@ -650,6 +651,57 @@ def test_unknown_subcommand_raises_argparse_exit():
     with pytest.raises(SystemExit) as excinfo:
         main(["transmogrify"])
     assert excinfo.value.code == EXIT_USAGE
+
+
+def test_main_builds_its_parser_once_and_reuses_it(tmp_path, capsys, monkeypatch):
+    impute_data = write(tmp_path / "data.csv", fixture_text("table03_missing_raw.csv"))
+    impute_schema = write(tmp_path / "missing.json", fixture_text("schema_missing.json"))
+    train = write(tmp_path / "train.csv", fixture_text("table16_classification.csv"))
+    train_schema = write(tmp_path / "classification.json", fixture_text("schema_classification.json"))
+    query = write(tmp_path / "query.csv", QUERY_HEADER + NEW_RECORD_ROW + "1,1,1,1\n")
+    out = str(tmp_path / "out.csv")
+    impute = ["impute", "--data", impute_data, "--schema", impute_schema, "--out", out]
+    classify = ["classify", "--train", train, "--schema", train_schema, "--query", query]
+    # Flags set on one call must not linger into the next.
+    runs = [
+        impute + ["--mode", "paper-signed", "--k", "2"],
+        classify + ["--with-knn-baseline", "--verbose", "--out", out],
+        impute,
+        classify + ["--mode", "paper-signed"],
+        ["casestudy", "--tolerance", "1e-9"],
+        impute + ["--data", str(tmp_path / "absent.csv")],
+        ["evaluate"],
+        ["impute", "--mode", "bogus"],
+        classify + ["--out", out],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+        output = capsys.readouterr()
+        written = None
+        if os.path.exists(out):
+            with open(out, encoding="utf-8") as fh:
+                written = fh.read()
+            os.remove(out)
+        return code, output.out, output.err, written
+
+    fresh = []
+    for argv in runs:
+        cmimpute.cli._parser.cache_clear()
+        fresh.append(run(argv))
+    builds = []
+    original = cmimpute.cli.build_parser
+    monkeypatch.setattr(cmimpute.cli, "build_parser", lambda: builds.append(1) or original())
+    cmimpute.cli._parser.cache_clear()
+    try:
+        assert [run(argv) for argv in runs] == fresh
+    finally:
+        cmimpute.cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert [r[0] for r in fresh] == [EXIT_OK] * 4 + [EXIT_MISMATCH, EXIT_USAGE, EXIT_USAGE, EXIT_USAGE, EXIT_OK]
 
 
 def test_installed_console_script_smoke():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,6 +44,7 @@ from cmimpute.evaluate import (
     run_experiment,
     score_imputation,
 )
+from cmimpute.mapping import squared_distances
 
 
 def rec(rid: str, *cells, label=None) -> Record:
@@ -247,6 +249,24 @@ def test_knn_donor_baseline_uses_observed_coordinates():
     assert completed.record("R5").cells[0] == 9.0
     # R4 observes x=1: nearest is R1 at distance 1.
     assert completed.record("R4").cells[1] == 1.0
+
+
+@pytest.mark.parametrize("donors", [40, 50_000])
+def test_knn_donor_blocks_match_one_kernel_call_per_query(donors):
+    # 50,000 donors of 3 cells make blocks of 6 queries, so 31 queries
+    # end in a partial block.  Cells from {0, .., 3}: donors tie often,
+    # and the earliest must win.
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 4, (donors + 31, 3)).astype(float)
+    for row in range(donors, donors + 31):
+        X[row, rng.choice(3, rng.integers(1, 3), replace=False)] = math.nan
+    schema = Schema(tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(3)), "class")
+    dataset = Dataset._of(schema, [f"R{i}" for i in range(len(X))], [None] * len(X), X.T)
+    expected = X.copy()
+    for row in range(donors, donors + 31):
+        donor = int(squared_distances(X[:donors], X[row : row + 1]).argmin())
+        expected[row] = np.where(np.isnan(X[row]), X[donor], X[row])
+    assert np.array_equal(baseline_knn_donor(dataset).matrix, expected)
 
 
 def test_baselines_need_at_least_one_complete_record():

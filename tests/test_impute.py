@@ -38,7 +38,8 @@ from cmimpute.dataset import (
     split_groups,
 )
 from cmimpute.errors import ConfigError, InsufficientDataError, NoDonorsError
-from cmimpute.evaluate import make_synthetic_dataset, mask_cells
+import cmimpute.impute
+from cmimpute.evaluate import inject_mcar, make_synthetic_dataset, mask_cells
 from cmimpute.impute import (
     MODE_ABSOLUTE,
     MODE_SIGNED,
@@ -590,6 +591,29 @@ def test_tie_runs_match_a_record_at_a_time_reference(masked, mode, k, seed):
     assume(not masked.is_complete)
     assume(len({r.cells for r in masked.records if r.is_complete}) >= k)
     check_stages_against_brute_force(masked, seed, mode, k)
+
+
+def test_tie_fills_compute_each_class_statistic_once(monkeypatch):
+    # Cells from {0, 1, 2} and 5% MCAR: most queries tie on several
+    # donors, and most tie fills share a (class, attribute) pool.
+    rng = np.random.default_rng(8)
+    cells = rng.integers(0, 3, (300, 3)).astype(float)
+    cells[:, 2] += 1  # the categorical's ordinals
+    labels = rng.choice(["A", "B", "C"], 300).tolist()
+    complete = Dataset(TIE_SCHEMA, tuple(Record(f"R{i + 1}", tuple(c), label) for i, (c, label) in enumerate(zip(cells.tolist(), labels))))
+    masked, _ = inject_mcar(complete, 0.05, seed=3)
+    computed = Counter()
+    original = cmimpute.impute._pool_value
+
+    def counting(values, spec):
+        computed[tuple(values), spec.kind] += 1
+        return original(values, spec)
+
+    monkeypatch.setattr(cmimpute.impute, "_pool_value", counting)
+    result = check_stages_against_brute_force(masked, seed=0)
+    class_fills = [f for f in result.fills if f.tie_policy.endswith("-same-class")]
+    assert len(class_fills) > 3 * len(computed)
+    assert max(computed.values()) == 1
 
 
 def test_the_columnar_chain_builds_no_records():
