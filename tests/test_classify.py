@@ -471,16 +471,16 @@ def knn_training(rows, labels=None) -> Dataset:
 def check_against_the_full_kernel(training: Dataset, query: Record) -> None:
     """classify_raw_knn's answer and table against one kernel call over
     every training row, and the search's candidates against its ties."""
-    X = training.matrix
-    distances = np.sqrt(squared_distances(X, [query.cells])[:, 0])
+    squares = squared_distances(training.matrix, [query.cells])[:, 0]
+    distances = np.sqrt(squares)
     ties = np.flatnonzero(distances == distances.min())
     outcome = classify_raw_knn(query, training)
     assert outcome.nearest == tuple(training.ids[i] for i in ties)
     assert outcome.labels == tuple(sorted({training.labels[i] for i in ties}))
     assert dict(outcome.table) == dict(zip(training.ids, distances.tolist()))
-    rows, exact = nearest_rows(X, np.array(query.cells))
+    rows, exact = nearest_rows(training.matrix, np.array(query.cells))
     assert set(ties) <= set(rows.tolist())
-    assert exact.tolist() == squared_distances(X, [query.cells])[rows, 0].tolist()
+    assert exact.tolist() == squares[rows].tolist()
 
 
 @st.composite

@@ -694,7 +694,12 @@ def test_main_builds_its_parser_once_and_reuses_it(tmp_path, capsys, monkeypatch
         fresh.append(run(argv))
     builds = []
     original = cmimpute.cli.build_parser
-    monkeypatch.setattr(cmimpute.cli, "build_parser", lambda: builds.append(1) or original())
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cmimpute.cli, "build_parser", counting)
     cmimpute.cli._parser.cache_clear()
     try:
         assert [run(argv) for argv in runs] == fresh
