@@ -25,6 +25,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .casestudy import render_report, run_case_study
 from .classify import check_training_data, classify_mapped_all, classify_raw_knn
 from .dataset import (
@@ -159,11 +161,19 @@ def _require(value, flag: str) -> str:
 
 
 def _guard_outputs(inputs: list[str | None], outputs: list[str | None]) -> None:
-    """Commands never mutate their input files."""
+    """Commands never mutate their input files, nor write two outputs
+    to one file."""
     taken = {Path(p).resolve() for p in inputs if p is not None}
+    written: set[Path] = set()
     for out in outputs:
-        if out is not None and Path(out).resolve() in taken:
+        if out is None:
+            continue
+        path = Path(out).resolve()
+        if path in taken:
             raise ConfigError(f"output path {out} would overwrite an input file")
+        if path in written:
+            raise ConfigError(f"output path {out} would overwrite another output of the command")
+        written.add(path)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -208,9 +218,9 @@ def _load_queries(path: str, train_schema: Schema):
         missing_markers=train_schema.missing_markers,
     )
     queries = encode(parse_dataset(text, query_schema, id_prefix="Q"))
-    for record in queries.records:
-        if not record.is_complete:
-            raise ParseError(f"query record {record.id} has missing cells")
+    holed = np.isnan(queries.matrix).any(axis=1)
+    if holed.any():
+        raise ParseError(f"query record {queries.ids[int(holed.argmax())]} has missing cells")
     return queries
 
 
@@ -253,11 +263,11 @@ def cmd_classify(config: RunConfig) -> int:
 
 def cmd_evaluate(config: RunConfig) -> int:
     spec_path = _require(config.data, "--config")
+    _guard_outputs([spec_path], [config.out, config.summary])
     experiment = load_experiment_config(spec_path)
     report = run_experiment(experiment)
     text = report.to_json() + "\n"
     if config.out is not None:
-        _guard_outputs([spec_path], [config.out, config.summary])
         _write_text(config.out, text)
     else:
         sys.stdout.write(text)

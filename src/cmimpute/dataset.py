@@ -191,6 +191,71 @@ def _column(cells: Sequence[Cell]) -> Column:
     return tuple(cells)
 
 
+@dataclass(frozen=True)
+class FieldText:
+    """A numeric column's fields as they were read, "\n"-joined, and the
+    values parsed from them.  The writer copies a canonical field (see
+    _canonical_fields) wherever its cell still holds the value parsed
+    from it, instead of rendering the value again."""
+
+    text: str
+    values: np.ndarray
+
+    @cached_property
+    def canonical(self) -> np.ndarray:
+        """Per field, whether it is canonical: computed on the first
+        write, so a dataset that is never written never pays for it."""
+        return _canonical_fields(self.text, len(self.values))
+
+
+def _field_text(fields: Sequence[str], values: np.ndarray) -> FieldText | None:
+    """The column's FieldText, or None when it has no fields or a field
+    holds a line break, so that the joined text no longer splits back
+    into the fields."""
+    text = "\n".join(fields)
+    return FieldText(text, values) if fields and text.count("\n") == len(fields) - 1 else None
+
+
+# Per byte, 0 for a digit or a line break, 1 for a dot and 2 for any
+# other byte: a field whose bytes add up to at most 1 is digits with at
+# most one dot.  _canonical_fields clears the code of a leading sign.
+_BYTE_CODES = np.full(256, 2, np.uint8)
+_BYTE_CODES[list(b"0123456789\n")] = 0
+_BYTE_CODES[ord(".")] = 1
+
+
+def _canonical_fields(text: str, m: int) -> np.ndarray:
+    """Per field of the m "\n"-joined fields in text, whether it is
+    exactly what format_number writes for its value: a plain decimal of
+    at most 15 characters, with no exponent, no sign on a zero, no
+    leading zero but that of "0" or "0.", no trailing zero after a "."
+    and no "0.0000" prefix (repr switches to an exponent below 0.0001).
+    At 15 significant digits or fewer, repr gives back a decimal's own
+    digits (DBL_DIG = 15).  The fields are checked together, over the
+    bytes of the text."""
+    raw = np.frombuffer(text.encode() + b"\n" * 8, np.uint8)  # the padding keeps c[5] in range
+    ends = np.flatnonzero(raw == ord("\n"))[:m]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    negative = raw[starts] == ord("-")
+    first = starts + negative
+    size = ends - first  # characters after the sign
+    codes = np.take(_BYTE_CODES, raw)
+    codes[starts[negative]] = 0
+    dots = np.add.reduceat(codes, starts)  # wraps only past 127 bytes, far beyond 15
+    c = [raw[first + i] for i in range(6)]
+    zero, dot = ord("0"), ord(".")
+    return (
+        (dots <= 1)
+        & (size >= 1)
+        & (ends - starts <= 15)
+        & (c[0] - zero <= 9)  # uint8: a byte below "0" wraps past 9
+        & ((c[0] != zero) | (size == 1) | (c[1] == dot))
+        & ((dots == 0) | (raw[ends - 1] - ord("1") <= 8))
+        & ~(negative & (size == 1) & (c[0] == zero))
+        & ~((c[0] == zero) & (c[1] == dot) & (c[2] == zero) & (c[3] == zero) & (c[4] == zero) & (c[5] == zero))
+    )
+
+
 def _cells(column: Column) -> Sequence[Cell]:
     """The column's cells as a record holds them: None for a missing cell."""
     if not isinstance(column, np.ndarray):
@@ -205,7 +270,10 @@ class Dataset:
     attribute.  Categorical columns hold symbols until encode() turns
     them into float ordinals; once every column is an array the dataset
     is encoded and its cells form one matrix.  Records are a view of
-    the columns, built when first read.  A dataset is never mutated."""
+    the columns, built when first read.  A dataset parsed from text
+    keeps each numeric column's FieldText (None for every other
+    column), which encode, decode_dataset and imputation pass on and
+    every other constructor drops.  A dataset is never mutated."""
 
     def __init__(self, schema: Schema, records: Sequence[Record]) -> None:
         records = tuple(records)
@@ -217,14 +285,17 @@ class Dataset:
         self.records = records
 
     @classmethod
-    def _of(cls, schema: Schema, ids: Sequence[str], labels: Sequence[str | None], columns) -> Dataset:
+    def _of(
+        cls, schema: Schema, ids: Sequence[str], labels: Sequence[str | None], columns, field_texts=None
+    ) -> Dataset:
         """A dataset straight from its columns; no record is built."""
         dataset = cls.__new__(cls)
-        dataset._init(schema, ids, labels, columns)
+        dataset._init(schema, ids, labels, columns, field_texts)
         return dataset
 
-    def _init(self, schema: Schema, ids, labels, columns) -> None:
+    def _init(self, schema: Schema, ids, labels, columns, field_texts=None) -> None:
         self.schema, self.ids, self.labels, self.columns = schema, tuple(ids), tuple(labels), tuple(columns)
+        self.field_texts = tuple(field_texts) if field_texts is not None else (None,) * len(self.columns)
         for column in self.columns:
             if isinstance(column, np.ndarray):
                 column.flags.writeable = False
@@ -313,10 +384,60 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     symbols until encode().  Records are assigned ids R1..Rm in row
     order (the prefix is configurable so query files read as Q1..Qm
     next to their training records).  An empty label field means the
-    record is unlabeled.  The fields are parsed and checked a column at
-    a time; when a check fails, the rows are checked again one at a
-    time, so the error names the first bad field in row order.
+    record is unlabeled.  Text that plain splitting reads as csv.reader
+    would (see _split_fields) is split a column at a time; any other
+    text is read by csv.reader.  The fields are parsed and checked a
+    column at a time; when a check fails, the rows are checked again one
+    at a time, so the error names the first bad field in row order.
     """
+    expected_header = list(schema.attribute_names)
+    if schema.label_column is not None:
+        expected_header.append(schema.label_column)
+    width = len(expected_header)
+    flat = _split_fields(text, width)
+    rows = _read_rows(text) if flat is None else None
+    header = [f.strip() for f in (rows[0] if flat is None else flat[:width])]
+    if header != expected_header:
+        raise ParseError(f"header {header} does not match schema columns {expected_header}")
+
+    if flat is None:
+        fields = _row_fields(rows[1:], schema, width)
+    else:
+        fields = [flat[j :: width + 1] for j in range(width + 1, 2 * width + 1)]
+    columns = _parse_fields(fields, schema)
+    n, m = schema.arity, len(fields[0])
+    labels = [f.strip() or None for f in columns[n]] if schema.label_column is not None else [None] * m
+    ids = [f"{id_prefix}{i}" for i in range(1, m + 1)]
+    texts = [
+        _field_text(raw, column) if spec.kind == NUMERIC else None
+        for spec, raw, column in zip(schema.attributes, fields, columns)
+    ]
+    return Dataset._of(schema, ids, labels, columns[:n], texts)
+
+
+def _split_fields(text: str, width: int) -> list[str] | None:
+    """The text's non-blank lines split into fields, row after row, with
+    a "\n" between rows, when splitting on line breaks and commas reads
+    the same fields as csv.reader: the text holds no quote, carriage
+    return or NUL, has a line, every line holds width fields and no
+    line is longer than csv.field_size_limit().  None for any other
+    text.  A line holds no "\n", so every "\n" in the split is a row
+    break, and rows of width fields put one at every (width + 1)-th
+    place."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = list(filter(None, text.split("\n")))
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    flat = ",\n,".join(lines).split(",")
+    if len(flat) != (width + 1) * len(lines) - 1 or flat[width :: width + 1].count("\n") != len(lines) - 1:
+        return None
+    return flat
+
+
+def _read_rows(text: str) -> list[list[str]]:
+    """The text's non-blank rows as csv.reader reads them; the first is
+    the header."""
     rows: list[list[str]] = []
     try:
         for row in csv.reader(io.StringIO(text)):
@@ -326,35 +447,36 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
         raise ParseError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ParseError("no header row")
-    expected_header = list(schema.attribute_names)
-    if schema.label_column is not None:
-        expected_header.append(schema.label_column)
-    header = [f.strip() for f in rows[0]]
-    if header != expected_header:
-        raise ParseError(f"header {header} does not match schema columns {expected_header}")
-
-    body = rows[1:]
-    try:
-        columns = _parse_columns(body, schema, len(expected_header))
-    except (ParseError, SchemaError):
-        for rownum, row in enumerate(body, start=2):
-            _parse_columns([row], schema, len(expected_header), rownum)
-        raise
-    n = schema.arity
-    labels = [f.strip() or None for f in columns[n]] if schema.label_column is not None else [None] * len(body)
-    ids = [f"{id_prefix}{i}" for i in range(1, len(body) + 1)]
-    return Dataset._of(schema, ids, labels, columns[:n])
+    return rows
 
 
-def _parse_columns(body: list[list[str]], schema: Schema, width: int, first_row: int = 2) -> list:
-    """The parsed attribute columns of the rows, then their raw label
-    fields.  Raises for a row of the wrong width or a bad field, which
-    for a single row is its first bad field."""
+def _row_fields(body: list[list[str]], schema: Schema, width: int) -> list:
+    """The body rows' fields a column at a time.  A row of the wrong
+    width raises, unless a row before it holds a bad field, which is
+    named instead."""
     for i, row in enumerate(body):
         if len(row) != width:
-            raise ParseError(f"row {first_row + i}: expected {width} fields, got {len(row)}")
+            _parse_fields(list(zip(*body[:i])) or [()] * width, schema)
+            raise ParseError(f"row {i + 2}: expected {width} fields, got {len(row)}")
+    return list(zip(*body)) or [()] * width
+
+
+def _parse_fields(fields: list, schema: Schema) -> list:
+    """_parse_columns over all rows; when it fails, the rows are parsed
+    again one at a time, so the error names the first bad field."""
+    try:
+        return _parse_columns(fields, schema)
+    except (ParseError, SchemaError):
+        for rownum, row in enumerate(zip(*fields), start=2):
+            _parse_columns([(f,) for f in row], schema, rownum)
+        raise
+
+
+def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
+    """The parsed attribute columns of the fields, given a column at a
+    time, then their raw label fields.  Raises for a bad field, which
+    for a single row is its first bad field."""
     markers, nan = schema.missing_markers, math.nan
-    fields = list(zip(*body)) or [()] * width
     columns: list = []
     for spec, raw in zip(schema.attributes, fields):
         if spec.kind == CATEGORICAL:
@@ -423,7 +545,7 @@ def encode(dataset: Dataset) -> Dataset:
         specs.append(spec)
         columns.append(column)
     schema = Schema(tuple(specs), dataset.schema.label_column, dataset.schema.missing_markers)
-    return Dataset._of(schema, dataset.ids, dataset.labels, columns)
+    return Dataset._of(schema, dataset.ids, dataset.labels, columns, dataset.field_texts)
 
 
 def _encode_column(spec: AttributeSpec, column: Column, ids: Sequence[str]) -> tuple[AttributeSpec, Column]:
@@ -452,7 +574,7 @@ def decode_dataset(dataset: Dataset) -> Dataset:
             symbols = {v: spec.decode_value(v) for v in dict.fromkeys(values) if v == v}
             column = tuple(map(symbols.get, values))  # NaN finds no symbol: None
         columns.append(column)
-    return Dataset._of(dataset.schema, dataset.ids, dataset.labels, columns)
+    return Dataset._of(dataset.schema, dataset.ids, dataset.labels, columns, dataset.field_texts)
 
 
 def split_groups(dataset: Dataset) -> GroupSplit:
@@ -505,11 +627,27 @@ def csv_text(header: list[str], columns: Sequence[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
+def _kept_column(column: np.ndarray, kept: FieldText) -> list[str]:
+    """format_column's text for the column, copying each canonical field
+    whose cell still equals the value parsed from it and rendering the
+    rest; NaN equals nothing, so every missing or filled cell is
+    rendered."""
+    texts = kept.text.split("\n")
+    rest = np.flatnonzero(~(kept.canonical & (kept.values == column)))
+    for i, text in zip(rest.tolist(), format_column(column[rest])):
+        texts[i] = text
+    return texts
+
+
 def dataset_to_csv(dataset: Dataset) -> str:
     """Serialize with a header row, newline-terminated, deterministic;
-    cells are formatted a column at a time."""
+    cells are formatted a column at a time, and a numeric column with a
+    FieldText keeps the fields it can."""
     header = list(dataset.schema.attribute_names)
-    columns = [format_column(column) for column in dataset.columns]
+    columns = [
+        format_column(column) if kept is None else _kept_column(column, kept)
+        for column, kept in zip(dataset.columns, dataset.field_texts)
+    ]
     if dataset.schema.label_column is not None:
         header.append(dataset.schema.label_column)
         columns.append(["" if label is None else label for label in dataset.labels])

@@ -306,7 +306,7 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
         values.append(value)
     completed = dataset.matrix.copy()
     completed[missing] = values  # the same holes in the same order
-    completed = Dataset._of(dataset.schema, dataset.ids, dataset.labels, completed.T)
+    completed = Dataset._of(dataset.schema, dataset.ids, dataset.labels, completed.T, dataset.field_texts)
     return ImputationResult(completed, tuple(fills), config.mode, model, maps)
 
 

@@ -24,17 +24,17 @@ def squared_distances(X, U) -> np.ndarray:
     pow (np.float_power; NumPy's square, x * x and power(x, 2) round
     differently for roughly 0.1% of values), a missing term adds an
     exact +0.0, and each row's terms are added left to right in
-    attribute order, starting from 0.0 (never np.sum, einsum or @, whose
-    order differs, nor Python's sum(), which compensates from 3.12 on).
+    attribute order by np.add.accumulate, whose first partial sum is
+    the first term itself, as 0.0 + term is (never np.sum, einsum or @,
+    whose order differs, nor Python's sum(), which compensates from
+    3.12 on).
     """
     X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
     d = X[:, None, :] - U[None, :, :]
-    terms = np.float_power(np.where(np.isnan(d), 0.0, d), 2.0)
-    total = np.zeros(terms.shape[:2])
-    for attr in range(terms.shape[2]):
-        total += terms[:, :, attr]
-    return total
+    d[np.isnan(d)] = 0.0
+    np.float_power(d, 2.0, out=d)
+    return np.add.accumulate(d, axis=2)[..., -1]
 
 
 def nearest_rows(X, q) -> tuple[np.ndarray, np.ndarray]:
@@ -44,21 +44,20 @@ def nearest_rows(X, q) -> tuple[np.ndarray, np.ndarray]:
     without squaring every term through pow.
 
     A screen squares each difference by multiplication and adds the
-    squares left to right.  pow(d, 2) and d * d differ by at most an
-    ulp, so over n non-negative terms a row's screen and kernel sums
-    differ by a few n ulps, plus n subnormal ulps where squares
-    underflow.  Any row whose kernel sum equals the kernel's minimum,
-    or rounds to the same square root, therefore has a screen sum
-    within min * (1 + (n + 2) * 2**-48) + (n + 2) * 2**-1060, a bound
-    with several times that slack; every other row is ruled out
-    unsquared.  A minimum so large that the bound overflows rules out
-    no row.
+    squares in whatever order np.sum takes.  pow(d, 2) and d * d differ
+    by at most an ulp, and n non-negative terms added in any order come
+    within a relative (n - 1) * 2**-53 of their exact sum, so a row's
+    screen and kernel sums differ by a few n ulps, plus n subnormal ulps
+    where squares underflow.  Any row whose kernel sum equals the
+    kernel's minimum, or rounds to the same square root, therefore has
+    a screen sum within min * (1 + (n + 2) * 2**-48) + (n + 2) *
+    2**-1060, a bound with several times that slack; every other row is
+    ruled out unsquared.  A minimum so large that the bound overflows
+    rules out no row.
     """
     d = X.T - q[:, None]  # a column-major X makes this one contiguous pass
     d *= d
-    screen = np.zeros(d.shape[1])
-    for squares in d:
-        screen += squares
+    screen = d.sum(axis=0)
     n = len(d) + 2
     rows = np.flatnonzero(screen <= screen.min() * (1 + n * 2.0**-48) + n * 2.0**-1060)
     return rows, squared_distances(X[rows], q[None, :])[:, 0]
@@ -67,11 +66,7 @@ def nearest_rows(X, q) -> tuple[np.ndarray, np.ndarray]:
 def map_values(X, centroids) -> np.ndarray:
     """Map'(R) for every row of X: its distances to the centroids,
     added left to right in centroid order."""
-    distances = np.sqrt(squared_distances(X, centroids))
-    total = np.zeros(len(distances))
-    for column in distances.T:
-        total += column
-    return total
+    return np.add.accumulate(np.sqrt(squared_distances(X, centroids)), axis=1)[:, -1]
 
 
 def mean(values: Sequence[float]) -> float:

@@ -149,6 +149,17 @@ def test_impute_rejects_overwriting_its_input(impute_files, capsys):
     assert "overwrite" in capsys.readouterr().err
 
 
+def test_impute_rejects_one_file_for_both_outputs(impute_files, capsys):
+    tmp_path, data, schema, config = impute_files
+    out = tmp_path / "o.csv"
+    (tmp_path / "sub").mkdir()
+    same = str(tmp_path / "sub" / ".." / "o.csv")  # another spelling of out
+    code = main(["impute", "--data", data, "--schema", schema, "--config", config, "--out", str(out), "--report", same])
+    assert code == EXIT_USAGE
+    assert "overwrite another output" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_impute_does_not_mutate_inputs(impute_files):
     tmp_path, data, schema, config = impute_files
     before = (open(data).read(), open(schema).read())
@@ -451,10 +462,10 @@ def test_classify_oversized_query_field_exits_2_naming_row(classify_files, tmp_p
 
 def test_classify_incomplete_query_exits_2(classify_files, tmp_path, capsys):
     _, train, schema, _, config = classify_files
-    holed = write(tmp_path / "holed.csv", QUERY_HEADER + "2,?,2,9\n")
+    holed = write(tmp_path / "holed.csv", QUERY_HEADER + NEW_RECORD_ROW + "2,?,2,9\n?,5,?,9\n")
     code = main(["classify", "--train", train, "--schema", schema, "--query", holed, "--config", config])
     assert code == EXIT_USAGE
-    assert "missing" in capsys.readouterr().err
+    assert "query record Q2 has missing cells" in capsys.readouterr().err
 
 
 def test_classify_unlabeled_training_exits_4(tmp_path, capsys):
@@ -517,6 +528,24 @@ def test_evaluate_writes_report_and_summary(tmp_path):
     }
     assert len(payload["results"]) == 4
     assert summary.read_text().startswith("method,rate,trial")
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        ["--summary", "exp.json"],  # without --out, the report goes to stdout
+        ["--out", "exp.json"],
+        ["--out", "report.json", "--summary", "report.json"],
+    ],
+)
+def test_evaluate_rejects_an_output_that_collides(tmp_path, capsys, outputs):
+    text = json.dumps({"synthetic": {"records": 15, "seed": 4}, "methods": ["per-class-mean-mode"], "trials": 1})
+    spec = write(tmp_path / "exp.json", text)
+    code = main(["evaluate", "--config", spec, *(str(tmp_path / a) if a.endswith(".json") else a for a in outputs)])
+    assert code == EXIT_USAGE
+    assert "overwrite" in capsys.readouterr().err
+    assert (tmp_path / "exp.json").read_text() == text
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_evaluate_plan_reproduces_the_reference_scores(tmp_path, capsys):

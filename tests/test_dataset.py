@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import cmimpute.dataset
 from cmimpute.casestudy import fixture_text
 from cmimpute.dataset import (
     CATEGORICAL,
@@ -21,11 +25,13 @@ from cmimpute.dataset import (
     dataset_to_csv,
     decode_dataset,
     encode,
+    format_number,
     parse_dataset,
     schema_from_dict,
     split_groups,
 )
 from cmimpute.errors import DecodeError, ParseError, SchemaError
+from cmimpute.impute import ImputeConfig, impute_dataset
 
 
 def missing_schema() -> Schema:
@@ -375,3 +381,221 @@ def test_dataset_to_csv_renders_missing_and_integral_cells():
         (Record("R1", (1.0, None), "a"), Record("R2", (2.5, 3.0), None)),
     )
     assert dataset_to_csv(ds) == "x1,x2,class\n1,?,a\n2.5,3,\n"
+
+
+# --- kept field text: the canonical mask, the writer and the split parse ---
+
+
+def canonical(fields: list[str]) -> list[bool]:
+    return cmimpute.dataset._canonical_fields("\n".join(fields), len(fields)).tolist()
+
+
+@pytest.mark.parametrize(
+    "field, kept",
+    [
+        ("0", True),
+        ("7", True),
+        ("-12", True),
+        ("1.5", True),
+        ("-0.5", True),
+        ("0.0001", True),
+        ("123456789012345", True),
+        ("-0", False),
+        ("0.0", False),
+        ("-0.0", False),
+        ("1.50", False),
+        ("5.", False),
+        (".5", False),
+        ("007", False),
+        ("00.5", False),
+        ("0.00001", False),
+        ("-0.00001", False),
+        ("1e5", False),
+        ("+1", False),
+        (" 1", False),
+        ("1 ", False),
+        ("1-2", False),
+        ("1.2.3", False),
+        ("-", False),
+        ("", False),
+        ("?", False),
+        ("\u0661", False),  # an Arabic-Indic one: float() reads it, format_number writes "1"
+        ("1234567890123456", False),
+    ],
+)
+def test_the_canonical_mask_on_pinned_fields(field, kept):
+    assert canonical([field]) == [kept]
+    assert canonical(["1", field, "2.5"]) == [True, kept, True]
+
+
+float_fields = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.tuples(st.floats(-1e6, 1e6), st.integers(0, 12)).map(lambda p: f"{p[0]:.{p[1]}f}"),
+    st.integers(-(10**17), 10**17).map(str),
+    st.text(alphabet="-0123456789. e+", max_size=8),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(float_fields, min_size=1, max_size=6))
+def test_every_canonical_field_is_what_format_number_writes(fields):
+    for field, kept in zip(fields, canonical(fields)):
+        if kept:
+            assert format_number(float(field)) == field
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e17, 1e17))
+def test_format_number_output_is_canonical_when_short_and_plain(value):
+    text = format_number(value)
+    assert canonical([text]) == [len(text) <= 15 and "e" not in text]
+
+
+MARKED = Schema(
+    (AttributeSpec("x1", NUMERIC), AttributeSpec("s", CATEGORICAL), AttributeSpec("x2", NUMERIC)),
+    label_column="class",
+    missing_markers=frozenset({"?", "0", "-1"}),
+)
+
+
+def rendered(dataset: Dataset) -> str:
+    """dataset_to_csv with every cell rendered: a dataset built from
+    records keeps no field text."""
+    return dataset_to_csv(Dataset(dataset.schema, dataset.records))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(float_fields, st.sampled_from(["?", "0", "-1", " 2.5 ", "1_000"])),
+            st.sampled_from(["a", "b", "?"]),
+            st.one_of(float_fields, st.sampled_from(["?", "0", "-1"])),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_writing_kept_text_equals_rendering_every_cell(rows):
+    text = "x1,s,x2,class\n" + "".join(f"{a},{s},{b},c\n" for a, s, b in rows)
+    try:
+        ds = parse_dataset(text, MARKED)
+    except ParseError:
+        return  # a field float() rejects, or one past the magnitude bound
+    assert ds.field_texts[0] is not None and ds.field_texts[1] is None
+    assert dataset_to_csv(ds) == rendered(ds)
+    decoded = decode_dataset(encode(ds))
+    assert decoded.field_texts == ds.field_texts
+    assert dataset_to_csv(decoded) == rendered(decoded)
+
+
+def test_writing_kept_text_after_imputation_equals_rendering_every_cell():
+    rng = np.random.default_rng(5)
+    lines = ["x1,s,x2,class"]
+    for i in range(120):
+        a, b = rng.normal(3.0, 2.0, 2).tolist()
+        fields = [repr(round(a, 3)), "abc"[i % 3], f"{b:.2f}", "c1c2"[2 * (i % 2) : 2 * (i % 2) + 2]]
+        if i % 7 == 3:
+            fields[i % 3] = ["?", "a", "0"][i % 3] if i % 3 else "-1"  # markers, numeric-looking ones too
+        lines.append(",".join(fields))
+    ds = parse_dataset("\n".join(lines) + "\n", MARKED)
+    result = impute_dataset(encode(ds), ImputeConfig(k=2))
+    completed = decode_dataset(result.dataset)
+    assert result.fills and completed.field_texts == ds.field_texts
+    assert dataset_to_csv(completed) == rendered(completed)
+    assert "?" not in dataset_to_csv(completed)
+
+
+def parse_outcome(text: str, schema: Schema):
+    """What parse_dataset makes of the text: the error, or the dataset
+    as ids, cell reprs (so -0.0 differs from 0.0), labels, written text
+    and kept field texts."""
+    try:
+        ds = parse_dataset(text, schema)
+    except (ParseError, SchemaError) as exc:
+        return type(exc).__name__, str(exc)
+    cells = [tuple(map(repr, r.cells)) for r in ds.records]
+    return ds.ids, cells, ds.labels, dataset_to_csv(ds), [t and t.text for t in ds.field_texts]
+
+
+def read_by_csv_reader(text: str, schema: Schema):
+    with mock.patch.object(cmimpute.dataset, "_split_fields", return_value=None):
+        return parse_outcome(text, schema)
+
+
+SPLIT = Schema((AttributeSpec("x1", NUMERIC), AttributeSpec("s", CATEGORICAL)), label_column="class")
+LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize(
+    "text, split",
+    [
+        pytest.param("x1,s,class\n1,a,b\n2.5,c,d\n", True, id="plain"),
+        pytest.param("x1,s,class\n1,a,b\n2.5,c,d", True, id="no-trailing-newline"),
+        pytest.param("\nx1,s,class\n\n1,a,b\n\n\n2,c,\n\n", True, id="blank-lines"),
+        pytest.param("x1,s,class\n 1 , a ,b\n-0 ,?,\n", True, id="padded-fields"),
+        pytest.param("x1,s,class\n1,\u00e9,b\n\u0661,\u00fc,c\n", True, id="non-ascii"),
+        pytest.param("x1,s,class\n", True, id="header-only"),
+        pytest.param("x1,s,class\n1,a,b\nbogus,a,b\n", True, id="bad-field"),
+        pytest.param("x1,s,class\n1,a\n2,b,c,d\n", False, id="widths-that-cancel"),
+        pytest.param("x1,s,class\n1,a,b,c\n", False, id="wide-row"),
+        pytest.param("x1,class\n1,a,b\n", False, id="short-header"),
+        pytest.param("x1,s,class\r1,a,b\r", False, id="cr"),
+        pytest.param("x1,s,class\r\n1,a,b\r\n2,c,d\r\n", False, id="crlf"),
+        pytest.param('x1,s,class\n"1",a,b\n', False, id="quoted-field"),
+        pytest.param('x1,s,class\n"1,5",a,b\n', False, id="quoted-comma"),
+        pytest.param('x1,s,class\n1,"a\nb",c\n', False, id="quoted-newline"),
+        pytest.param("x1,s,class\n1,a,b\n2," + "x" * (LIMIT + 1) + ",c\n", False, id="over-limit-field"),
+        pytest.param("x1,s,class\n1,a," + "x" * LIMIT + "\n", False, id="long-line-within-limit"),
+        pytest.param("", False, id="empty"),
+        pytest.param("\n\n", False, id="blank"),
+    ],
+)
+def test_the_split_parse_reads_what_csv_reader_reads(text, split):
+    assert (cmimpute.dataset._split_fields(text, 3) is not None) == split
+    assert parse_outcome(text, SPLIT) == read_by_csv_reader(text, SPLIT)
+
+
+csv_fields = st.one_of(
+    st.text(alphabet="0123456789.- ?xa\u00e9", max_size=4),
+    st.text(alphabet='0123456789,"\r\n ', max_size=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(csv_fields, min_size=1, max_size=4), max_size=5),
+    st.sampled_from(["", "\n", "\r\n", "\n\n"]),
+)
+def test_split_and_csv_reader_parses_agree(rows, end):
+    text = "x1,s,class\n" + "\n".join(map(",".join, rows)) + end
+    assert parse_outcome(text, SPLIT) == read_by_csv_reader(text, SPLIT)
+
+
+def test_parsing_an_unquoted_table_allocates_no_list_per_row():
+    text = "x1,x2,class\n" + "".join(f"{i / 8},{i % 7},c{i % 3}\n" for i in range(4000))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    def collections_while(parse):
+        enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        collections.clear()
+        gc.callbacks.append(count)
+        try:
+            parse()
+        finally:
+            gc.callbacks.remove(count)
+            if not enabled:
+                gc.disable()
+        return len(collections)
+
+    # 4,000 live row lists pass the collector's first threshold (700 by
+    # default) several times over; the split parse keeps far fewer.
+    assert collections_while(lambda: parse_dataset(text, numeric_schema(2))) == 0
+    with mock.patch.object(cmimpute.dataset, "_split_fields", return_value=None):
+        assert collections_while(lambda: parse_dataset(text, numeric_schema(2))) > 0
