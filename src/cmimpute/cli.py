@@ -201,8 +201,9 @@ def cmd_impute(config: RunConfig) -> int:
     if config.verbose:
         for fill in result.fills:
             donors = ";".join(fill.donor_ids)
-            print(f"{fill.query_id}.{fill.attr_name} <- {fill.value:g} (donor {donors})")
-    print(f"imputed {len(result.fills)} cells, wrote {out}")
+            value = fill.symbol if fill.symbol is not None else f"{fill.value:g}"
+            print(f"{fill.query_id}.{fill.attr_name} <- {value} (donor {donors})")
+    print(f"imputed {len(result.values)} cells, wrote {out}")
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -193,27 +193,25 @@ def _column(cells: Sequence[Cell]) -> Column:
 
 @dataclass(frozen=True)
 class FieldText:
-    """A numeric column's fields as they were read, "\n"-joined, and the
-    values parsed from them.  The writer copies a canonical field (see
+    """A numeric column's fields as they were read and the values parsed
+    from them.  The writer copies a canonical field (see
     _canonical_fields) wherever its cell still holds the value parsed
     from it, instead of rendering the value again."""
 
-    text: str
+    fields: Sequence[str]
     values: np.ndarray
 
     @cached_property
     def canonical(self) -> np.ndarray:
         """Per field, whether it is canonical: computed on the first
-        write, so a dataset that is never written never pays for it."""
-        return _canonical_fields(self.text, len(self.values))
-
-
-def _field_text(fields: Sequence[str], values: np.ndarray) -> FieldText | None:
-    """The column's FieldText, or None when it has no fields or a field
-    holds a line break, so that the joined text no longer splits back
-    into the fields."""
-    text = "\n".join(fields)
-    return FieldText(text, values) if fields and text.count("\n") == len(fields) - 1 else None
+        write, so a dataset that is never written never pays for it.  A
+        field holding a line break (csv.reader reads one from a quoted
+        field) would split the joined text anew, so in that column no
+        field counts as canonical and every cell is rendered."""
+        text, m = "\n".join(self.fields), len(self.fields)
+        if text.count("\n") != m - 1:
+            return np.zeros(m, dtype=bool)
+        return _canonical_fields(text, m)
 
 
 # Per byte, 0 for a digit or a line break, 1 for a dot and 2 for any
@@ -409,7 +407,7 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     labels = [f.strip() or None for f in columns[n]] if schema.label_column is not None else [None] * m
     ids = [f"{id_prefix}{i}" for i in range(1, m + 1)]
     texts = [
-        _field_text(raw, column) if spec.kind == NUMERIC else None
+        FieldText(raw, column) if spec.kind == NUMERIC else None
         for spec, raw, column in zip(schema.attributes, fields, columns)
     ]
     return Dataset._of(schema, ids, labels, columns[:n], texts)
@@ -477,6 +475,7 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
     time, then their raw label fields.  Raises for a bad field, which
     for a single row is its first bad field."""
     markers, nan = schema.missing_markers, math.nan
+    marker_nan = _marker_nan(markers)
     columns: list = []
     for spec, raw in zip(schema.attributes, fields):
         if spec.kind == CATEGORICAL:
@@ -489,11 +488,13 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
                 )
             columns.append(_column(symbols))
             continue
-        try:
-            values = np.array([nan if (t := f.strip()) in markers else float(t) for f in raw])
-        except ValueError:
-            i, t = next((i, t) for i, f in enumerate(raw) if (t := f.strip()) not in markers and not _is_float(t))
-            raise ParseError(f"row {first_row + i}: {t!r} is not numeric for attribute {spec.name!r}") from None
+        values = _cast(raw, marker_nan) if marker_nan is not None else None
+        if values is None:
+            try:
+                values = np.array([nan if (t := f.strip()) in markers else float(t) for f in raw])
+            except ValueError:
+                i, t = next((i, t) for i, f in enumerate(raw) if (t := f.strip()) not in markers and not _is_float(t))
+                raise ParseError(f"row {first_row + i}: {t!r} is not numeric for attribute {spec.name!r}") from None
         for i in np.flatnonzero(~(np.abs(values) <= MAX_MAGNITUDE)).tolist():  # NaN fails <=
             t = raw[i].strip()
             if t in markers:
@@ -506,6 +507,31 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
             )
         columns.append(values)
     return columns + fields[schema.arity :]
+
+
+def _marker_nan(markers: frozenset[str]) -> Callable[[str, str], object] | None:
+    """A lookup that turns a field that is exactly a marker into NaN and
+    passes any other field on, for _cast; None when a cast could read a
+    field otherwise than the strip/float scan: when a marker reads as a
+    number other than NaN, since a blank-padded copy of it, a missing
+    cell to the scan, would cast to that number.  Only a marker that
+    strip() leaves as it is can equal a stripped field, so only such a
+    marker is looked up."""
+    if any(_is_float(m) and not math.isnan(float(m)) for m in markers):
+        return None
+    return {m: math.nan for m in markers if m == m.strip()}.get
+
+
+def _cast(raw: Sequence[str], marker_nan: Callable[[str, str], object]) -> np.ndarray | None:
+    """The fields as one float array, NaN for each field that is exactly
+    a marker; NumPy reads every other field with float()'s own parser,
+    which skips the blanks strip() removes.  None when a field does not
+    cast, say a bad field or a blank-padded marker, which the scan then
+    reads or names."""
+    try:
+        return np.array([marker_nan(f, f) for f in raw], dtype=float)
+    except ValueError:
+        return None
 
 
 def _is_float(text: str) -> bool:
@@ -632,7 +658,7 @@ def _kept_column(column: np.ndarray, kept: FieldText) -> list[str]:
     whose cell still equals the value parsed from it and rendering the
     rest; NaN equals nothing, so every missing or filled cell is
     rendered."""
-    texts = kept.text.split("\n")
+    texts = list(kept.fields)
     rest = np.flatnonzero(~(kept.canonical & (kept.values == column)))
     for i, text in zip(rest.tolist(), format_column(column[rest])):
         texts[i] = text

@@ -7,6 +7,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -106,13 +107,13 @@ def _nearest_rows(maps: MappingTable, c: float, mode: str) -> tuple[int, ...]:
     return tuple(sorted(order[lo:hi]))
 
 
-def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """nearest_donors for every query mapping value in c at once: the
-    donor-pool position of each query's nearest donor, and whether it
-    is alone in its tie run, i.e. no second neighbour ties it.  The keys
-    are formed elementwise as nearest_donors forms them, so both round
-    the same."""
-    values, order = map(np.array, maps.sorted_donors)
+def _select_all(values: np.ndarray, order: np.ndarray, c: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """nearest_donors for every query mapping value in c at once, given
+    the donor mapping values in ascending order and each one's
+    donor-pool position (MappingTable.sorted_arrays): the donor-pool
+    position of each query's nearest donor, and whether it is alone in
+    its tie run, i.e. no second neighbour ties it.  The keys are formed
+    elementwise as nearest_donors forms them, so both round the same."""
     if mode == MODE_SIGNED:
         pick = np.zeros(len(c), dtype=np.intp)
         single = values[1] - c != values[0] - c if len(values) > 1 else np.ones(len(c), dtype=bool)
@@ -203,7 +204,7 @@ def _tie_class(donors: Sequence[int], g1: Dataset, maps: MappingTable) -> str | 
     if len(candidates) == 1:
         return candidates.pop()
     contenders = [d for d in donors if g1.labels[d] in candidates]
-    return g1.labels[min(contenders, key=lambda d: maps.complete_map[g1.ids[d]])]
+    return g1.labels[min(contenders, key=maps.donor_values.__getitem__)]
 
 
 @dataclass(frozen=True)
@@ -239,11 +240,55 @@ class CellFill:
 
 @dataclass(frozen=True)
 class ImputationResult:
+    """The completed dataset, the selection mode, and the cluster model
+    and mapping table (None when no cell was missing).  The imputed
+    cells are kept as columns, one entry per cell in row order: its
+    query's position among the table's queries (rows), its attribute
+    (attrs), its value and its tie policy; donors holds each query's
+    tied donors as donor-pool positions.  fills is built from these
+    columns when first read."""
+
     dataset: Dataset
-    fills: tuple[CellFill, ...]
     mode: str
-    model: ClusterModel | None
-    maps: MappingTable | None
+    model: ClusterModel | None = None
+    maps: MappingTable | None = None
+    rows: Sequence[int] = ()
+    attrs: Sequence[int] = ()
+    values: Sequence[float] = ()
+    policies: Sequence[str] = ()
+    donors: Sequence[tuple[int, ...]] = ()
+
+    @cached_property
+    def fills(self) -> tuple[CellFill, ...]:
+        """Provenance per imputed cell, in row order."""
+        query_ids, names, donor_ids, symbols = self._cells()
+        return tuple(map(CellFill, query_ids, self.attrs, names, donor_ids, self.values, symbols, self.policies))
+
+    def _cells(self) -> tuple[list[str], list[str], list[tuple[str, ...]], list[str | None]]:
+        """Per imputed cell: its query's id, its attribute's name, its
+        donors' ids (one tuple per distinct donor set) and its value's
+        symbol (None for a numeric attribute), each distinct value of a
+        categorical attribute decoded once."""
+        if self.maps is None:
+            return [], [], [], []
+        specs = self.dataset.schema.attributes
+        query_ids, donor_ids = self.maps.query_ids, self.maps.donor_ids
+        named = {ds: tuple(donor_ids[d] for d in ds) for ds in set(self.donors)}
+        symbols: list[str | None] = [None] * len(self.values)
+        attrs, values = np.array(self.attrs, dtype=np.intp), np.array(self.values, dtype=float)
+        for a, spec in enumerate(specs):
+            if spec.kind == CATEGORICAL:
+                cells = np.flatnonzero(attrs == a).tolist()
+                column = values[cells].tolist()
+                decoded = {v: str(spec.decode_value(v)) for v in set(column)}
+                for i, v in zip(cells, column):
+                    symbols[i] = decoded[v]
+        return (
+            [query_ids[j] for j in self.rows],
+            [specs[a].name for a in self.attrs],
+            [named[self.donors[j]] for j in self.rows],
+            symbols,
+        )
 
 
 def missing_cells(dataset: Dataset, no_donors: str) -> np.ndarray | None:
@@ -273,7 +318,7 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
     config = config or ImputeConfig()
     missing = missing_cells(dataset, "every record has missing values; nothing can donate")
     if missing is None:
-        return ImputationResult(dataset, (), config.mode, None, None)
+        return ImputationResult(dataset, config.mode)
     empty = missing.all(axis=1)
     if empty.any():
         raise InsufficientDataError(f"record {dataset.ids[int(empty.argmax())]} has no observed values")
@@ -289,39 +334,39 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
     model = cluster(g1, k, init)
     maps = build_mapping(g1, g2, model)
 
-    c = np.array([maps.query_map[rid] for rid in g2.ids])
-    donor, single = _select_all(maps, c, config.mode)
+    c = maps.query_values
+    donor, single = _select_all(*maps.sorted_arrays, c, config.mode)
     donors = [(d,) for d in donor.tolist()]
     for j in np.flatnonzero(~single).tolist():
         donors[j] = _nearest_rows(maps, float(c[j]), config.mode)
-    names = {ds: tuple(maps.donor_ids[d] for d in ds) for ds in set(donors)}  # shared: fewer objects to collect
 
-    fills, values = [], []
-    rows, attrs = np.nonzero(missing[missing.any(axis=1)])  # the holes of g2, row by row
-    for j, attr in zip(rows.tolist(), attrs.tolist()):
-        spec = dataset.schema.attributes[attr]
-        value, policy = _fill_value(g2.matrix[j], attr, donors[j], g1, spec, maps)
-        symbol = str(spec.decode_value(value)) if spec.kind == CATEGORICAL else None
-        fills.append(CellFill(g2.ids[j], attr, spec.name, names[donors[j]], value, symbol, policy))
+    rows, attrs = (a.tolist() for a in np.nonzero(missing[missing.any(axis=1)]))  # the holes of g2, row by row
+    specs, queries = dataset.schema.attributes, g2.matrix
+    values, policies = [], []
+    for j, attr in zip(rows, attrs):
+        value, policy = _fill_value(queries[j], attr, donors[j], g1, specs[attr], maps)
         values.append(value)
+        policies.append(policy)
     completed = dataset.matrix.copy()
     completed[missing] = values  # the same holes in the same order
     completed = Dataset._of(dataset.schema, dataset.ids, dataset.labels, completed.T, dataset.field_texts)
-    return ImputationResult(completed, tuple(fills), config.mode, model, maps)
+    return ImputationResult(completed, config.mode, model, maps, rows, attrs, values, policies, donors)
 
 
 def provenance_csv(result: ImputationResult) -> str:
-    """One row per imputed cell, for audit, built a column at a time."""
-    fills = result.fills
+    """One row per imputed cell, for audit, built a column at a time
+    from the result's columns; no CellFill is built."""
+    query_ids, names, donor_ids, symbols = result._cells()
+    joined = {ids: ";".join(ids) for ids in set(donor_ids)}
     return csv_text(
         ["query", "attribute", "donors", "value", "symbol", "mode", "tie_policy"],
         [
-            [f.query_id for f in fills],
-            [f.attr_name for f in fills],
-            [";".join(f.donor_ids) for f in fills],
-            format_column(np.array([f.value for f in fills], dtype=float)),
-            [f.symbol or "" for f in fills],
-            [result.mode] * len(fills),
-            [f.tie_policy for f in fills],
+            query_ids,
+            names,
+            [joined[ids] for ids in donor_ids],
+            format_column(np.array(result.values, dtype=float)),
+            ["" if symbol is None else symbol for symbol in symbols],
+            [result.mode] * len(result.values),
+            result.policies,
         ],
     )

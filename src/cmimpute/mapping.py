@@ -4,8 +4,8 @@ single scalar: the sum of its distances to all centroids."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -115,55 +115,89 @@ def check_map_value(table: str, rid: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
 class MappingTable:
-    """Scalar mapping values for the donor pool and for the queries."""
+    """Scalar mapping values for the donor pool and for the queries:
+    each group's ids, and its values as a read-only array aligned with
+    them.  complete_map and query_map are read-only id -> value views
+    of the two groups, built when first read."""
 
-    complete_map: Mapping[str, float]
-    query_map: Mapping[str, float]
+    def __init__(self, complete_map: Mapping[str, float], query_map: Mapping[str, float]) -> None:
+        self._init(
+            tuple(complete_map),
+            np.fromiter(complete_map.values(), float, len(complete_map)),
+            tuple(query_map),
+            np.fromiter(query_map.values(), float, len(query_map)),
+        )
 
-    def __post_init__(self) -> None:
-        for name, table in (("complete_map", self.complete_map), ("query_map", self.query_map)):
-            values = np.fromiter(table.values(), float, len(table))
+    @classmethod
+    def _of(cls, donor_ids: Sequence[str], donor_values, query_ids: Sequence[str], query_values) -> MappingTable:
+        """A table straight from each group's ids and values; no mapping is built."""
+        table = cls.__new__(cls)
+        table._init(tuple(donor_ids), donor_values, tuple(query_ids), query_values)
+        return table
+
+    def _init(self, donor_ids, donor_values: np.ndarray, query_ids, query_values: np.ndarray) -> None:
+        for name, ids, values in (("complete_map", donor_ids, donor_values), ("query_map", query_ids, query_values)):
             bad = ~((values >= 0) & (values < math.inf))  # NaN fails both
             if bad.any():
-                rid = list(table)[int(bad.argmax())]
-                check_map_value(name, rid, table[rid])
+                i = int(bad.argmax())
+                check_map_value(name, ids[i], float(values[i]))
+            values.flags.writeable = False
+        self.donor_ids, self.donor_values = donor_ids, donor_values
+        self.query_ids, self.query_values = query_ids, query_values
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MappingTable):
+            return NotImplemented
+        return (self.complete_map, self.query_map) == (other.complete_map, other.query_map)
 
     @cached_property
-    def donor_ids(self) -> tuple[str, ...]:
-        """Donor ids in donor-pool order."""
-        return tuple(self.complete_map)
+    def complete_map(self) -> Mapping[str, float]:
+        """Map(R) per donor id."""
+        return MappingProxyType(dict(zip(self.donor_ids, self.donor_values.tolist())))
+
+    @cached_property
+    def query_map(self) -> Mapping[str, float]:
+        """Map'(R) per query id."""
+        return MappingProxyType(dict(zip(self.query_ids, self.query_values.tolist())))
+
+    @cached_property
+    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Donor mapping values in ascending order (a stable sort), each
+        paired with its donor's position in donor-pool order."""
+        order = np.argsort(self.donor_values, kind="stable")
+        return self.donor_values[order], order
 
     @cached_property
     def sorted_donors(self) -> tuple[list[float], list[int]]:
-        """Donor mapping values in ascending order (a stable sort), each
-        paired with its donor's position in donor-pool order."""
-        values = np.fromiter(self.complete_map.values(), float, len(self.complete_map))
-        order = np.argsort(values, kind="stable")
-        return values[order].tolist(), order.tolist()
+        """sorted_arrays as lists, for a bisect of one scalar."""
+        values, order = self.sorted_arrays
+        return values.tolist(), order.tolist()
 
 
-def _group_map(rows: Dataset, model: ClusterModel, complete: bool) -> dict[str, float]:
-    """Mapping value per record id for one group, checked as map_query
-    checks a record (and, for donors, for a missing cell), raised for
-    the first record that fails."""
+def _group_values(rows: Dataset, model: ClusterModel, complete: bool) -> np.ndarray:
+    """Mapping value per record of one group, in row order, checked as
+    map_query checks a record (and, for donors, for a missing cell),
+    raised for the first record that fails."""
     arity = len(model.centroids[0])
     if rows.schema.arity != arity:
         raise ValueError(f"dataset has {rows.schema.arity} attributes, the model's centroids {arity}")
     if not len(rows):
-        return {}
+        return np.empty(0)
     missing = np.isnan(rows.matrix)
     bad = missing.any(axis=1) if complete else missing.all(axis=1)
     if bad.any():
         raise ValueError((MISSING if complete else UNOBSERVED).format(rows.ids[int(bad.argmax())]))
-    return dict(zip(rows.ids, map_values(rows.matrix, model.centroids).tolist()))
+    return map_values(rows.matrix, model.centroids)
 
 
 def build_mapping(g1: Dataset, queries: Dataset, model: ClusterModel) -> MappingTable:
     """Map(R) for the donor pool and Map'(R) for the queries, each
-    group an encoded dataset, one kernel call per group."""
-    return MappingTable(
-        complete_map=_group_map(g1, model, complete=True),
-        query_map=_group_map(queries, model, complete=False),
+    group an encoded dataset, one kernel call per group; each group's
+    values stay an array aligned with its rows."""
+    return MappingTable._of(
+        g1.ids,
+        _group_values(g1, model, complete=True),
+        queries.ids,
+        _group_values(queries, model, complete=False),
     )

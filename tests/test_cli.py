@@ -10,10 +10,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import cmimpute.casestudy
 import cmimpute.cli
+import cmimpute.impute
 from cmimpute.casestudy import IMPUTATION_PARTITION, fixture_text
 from cmimpute.cli import (
     EXIT_INSUFFICIENT,
@@ -25,6 +27,8 @@ from cmimpute.cli import (
     SEED_ENV_VAR,
     main,
 )
+from cmimpute.dataset import NUMERIC, dataset_to_csv, decode_dataset
+from cmimpute.evaluate import inject_mcar, make_synthetic_dataset
 
 QUERY_HEADER = "P1,P2,P3,P4\n"
 NEW_RECORD_ROW = "2,5,2,9\n"
@@ -100,6 +104,78 @@ def test_impute_recovers_the_reference_table(impute_files):
     lines = report.read_text().strip().splitlines()
     assert lines[1] == "R3,A3,R8,2,d32,paper-signed,single-donor"
     assert lines[2] == "R5,A4,R8,7,,paper-signed,single-donor"
+
+
+def test_impute_verbose_prints_each_fill_with_its_symbol(impute_files, capsys):
+    tmp_path, data, schema, config = impute_files
+    out = str(tmp_path / "out.csv")
+    argv = ["impute", "--data", data, "--schema", schema, "--config", config, "--out", out, "--verbose"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "R3.A3 <- d32 (donor R8)",
+        "R5.A4 <- 7 (donor R8)",
+        f"imputed 2 cells, wrote {out}",
+    ]
+
+
+def test_impute_builds_a_cell_fill_only_for_verbose_output(impute_files, monkeypatch):
+    tmp_path, data, schema, config = impute_files
+    built = []
+    original = cmimpute.impute.CellFill
+
+    def counting(*fields):
+        built.append(fields[0])
+        return original(*fields)
+
+    monkeypatch.setattr(cmimpute.impute, "CellFill", counting)
+    argv = ["impute", "--data", data, "--schema", schema, "--config", config, "--out", str(tmp_path / "out.csv")]
+    assert main(argv + ["--report", str(tmp_path / "prov.csv")]) == EXIT_OK
+    assert built == []
+    assert main(argv + ["--verbose"]) == EXIT_OK
+    assert built == ["R3", "R5"]
+
+
+def test_every_missing_cell_is_filled_through_fill_value(tmp_path, monkeypatch):
+    masked, _ = inject_mcar(make_synthetic_dataset(80, seed=4), 0.05, seed=4)
+    specs = masked.schema.attributes
+    schema = {
+        "attributes": [{"name": a.name, "kind": a.kind, "encoding": dict(a.encoding)} for a in specs],
+        "label_column": masked.schema.label_column,
+    }
+    data = write(tmp_path / "data.csv", dataset_to_csv(decode_dataset(masked)))
+    schema_path = write(tmp_path / "schema.json", json.dumps(schema))
+    out, report = tmp_path / "out.csv", tmp_path / "prov.csv"
+
+    def impute() -> tuple[list[list[str]], list[dict]]:
+        argv = ["impute", "--data", data, "--schema", schema_path, "--out", str(out), "--report", str(report)]
+        assert main(argv) == EXIT_OK
+        return list(csv.reader(out.read_text().splitlines())), list(csv.DictReader(report.read_text().splitlines()))
+
+    table, provenance = impute()
+    original = cmimpute.impute._fill_value
+
+    def shifted(query, attr, donors, g1, spec, maps):
+        value, policy = original(query, attr, donors, g1, spec, maps)
+        return (value + 0.5 if spec.kind == NUMERIC else value), policy
+
+    monkeypatch.setattr(cmimpute.impute, "_fill_value", shifted)
+    moved_table, moved_provenance = impute()
+
+    holes = set(zip(*(a.tolist() for a in np.nonzero(np.isnan(masked.matrix)))))
+    numeric = {(row, attr) for row, attr in holes if specs[attr].kind == NUMERIC}
+    assert numeric and len(numeric) < len(holes)
+    for row, (before, after) in enumerate(zip(table[1:], moved_table[1:])):
+        for attr, (a, b) in enumerate(zip(before, after)):
+            if (row, attr) in numeric:
+                assert float(b) == float(a) + 0.5, (row, attr)
+            else:
+                assert a == b, (row, attr)
+    assert len(provenance) == len(moved_provenance) == len(holes)
+    for before, after in zip(provenance, moved_provenance):
+        if before["symbol"]:
+            assert after == before
+        else:
+            assert float(after["value"]) == float(before["value"]) + 0.5
 
 
 def test_impute_complete_input_is_identity(tmp_path):

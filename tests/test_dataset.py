@@ -489,6 +489,13 @@ def test_writing_kept_text_equals_rendering_every_cell(rows):
     assert dataset_to_csv(decoded) == rendered(decoded)
 
 
+def test_a_field_holding_a_line_break_leaves_its_column_no_canonical_field():
+    ds = parse_dataset('x1,x2,class\n"1\n",1.50,a\n2.5,7,b\n', numeric_schema(2))
+    assert ds.field_texts[0].canonical.tolist() == [False, False]
+    assert ds.field_texts[1].canonical.tolist() == [False, True]
+    assert dataset_to_csv(ds) == rendered(ds) == "x1,x2,class\n1,1.5,a\n2.5,7,b\n"
+
+
 def test_writing_kept_text_after_imputation_equals_rendering_every_cell():
     rng = np.random.default_rng(5)
     lines = ["x1,s,x2,class"]
@@ -515,12 +522,54 @@ def parse_outcome(text: str, schema: Schema):
     except (ParseError, SchemaError) as exc:
         return type(exc).__name__, str(exc)
     cells = [tuple(map(repr, r.cells)) for r in ds.records]
-    return ds.ids, cells, ds.labels, dataset_to_csv(ds), [t and t.text for t in ds.field_texts]
+    return ds.ids, cells, ds.labels, dataset_to_csv(ds), [t and list(t.fields) for t in ds.field_texts]
 
 
 def read_by_csv_reader(text: str, schema: Schema):
     with mock.patch.object(cmimpute.dataset, "_split_fields", return_value=None):
         return parse_outcome(text, schema)
+
+
+def read_by_strip_and_float(text: str, schema: Schema):
+    """parse_outcome with every numeric column read by the strip/float
+    scan, one field at a time, instead of one cast per column."""
+    with mock.patch.object(cmimpute.dataset, "_marker_nan", return_value=None):
+        return parse_outcome(text, schema)
+
+
+# Marker sets: the default, a blank-padded marker, markers that read as
+# NaN, and a marker that reads as a number, for which the scan is kept.
+MARKER_SETS = [
+    frozenset({"?", "NaN", ""}),
+    frozenset({"?", " x "}),
+    frozenset({"NA", "nan", "-nan"}),
+    frozenset({"?", "0"}),
+]
+PINNED_FIELDS = [
+    "1_000", " 2 ", " 4 ", "\u0661\u0662", "1e500", "nan", "-0", "1e-320",  # float() accepts
+    "0x10", "1__0", " ",  # float() rejects
+    " ? ", "?", " NaN ", "NaN", " x ", "x", " 0 ", "0", "-0.0", "\u00a01\u00a0", "-nan", "inf", "-1e101", "",
+]
+
+
+@pytest.mark.parametrize("markers", MARKER_SETS, ids=["default", "padded", "nan", "numeric"])
+@pytest.mark.parametrize("field", PINNED_FIELDS)
+def test_one_cast_per_column_reads_what_strip_and_float_read(field, markers):
+    schema = Schema(numeric_schema(2).attributes, "class", markers)
+    assert (cmimpute.dataset._marker_nan(markers) is None) == (markers == MARKER_SETS[3])
+    for text in (f"x1,x2,class\n{field},1,a\n", f"x1,x2,class\n1,2.5,a\n-3,{field},b\n"):
+        assert parse_outcome(text, schema) == read_by_strip_and_float(text, schema)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.text(alphabet="0123456789.-+e_ ?xnaNI\u0661\u00a0", max_size=5), min_size=2, max_size=2), max_size=5),
+    st.sampled_from(MARKER_SETS),
+)
+def test_one_cast_and_strip_and_float_parses_agree(rows, markers):
+    schema = Schema(numeric_schema(2).attributes, "class", markers)
+    text = "x1,x2,class\n" + "".join(f"{a},{b},c\n" for a, b in rows)
+    assert parse_outcome(text, schema) == read_by_strip_and_float(text, schema)
 
 
 SPLIT = Schema((AttributeSpec("x1", NUMERIC), AttributeSpec("s", CATEGORICAL)), label_column="class")

@@ -44,6 +44,7 @@ from cmimpute.impute import (
     MODE_ABSOLUTE,
     MODE_SIGNED,
     MODES,
+    CellFill,
     ImputeConfig,
     difference_table,
     _fill_value,
@@ -614,6 +615,64 @@ def test_tie_fills_compute_each_class_statistic_once(monkeypatch):
     class_fills = [f for f in result.fills if f.tie_policy.endswith("-same-class")]
     assert len(class_fills) > 3 * len(computed)
     assert max(computed.values()) == 1
+
+
+def tie_heavy_table() -> Dataset:
+    """A TIE_SCHEMA table of cells from {0, 1, 2}, a third of it
+    unlabeled, 10% MCAR: with k = 2 in absolute mode its fills take
+    every tie policy."""
+    rng = np.random.default_rng(1)
+    cells = rng.integers(0, 3, (120, 3)).astype(float)
+    cells[:, 2] += 1  # the categorical's ordinals
+    labels = rng.choice(np.array(["A", "B", None], dtype=object), 120).tolist()
+    records = tuple(Record(f"R{i + 1}", tuple(c), label) for i, (c, label) in enumerate(zip(cells.tolist(), labels)))
+    return inject_mcar(Dataset(TIE_SCHEMA, records), 0.1, seed=1)[0]
+
+
+POLICIES = {"single-donor", "mean-same-class", "modal-same-class", "mean-tied-donors", "modal-tied-donors"}
+
+
+def eager_fills(masked: Dataset, result) -> tuple[CellFill, ...]:
+    """Every imputed cell's CellFill recomputed one cell at a time: the
+    donors by a scan of the difference column, the value and policy by
+    their definition, the symbol by decoding the value."""
+    maps, split = result.maps, split_groups(masked)
+    by_id = {r.id: r for r in split.g1.records}
+    fills = []
+    for r in split.g2.records:
+        donors = brute_nearest(maps, r.id, result.mode)
+        for attr in r.missing_indices:
+            spec = masked.schema.attributes[attr]
+            value, policy = reference_fill([by_id[d] for d in donors], split.g1.records, attr, spec, maps)
+            symbol = spec.decode_value(value) if spec.kind == CATEGORICAL else None
+            fills.append(CellFill(r.id, attr, spec.name, donors, value, symbol, policy))
+    return tuple(fills)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_lazy_fills_equal_a_cell_at_a_time_recomputation(mode):
+    masked = tie_heavy_table()
+    result = impute_dataset(masked, ImputeConfig(mode=mode, k=2))
+    assert "fills" not in vars(result)
+    expected = eager_fills(masked, result)
+    assert result.fills == expected
+    assert [repr(f.value) for f in result.fills] == [repr(f.value) for f in expected]  # -0.0 too
+    if mode == MODE_ABSOLUTE:
+        assert {f.tie_policy for f in expected} == POLICIES
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_provenance_is_the_rendering_of_the_eager_fills(mode):
+    result = impute_dataset(tie_heavy_table(), ImputeConfig(mode=mode, k=2))
+    text = provenance_csv(result)
+    assert "fills" not in vars(result)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["query", "attribute", "donors", "value", "symbol", "mode", "tie_policy"])
+    for f in result.fills:
+        value = str(int(f.value)) if abs(f.value) < 1e15 and f.value == int(f.value) else repr(f.value)
+        writer.writerow([f.query_id, f.attr_name, ";".join(f.donor_ids), value, f.symbol or "", mode, f.tie_policy])
+    assert text == buf.getvalue()
 
 
 def test_the_columnar_chain_builds_no_records():
