@@ -11,18 +11,17 @@ screened search that squares only the rows that may be nearest (raw
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from typing import Callable, Iterator, Mapping
+from functools import cache, cached_property
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import Dataset, Record
 from .errors import CannotClassifyError, NoDonorsError, ParseError
-from .impute import MODE_ABSOLUTE, nearest_donors
+from .impute import MODE_ABSOLUTE, _nearest_rows, _select_all
 from .kmeans import ClusterModel
 from .mapping import (
     MappingTable,
-    build_mapping,
     check_map_value,
     map_query,
     map_values,
@@ -83,19 +82,23 @@ def check_training_data(dataset: Dataset) -> None:
 
 class _Fit:
     """The training side of both classifiers for one checked training
-    dataset.  It holds a second dataset over the same columns but not
-    the dataset, so the dataset that keeps it is still freed by
-    reference counting."""
+    dataset: its ids, labels, id -> row map and matrix, but not the
+    dataset, so the dataset that keeps it is still freed by reference
+    counting."""
 
     def __init__(self, dataset: Dataset) -> None:
         check_training_data(dataset)
-        self.training = Dataset._of(dataset.schema, dataset.ids, dataset.labels, dataset.columns)
-        self.rows = self.training._by_id
-        self.matrix = np.asfortranarray(self.training.matrix)  # column-major for nearest_rows
+        self.ids, self.labels, self.rows, self.matrix = dataset.ids, dataset.labels, dataset._by_id, dataset.matrix
         self._maps: dict[int, tuple[ClusterModel, MappingTable]] = {}
 
-    def labels_of(self, ids: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(sorted({self.training.labels[self.rows[rid]] for rid in ids}))
+    @cached_property
+    def by_column(self) -> np.ndarray:
+        """The matrix in column-major order, for nearest_rows."""
+        return np.asfortranarray(self.matrix)
+
+    def result(self, rows: Sequence[int], table: Mapping[str, float]) -> ClassificationResult:
+        """The answer whose nearest training records are the given rows."""
+        return ClassificationResult(tuple(sorted({self.labels[r] for r in rows})), tuple(self.ids[r] for r in rows), table)
 
     def mapping(self, model: ClusterModel) -> MappingTable:
         """The training records mapped under the model, built and
@@ -106,7 +109,11 @@ class _Fit:
         if entry is None or entry[0] is not model:
             if set(model.assignment) != set(self.rows):
                 raise ValueError("model was built on different records than the training dataset")
-            entry = self._maps[id(model)] = (model, build_mapping(self.training, self.training.take([]), model))
+            n, arity = self.matrix.shape[1], len(model.centroids[0])
+            if n != arity:
+                raise ValueError(f"dataset has {n} attributes, the model's centroids {arity}")
+            maps = MappingTable._of(self.ids, map_values(self.matrix, model.centroids), (), np.empty(0))
+            entry = self._maps[id(model)] = (model, maps)
         return entry[1]
 
 
@@ -137,7 +144,8 @@ def classify_mapped(
     if not query.is_complete:
         raise ValueError(f"query {query.id} has missing cells")
     maps = fit.mapping(model)
-    return _mapped(fit, maps, query.id, map_query(query, model), mode)
+    c = check_map_value("query_map", query.id, map_query(query, model))
+    return _mapped(fit, maps, _nearest_rows(maps, c, mode), c)
 
 
 def classify_mapped_all(
@@ -148,7 +156,7 @@ def classify_mapped_all(
 ) -> list[ClassificationResult]:
     """classify_mapped for every record of queries, an encoded dataset
     of complete records, in order: one mapping call for all of them,
-    then one selection per query."""
+    and one selection, the one impute_dataset makes."""
     fit = _fit(dataset)
     if queries.schema.arity != dataset.schema.arity:
         raise ValueError(f"queries have {queries.schema.arity} attributes, training records {dataset.schema.arity}")
@@ -156,15 +164,14 @@ def classify_mapped_all(
     if incomplete.any():
         raise ValueError(f"query {queries.ids[int(incomplete.argmax())]} has missing cells")
     maps = fit.mapping(model)
-    values = map_values(queries.matrix, model.centroids).tolist()
-    return [_mapped(fit, maps, rid, c, mode) for rid, c in zip(queries.ids, values)]
+    c = map_values(queries.matrix, model.centroids)
+    values = [check_map_value("query_map", rid, v) for rid, v in zip(queries.ids, c.tolist())]
+    return [_mapped(fit, maps, rows, v) for rows, v in zip(_select_all(maps, c, mode), values)]
 
 
-def _mapped(fit: _Fit, maps: MappingTable, rid: str, c: float, mode: str) -> ClassificationResult:
-    """The mapped classifier's answer for a query whose mapping value is c."""
-    c = check_map_value("query_map", rid, c)
-    nearest = nearest_donors(maps, c, mode)
-    return ClassificationResult(fit.labels_of(nearest), nearest, _Column(maps.complete_map, lambda v: v - c))
+def _mapped(fit: _Fit, maps: MappingTable, rows: Sequence[int], c: float) -> ClassificationResult:
+    """The mapped classifier's answer: nearest rows, mapping value c."""
+    return fit.result(rows, _Column(maps.complete_map, lambda v: v - c))
 
 
 def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
@@ -187,8 +194,7 @@ def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
     if len(query.cells) != n:
         raise ValueError(f"query {query.id} has {len(query.cells)} cells, training records have {n}")
     X, q = fit.matrix, np.array(query.cells, dtype=float)
-    rows, exact = nearest_rows(X, q)
+    rows, exact = nearest_rows(fit.by_column, q)
     distances = np.sqrt(exact)
-    nearest = tuple(fit.training.ids[row] for row in rows[distances == distances.min()].tolist())
     column = cache(lambda: np.sqrt(squared_distances(X, q[None, :])[:, 0]))
-    return ClassificationResult(fit.labels_of(nearest), nearest, _Column(fit.rows, lambda row: float(column()[row])))
+    return fit.result(rows[distances == distances.min()].tolist(), _Column(fit.rows, lambda row: float(column()[row])))

@@ -144,13 +144,14 @@ class ImputationScore:
 def score_imputation(plan: MaskPlan, completed: Dataset) -> ImputationScore:
     numeric_sq: list[float] = []
     categorical_hits: list[bool] = []
-    for cell in plan.cells:
-        value = completed.record(cell.record_id).cells[cell.attr_index]
-        if value is None:
+    rows = [completed._by_id[cell.record_id] for cell in plan.cells]
+    values = completed.matrix[rows, [cell.attr_index for cell in plan.cells]].tolist()
+    for cell, value in zip(plan.cells, values):
+        if math.isnan(value):
             raise ValueError(f"masked cell ({cell.record_id}, {cell.attr_index}) was not filled")
         spec = completed.schema.attributes[cell.attr_index]
         if spec.kind == NUMERIC:
-            numeric_sq.append((float(value) - float(cell.true_value)) ** 2)
+            numeric_sq.append((value - float(cell.true_value)) ** 2)
         else:
             categorical_hits.append(value == cell.true_value)
     return ImputationScore(

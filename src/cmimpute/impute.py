@@ -57,19 +57,19 @@ def difference_table(maps: MappingTable) -> DifferenceTable:
 
 def nearest_record(maps: MappingTable, query_id: str, mode: str) -> tuple[str, ...]:
     """All donor ids attaining the minimal difference d_ij for one query
-    of the table; see nearest_donors."""
-    return nearest_donors(maps, maps.query_map[query_id], mode)
+    of the table, in donor-pool order; see _nearest_rows."""
+    ids = maps.donor_ids
+    return tuple(ids[i] for i in _nearest_rows(maps, maps.query_map[query_id], mode))
 
 
-def nearest_donors(maps: MappingTable, c: float, mode: str) -> tuple[str, ...]:
-    """All donor ids attaining the minimal difference d_ij for a query
-    whose mapping value is c.
+def _nearest_rows(maps: MappingTable, c: float, mode: str) -> tuple[int, ...]:
+    """The donor-pool positions, ascending, of all donors attaining the
+    minimal difference d_ij for a query whose mapping value is c.
 
     paper-signed minimizes the signed d_ij, which does not depend on
     the query at all: argmin_i (Map(R_i) - c) is argmin_i Map(R_i) for
     any constant c.  absolute minimizes |d_ij|, nearest neighbor on
-    the mapping scalar.  Ties are exact float equality; ids come back
-    in donor-pool order.
+    the mapping scalar.  Ties are exact float equality.
 
     The search runs on the donor values sorted once per table, in
     O(log m) plus the size of the tie set.  Float subtraction rounds
@@ -80,12 +80,6 @@ def nearest_donors(maps: MappingTable, c: float, mode: str) -> tuple[str, ...]:
     neighbours.  Each run is widened with the same arithmetic as d_ij,
     so values that rounding merges tie exactly as they do in the table.
     """
-    ids = maps.donor_ids
-    return tuple(ids[i] for i in _nearest_rows(maps, c, mode))
-
-
-def _nearest_rows(maps: MappingTable, c: float, mode: str) -> tuple[int, ...]:
-    """nearest_donors as donor-pool positions, in ascending order."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     values, order = maps.sorted_donors
@@ -107,16 +101,19 @@ def _nearest_rows(maps: MappingTable, c: float, mode: str) -> tuple[int, ...]:
     return tuple(sorted(order[lo:hi]))
 
 
-def _select_all(values: np.ndarray, order: np.ndarray, c: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """nearest_donors for every query mapping value in c at once, given
-    the donor mapping values in ascending order and each one's
-    donor-pool position (MappingTable.sorted_arrays): the donor-pool
-    position of each query's nearest donor, and whether it is alone in
-    its tie run, i.e. no second neighbour ties it.  The keys are formed
-    elementwise as nearest_donors forms them, so both round the same."""
+def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> list[tuple[int, ...]]:
+    """_nearest_rows for every query mapping value in c.  Every query's
+    nearest donor is found at once on the table's sorted donor values,
+    with whether it is alone in its tie run, i.e. no second neighbour
+    ties it; only a query whose donor is not alone goes through
+    _nearest_rows' search.  The keys are formed elementwise as
+    _nearest_rows forms them, so both round the same."""
+    values, order = maps.sorted_arrays
     if mode == MODE_SIGNED:
         pick = np.zeros(len(c), dtype=np.intp)
         single = values[1] - c != values[0] - c if len(values) > 1 else np.ones(len(c), dtype=bool)
+    elif mode != MODE_ABSOLUTE:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     else:
         # Two infinite sentinels on each side: their key never ties.
         padded = np.concatenate(([math.inf] * 2, values, [math.inf] * 2))
@@ -126,7 +123,10 @@ def _select_all(values: np.ndarray, order: np.ndarray, c: np.ndarray, mode: str)
         left, right = key[1] == best, key[2] == best
         single = (left != right) & ~(left & (key[0] == best)) & ~(right & (key[3] == best))
         pick = pos - left
-    return order[pick], single
+    donors = [(d,) for d in order[pick].tolist()]
+    for j in np.flatnonzero(~single).tolist():
+        donors[j] = _nearest_rows(maps, float(c[j]), mode)
+    return donors
 
 
 def _class_pools(g1: Dataset) -> dict[str | None, list[int]]:
@@ -311,9 +311,8 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
 
     Every query record is imputed independently against the original
     complete group; freshly completed records never become donors.
-    One nearest-donor search serves all of a record's missing cells:
-    every query is selected at once, and only a query whose nearest
-    donors tie goes through nearest_donors' search.  Every cell is
+    One nearest-donor search serves all of a record's missing cells,
+    and every query is selected by one _select_all call.  Every cell is
     filled by _fill_value."""
     config = config or ImputeConfig()
     missing = missing_cells(dataset, "every record has missing values; nothing can donate")
@@ -334,12 +333,7 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
     model = cluster(g1, k, init)
     maps = build_mapping(g1, g2, model)
 
-    c = maps.query_values
-    donor, single = _select_all(*maps.sorted_arrays, c, config.mode)
-    donors = [(d,) for d in donor.tolist()]
-    for j in np.flatnonzero(~single).tolist():
-        donors[j] = _nearest_rows(maps, float(c[j]), config.mode)
-
+    donors = _select_all(maps, maps.query_values, config.mode)
     rows, attrs = (a.tolist() for a in np.nonzero(missing[missing.any(axis=1)]))  # the holes of g2, row by row
     specs, queries = dataset.schema.attributes, g2.matrix
     values, policies = [], []

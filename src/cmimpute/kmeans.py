@@ -47,11 +47,14 @@ class ClusterModel:
     """Centroids plus the record-to-cluster assignment that produced
     them; k is len(centroids).  sse_history holds the total
     within-cluster sum of squared distances after every assignment step
-    (one entry for fixed partitions)."""
+    (one entry for fixed partitions); converged is False when Lloyd hit
+    MAX_ITERATIONS, and reseeds counts the empty clusters it re-seeded."""
 
     centroids: tuple[tuple[float, ...], ...]
     assignment: Mapping[str, int]
     sse_history: tuple[float, ...] = field(default=())
+    converged: bool = True
+    reseeds: int = 0
 
     def members(self, cluster_index: int) -> tuple[str, ...]:
         return tuple(rid for rid, c in self.assignment.items() if c == cluster_index)
@@ -93,10 +96,12 @@ def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> Cluster
     centers = _initial_centers(init, points, k)
     labels = np.full(len(points), -1, dtype=int)
     sse_history: list[float] = []
+    converged, reseeds = False, 0
     for _ in range(MAX_ITERATIONS):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)  # argmin takes the first minimum: lowest index wins ties
-        for empty in [c for c in range(k) if not (new_labels == c).any()]:
+        empties = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0).tolist()
+        for empty in empties:
             own = ((points - centers[new_labels]) ** 2).sum(axis=1)
             # A sole member is never moved, so no re-seed empties
             # another cluster; with m >= k some cluster has two.
@@ -104,21 +109,19 @@ def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> Cluster
             j = int(own.argmax())
             centers[empty] = points[j]
             new_labels[j] = empty
+        reseeds += len(empties)
         sse_history.append(float(((points - centers[new_labels]) ** 2).sum()))
         if (new_labels == labels).all():
+            converged = True
             break
         labels = new_labels
         centers = _means(points, labels, k)
 
-    # Finalize centers as exact means of the final assignment; a no-op
-    # after convergence, and restores the centroid invariant if the
-    # iteration cap was hit mid-step.
-    centers = _means(points, labels, k)
-    return ClusterModel(
-        centroids=tuple(map(tuple, centers.tolist())),
-        assignment=dict(zip(ids, labels.tolist())),
-        sse_history=tuple(sse_history),
-    )
+    # centers are the means of labels on every exit: a step that moves a
+    # point recomputes them, and a step that moves none re-seeded only
+    # clusters whose sole member is the point they were set to.
+    centroids, assignment = tuple(map(tuple, centers.tolist())), dict(zip(ids, labels.tolist()))
+    return ClusterModel(centroids, assignment, tuple(sse_history), converged, reseeds)
 
 
 def _distinct_up_to(points: np.ndarray, k: int) -> int:
@@ -139,9 +142,13 @@ def _mean(points: np.ndarray) -> np.ndarray:
 
 
 def _means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Mean of each cluster's points; the re-seed step keeps every
-    cluster populated."""
-    return np.array([_mean(points[labels == c]) for c in range(k)])
+    """Mean of each cluster's points, which the re-seed step keeps
+    populated: after a stable sort each cluster is one slice of its
+    points in row order, added by _mean (np.add.reduceat rounds
+    differently)."""
+    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+    grouped = points[np.argsort(labels, kind="stable")]
+    return np.array([_mean(grouped[lo:hi]) for lo, hi in zip([0] + ends, ends)])
 
 
 def _fixed_partition_model(init: FixedPartition, ids: Sequence[str], points: np.ndarray, k: int) -> ClusterModel:
@@ -182,8 +189,9 @@ def _initial_centers(init: InitPolicy, points: np.ndarray, k: int) -> np.ndarray
     if isinstance(init, FarthestFirst):
         rng = np.random.default_rng(init.seed)
         chosen = [int(rng.integers(m))]
+        nearest = np.full(m, np.inf)  # squared distance to the nearest chosen center
         while len(chosen) < k:
-            d2 = ((points[:, None, :] - points[chosen][None, :, :]) ** 2).sum(axis=2)
-            chosen.append(int(d2.min(axis=1).argmax()))
+            np.minimum(nearest, ((points - points[chosen[-1]]) ** 2).sum(axis=1), out=nearest)
+            chosen.append(int(nearest.argmax()))
         return points[chosen].copy()
     raise TypeError(f"unknown init policy: {init!r}")

@@ -347,6 +347,25 @@ def test_a_batch_of_queries_gets_each_query_s_own_answer(classification_dataset,
         classify_mapped_all(holed, classification_dataset, classification_model)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_batch_selection_agrees_with_one_query_at_a_time(data):
+    # Small integer cells make many mapping values tie exactly, so the
+    # batch's tie detection is exercised as well as its nearest pick.
+    n = data.draw(st.integers(1, 3), label="n")
+    row = st.tuples(*[st.integers(0, 3)] * n)
+    cells = data.draw(st.lists(row, min_size=2, max_size=12), label="training")
+    labels = data.draw(st.lists(st.sampled_from("AB"), min_size=len(cells), max_size=len(cells)), label="labels")
+    attributes = tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(n))
+    training = Dataset(Schema(attributes, "class"), [rec(f"R{i}", *c, label=y) for i, (c, y) in enumerate(zip(cells, labels))])
+    k = data.draw(st.integers(1, min(len(set(cells)), 3)), label="k")
+    model = cluster(training, k, FarthestFirst(data.draw(st.integers(0, 99), label="seed")))
+    queries = [rec(f"Q{j}", *c) for j, c in enumerate(data.draw(st.lists(row, min_size=1, max_size=8), label="queries"))]
+    batch = Dataset(Schema(attributes, None), queries)
+    for mode in MODES:
+        assert classify_mapped_all(batch, training, model, mode) == [classify_mapped(q, training, model, mode) for q in queries]
+
+
 def test_fit_still_rejects_a_foreign_model_after_a_successful_call(
     classification_dataset, classification_model
 ):
@@ -383,13 +402,14 @@ def test_training_set_is_mapped_once_per_model_across_queries(
     classification_dataset, classification_model, monkeypatch
 ):
     calls = []
-    original = cmimpute.classify.build_mapping
+    original = cmimpute.classify.map_values
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
+    def counting(X, centroids):
+        calls.append(next(m for m in (classification_model, other) if m.centroids == centroids))
+        return original(X, centroids)
 
-    monkeypatch.setattr(cmimpute.classify, "build_mapping", counting)
+    other = cluster(classification_dataset.records, 3, FarthestFirst(0))
+    monkeypatch.setattr(cmimpute.classify, "map_values", counting)
     training = copy_of(classification_dataset)
     for j in range(6):
         query = rec(f"Q{j + 1}", j, 1, 2, j % 3)
@@ -397,7 +417,6 @@ def test_training_set_is_mapped_once_per_model_across_queries(
             classify_mapped(query, training, classification_model, mode)
         classify_raw_knn(query, training)
     assert calls == [classification_model]
-    other = cluster(training.records, 3, FarthestFirst(0))
     for j in range(3):
         classify_mapped(rec(f"Q{j + 1}", j, 0, 0, 0), training, other)
     assert calls == [classification_model, other]

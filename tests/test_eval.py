@@ -3,6 +3,7 @@ driver."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -404,6 +405,31 @@ def test_experiment_is_bit_reproducible():
         master_seed=27,
     )
     assert run_experiment(config).to_json() == run_experiment(config).to_json()
+
+
+def test_experiment_report_is_pinned():
+    # The sha256 of the report as the per-cluster k-means scan, the
+    # record-based scorer and the per-query classifier selection wrote
+    # it; rate 0.3 would leave fewer complete records than classes.
+    config = ExperimentConfig(make_synthetic_dataset(60, seed=7), rates=(0.1, 0.2), trials=3, master_seed=11)
+    text = run_experiment(config).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == "be838c31d21600065e3868b9ba326694b9444856356f2c179f64fa402947cff4"
+
+
+def test_an_experiment_builds_no_record(monkeypatch):
+    dataset = make_synthetic_dataset(60, seed=7)
+    built = []
+    original = Record.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Record, "__init__", counting)
+    report = run_experiment(ExperimentConfig(dataset, rates=(0.1,), trials=2, master_seed=3))
+    assert len(report.results) == 2 * len(ALL_METHODS)
+    assert built == []
+    assert dataset.take([0]).records and built == ["R1"]  # the count sees a record view
 
 
 def mixed_complete_dataset() -> Dataset:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from cmimpute.casestudy import (
     IMPUTATION_PARTITION,
     expected_clusters,
 )
+from cmimpute import kmeans
 from cmimpute.dataset import Record, split_groups
 from cmimpute.errors import ConfigError, InsufficientDataError
 from cmimpute.kmeans import (
+    MAX_ITERATIONS,
+    ClusterModel,
     FarthestFirst,
     FixedPartition,
     SeededRandom,
@@ -147,6 +151,8 @@ def test_empty_cluster_is_reseeded_to_keep_k_clusters():
     model = cluster(records, 2, SeededRandom(3))
     assert model.assignment == {"R1": 0, "R2": 0, "R3": 0, "R4": 1}
     assert model.centroids == ((1.0, 1.0), (4.0, 5.0))
+    assert model.reseeds >= 1
+    assert model.converged
 
 
 def test_reseed_never_empties_another_cluster():
@@ -332,3 +338,104 @@ def test_centroids_add_their_members_left_to_right(n, data):
     fixed = cluster(records, 1, FixedPartition((tuple(r.id for r in records),)))
     lloyd = cluster(records, 1, SeededRandom(0))
     assert fixed.centroids == lloyd.centroids == (left_to_right_mean(rows),)
+
+
+# --- convergence flags ---
+
+
+def test_a_run_cut_by_the_iteration_cap_is_not_converged():
+    records = grid_records([(0, 0), (0, 1), (5, 5), (5, 6), (9, 0)])
+    assert cluster(records, 2, SeededRandom(0)).converged
+    with mock.patch.object(kmeans, "MAX_ITERATIONS", 1):
+        capped = cluster(records, 2, SeededRandom(0))
+    assert not capped.converged
+    assert len(capped.sse_history) == 1
+
+
+def test_fixed_partitions_and_hand_built_models_count_as_converged(missing_dataset):
+    model = cluster(split_groups(missing_dataset).g1, 2, FixedPartition(IMPUTATION_PARTITION))
+    assert (model.converged, model.reseeds) == (True, 0)
+    hand_built = ClusterModel(((0.0,),), {"R1": 0})
+    assert (hand_built.converged, hand_built.reseeds, hand_built.sse_history) == (True, 0, ())
+
+
+# --- the Lloyd loop against a per-cluster scan ---
+
+
+def scan_lloyd(points: np.ndarray, k: int, init, cap: int):
+    """k-means as first written, the oracle of the fast loop: initial
+    centers chosen by recomputing the distance to every chosen center
+    each round, an empty cluster found and each mean taken by one mask
+    per cluster, and the means recomputed once more after the loop;
+    with whether the assignment stopped changing within cap steps."""
+    m = len(points)
+    rng = np.random.default_rng(init.seed)
+    if isinstance(init, SeededRandom):
+        centers = points[rng.choice(m, size=k, replace=False)].copy()
+    else:
+        chosen = [int(rng.integers(m))]
+        while len(chosen) < k:
+            d2 = ((points[:, None, :] - points[chosen][None, :, :]) ** 2).sum(axis=2)
+            chosen.append(int(d2.min(axis=1).argmax()))
+        centers = points[chosen].copy()
+
+    def means(labels):
+        return np.array([np.cumsum(points[labels == c], axis=0)[-1] / (labels == c).sum() for c in range(k)])
+
+    labels = np.full(m, -1)
+    history = []
+    converged = False
+    for _ in range(cap):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new = d2.argmin(axis=1)
+        for empty in [c for c in range(k) if not (new == c).any()]:
+            own = ((points - centers[new]) ** 2).sum(axis=1)
+            own[np.bincount(new, minlength=k)[new] < 2] = -1.0
+            j = int(own.argmax())
+            centers[empty] = points[j]
+            new[j] = empty
+        history.append(float(((points - centers[new]) ** 2).sum()))
+        if (new == labels).all():
+            converged = True
+            break
+        labels = new
+        centers = means(labels)
+    return tuple(map(tuple, means(labels).tolist())), labels.tolist(), tuple(history), converged
+
+
+def assert_matches_scan(rows, k, init, cap=MAX_ITERATIONS):
+    with mock.patch.object(kmeans, "MAX_ITERATIONS", cap):
+        model = cluster(grid_records(rows), k, init)
+    centroids, labels, history, converged = scan_lloyd(np.array(rows, dtype=float), k, init, cap)
+    assert model.centroids == centroids
+    assert list(model.assignment.values()) == labels
+    assert model.sse_history == history
+    assert model.converged == converged
+    return model
+
+
+# A few values shared across points, so draws repeat points and tie
+# distances, next to arbitrary floats.
+SHARED = st.sampled_from([-2.0, -0.7, 0.0, 1e-3, 0.1, 0.3, 1.0, 7.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_lloyd_matches_the_per_cluster_scan(data):
+    n = data.draw(st.integers(1, 10), label="n")
+    value = SHARED | st.floats(-1e3, 1e3, allow_nan=False)
+    pool = data.draw(st.lists(st.tuples(*[value] * n), min_size=1, max_size=6), label="pool")
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24), label="rows")
+    k = data.draw(st.integers(1, min(len(set(rows)), 5)), label="k")
+    init = data.draw(st.sampled_from([SeededRandom, FarthestFirst]))(data.draw(st.integers(0, 999)))
+    cap = data.draw(st.sampled_from([1, 2, MAX_ITERATIONS]), label="cap")
+    assert_matches_scan(rows, k, init, cap)
+
+
+def test_a_converging_step_can_re_seed():
+    # (0 - 1e-200) ** 2 underflows to 0.0, so both points sit on both
+    # centers: every step sends both to cluster 0 and re-seeds cluster 1
+    # with the first point, and the second step repeats the first.
+    model = assert_matches_scan([(0.0,), (1e-200,)], 2, SeededRandom(0))
+    assert (model.converged, model.reseeds) == (True, 2)
+    assert model.centroids == ((1e-200,), (0.0,))
