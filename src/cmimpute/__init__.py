@@ -70,8 +70,6 @@ from .kmeans import (
 from .mapping import (
     MappingTable,
     build_mapping,
-    map_query,
-    type2_distance,
 )
 
 __version__ = "0.1.0"

@@ -11,12 +11,13 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .classify import classify_mapped, classify_raw_knn
+import numpy as np
+
+from .classify import classify_mapped_all, classify_raw_knn
 from .dataset import (
     NUMERIC,
     AttributeSpec,
     Dataset,
-    Record,
     Schema,
     encode,
     parse_dataset,
@@ -32,7 +33,7 @@ from .impute import (
     nearest_record,
 )
 from .kmeans import FixedPartition, cluster
-from .mapping import MappingTable, build_mapping, type2_distance
+from .mapping import MappingTable, build_mapping, squared_distances
 
 TOLERANCE = 1e-5
 
@@ -84,10 +85,6 @@ def load_normalized_dataset() -> Dataset:
 def load_classification_dataset() -> Dataset:
     schema = schema_from_dict(json.loads(fixture_text("schema_classification.json")))
     return encode(parse_dataset(fixture_text("table16_classification.csv"), schema))
-
-
-def new_record() -> Record:
-    return Record("R10", NEW_RECORD_CELLS)
 
 
 def _expected_rows(name: str) -> list[list[str]]:
@@ -209,8 +206,8 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     # --- imputation-phase clustering (Table VI) ---
     model = cluster(split.g1, 2, FixedPartition(IMPUTATION_PARTITION))
     clusters6 = expected_clusters("table06_clusters")
-    checks.exact("clusters (Table VI)", "C1", set(model.members(0)), set(clusters6["C1"]))
-    checks.exact("clusters (Table VI)", "C2", set(model.members(1)), set(clusters6["C2"]))
+    checks.exact("clusters (Table VI)", "C1", tuple(sorted(model.members(0))), tuple(sorted(clusters6["C1"])))
+    checks.exact("clusters (Table VI)", "C2", tuple(sorted(model.members(1))), tuple(sorted(clusters6["C2"])))
 
     # --- per-centroid distances (Tables VII-VIII) ---
     # The two printed columns are swapped relative to the cluster
@@ -218,27 +215,19 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     # unordered, which is labeling-independent.
     t7 = expected_values("table07")
     t8 = expected_values("table08")
-    for r in split.g1.records:
-        computed = (
-            type2_distance(r, model.centroids[0]),
-            type2_distance(r, model.centroids[1]),
-        )
-        checks.pair("centroid distances (Tables VII-VIII)", r.id, computed, (t7[r.id], t8[r.id]))
+    for rid, computed in _distances(split.g1, model.centroids):
+        checks.pair("centroid distances (Tables VII-VIII)", rid, computed, (t7[rid], t8[rid]))
 
     # --- mapping values of the complete group (Table IX) ---
     t9 = expected_values("table09")
     maps = build_mapping(split.g1, split.g2, model)
-    for r in split.g1.records:
-        checks.number("mapping values (Table IX)", r.id, maps.complete_map[r.id], t9[r.id])
+    for rid in split.g1.ids:
+        checks.number("mapping values (Table IX)", rid, maps.complete_map[rid], t9[rid])
 
     # --- observed-coordinate distances of the queries (Table X) ---
     t10 = expected_pairs("table10")
-    for r in split.g2.records:
-        computed = (
-            type2_distance(r, model.centroids[0]),
-            type2_distance(r, model.centroids[1]),
-        )
-        checks.pair("query distances (Table X)", r.id, computed, t10[r.id])
+    for rid, computed in _distances(split.g2, model.centroids):
+        checks.pair("query distances (Table X)", rid, computed, t10[rid])
 
     # --- query mapping values: corrected against the Table X sums ---
     printed11 = expected_values("table11")
@@ -259,13 +248,13 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     )
 
     # --- difference grids under the printed query maps (Tables XII, XIV) ---
-    replay_maps = MappingTable(maps.complete_map, printed11)
+    replay_maps = MappingTable(maps.donor_ids, maps.donor_values, list(printed11), list(printed11.values()))
     replay_table = difference_table(replay_maps)
     for name, qid in (("table12", "R3"), ("table14", "R5")):
         expected = expected_values(name)
         label = f"difference grid, replay (Table {'XII' if qid == 'R3' else 'XIV'})"
-        for r in split.g1.records:
-            checks.number(label, r.id, replay_table.entries[(r.id, qid)], expected[r.id])
+        for rid in split.g1.ids:
+            checks.number(label, rid, replay_table.entries[(rid, qid)], expected[rid])
 
     # --- nearest donor and the imputed cells (Tables XIII, XV) ---
     result = impute_dataset(ds, ImputeConfig(mode=MODE_SIGNED, init=FixedPartition(IMPUTATION_PARTITION)))
@@ -289,13 +278,13 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
 
     # --- classification phase ---
     cds = load_classification_dataset()
-    query = new_record()
+    query = Dataset(cds.schema, ["R10"], [None], np.array([NEW_RECORD_CELLS]).T)
 
     # raw 1-NN distances (Table XVII)
-    knn = classify_raw_knn(query, cds)
+    knn = classify_raw_knn(query.records[0], cds)
     t17 = expected_values("table17")
-    for r in cds.records:
-        checks.number("raw 1-NN distances (Table XVII)", r.id, knn.table[r.id], t17[r.id])
+    for rid in cds.ids:
+        checks.number("raw 1-NN distances (Table XVII)", rid, knn.table[rid], t17[rid])
     checks.exact("raw 1-NN outcome", "nearest", knn.nearest, ("R4", "R9"))
     checks.exact("raw 1-NN outcome", "labels", knn.labels, ("Level-1", "Level-2"))
     errata.append(
@@ -315,38 +304,37 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     # clusters over all records (Table XVIII)
     model2 = cluster(cds, 2, FixedPartition(CLASSIFICATION_PARTITION))
     clusters18 = expected_clusters("table18_clusters")
-    checks.exact("clusters (Table XVIII)", "C1", set(model2.members(0)), set(clusters18["C1"]))
-    checks.exact("clusters (Table XVIII)", "C2", set(model2.members(1)), set(clusters18["C2"]))
+    checks.exact("clusters (Table XVIII)", "C1", tuple(sorted(model2.members(0))), tuple(sorted(clusters18["C1"])))
+    checks.exact("clusters (Table XVIII)", "C2", tuple(sorted(model2.members(1))), tuple(sorted(clusters18["C2"])))
 
     # per-centroid distances (Tables XIX-XX), mapping values (Table XXI)
     t19 = expected_values("table19")
     t20 = expected_values("table20")
     t21 = expected_values("table21")
-    cmaps = build_mapping(cds, Dataset(cds.schema, [query]), model2)
-    for r in cds.records:
+    cmaps = build_mapping(cds, query, model2)
+    for rid, (d1, d2) in _distances(cds, model2.centroids):
         checks.number(
             "centroid distances (Table XIX)",
-            r.id,
-            type2_distance(r, model2.centroids[0]),
-            CORRECTED_TABLE19.get(r.id, t19[r.id]),
+            rid,
+            d1,
+            CORRECTED_TABLE19.get(rid, t19[rid]),
         )
         checks.number(
             "centroid distances (Table XX)",
-            r.id,
-            type2_distance(r, model2.centroids[1]),
-            CORRECTED_TABLE20.get(r.id, t20[r.id]),
+            rid,
+            d2,
+            CORRECTED_TABLE20.get(rid, t20[rid]),
         )
         checks.number(
             "mapping values (Table XXI)",
-            r.id,
-            cmaps.complete_map[r.id],
-            CORRECTED_TABLE21.get(r.id, t21[r.id]),
+            rid,
+            cmaps.complete_map[rid],
+            CORRECTED_TABLE21.get(rid, t21[rid]),
         )
 
     # new-record distances and mapping value (Tables XXII-XXIII)
     t22 = expected_pairs("table22")
-    d1 = type2_distance(query, model2.centroids[0])
-    d2 = type2_distance(query, model2.centroids[1])
+    d1, d2 = dict(_distances(query, model2.centroids))["R10"]
     checks.number("new-record distances (Table XXII)", "R10 first", d1, t22["R10"][0])
     checks.number(
         "new-record distances (Table XXII, corrected)",
@@ -371,23 +359,23 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
 
     # difference column and the label (Table XXIV)
     t24 = expected_values("table24")
-    signed = classify_mapped(query, cds, model2, MODE_SIGNED)
-    for r in cds.records:
+    (signed,) = classify_mapped_all(query, cds, model2, MODE_SIGNED)
+    for rid in cds.ids:
         checks.number(
             "difference column (Table XXIV)",
-            r.id,
-            signed.table[r.id],
-            CORRECTED_TABLE24.get(r.id, t24[r.id]),
+            rid,
+            signed.table[rid],
+            CORRECTED_TABLE24.get(rid, t24[rid]),
         )
     checks.exact("label (signed minimum)", "nearest", signed.nearest, ("R8",))
     checks.exact("label (signed minimum)", "labels", signed.labels, ("Level-2",))
 
-    absolute = classify_mapped(query, cds, model2, MODE_ABSOLUTE)
+    (absolute,) = classify_mapped_all(query, cds, model2, MODE_ABSOLUTE)
     checks.exact("label (absolute minimum)", "labels", absolute.labels, ("Level-2",))
     checks.exact("label (absolute minimum)", "nearest", absolute.nearest, ("R9",))
     # Replaying the printed mapping column instead puts R8 nearest in
     # both modes, which is what the printed difference column shows.
-    printed_maps = MappingTable(t21, {"R10": t23["R10"]})
+    printed_maps = MappingTable(list(t21), list(t21.values()), ["R10"], [t23["R10"]])
     checks.exact(
         "label (printed-table replay)",
         "nearest, both modes",
@@ -420,6 +408,12 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     )
 
     return CaseStudyReport(tolerance, tuple(checks.rows), tuple(errata))
+
+
+def _distances(group: Dataset, centroids) -> list[tuple[str, tuple[float, ...]]]:
+    """Each record's distances to the centroids over its observed
+    cells, keyed by its id: one kernel call for the whole group."""
+    return list(zip(group.ids, map(tuple, np.sqrt(squared_distances(group.matrix, centroids)).tolist())))
 
 
 def render_report(report: CaseStudyReport) -> str:

@@ -23,7 +23,6 @@ from .kmeans import ClusterModel
 from .mapping import (
     MappingTable,
     check_map_value,
-    map_query,
     map_values,
     nearest_rows,
     squared_distances,
@@ -112,7 +111,7 @@ class _Fit:
             n, arity = self.matrix.shape[1], len(model.centroids[0])
             if n != arity:
                 raise ValueError(f"dataset has {n} attributes, the model's centroids {arity}")
-            maps = MappingTable._of(self.ids, map_values(self.matrix, model.centroids), (), np.empty(0))
+            maps = MappingTable(self.ids, map_values(self.matrix, model.centroids), (), np.empty(0))
             entry = self._maps[id(model)] = (model, maps)
         return entry[1]
 
@@ -124,6 +123,17 @@ def _fit(dataset: Dataset) -> _Fit:
     if fit is None:
         fit = dataset._memo[_Fit] = _Fit(dataset)
     return fit
+
+
+def _query_row(query: Record, dataset: Dataset) -> np.ndarray:
+    """The query's cells as a float row, checked to be complete and of
+    the training records' arity."""
+    if not query.is_complete:
+        raise ValueError(f"query {query.id} has missing cells")
+    n = dataset.schema.arity
+    if len(query.cells) != n:
+        raise ValueError(f"query {query.id} has {len(query.cells)} cells, training records have {n}")
+    return np.array(query.cells, dtype=float)
 
 
 def classify_mapped(
@@ -141,10 +151,9 @@ def classify_mapped(
     labels when several records attain the minimal difference.
     """
     fit = _fit(dataset)
-    if not query.is_complete:
-        raise ValueError(f"query {query.id} has missing cells")
     maps = fit.mapping(model)
-    c = check_map_value("query_map", query.id, map_query(query, model))
+    q = _query_row(query, dataset)
+    c = check_map_value("query_map", query.id, float(map_values(q[None, :], model.centroids)[0]))
     return _mapped(fit, maps, _nearest_rows(maps, c, mode), c)
 
 
@@ -181,19 +190,14 @@ def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
     labels; with neighbors from different classes this yields the
     multi-label ambiguity the mapped classifier avoids.
 
-    Distances come from the mapping's own kernel, so they equal
-    type2_distance bit for bit: nearest_rows screens the training
-    matrix and squares only the rows that may be nearest, and the
-    table's column is one kernel call over the whole matrix, made when
-    the table is first read.
+    Distances come from the mapping's own kernel, squared_distances,
+    bit for bit: nearest_rows screens the training matrix and squares
+    only the rows that may be nearest, and the table's column is one
+    kernel call over the whole matrix, made when the table is first
+    read.
     """
     fit = _fit(dataset)
-    if not query.is_complete:
-        raise ValueError(f"query {query.id} has missing cells")
-    n = dataset.schema.arity
-    if len(query.cells) != n:
-        raise ValueError(f"query {query.id} has {len(query.cells)} cells, training records have {n}")
-    X, q = fit.matrix, np.array(query.cells, dtype=float)
+    X, q = fit.matrix, _query_row(query, dataset)
     rows, exact = nearest_rows(fit.by_column, q)
     distances = np.sqrt(exact)
     column = cache(lambda: np.sqrt(squared_distances(X, q[None, :])[:, 0]))

@@ -245,15 +245,15 @@ def cmd_classify(config: RunConfig) -> int:
         init = config.init if config.init is not None else FarthestFirst(config.seed)
         model = cluster(train, k, init)
         outcomes = classify_mapped_all(queries, train, model, config.mode)
-        for query, outcome in zip(queries.records, outcomes):
-            row = [query.id, ";".join(outcome.labels), ";".join(outcome.nearest)]
+        for i, (qid, outcome) in enumerate(zip(queries.ids, outcomes)):
+            row = [qid, ";".join(outcome.labels), ";".join(outcome.nearest)]
             if config.with_knn_baseline:
-                knn = classify_raw_knn(query, train)
+                knn = classify_raw_knn(queries.records[i], train)
                 row += [";".join(knn.labels), ";".join(knn.nearest)]
             lines.append(",".join(row))
             if config.verbose:
                 for rid in sorted(outcome.table, key=lambda r: outcome.table[r]):
-                    print(f"  {query.id} vs {rid}: {outcome.table[rid]:.6f}")
+                    print(f"  {qid} vs {rid}: {outcome.table[rid]:.6f}")
     report = "\n".join(lines) + "\n"
     if config.out is not None:
         _write_text(config.out, report)

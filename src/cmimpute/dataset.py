@@ -174,10 +174,6 @@ class Record:
     def is_complete(self) -> bool:
         return None not in self.cells
 
-    @property
-    def missing_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.cells) if c is None)
-
 
 # One attribute's cells in row order: a float64 array with NaN for each
 # missing cell when every present cell is a float, else a tuple of the
@@ -273,25 +269,9 @@ class Dataset:
     column), which encode, decode_dataset and imputation pass on and
     every other constructor drops.  A dataset is never mutated."""
 
-    def __init__(self, schema: Schema, records: Sequence[Record]) -> None:
-        records = tuple(records)
-        for r in records:
-            if len(r.cells) != schema.arity:
-                raise SchemaError(f"record {r.id}: expected {schema.arity} cells, got {len(r.cells)}")
-        columns = tuple(zip(*(r.cells for r in records))) or ((),) * schema.arity
-        self._init(schema, [r.id for r in records], [r.label for r in records], map(_column, columns))
-        self.records = records
-
-    @classmethod
-    def _of(
-        cls, schema: Schema, ids: Sequence[str], labels: Sequence[str | None], columns, field_texts=None
-    ) -> Dataset:
-        """A dataset straight from its columns; no record is built."""
-        dataset = cls.__new__(cls)
-        dataset._init(schema, ids, labels, columns, field_texts)
-        return dataset
-
-    def _init(self, schema: Schema, ids, labels, columns, field_texts=None) -> None:
+    def __init__(
+        self, schema: Schema, ids: Sequence[str], labels: Sequence[str | None], columns, field_texts=None
+    ) -> None:
         self.schema, self.ids, self.labels, self.columns = schema, tuple(ids), tuple(labels), tuple(columns)
         self.field_texts = tuple(field_texts) if field_texts is not None else (None,) * len(self.columns)
         for column in self.columns:
@@ -350,7 +330,7 @@ class Dataset:
         """The given rows, in the given order, as a new dataset."""
         index = np.asarray(rows, dtype=np.intp)
         rows = index.tolist()
-        return Dataset._of(
+        return Dataset(
             self.schema,
             [self.ids[i] for i in rows],
             [self.labels[i] for i in rows],
@@ -410,7 +390,7 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
         FieldText(raw, column) if spec.kind == NUMERIC else None
         for spec, raw, column in zip(schema.attributes, fields, columns)
     ]
-    return Dataset._of(schema, ids, labels, columns[:n], texts)
+    return Dataset(schema, ids, labels, columns[:n], texts)
 
 
 def _split_fields(text: str, width: int) -> list[str] | None:
@@ -571,7 +551,7 @@ def encode(dataset: Dataset) -> Dataset:
         specs.append(spec)
         columns.append(column)
     schema = Schema(tuple(specs), dataset.schema.label_column, dataset.schema.missing_markers)
-    return Dataset._of(schema, dataset.ids, dataset.labels, columns, dataset.field_texts)
+    return Dataset(schema, dataset.ids, dataset.labels, columns, dataset.field_texts)
 
 
 def _encode_column(spec: AttributeSpec, column: Column, ids: Sequence[str]) -> tuple[AttributeSpec, Column]:
@@ -600,7 +580,7 @@ def decode_dataset(dataset: Dataset) -> Dataset:
             symbols = {v: spec.decode_value(v) for v in dict.fromkeys(values) if v == v}
             column = tuple(map(symbols.get, values))  # NaN finds no symbol: None
         columns.append(column)
-    return Dataset._of(dataset.schema, dataset.ids, dataset.labels, columns, dataset.field_texts)
+    return Dataset(dataset.schema, dataset.ids, dataset.labels, columns, dataset.field_texts)
 
 
 def split_groups(dataset: Dataset) -> GroupSplit:

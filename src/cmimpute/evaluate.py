@@ -21,7 +21,6 @@ from .dataset import (
     AttributeSpec,
     Cell,
     Dataset,
-    Record,
     Schema,
     encode,
     load_dataset,
@@ -35,7 +34,7 @@ from .errors import (
     config_path,
     config_seed,
 )
-from .impute import MODE_ABSOLUTE, MODE_SIGNED, ImputeConfig, impute_dataset, missing_cells
+from .impute import MODE_ABSOLUTE, MODE_SIGNED, ImputeConfig, _pool_value, impute_dataset, missing_cells
 from .kmeans import FarthestFirst, cluster
 from .mapping import mean, squared_distances
 
@@ -127,7 +126,7 @@ def _apply_mask(dataset: Dataset, chosen: list[tuple[int, int]]) -> tuple[Datase
     for row, col in chosen:
         cells.append(MaskedCell(dataset.ids[row], col, X[row, col].item()))
         X[row, col] = math.nan
-    return Dataset._of(dataset.schema, dataset.ids, dataset.labels, X.T), MaskPlan(tuple(cells))
+    return Dataset(dataset.schema, dataset.ids, dataset.labels, X.T), MaskPlan(tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -180,14 +179,8 @@ def baseline_class_stats(dataset: Dataset) -> Dataset:
     filled = X.copy()
     for row, attr in zip(*(a.tolist() for a in np.nonzero(missing))):
         pool = (labels[row] is not None and pools.get(labels[row])) or complete
-        values = X[pool, attr].tolist()
-        if dataset.schema.attributes[attr].kind == CATEGORICAL:
-            counts = Counter(values)
-            top = max(counts.values())
-            filled[row, attr] = min(v for v, c in counts.items() if c == top)
-        else:
-            filled[row, attr] = mean(values)
-    return Dataset._of(dataset.schema, dataset.ids, labels, filled.T)
+        filled[row, attr] = _pool_value(X[pool, attr].tolist(), dataset.schema.attributes[attr])[0]
+    return Dataset(dataset.schema, dataset.ids, labels, filled.T)
 
 
 def baseline_knn_donor(dataset: Dataset) -> Dataset:
@@ -212,7 +205,7 @@ def baseline_knn_donor(dataset: Dataset) -> Dataset:
     ]
     filled = X.copy()
     filled[rows] = np.where(missing[rows], X[donors], X[rows])
-    return Dataset._of(dataset.schema, dataset.ids, dataset.labels, filled.T)
+    return Dataset(dataset.schema, dataset.ids, dataset.labels, filled.T)
 
 
 @dataclass(frozen=True)
@@ -512,21 +505,15 @@ def make_synthetic_dataset(n_records: int = 60, seed: int = 7) -> Dataset:
     encoding = {sym: i + 1 for i, sym in enumerate(_SEGMENT_SYMBOLS)}
     attrs.append(AttributeSpec("seg", CATEGORICAL, encoding))
     schema = Schema(tuple(attrs), label_column="class")
-    records = []
-    i = 0
+    rows, labels = [], []
     for segment, count in enumerate(_segment_counts(n_records)):
         for _ in range(count):
             t = _SEGMENT_CENTERS[segment] + rng.uniform(-_SEGMENT_WIDTH, _SEGMENT_WIDTH)
             noise = rng.normal(0.0, _NOISE_SCALE, size=len(_SLOPES))
-            cells = tuple(
-                float(a * t / _LATENT_SPAN + b + e)
-                for a, b, e in zip(_SLOPES, _INTERCEPTS, noise)
-            )
-            records.append(
-                Record(f"R{i + 1}", cells + (float(segment + 1),), _SEGMENT_CLASS[segment])
-            )
-            i += 1
-    return Dataset(schema, tuple(records))
+            rows.append([a * t / _LATENT_SPAN + b + e for a, b, e in zip(_SLOPES, _INTERCEPTS, noise)] + [segment + 1])
+            labels.append(_SEGMENT_CLASS[segment])
+    ids = [f"R{i + 1}" for i in range(len(rows))]
+    return Dataset(schema, ids, labels, np.array(rows, dtype=float).T)
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import NUMERIC, AttributeSpec, Dataset, Record, Schema
+from .dataset import NUMERIC, AttributeSpec, Dataset, Record, Schema, _column
 from .errors import ConfigError, InsufficientDataError
 
 MAX_ITERATIONS = 100
@@ -72,8 +72,9 @@ def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> Cluster
     """
     if not isinstance(g1, Dataset):
         records = tuple(g1)
-        arity = len(records[0].cells) if records else 1
-        g1 = Dataset(Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(arity))), records)
+        columns = list(zip(*(r.cells for r in records), strict=True)) or [()]
+        schema = Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(len(columns))))
+        g1 = Dataset(schema, [r.id for r in records], [r.label for r in records], map(_column, columns))
     if not len(g1):
         raise InsufficientDataError("no complete records to cluster")
     if k < 1:

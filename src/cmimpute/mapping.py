@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Record
+from .dataset import Dataset
 from .kmeans import ClusterModel
 
 
@@ -78,34 +78,8 @@ def mean(values: Sequence[float]) -> float:
     return total / len(values)
 
 
-MISSING = "record {} has missing cells; use type2_distance"
+MISSING = "record {} has missing cells"
 UNOBSERVED = "record {} has no observed values"
-
-
-def _one_row(record: Record, arity: int) -> list[tuple]:
-    """The record as a one-row input of the kernel, checked to have
-    arity cells, at least one of them observed."""
-    if len(record.cells) != arity:
-        raise ValueError(f"record {record.id} has {len(record.cells)} cells, expected {arity}")
-    if record.cells.count(None) == arity:
-        raise ValueError(UNOBSERVED.format(record.id))
-    return [record.cells]
-
-
-def type2_distance(record: Record, centroid: Sequence[float]) -> float:
-    """Euclidean distance over the record's observed coordinates only.
-
-    Missing coordinates are discarded with no rescaling, so records
-    with more missing cells systematically measure shorter; the
-    reproduced tables assume exactly that.
-    """
-    return math.sqrt(squared_distances(_one_row(record, len(centroid)), [centroid])[0, 0])
-
-
-def map_query(record: Record, model: ClusterModel) -> float:
-    """Map'(R): sum of type-2 distances to every centroid.  For a
-    complete record this is Map(R), the sum of its type-1 distances."""
-    return float(map_values(_one_row(record, len(model.centroids[0])), model.centroids)[0])
 
 
 def check_map_value(table: str, rid: str, value: float) -> float:
@@ -121,30 +95,16 @@ class MappingTable:
     them.  complete_map and query_map are read-only id -> value views
     of the two groups, built when first read."""
 
-    def __init__(self, complete_map: Mapping[str, float], query_map: Mapping[str, float]) -> None:
-        self._init(
-            tuple(complete_map),
-            np.fromiter(complete_map.values(), float, len(complete_map)),
-            tuple(query_map),
-            np.fromiter(query_map.values(), float, len(query_map)),
-        )
-
-    @classmethod
-    def _of(cls, donor_ids: Sequence[str], donor_values, query_ids: Sequence[str], query_values) -> MappingTable:
-        """A table straight from each group's ids and values; no mapping is built."""
-        table = cls.__new__(cls)
-        table._init(tuple(donor_ids), donor_values, tuple(query_ids), query_values)
-        return table
-
-    def _init(self, donor_ids, donor_values: np.ndarray, query_ids, query_values: np.ndarray) -> None:
-        for name, ids, values in (("complete_map", donor_ids, donor_values), ("query_map", query_ids, query_values)):
+    def __init__(self, donor_ids: Sequence[str], donor_values, query_ids: Sequence[str], query_values) -> None:
+        self.donor_ids, self.donor_values = tuple(donor_ids), np.asarray(donor_values, dtype=float)
+        self.query_ids, self.query_values = tuple(query_ids), np.asarray(query_values, dtype=float)
+        groups = (("complete_map", self.donor_ids, self.donor_values), ("query_map", self.query_ids, self.query_values))
+        for name, ids, values in groups:
             bad = ~((values >= 0) & (values < math.inf))  # NaN fails both
             if bad.any():
                 i = int(bad.argmax())
                 check_map_value(name, ids[i], float(values[i]))
             values.flags.writeable = False
-        self.donor_ids, self.donor_values = donor_ids, donor_values
-        self.query_ids, self.query_values = query_ids, query_values
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MappingTable):
@@ -176,9 +136,9 @@ class MappingTable:
 
 
 def _group_values(rows: Dataset, model: ClusterModel, complete: bool) -> np.ndarray:
-    """Mapping value per record of one group, in row order, checked as
-    map_query checks a record (and, for donors, for a missing cell),
-    raised for the first record that fails."""
+    """Mapping value per record of one group, in row order, checked to
+    have an observed cell (a donor: no missing cell), raised for the
+    first record that fails."""
     arity = len(model.centroids[0])
     if rows.schema.arity != arity:
         raise ValueError(f"dataset has {rows.schema.arity} attributes, the model's centroids {arity}")
@@ -195,7 +155,7 @@ def build_mapping(g1: Dataset, queries: Dataset, model: ClusterModel) -> Mapping
     """Map(R) for the donor pool and Map'(R) for the queries, each
     group an encoded dataset, one kernel call per group; each group's
     values stay an array aligned with its rows."""
-    return MappingTable._of(
+    return MappingTable(
         g1.ids,
         _group_values(g1, model, complete=True),
         queries.ids,

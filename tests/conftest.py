@@ -4,18 +4,61 @@ cluster partitions, loaded once per test that needs them."""
 from __future__ import annotations
 
 import builtins
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
 from cmimpute.casestudy import (
     CLASSIFICATION_PARTITION,
     IMPUTATION_PARTITION,
+    NEW_RECORD_CELLS,
     load_classification_dataset,
     load_missing_dataset,
     load_normalized_dataset,
 )
-from cmimpute.dataset import split_groups
+from cmimpute.dataset import Dataset, Record, Schema, _column, split_groups
 from cmimpute.kmeans import FixedPartition, cluster
+from cmimpute.mapping import MappingTable
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name: str, **imports: types.ModuleType) -> types.ModuleType:
+    """perfbench/<name>.py as a module, executed from its source so no
+    bytecode is written next to it; imports names the perfbench modules
+    it imports by their bare names."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules.update(imports)
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        for key in imports:
+            del sys.modules[key]
+    return module
+
+
+def dataset_of(schema: Schema, records) -> Dataset:
+    """The records as one dataset, a column per attribute as the parser
+    builds them; records of another arity than the schema's fail."""
+    records = tuple(records)
+    if any(len(r.cells) != schema.arity for r in records):
+        raise ValueError(f"records must have {schema.arity} cells each")
+    columns = list(zip(*(r.cells for r in records))) or [()] * schema.arity
+    return Dataset(schema, [r.id for r in records], [r.label for r in records], map(_column, columns))
+
+
+def mapping_table(complete_map: dict, query_map: dict) -> MappingTable:
+    """A mapping table of the given id -> value maps."""
+    return MappingTable(list(complete_map), list(complete_map.values()), list(query_map), list(query_map.values()))
+
+
+def new_record() -> Record:
+    """The incoming record classified in the reference tables."""
+    return Record("R10", NEW_RECORD_CELLS)
 
 
 @pytest.fixture

@@ -30,11 +30,9 @@ from cmimpute.casestudy import (
     load_classification_dataset,
     load_missing_dataset,
     load_normalized_dataset,
-    new_record,
 )
 from cmimpute.classify import classify_mapped, classify_raw_knn
 from cmimpute.dataset import (
-    Dataset,
     Record,
     decode_dataset,
     encode,
@@ -59,7 +57,8 @@ from cmimpute.impute import (
     provenance_csv,
 )
 from cmimpute.kmeans import FarthestFirst, FixedPartition, SeededRandom, cluster
-from cmimpute.mapping import MappingTable, build_mapping, map_query, type2_distance
+from cmimpute.mapping import build_mapping, squared_distances
+from conftest import dataset_of, mapping_table, new_record
 
 TABLE_TOL = 1e-5
 
@@ -69,6 +68,11 @@ def imputation_setup():
     groups = split_groups(dataset)
     model = cluster(groups.g1, 2, FixedPartition(IMPUTATION_PARTITION))
     return dataset, groups, model
+
+
+def distances(group, centroids) -> dict[str, list[float]]:
+    """Each record's distances to the centroids over its observed cells."""
+    return dict(zip(group.ids, np.sqrt(squared_distances(group.matrix, centroids)).tolist()))
 
 
 def classification_setup():
@@ -96,9 +100,8 @@ def test_c2_per_cluster_distances_match_reference_unordered():
     _, groups, model = imputation_setup()
     expected = expected_pairs("table10")
     assert set(groups.g2.ids) == expected.keys()
-    for record in groups.g2.records:
-        computed = sorted(type2_distance(record, c) for c in model.centroids)
-        assert computed == approx(sorted(expected[record.id]), abs=TABLE_TOL), record.id
+    for rid, computed in distances(groups.g2, model.centroids).items():
+        assert sorted(computed) == approx(sorted(expected[rid]), abs=TABLE_TOL), rid
 
 
 def test_c3_imputation_recovers_held_out_truth_and_replay_matches():
@@ -122,10 +125,7 @@ def test_c3_imputation_recovers_held_out_truth_and_replay_matches():
     # Replay: inject the query mapping values the reference tables
     # print (they repeat the first two complete-record values; see
     # ERRATA.md) and check both full difference columns they imply.
-    replay = MappingTable(
-        complete_map=build_mapping(groups.g1, groups.g2, model).complete_map,
-        query_map={"R3": 6.791479, "R5": 6.588532},
-    )
+    replay = mapping_table(build_mapping(groups.g1, groups.g2, model).complete_map, {"R3": 6.791479, "R5": 6.588532})
     diff = difference_table(replay)
     for table_name, query_id in (("table12", "R3"), ("table14", "R5")):
         expected = expected_values(table_name)
@@ -140,12 +140,11 @@ def test_c3_imputation_recovers_held_out_truth_and_replay_matches():
 def test_c4_classification_tables_and_label_match_reference():
     dataset, model = classification_setup()
     query = new_record()
+    queries = dataset_of(dataset.schema, [query])
 
-    per_centroid = [
-        {r.id: type2_distance(r, centroid) for r in dataset.records}
-        for centroid in model.centroids
-    ]
-    mapping = build_mapping(dataset, Dataset(dataset.schema, [query]), model)
+    by_record = distances(dataset, model.centroids)
+    per_centroid = [{rid: d[c] for rid, d in by_record.items()} for c in range(len(model.centroids))]
+    mapping = build_mapping(dataset, queries, model)
     for name, computed, corrections in (
         ("table19", per_centroid[0], CORRECTED_TABLE19),
         ("table20", per_centroid[1], CORRECTED_TABLE20),
@@ -157,11 +156,10 @@ def test_c4_classification_tables_and_label_match_reference():
             assert computed[rid] == approx(value, abs=TABLE_TOL), (name, rid)
 
     first, _printed_second = expected_pairs("table22")["R10"]
-    assert type2_distance(query, model.centroids[0]) == approx(first, abs=TABLE_TOL)
-    assert type2_distance(query, model.centroids[1]) == approx(
-        CORRECTED_TABLE22_SECOND["R10"], abs=TABLE_TOL
-    )
-    assert map_query(query, model) == approx(
+    d1, d2 = distances(queries, model.centroids)["R10"]
+    assert d1 == approx(first, abs=TABLE_TOL)
+    assert d2 == approx(CORRECTED_TABLE22_SECOND["R10"], abs=TABLE_TOL)
+    assert mapping.query_map["R10"] == approx(
         expected_values("table23")["R10"], abs=TABLE_TOL
     )
 
@@ -180,10 +178,7 @@ def test_c4_classification_tables_and_label_match_reference():
     # value, see ERRATA.md) reproduces the narrative outcome: R8 is
     # the nearest record in both modes.  Recomputation moves the
     # absolute-mode nearest to R9 without changing the label.
-    printed = MappingTable(
-        complete_map=expected_values("table21"),
-        query_map=expected_values("table23"),
-    )
+    printed = mapping_table(expected_values("table21"), expected_values("table23"))
     assert nearest_record(printed, "R10", MODE_SIGNED) == ("R8",)
     assert nearest_record(printed, "R10", MODE_ABSOLUTE) == ("R8",)
     assert absolute.nearest == ("R9",)
@@ -219,7 +214,7 @@ def test_c6_signed_mode_nearest_is_query_independent():
             f"Q{i}": float(v)
             for i, v in enumerate(rng.uniform(0.0, 10.0, int(rng.integers(1, 6))))
         }
-        maps = MappingTable(donors, queries)
+        maps = mapping_table(donors, queries)
         champion = min(donors, key=donors.get)
         picks = {nearest_record(maps, qid, MODE_SIGNED) for qid in queries}
         assert picks == {(champion,)}
@@ -233,7 +228,7 @@ def test_c7_oracle_suites_hold():
         dims = int(rng.integers(1, 7))
         cells = tuple(float(v) for v in rng.uniform(-50.0, 50.0, dims))
         centroid = tuple(float(v) for v in rng.uniform(-50.0, 50.0, dims))
-        assert type2_distance(Record("X", cells), centroid) == approx(
+        assert math.sqrt(squared_distances([cells], [centroid])[0, 0]) == approx(
             math.dist(cells, centroid), rel=1e-12
         )
 

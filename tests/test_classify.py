@@ -13,24 +13,35 @@ from hypothesis import given, settings, strategies as st
 
 import cmimpute.classify
 import cmimpute.mapping
-from cmimpute.casestudy import expected_values, new_record
+from cmimpute.casestudy import expected_values
 from cmimpute.classify import classify_mapped, classify_mapped_all, classify_raw_knn
 from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Dataset, Record, Schema
 from cmimpute.errors import CannotClassifyError, NoDonorsError
 from cmimpute.impute import MODE_ABSOLUTE, MODE_SIGNED, MODES
 from cmimpute.kmeans import FarthestFirst, SeededRandom, cluster
-from cmimpute.mapping import map_query, nearest_rows, squared_distances, type2_distance
+from cmimpute.mapping import MappingTable, build_mapping, nearest_rows, squared_distances
+from conftest import dataset_of, new_record
 
 
 def rec(rid: str, *cells, label=None) -> Record:
     return Record(rid, tuple(None if c is None else float(c) for c in cells), label)
 
 
+def mapped(training: Dataset, model, *queries: Record) -> MappingTable:
+    """The training records and the queries mapped by build_mapping."""
+    return build_mapping(training, dataset_of(Schema(training.schema.attributes, None), queries), model)
+
+
+def distances(training: Dataset, query: Record) -> dict[str, float]:
+    """The query's distance to every training record, by the kernel."""
+    return dict(zip(training.ids, np.sqrt(squared_distances(training.matrix, [query.cells])[:, 0]).tolist()))
+
+
 def tiny_training(labels=("A", "B", "B")) -> Dataset:
     schema = Schema(
         (AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class"
     )
-    return Dataset(
+    return dataset_of(
         schema,
         (
             rec("R1", 0, 0, label=labels[0]),
@@ -87,11 +98,8 @@ def test_query_equal_to_training_record(classification_dataset, classification_m
 
 def test_mapped_table_is_map_difference(classification_dataset, classification_model):
     query = new_record()
-    query_map = map_query(query, classification_model)
-    column = {
-        r.id: map_query(r, classification_model) - query_map
-        for r in classification_dataset.records
-    }
+    maps = mapped(classification_dataset, classification_model, query)
+    column = {rid: v - maps.query_map[query.id] for rid, v in maps.complete_map.items()}
     for mode in MODES:
         outcome = classify_mapped(query, classification_dataset, classification_model, mode)
         assert outcome.table == column
@@ -105,7 +113,7 @@ def test_mapped_tie_returns_all_labels():
     # One cluster centered between R1 and R2 gives them equal mapping
     # values; a query on the bisector ties in both modes.
     model = cluster(training.records[:2], 1, SeededRandom(0))
-    subset = Dataset(training.schema, training.records[:2])
+    subset = dataset_of(training.schema, training.records[:2])
     outcome = classify_mapped(rec("Q", 2, 5), subset, model, MODE_ABSOLUTE)
     assert outcome.labels == ("A", "B")
     assert outcome.nearest == ("R1", "R2")
@@ -129,9 +137,7 @@ def test_raw_knn_reference_distances(classification_dataset):
     assert set(outcome.table) == set(expected)
     for rid, value in expected.items():
         assert outcome.table[rid] == pytest.approx(value, abs=1e-5), rid
-    assert outcome.table == {
-        r.id: type2_distance(query, r.cells) for r in classification_dataset.records
-    }
+    assert outcome.table == distances(classification_dataset, query)
 
 
 def test_raw_knn_two_class_tie(classification_dataset):
@@ -169,7 +175,7 @@ def test_raw_knn_matches_brute_force(points, query_point):
     records = tuple(
         rec(f"R{i + 1}", *p, label=f"L{i % 2}") for i, p in enumerate(points)
     )
-    ds = Dataset(schema, records)
+    ds = dataset_of(schema, records)
     outcome = classify_raw_knn(rec("Q", *query_point), ds)
     for r, p in zip(records, points):
         expected = math.dist(p, query_point)
@@ -200,7 +206,7 @@ def test_unlabeled_training_record_cannot_classify(classification_model, classif
         Record(r.id, r.cells, None if r.id == "R4" else r.label)
         for r in classification_dataset.records
     )
-    stripped = Dataset(classification_dataset.schema, records)
+    stripped = dataset_of(classification_dataset.schema, records)
     with pytest.raises(CannotClassifyError, match="R4"):
         classify_mapped(new_record(), stripped, classification_model)
     with pytest.raises(CannotClassifyError, match="R4"):
@@ -209,14 +215,14 @@ def test_unlabeled_training_record_cannot_classify(classification_model, classif
 
 def test_empty_training_dataset_raises():
     schema = Schema((AttributeSpec("x", NUMERIC),), "class")
-    empty = Dataset(schema, ())
+    empty = dataset_of(schema, ())
     with pytest.raises(NoDonorsError):
         classify_raw_knn(rec("Q", 1), empty)
 
 
 def test_incomplete_training_record_rejected():
     training = tiny_training()
-    holed = Dataset(
+    holed = dataset_of(
         training.schema,
         (training.records[0], Record("R2", (None, 0.0), "B"), training.records[2]),
     )
@@ -246,7 +252,7 @@ def test_model_trained_on_other_records_rejected(classification_dataset):
 
 def copy_of(dataset: Dataset) -> Dataset:
     """An equal dataset with nothing fitted on it yet."""
-    return Dataset(dataset.schema, dataset.records)
+    return dataset_of(dataset.schema, dataset.records)
 
 
 def brute_nearest(table: dict[str, float], key) -> tuple[str, ...]:
@@ -268,7 +274,7 @@ grid_point = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 )
 def test_fitted_classifiers_match_a_brute_force_recomputation(points, queries, k, seed, step):
     schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
-    training = Dataset(
+    training = dataset_of(
         schema,
         tuple(
             rec(f"R{i + 1}", *(v * step for v in p), label=f"L{i % 3}")
@@ -277,24 +283,23 @@ def test_fitted_classifiers_match_a_brute_force_recomputation(points, queries, k
     )
     label_of = {r.id: r.label for r in training.records}
     model = cluster(training.records, min(k, len(set(points))), FarthestFirst(seed))
-    maps = {r.id: map_query(r, model) for r in training.records}
     # Several queries in sequence against the same (dataset, model).
     for j, q in enumerate(queries):
         query = rec(f"Q{j + 1}", *(v * step for v in q))
-        c = map_query(query, model)
-        column = {i: v - c for i, v in maps.items()}
+        maps = mapped(training, model, query)
+        column = {i: v - maps.query_map[query.id] for i, v in maps.complete_map.items()}
         for mode in MODES:
             outcome = classify_mapped(query, training, model, mode)
             nearest = brute_nearest(column, (lambda d: d) if mode == MODE_SIGNED else abs)
             assert outcome.nearest == nearest
             assert outcome.labels == tuple(sorted({label_of[i] for i in nearest}))
             assert outcome.table == column
-        distances = {r.id: type2_distance(query, r.cells) for r in training.records}
+        knn_column = distances(training, query)
         knn = classify_raw_knn(query, training)
-        nearest = brute_nearest(distances, lambda d: d)
+        nearest = brute_nearest(knn_column, lambda d: d)
         assert knn.nearest == nearest
         assert knn.labels == tuple(sorted({label_of[i] for i in nearest}))
-        assert knn.table == distances
+        assert knn.table == knn_column
 
 
 def python_lines(call) -> int:
@@ -319,7 +324,7 @@ def test_a_query_runs_no_python_loop_over_the_training_set():
     schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
 
     def lines_per_query(m: int) -> tuple[int, int]:
-        training = Dataset(
+        training = dataset_of(
             schema, tuple(rec(f"R{i}", i, i * i % 7, label="AB"[i % 2]) for i in range(m))
         )
         model = cluster(training.records, 2, FarthestFirst(0))
@@ -338,11 +343,11 @@ def test_a_query_runs_no_python_loop_over_the_training_set():
 
 def test_a_batch_of_queries_gets_each_query_s_own_answer(classification_dataset, classification_model):
     records = (new_record(), rec("Q2", 1, 1, 1, 1), Record("Q3", classification_dataset.records[4].cells))
-    queries = Dataset(Schema(classification_dataset.schema.attributes, None), records)
+    queries = dataset_of(Schema(classification_dataset.schema.attributes, None), records)
     for mode in MODES:
         batch = classify_mapped_all(queries, classification_dataset, classification_model, mode)
         assert batch == [classify_mapped(q, classification_dataset, classification_model, mode) for q in records]
-    holed = Dataset(queries.schema, records + (rec("Q4", 1, None, 1, 1),))
+    holed = dataset_of(queries.schema, records + (rec("Q4", 1, None, 1, 1),))
     with pytest.raises(ValueError, match="Q4 has missing"):
         classify_mapped_all(holed, classification_dataset, classification_model)
 
@@ -357,11 +362,11 @@ def test_batch_selection_agrees_with_one_query_at_a_time(data):
     cells = data.draw(st.lists(row, min_size=2, max_size=12), label="training")
     labels = data.draw(st.lists(st.sampled_from("AB"), min_size=len(cells), max_size=len(cells)), label="labels")
     attributes = tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(n))
-    training = Dataset(Schema(attributes, "class"), [rec(f"R{i}", *c, label=y) for i, (c, y) in enumerate(zip(cells, labels))])
+    training = dataset_of(Schema(attributes, "class"), [rec(f"R{i}", *c, label=y) for i, (c, y) in enumerate(zip(cells, labels))])
     k = data.draw(st.integers(1, min(len(set(cells)), 3)), label="k")
     model = cluster(training, k, FarthestFirst(data.draw(st.integers(0, 99), label="seed")))
     queries = [rec(f"Q{j}", *c) for j, c in enumerate(data.draw(st.lists(row, min_size=1, max_size=8), label="queries"))]
-    batch = Dataset(Schema(attributes, None), queries)
+    batch = dataset_of(Schema(attributes, None), queries)
     for mode in MODES:
         assert classify_mapped_all(batch, training, model, mode) == [classify_mapped(q, training, model, mode) for q in queries]
 
@@ -405,7 +410,8 @@ def test_training_set_is_mapped_once_per_model_across_queries(
     original = cmimpute.classify.map_values
 
     def counting(X, centroids):
-        calls.append(next(m for m in (classification_model, other) if m.centroids == centroids))
+        if len(X) > 1:  # a query is mapped as a row of its own
+            calls.append(next(m for m in (classification_model, other) if m.centroids == centroids))
         return original(X, centroids)
 
     other = cluster(classification_dataset.records, 3, FarthestFirst(0))
@@ -443,7 +449,7 @@ def test_failed_training_checks_are_not_memoised(classification_dataset, classif
         Record(r.id, r.cells, None if r.id == "R4" else r.label)
         for r in classification_dataset.records
     )
-    stripped = Dataset(classification_dataset.schema, records)
+    stripped = dataset_of(classification_dataset.schema, records)
     for _ in range(2):
         with pytest.raises(CannotClassifyError, match="R4"):
             classify_raw_knn(new_record(), stripped)
@@ -454,7 +460,7 @@ def test_failed_training_checks_are_not_memoised(classification_dataset, classif
 def test_raw_knn_ties_are_exact_float_equality():
     # 0.3 - 0.1 rounds to just under 0.2, so R1 is nearer than R2 by an ulp.
     schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
-    training = Dataset(schema, (rec("R1", 0.1, 0, label="A"), rec("R2", 0.5, 0, label="B")))
+    training = dataset_of(schema, (rec("R1", 0.1, 0, label="A"), rec("R2", 0.5, 0, label="B")))
     outcome = classify_raw_knn(rec("Q", 0.3, 0), training)
     assert outcome.nearest == ("R1",)
     assert outcome.table["R1"] < outcome.table["R2"] == 0.2
@@ -462,6 +468,14 @@ def test_raw_knn_ties_are_exact_float_equality():
 
 def test_raw_knn_rejects_a_query_of_the_wrong_arity(classification_dataset):
     with pytest.raises(ValueError, match="3 cells"):
+        classify_raw_knn(rec("Q", 1, 1, 1), classification_dataset)
+
+
+def test_both_classifiers_word_a_wrong_arity_alike(classification_dataset, classification_model):
+    message = "query Q has 3 cells, training records have 4"
+    with pytest.raises(ValueError, match=message):
+        classify_mapped(rec("Q", 1, 1, 1), classification_dataset, classification_model)
+    with pytest.raises(ValueError, match=message):
         classify_raw_knn(rec("Q", 1, 1, 1), classification_dataset)
 
 
@@ -484,7 +498,7 @@ def knn_training(rows, labels=None) -> Dataset:
     n = len(rows[0])
     schema = Schema(tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(n)), "class")
     labels = labels or ["AB"[i % 2] for i in range(len(rows))]
-    return Dataset(schema, tuple(rec(f"R{i + 1}", *r, label=label) for i, (r, label) in enumerate(zip(rows, labels))))
+    return dataset_of(schema, tuple(rec(f"R{i + 1}", *r, label=label) for i, (r, label) in enumerate(zip(rows, labels))))
 
 
 def check_against_the_full_kernel(training: Dataset, query: Record) -> None:

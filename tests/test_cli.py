@@ -4,6 +4,7 @@ subcommands, driven through main() with real files."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -27,7 +28,7 @@ from cmimpute.cli import (
     SEED_ENV_VAR,
     main,
 )
-from cmimpute.dataset import NUMERIC, dataset_to_csv, decode_dataset
+from cmimpute.dataset import NUMERIC, Record, dataset_to_csv, decode_dataset
 from cmimpute.evaluate import inject_mcar, make_synthetic_dataset
 
 QUERY_HEADER = "P1,P2,P3,P4\n"
@@ -458,6 +459,24 @@ def test_classify_reference_query_absolute_with_baseline(classify_files, tmp_pat
     assert lines[1] == "Q1,Level-2,R9,Level-1;Level-2,R4;R9"
 
 
+def test_classify_builds_a_record_only_for_the_knn_baseline(classify_files, tmp_path, monkeypatch):
+    _, train, schema, query, config = classify_files
+    write(tmp_path / "query.csv", QUERY_HEADER + NEW_RECORD_ROW + "1,1,1,1\n")
+    built = []
+    original = Record.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Record, "__init__", counting)
+    argv = ["classify", "--train", train, "--schema", schema, "--query", query, "--config", config]
+    assert main(argv + ["--out", str(tmp_path / "mapped.csv")]) == EXIT_OK
+    assert built == []
+    assert main(argv + ["--with-knn-baseline", "--out", str(tmp_path / "both.csv")]) == EXIT_OK
+    assert built == ["Q1", "Q2"]
+
+
 def test_classify_writes_to_stdout_without_out(classify_files, capsys):
     _, train, schema, query, config = classify_files
     code = main(
@@ -701,6 +720,41 @@ def test_casestudy_default_run_passes(capsys):
     assert code == EXIT_OK
     assert "0 mismatches" in out
     assert "4 documented errata" in out
+
+
+@pytest.mark.parametrize(
+    ("argv", "sha256"),
+    [
+        ([], "a744c4dd1cf2d86329d5f292fd21cc6033cab82eb2e9ac7a75fa25751c479c7c"),
+        # Every number cell misses at this tolerance, so the report
+        # prints each one's computed value.
+        (["--tolerance", "1e-9"], "e12afa62f5f95bce65a1831252c1c64389cf2fe74b5f0e92664f655f17ccdbc1"),
+    ],
+)
+def test_casestudy_report_is_pinned(argv, sha256, capsys):
+    main(["casestudy", *argv])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+def test_casestudy_checks_do_not_depend_on_the_hash_seed():
+    # Set and dict orders of strings change with PYTHONHASHSEED.
+    package_root = os.path.dirname(os.path.dirname(cmimpute.__file__))
+    code = "from cmimpute.casestudy import run_case_study; print(repr(run_case_study()))"
+    reports = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+            ),
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert reports[0] == reports[1]
 
 
 def test_casestudy_writes_report_file(tmp_path, capsys):

@@ -32,6 +32,7 @@ from cmimpute.dataset import (
 )
 from cmimpute.errors import DecodeError, ParseError, SchemaError
 from cmimpute.impute import ImputeConfig, impute_dataset
+from conftest import dataset_of
 
 
 def missing_schema() -> Schema:
@@ -52,7 +53,6 @@ def test_nan_marker_becomes_missing_cell():
     raw = parse_dataset(fixture_text("table03_missing_raw.csv"), missing_schema())
     r3 = raw.record("R3")
     assert r3.cells == ("c11", 7.0, None, 7.0)
-    assert r3.missing_indices == (2,)
     assert r3.label == "CLASS-1"
 
 
@@ -60,7 +60,6 @@ def test_question_mark_marker_becomes_missing_cell():
     raw = parse_dataset(fixture_text("table03_missing_raw.csv"), missing_schema())
     r5 = raw.record("R5")
     assert r5.cells == ("c13", 3.0, "d32", None)
-    assert r5.missing_indices == (3,)
 
 
 def test_fully_populated_row_is_complete():
@@ -86,13 +85,13 @@ def test_record_completeness_tests_for_none_only(cells, complete):
 
 def test_encoded_flag_matches_cell_types():
     schema = numeric_schema(2)
-    assert Dataset(schema, (Record("R1", (1.0, None)), Record("R2", (2.0, 3.0)))).is_encoded
-    assert not Dataset(schema, (Record("R1", (1.0, None)), Record("R2", ("a", 3.0)))).is_encoded
+    assert dataset_of(schema, (Record("R1", (1.0, None)), Record("R2", (2.0, 3.0)))).is_encoded
+    assert not dataset_of(schema, (Record("R1", (1.0, None)), Record("R2", ("a", 3.0)))).is_encoded
 
 
 def test_record_lookup_by_id():
     schema = numeric_schema(1)
-    ds = Dataset(schema, (Record("R1", (1.0,), "a"), Record("R2", (2.0,), "b"), Record("R1", (3.0,), "c")))
+    ds = dataset_of(schema, (Record("R1", (1.0,), "a"), Record("R2", (2.0,), "b"), Record("R1", (3.0,), "c")))
     assert ds.record("R2").cells == (2.0,)
     assert ds.record("R1").label == "a"  # the first record wins on a repeated id
     with pytest.raises(KeyError):
@@ -285,7 +284,7 @@ def test_split_complete_dataset_has_empty_g2():
 
 
 def test_split_all_records_incomplete_has_empty_g1():
-    ds = Dataset(
+    ds = dataset_of(
         numeric_schema(2),
         (Record("R1", (None, 1.0)), Record("R2", (2.0, None))),
     )
@@ -295,7 +294,7 @@ def test_split_all_records_incomplete_has_empty_g1():
 
 
 def test_split_requires_encoded_dataset():
-    ds = Dataset(
+    ds = dataset_of(
         Schema((AttributeSpec("a", CATEGORICAL),), label_column=None),
         (Record("R1", ("sym",)),),
     )
@@ -318,7 +317,7 @@ def test_split_partitions_every_record(rows):
     records = tuple(
         Record(f"R{i + 1}", tuple(row)) for i, row in enumerate(rows)
     )
-    ds = Dataset(numeric_schema(3, label=None), records)
+    ds = dataset_of(numeric_schema(3, label=None), records)
     split = split_groups(ds)
     assert len(split.g1) + len(split.g2) == len(records)
     g1_ids = set(split.g1.ids)
@@ -376,7 +375,7 @@ def test_schema_rejects_duplicate_names_and_label_collision():
 
 
 def test_dataset_to_csv_renders_missing_and_integral_cells():
-    ds = Dataset(
+    ds = dataset_of(
         numeric_schema(2),
         (Record("R1", (1.0, None), "a"), Record("R2", (2.5, 3.0), None)),
     )
@@ -460,8 +459,8 @@ MARKED = Schema(
 
 def rendered(dataset: Dataset) -> str:
     """dataset_to_csv with every cell rendered: a dataset built from
-    records keeps no field text."""
-    return dataset_to_csv(Dataset(dataset.schema, dataset.records))
+    columns without their field text renders every cell."""
+    return dataset_to_csv(Dataset(dataset.schema, dataset.ids, dataset.labels, dataset.columns))
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,7 +20,6 @@ from cmimpute.casestudy import (
     fixture_text,
     load_classification_dataset,
     load_normalized_dataset,
-    new_record,
 )
 from cmimpute.classify import classify_mapped
 from cmimpute.dataset import (
@@ -54,14 +53,20 @@ from cmimpute.impute import (
 )
 from cmimpute.kmeans import FarthestFirst, FixedPartition, cluster
 from cmimpute.mapping import MappingTable, build_mapping
+from conftest import dataset_of, mapping_table, new_record
 
 
 def rec(rid: str, *cells, label=None) -> Record:
     return Record(rid, tuple(None if c is None else float(c) for c in cells), label)
 
 
+def missing_at(r: Record) -> list[int]:
+    """The attribute indices of the record's missing cells."""
+    return [i for i, c in enumerate(r.cells) if c is None]
+
+
 def table_of(complete: dict[str, float], queries: dict[str, float]):
-    return difference_table(MappingTable(complete, queries))
+    return difference_table(mapping_table(complete, queries))
 
 
 def brute_nearest(maps: MappingTable, query_id: str, mode: str) -> tuple[str, ...]:
@@ -111,24 +116,24 @@ def test_difference_requires_donors_and_queries():
 
 def test_nearest_signed_reference_replay():
     complete = expected_values("table09")
-    assert nearest_record(MappingTable(complete, {"R3": 6.791479}), "R3", MODE_SIGNED) == ("R8",)
-    assert nearest_record(MappingTable(complete, {"R5": 6.588532}), "R5", MODE_SIGNED) == ("R8",)
+    assert nearest_record(mapping_table(complete, {"R3": 6.791479}), "R3", MODE_SIGNED) == ("R8",)
+    assert nearest_record(mapping_table(complete, {"R5": 6.588532}), "R5", MODE_SIGNED) == ("R8",)
 
 
 def test_nearest_absolute_on_replayed_column_picks_zero():
     complete = expected_values("table09")
-    maps = MappingTable(complete, {"R3": 6.791479})
+    maps = mapping_table(complete, {"R3": 6.791479})
     assert nearest_record(maps, "R3", MODE_ABSOLUTE) == ("R1",)
 
 
 def test_nearest_returns_all_ties_in_donor_order():
-    maps = MappingTable({"R1": 2.0, "R2": 4.0, "R3": 2.0}, {"Q1": 1.0})
+    maps = mapping_table({"R1": 2.0, "R2": 4.0, "R3": 2.0}, {"Q1": 1.0})
     assert nearest_record(maps, "Q1", MODE_SIGNED) == ("R1", "R3")
     assert nearest_record(maps, "Q1", MODE_ABSOLUTE) == ("R1", "R3")
 
 
 def test_nearest_rejects_unknown_query_and_mode():
-    maps = MappingTable({"R1": 1.0}, {"Q1": 1.0})
+    maps = mapping_table({"R1": 1.0}, {"Q1": 1.0})
     with pytest.raises(KeyError):
         nearest_record(maps, "Q9", MODE_SIGNED)
     with pytest.raises(ValueError, match="mode"):
@@ -155,7 +160,7 @@ half_integers = st.integers(0, 100).map(lambda v: v / 2)
     ),
 )
 def test_signed_mode_ignores_the_query(complete, queries):
-    maps = MappingTable(complete, queries)
+    maps = mapping_table(complete, queries)
     best_map = min(complete.values())
     expected = tuple(i for i in complete if complete[i] == best_map)
     for q in queries:
@@ -172,7 +177,7 @@ def test_signed_mode_ignores_the_query(complete, queries):
     st.floats(0, 50, allow_nan=False),
 )
 def test_absolute_mode_is_scalar_nearest_neighbor(complete, query_value):
-    got = nearest_record(MappingTable(complete, {"Q1": query_value}), "Q1", MODE_ABSOLUTE)
+    got = nearest_record(mapping_table(complete, {"Q1": query_value}), "Q1", MODE_ABSOLUTE)
     best = min(abs(v - query_value) for v in complete.values())
     expected = tuple(i for i in complete if abs(complete[i] - query_value) == best)
     assert got == expected
@@ -204,7 +209,7 @@ close_values = st.one_of(
     st.lists(close_values, min_size=1, max_size=4),
 )
 def test_sorted_selection_matches_the_difference_table_scan(donor_values, query_values):
-    maps = MappingTable(
+    maps = mapping_table(
         {f"R{i}": v for i, v in enumerate(donor_values)},
         {f"Q{j}": v for j, v in enumerate(query_values)},
     )
@@ -217,7 +222,7 @@ def test_sorted_selection_keeps_ties_rounding_merges():
     # One ulp at 1e16 is 2, so the differences of the first three
     # donors all round to -1e16: they tie although their values differ.
     donors = {"R1": 1.0, "R2": 0.0, "R3": 0.5, "R4": 4.0}
-    maps = MappingTable(donors, {"Q1": 1e16})
+    maps = mapping_table(donors, {"Q1": 1e16})
     assert nearest_record(maps, "Q1", MODE_SIGNED) == ("R1", "R2", "R3")
     assert nearest_record(maps, "Q1", MODE_SIGNED) == brute_nearest(maps, "Q1", MODE_SIGNED)
     assert nearest_record(maps, "Q1", MODE_ABSOLUTE) == ("R4",)
@@ -229,12 +234,12 @@ def test_sorted_selection_keeps_ties_rounding_merges():
 NUM_SPEC = AttributeSpec("x", NUMERIC)
 CAT_SPEC = AttributeSpec("c", CATEGORICAL, {"u": 1, "v": 2, "w": 3})
 # Only a class-count tie reads mapping values; these fills have none.
-NO_TIE_MAPS = MappingTable({}, {})
+NO_TIE_MAPS = mapping_table({}, {})
 
 
 def pool(*records: Record) -> Dataset:
     """Donor records under a schema of numeric attributes."""
-    return Dataset(Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(len(records[0].cells)))), records)
+    return dataset_of(Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(len(records[0].cells)))), records)
 
 
 def row(*cells) -> np.ndarray:
@@ -282,7 +287,7 @@ def test_class_count_tie_resolved_by_lowest_mapping_donor():
         rec("R4", 2, 7, label="A"),
     )
     donors = (1, 0)  # donor order must not decide
-    maps = MappingTable({"R1": 2.0, "R2": 4.0, "R4": 3.0}, {"Q": 3.0})
+    maps = mapping_table({"R1": 2.0, "R2": 4.0, "R4": 3.0}, {"Q": 3.0})
     # R1 has the lowest mapping value, so class A's records average.
     assert _fill_value(row(1, None), 1, donors, g1, NUM_SPEC, maps) == (6.0, "mean-same-class")
 
@@ -292,7 +297,7 @@ def test_mean_fill_adds_left_to_right_on_every_python(compensated_sum):
     # 0; a compensated sum() gives 1 and a fill of 1/3.
     assert sum([1e16, 1.0, -1e16]) == 1.0
     schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
-    ds = Dataset(
+    ds = dataset_of(
         schema,
         (
             rec("R1", 1e16, 0, label="A"),
@@ -350,7 +355,7 @@ def test_pipeline_on_complete_dataset_is_identity(normalized_dataset):
 
 def test_pipeline_rejects_record_with_no_observed_values():
     schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
-    ds = Dataset(
+    ds = dataset_of(
         schema,
         (
             rec("R1", 1, 2, label="a"),
@@ -364,14 +369,14 @@ def test_pipeline_rejects_record_with_no_observed_values():
 
 def test_pipeline_with_no_complete_records_raises():
     schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
-    ds = Dataset(schema, (rec("R1", None, 2, label="a"), rec("R2", 3, None, label="a")))
+    ds = dataset_of(schema, (rec("R1", None, 2, label="a"), rec("R2", 3, None, label="a")))
     with pytest.raises(NoDonorsError):
         impute_dataset(ds, ImputeConfig(k=1))
 
 
 def test_pipeline_k_larger_than_donor_pool_raises():
     schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
-    ds = Dataset(
+    ds = dataset_of(
         schema,
         (rec("R1", 1, 2, label="a"), rec("R2", 3, 4, label="b"), rec("R3", None, 4, label="a")),
     )
@@ -381,7 +386,7 @@ def test_pipeline_k_larger_than_donor_pool_raises():
 
 def test_pipeline_unlabeled_dataset_needs_explicit_k():
     schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)))
-    ds = Dataset(schema, (rec("R1", 1, 2), rec("R2", 3, 4), rec("R3", None, 4)))
+    ds = dataset_of(schema, (rec("R1", 1, 2), rec("R2", 3, 4), rec("R3", None, 4)))
     with pytest.raises(ConfigError, match="k"):
         impute_dataset(ds)
     result = impute_dataset(ds, ImputeConfig(k=1))
@@ -390,7 +395,7 @@ def test_pipeline_unlabeled_dataset_needs_explicit_k():
 
 def test_pipeline_requires_encoded_input():
     schema = Schema((AttributeSpec("c", CATEGORICAL, {"u": 1}),))
-    ds = Dataset(schema, (Record("R1", ("u",)), Record("R2", (None,))))
+    ds = dataset_of(schema, (Record("R1", ("u",)), Record("R2", (None,))))
     with pytest.raises(ValueError, match="encoded"):
         impute_dataset(ds, ImputeConfig(k=1))
 
@@ -413,7 +418,7 @@ def test_natural_tie_flows_through_provenance():
         (AttributeSpec("x", NUMERIC), AttributeSpec("c", CATEGORICAL, {"u": 1, "v": 2})),
         "class",
     )
-    ds = Dataset(
+    ds = dataset_of(
         schema,
         (
             rec("R1", 0, 1, label="A"),
@@ -471,7 +476,7 @@ def reference_text(dataset: Dataset, fills: dict, mode: str) -> tuple[str, str]:
     provenance_writer.writerow(["query", "attribute", "donors", "value", "symbol", "mode", "tie_policy"])
     for r in dataset.records:
         cells = list(r.cells)
-        for attr in r.missing_indices:
+        for attr in missing_at(r):
             donors, value, policy = fills[r.id, attr]
             cells[attr] = value
             symbol = render(attrs[attr], value) if attrs[attr].kind == CATEGORICAL else ""
@@ -500,7 +505,7 @@ def check_stages_against_brute_force(masked: Dataset, seed: int, mode: str = MOD
     expected = {}
     for r in split.g2.records:
         donors = brute_nearest(maps, r.id, mode)
-        for attr in r.missing_indices:
+        for attr in missing_at(r):
             spec = masked.schema.attributes[attr]
             value, policy = reference_fill([by_id[d] for d in donors], g1, attr, spec, maps)
             expected[r.id, attr] = (donors, value, policy)
@@ -538,7 +543,7 @@ def test_tie_heavy_stages_match_a_brute_force_recomputation():
         )
         for n, r in enumerate(base.records)
     )
-    doubled = Dataset(base.schema, base.records + twins)
+    doubled = dataset_of(base.schema, base.records + twins)
     holes = [(base.records[i].id, attr) for i, attr in ((1, 0), (6, 6), (13, 3), (18, 6), (20, 2))]
     masked, _ = mask_cells(doubled, holes)
     result = check_stages_against_brute_force(masked, seed=2)
@@ -579,7 +584,7 @@ def masked_tables(draw):
     for i, (*cells, label) in enumerate(rows):
         holed = tuple(None if (i, j) in holes else c for j, c in enumerate(cells))
         records.append(Record(f"R{i + 1}", holed if None in holed and holed.count(None) < 3 else tuple(cells), label))
-    return Dataset(TIE_SCHEMA, tuple(records))
+    return dataset_of(TIE_SCHEMA, tuple(records))
 
 
 @settings(max_examples=150, deadline=None)
@@ -601,7 +606,7 @@ def test_tie_fills_compute_each_class_statistic_once(monkeypatch):
     cells = rng.integers(0, 3, (300, 3)).astype(float)
     cells[:, 2] += 1  # the categorical's ordinals
     labels = rng.choice(["A", "B", "C"], 300).tolist()
-    complete = Dataset(TIE_SCHEMA, tuple(Record(f"R{i + 1}", tuple(c), label) for i, (c, label) in enumerate(zip(cells.tolist(), labels))))
+    complete = dataset_of(TIE_SCHEMA, tuple(Record(f"R{i + 1}", tuple(c), label) for i, (c, label) in enumerate(zip(cells.tolist(), labels))))
     masked, _ = inject_mcar(complete, 0.05, seed=3)
     computed = Counter()
     original = cmimpute.impute._pool_value
@@ -626,7 +631,7 @@ def tie_heavy_table() -> Dataset:
     cells[:, 2] += 1  # the categorical's ordinals
     labels = rng.choice(np.array(["A", "B", None], dtype=object), 120).tolist()
     records = tuple(Record(f"R{i + 1}", tuple(c), label) for i, (c, label) in enumerate(zip(cells.tolist(), labels)))
-    return inject_mcar(Dataset(TIE_SCHEMA, records), 0.1, seed=1)[0]
+    return inject_mcar(dataset_of(TIE_SCHEMA, records), 0.1, seed=1)[0]
 
 
 POLICIES = {"single-donor", "mean-same-class", "modal-same-class", "mean-tied-donors", "modal-tied-donors"}
@@ -641,7 +646,7 @@ def eager_fills(masked: Dataset, result) -> tuple[CellFill, ...]:
     fills = []
     for r in split.g2.records:
         donors = brute_nearest(maps, r.id, result.mode)
-        for attr in r.missing_indices:
+        for attr in missing_at(r):
             spec = masked.schema.attributes[attr]
             value, policy = reference_fill([by_id[d] for d in donors], split.g1.records, attr, spec, maps)
             symbol = spec.decode_value(value) if spec.kind == CATEGORICAL else None
@@ -723,7 +728,7 @@ def test_imputed_records_never_donate_to_each_other():
     # pool: filling one must not change the other's donor choice, and
     # donors only ever come from the originally complete records.
     schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
-    full = Dataset(
+    full = dataset_of(
         schema,
         (
             rec("R1", 0, 0, label="a"),
@@ -735,7 +740,7 @@ def test_imputed_records_never_donate_to_each_other():
     )
     both = impute_dataset(full, ImputeConfig(mode=MODE_ABSOLUTE, k=1))
     solo = impute_dataset(
-        Dataset(schema, full.records[:4]), ImputeConfig(mode=MODE_ABSOLUTE, k=1)
+        dataset_of(schema, full.records[:4]), ImputeConfig(mode=MODE_ABSOLUTE, k=1)
     )
     assert {f.query_id for f in both.fills} == {"R4", "R5"}
     for fill in both.fills:

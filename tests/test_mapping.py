@@ -12,14 +12,8 @@ from cmimpute.casestudy import expected_pairs, expected_values
 from cmimpute.classify import classify_mapped, classify_raw_knn
 from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Dataset, Record, Schema, split_groups
 from cmimpute.kmeans import ClusterModel
-from cmimpute.mapping import (
-    MappingTable,
-    build_mapping,
-    map_query,
-    map_values,
-    squared_distances,
-    type2_distance,
-)
+from cmimpute.mapping import MappingTable, build_mapping, map_values, squared_distances
+from conftest import dataset_of
 
 CENTROID_A = (1.75, 6.25, 1.25, 10.0)  # mean of R1, R4, R6, R9
 CENTROID_B = (7 / 3, 6.0, 5 / 3, 5.0)  # mean of R2, R7, R8
@@ -31,7 +25,7 @@ def rec(rid: str, *cells) -> Record:
 
 def numeric(*records: Record) -> Dataset:
     """The records under a schema of numeric attributes a0, a1, ..."""
-    return Dataset(Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(len(records[0].cells)))), records)
+    return dataset_of(Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(len(records[0].cells)))), records)
 
 
 def model_with(*centroids) -> ClusterModel:
@@ -41,21 +35,32 @@ def model_with(*centroids) -> ClusterModel:
     )
 
 
+def distance(record: Record, center) -> float:
+    """The record's distance to the center over its observed cells."""
+    return math.sqrt(squared_distances([record.cells], [center])[0, 0])
+
+
+def query_map(record: Record, model: ClusterModel) -> float:
+    """The record's mapping value, Map'(R), as build_mapping computes a
+    query's."""
+    return build_mapping(numeric(record).take([]), numeric(record), model).query_map[record.id]
+
+
 finite = st.floats(-100, 100, allow_nan=False)
 
 
-# --- type-1: a complete record's type2_distance, over every cell ---
+# --- type-1: a complete record's distance, over every cell ---
 
 
 def test_type1_reference_values():
     r1 = rec("R1", 1, 5, 1, 10)
-    assert type2_distance(r1, CENTROID_A) == pytest.approx(1.47902, abs=1e-5)
-    assert type2_distance(r1, CENTROID_B) == pytest.approx(5.312459, abs=1e-5)
+    assert distance(r1, CENTROID_A) == pytest.approx(1.47902, abs=1e-5)
+    assert distance(r1, CENTROID_B) == pytest.approx(5.312459, abs=1e-5)
 
 
 def test_type1_zero_at_own_centroid():
     r = rec("R", 2, 3, 4)
-    assert type2_distance(r, (2, 3, 4)) == 0.0
+    assert distance(r, (2, 3, 4)) == 0.0
 
 
 @given(st.lists(finite, min_size=1, max_size=8), st.data())
@@ -65,13 +70,13 @@ def test_type1_matches_brute_force(cells, data):
     )
     record = rec("R", *cells)
     expected = math.sqrt(sum((a - b) ** 2 for a, b in zip(cells, center)))
-    got = type2_distance(record, center)
+    got = distance(record, center)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_type1_arity_and_missing_errors():
-    with pytest.raises(ValueError, match="cells"):
-        type2_distance(rec("R", 1, 2), (1.0,))
+    with pytest.raises(ValueError, match="dataset has 2 attributes, the model's centroids 1"):
+        query_map(rec("R", 1, 2), model_with((1.0,)))
     # Donors are mapped by type-1 distance, so a donor must be complete.
     with pytest.raises(ValueError, match="R has missing cells"):
         build_mapping(numeric(rec("R", 1, None)), numeric(rec("Q", 1, 2)).take([]), model_with((1.0, 2.0)))
@@ -86,7 +91,7 @@ def test_build_mapping_rejects_a_dataset_of_another_arity():
     with pytest.raises(ValueError, match="dataset has 1 attributes"):
         build_mapping(numeric(rec("R", 1, 2)), numeric(rec("Q", 1)), model_with((1.0, 2.0)))
     # The mapped classifier reaches it through a model whose ids match.
-    train = Dataset(Schema((AttributeSpec("x", NUMERIC),), "class"), (Record("R1", (1.0,), "A"),))
+    train = dataset_of(Schema((AttributeSpec("x", NUMERIC),), "class"), (Record("R1", (1.0,), "A"),))
     model = ClusterModel(((1.0, 2.0),), {"R1": 0})
     with pytest.raises(ValueError, match="dataset has 1 attributes"):
         classify_mapped(rec("Q", 1, 2), train, model)
@@ -98,9 +103,9 @@ def test_build_mapping_rejects_a_dataset_of_another_arity():
 def test_type2_reference_values():
     r3 = rec("R3", 1, 7, None, 7)
     r5 = rec("R5", 3, 3, 2, None)
-    assert type2_distance(r3, CENTROID_B) == pytest.approx(2.603417, abs=1e-5)
-    assert type2_distance(r3, CENTROID_A) == pytest.approx(3.181981, abs=1e-5)
-    pair = sorted((type2_distance(r5, CENTROID_A), type2_distance(r5, CENTROID_B)))
+    assert distance(r3, CENTROID_B) == pytest.approx(2.603417, abs=1e-5)
+    assert distance(r3, CENTROID_A) == pytest.approx(3.181981, abs=1e-5)
+    pair = sorted((distance(r5, CENTROID_A), distance(r5, CENTROID_B)))
     assert pair == pytest.approx([3.091206, 3.561952], abs=1e-5)
 
 
@@ -108,8 +113,8 @@ def test_type2_on_complete_record_equals_type1():
     # Raw 1-NN measures complete records by type-1 distance.
     r = rec("R", 2, 5, 2, 9)
     schema = Schema(tuple(AttributeSpec(f"a{i}", NUMERIC) for i in range(4)), "class")
-    training = Dataset(schema, (Record("C", CENTROID_A, "L"),))
-    assert type2_distance(r, CENTROID_A) == classify_raw_knn(r, training).table["C"]
+    training = dataset_of(schema, (Record("C", CENTROID_A, "L"),))
+    assert distance(r, CENTROID_A) == classify_raw_knn(r, training).table["C"]
 
 
 @given(st.lists(finite, min_size=2, max_size=6), st.data())
@@ -118,18 +123,18 @@ def test_type2_never_exceeds_any_completion(cells, data):
     missing_at = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
     center = data.draw(st.lists(finite, min_size=n, max_size=n))
     holed = rec("R", *(None if i in missing_at else c for i, c in enumerate(cells)))
-    partial = type2_distance(holed, center)
+    partial = distance(holed, center)
     for _ in range(3):
         fill = data.draw(st.lists(finite, min_size=n, max_size=n))
         completed = rec(
             "C", *(fill[i] if i in missing_at else c for i, c in enumerate(cells))
         )
-        assert partial <= type2_distance(completed, center) + 1e-9
+        assert partial <= distance(completed, center) + 1e-9
 
 
 def test_type2_all_missing_rejected():
     with pytest.raises(ValueError, match="no observed"):
-        type2_distance(rec("R", None, None), (0.0, 0.0))
+        query_map(rec("R", None, None), model_with((0.0, 0.0)))
 
 
 # Thirds have long binary expansions, so differences and squares round.
@@ -154,8 +159,8 @@ def test_distances_and_knn_donor_key_agree_bit_for_bit(cells, data):
         [knn_key(complete)],
         [knn_key(holed)],
     ]
-    assert type2_distance(complete, center) == math.sqrt(knn_key(complete))
-    assert type2_distance(holed, center) == math.sqrt(knn_key(holed))
+    assert distance(complete, center) == math.sqrt(knn_key(complete))
+    assert distance(holed, center) == math.sqrt(knn_key(holed))
 
 
 # --- the kernel against a scalar reference ---
@@ -212,7 +217,7 @@ def test_kernel_squares_with_pow_not_multiplication():
     x = 0.3624182010806754
     assert x**2 == 0.13134695247455286 != x * x
     assert squared_distances([[x]], [[0.0]])[0, 0] == x**2
-    assert type2_distance(rec("R", x), (0.0,)) == math.sqrt(x**2)
+    assert distance(rec("R", x), (0.0,)) == math.sqrt(x**2)
 
 
 # --- mapping values ---
@@ -230,29 +235,29 @@ def test_map_complete_reference_values(missing_dataset, imputation_model):
 def test_map_query_self_consistent_sums(missing_dataset, imputation_model):
     # Sums of the per-cluster partial distances, not the values the
     # reference table prints for these two rows (see ERRATA.md).
-    assert map_query(missing_dataset.record("R3"), imputation_model) == pytest.approx(
+    assert query_map(missing_dataset.record("R3"), imputation_model) == pytest.approx(
         5.785398, abs=1e-5
     )
-    assert map_query(missing_dataset.record("R5"), imputation_model) == pytest.approx(
+    assert query_map(missing_dataset.record("R5"), imputation_model) == pytest.approx(
         6.653158, abs=1e-5
     )
 
 
 def test_map_query_complete_record_reference_value(classification_model):
     r10 = rec("R10", 2, 5, 2, 9)
-    assert map_query(r10, classification_model) == pytest.approx(5.053384, abs=1e-5)
+    assert query_map(r10, classification_model) == pytest.approx(5.053384, abs=1e-5)
 
 
 def test_map_query_equals_map_complete_for_complete_records():
     model = model_with((0, 0), (3, 4))
     r = rec("R", 1, 1)
     table = build_mapping(numeric(r), numeric(r), model)
-    assert map_query(r, model) == table.complete_map["R"] == table.query_map["R"]
+    assert table.complete_map["R"] == table.query_map["R"]
 
 
 def test_map_zero_for_record_at_sole_centroid():
     model = model_with((2, 3, 4))
-    assert map_query(rec("R", 2, 3, 4), model) == 0.0
+    assert query_map(rec("R", 2, 3, 4), model) == 0.0
 
 
 @given(
@@ -264,8 +269,8 @@ def test_map_invariant_under_centroid_permutation(cells, centers):
     record = rec("R", *cells[:2])
     forward = model_with(*centers)
     backward = model_with(*reversed(centers))
-    assert map_query(record, forward) == pytest.approx(
-        map_query(record, backward), rel=1e-12
+    assert query_map(record, forward) == pytest.approx(
+        query_map(record, backward), rel=1e-12
     )
 
 
@@ -274,11 +279,11 @@ def test_map_invariant_under_centroid_permutation(cells, centers):
 
 def test_mapping_table_rejects_bad_values():
     with pytest.raises(ValueError):
-        MappingTable({"R1": -0.5}, {})
+        MappingTable(["R1"], [-0.5], [], [])
     with pytest.raises(ValueError):
-        MappingTable({"R1": 1.0}, {"Q1": float("nan")})
+        MappingTable(["R1"], [1.0], ["Q1"], [float("nan")])
     with pytest.raises(ValueError):
-        MappingTable({"R1": float("inf")}, {})
+        MappingTable(["R1"], [float("inf")], [], [])
 
 
 def test_build_mapping_covers_exactly_the_given_ids(missing_dataset, imputation_model):
@@ -297,7 +302,7 @@ def test_unordered_pair_fixture_matches_computation(missing_dataset, imputation_
     for rid, pair in expected.items():
         record = missing_dataset.record(rid)
         computed = sorted(
-            type2_distance(record, c) for c in imputation_model.centroids
+            distance(record, c) for c in imputation_model.centroids
         )
         assert computed == pytest.approx(sorted(pair), abs=1e-5)
 

@@ -5,32 +5,18 @@ only a traced benchmark run."""
 
 from __future__ import annotations
 
-import types
-from pathlib import Path
-
 import pytest
 
-from cmimpute.casestudy import CLASSIFICATION_PARTITION, load_classification_dataset, new_record
+from cmimpute.casestudy import CLASSIFICATION_PARTITION, load_classification_dataset
 from cmimpute.classify import classify_mapped, classify_raw_knn
 from cmimpute.dataset import dataset_to_csv, decode_dataset, encode, parse_dataset, split_groups
 from cmimpute.evaluate import inject_mcar, make_synthetic_dataset
 from cmimpute.impute import ImputeConfig, difference_table, impute_dataset
 from cmimpute.kmeans import FarthestFirst, FixedPartition, cluster
 from cmimpute.mapping import build_mapping
+from conftest import new_record, perfbench_module
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def load_tracer() -> types.ModuleType:
-    """perfbench/tracer.py as a module, executed from its source so no
-    bytecode is written next to it."""
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
-    return module
-
-
-tracer = load_tracer()
+tracer = perfbench_module("tracer")
 
 
 @pytest.mark.parametrize(("module", "name"), [(module, name) for _, module, name, _ in tracer.TARGETS])
