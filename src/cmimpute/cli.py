@@ -345,13 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="experiment spec JSON", dest="config")
     p.add_argument("--out", help="JSON report path (default: stdout)")
     p.add_argument("--summary", help="optional per-method summary CSV")
-    p.add_argument("-v", "--verbose", action="store_true", default=None)
     p.set_defaults(resolve=_resolve_evaluate, run=cmd_evaluate)
 
     p = subparsers.add_parser("casestudy", help="recompute the reference tables")
     p.add_argument("--tolerance", type=float)
     p.add_argument("--out", help="write the diff report here as well as stdout")
-    _add_common(p)
+    p.add_argument("--config", help="JSON file with flag-named keys; flags win")
     p.set_defaults(resolve=_resolve, run=cmd_casestudy)
 
     return parser
@@ -398,10 +397,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if not tolerance > 0:  # also rejects NaN
             raise ConfigError("tolerance must be positive")
         options["tolerance"] = tolerance
-    return RunConfig(
-        verbose=bool(_pick(args.verbose, config, "verbose", False)),
-        **options,
-    )
+    if "verbose" in flags:
+        options["verbose"] = bool(_pick(args.verbose, config, "verbose", False))
+    return RunConfig(**options)
 
 
 def _resolve_evaluate(args: argparse.Namespace) -> RunConfig:
@@ -411,7 +409,6 @@ def _resolve_evaluate(args: argparse.Namespace) -> RunConfig:
         data=args.config,
         out=args.out,
         summary=args.summary,
-        verbose=bool(args.verbose),
     )
 
 

@@ -9,8 +9,8 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .dataset import (
     CATEGORICAL,
     NUMERIC,
     AttributeSpec,
-    Cell,
     Dataset,
     Schema,
     encode,
@@ -27,7 +26,9 @@ from .dataset import (
     load_schema,
 )
 from .errors import (
+    CannotClassifyError,
     ConfigError,
+    InsufficientDataError,
     NoDonorsError,
     config_integer,
     config_number,
@@ -43,21 +44,37 @@ METHOD_ABSOLUTE = "cluster-map-absolute"
 METHOD_CLASS_STATS = "per-class-mean-mode"
 METHOD_KNN_DONOR = "raw-knn-donor"
 
-ALL_METHODS = (METHOD_SIGNED, METHOD_ABSOLUTE, METHOD_CLASS_STATS, METHOD_KNN_DONOR)
+# Each method as a callable (masked dataset, seed) -> completed dataset.
+# Names resolve at call time, so a rebound module function sees every call.
+_METHODS = {
+    METHOD_SIGNED: lambda masked, seed: impute_dataset(masked, ImputeConfig(mode=MODE_SIGNED, seed=seed)).dataset,
+    METHOD_ABSOLUTE: lambda masked, seed: impute_dataset(masked, ImputeConfig(mode=MODE_ABSOLUTE, seed=seed)).dataset,
+    METHOD_CLASS_STATS: lambda masked, seed: baseline_class_stats(masked),
+    METHOD_KNN_DONOR: lambda masked, seed: baseline_knn_donor(masked),
+}
+ALL_METHODS = tuple(_METHODS)
 
 
-@dataclass(frozen=True)
-class MaskedCell:
-    record_id: str
-    attr_index: int
-    true_value: Cell
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskPlan:
-    """Ground truth for every masked cell, in record order."""
+    """Ground truth for every masked cell, as arrays aligned with the
+    masked dataset (ids is its id tuple): cell i sits at row rows[i] and
+    attribute attrs[i] and held values[i], a read-only array.  Cells
+    are in row-major order."""
 
-    cells: tuple[MaskedCell, ...]
+    ids: tuple[str, ...]
+    rows: np.ndarray
+    attrs: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MaskPlan):
+            return NotImplemented
+        arrays = ("rows", "attrs", "values")
+        return self.ids == other.ids and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays)
 
 
 def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, MaskPlan]:
@@ -75,9 +92,6 @@ def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, Mask
             f"rate {rate} would mask {count} cells but only {m * (n - 1)} can be "
             "masked without emptying a record"
         )
-    if count == 0:
-        return dataset, MaskPlan(())
-
     rng = np.random.default_rng(seed)
     order = rng.permutation(m * n)
     per_record = Counter()
@@ -120,13 +134,13 @@ def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Data
 
 def _apply_mask(dataset: Dataset, chosen: list[tuple[int, int]]) -> tuple[Dataset, MaskPlan]:
     # chosen is sorted by (row, col), so the plan lists cells in
-    # record order and the result is independent of selection order.
+    # row-major order and the result is independent of selection order.
+    rows, attrs = np.array(chosen, dtype=np.intp).reshape(-1, 2).T
+    values = dataset.matrix[rows, attrs]
+    values.flags.writeable = False
     X = dataset.matrix.copy()
-    cells = []
-    for row, col in chosen:
-        cells.append(MaskedCell(dataset.ids[row], col, X[row, col].item()))
-        X[row, col] = math.nan
-    return Dataset(dataset.schema, dataset.ids, dataset.labels, X.T), MaskPlan(tuple(cells))
+    X[rows, attrs] = math.nan
+    return Dataset(dataset.schema, dataset.ids, dataset.labels, X.T), MaskPlan(dataset.ids, rows, attrs, values)
 
 
 @dataclass(frozen=True)
@@ -136,30 +150,26 @@ class ImputationScore:
 
     numeric_rmse: float | None
     categorical_accuracy: float | None
-    n_numeric: int
-    n_categorical: int
 
 
 def score_imputation(plan: MaskPlan, completed: Dataset) -> ImputationScore:
-    numeric_sq: list[float] = []
-    categorical_hits: list[bool] = []
-    rows = [completed._by_id[cell.record_id] for cell in plan.cells]
-    values = completed.matrix[rows, [cell.attr_index for cell in plan.cells]].tolist()
-    for cell, value in zip(plan.cells, values):
-        if math.isnan(value):
-            raise ValueError(f"masked cell ({cell.record_id}, {cell.attr_index}) was not filled")
-        spec = completed.schema.attributes[cell.attr_index]
-        if spec.kind == NUMERIC:
-            numeric_sq.append((value - float(cell.true_value)) ** 2)
-        else:
-            categorical_hits.append(value == cell.true_value)
+    """Score completed's values at the plan's cells against the true
+    values.  completed must hold the masked dataset's records in its
+    order, so its ids must equal plan.ids; a ValueError says otherwise,
+    or names the first masked cell left missing."""
+    if completed.ids != plan.ids:
+        raise ValueError("the completed dataset does not hold the masked dataset's records in order")
+    filled = completed.matrix[plan.rows, plan.attrs]
+    unfilled = np.isnan(filled)
+    if unfilled.any():
+        i = int(unfilled.argmax())
+        raise ValueError(f"masked cell ({plan.ids[plan.rows[i]]}, {plan.attrs[i]}) was not filled")
+    numeric = np.array([spec.kind == NUMERIC for spec in completed.schema.attributes], dtype=bool)[plan.attrs]
+    squared = np.float_power(filled[numeric] - plan.values[numeric], 2.0).tolist()
+    hits = (filled == plan.values)[~numeric]
     return ImputationScore(
-        numeric_rmse=math.sqrt(mean(numeric_sq)) if numeric_sq else None,
-        categorical_accuracy=(
-            sum(categorical_hits) / len(categorical_hits) if categorical_hits else None
-        ),
-        n_numeric=len(numeric_sq),
-        n_categorical=len(categorical_hits),
+        numeric_rmse=math.sqrt(mean(squared)) if squared else None,
+        categorical_accuracy=int(hits.sum()) / len(hits) if len(hits) else None,
     )
 
 
@@ -251,6 +261,10 @@ class TrialResult:
     downstream_accuracy: float | None
 
 
+# The TrialResult fields that aggregates() averages.
+_METRICS = ("numeric_rmse", "categorical_accuracy", "downstream_accuracy")
+
+
 @dataclass(frozen=True)
 class EvaluationReport:
     methods: tuple[str, ...]
@@ -261,78 +275,31 @@ class EvaluationReport:
     results: tuple[TrialResult, ...]
 
     def aggregates(self) -> dict[str, dict[str, float | None]]:
-        """Per-method means over the trials where each metric is defined."""
+        """Per method, the trial count and each metric's mean over the
+        trials where it is defined."""
         out: dict[str, dict[str, float | None]] = {}
         for method in self.methods:
             rows = [r for r in self.results if r.method == method]
-            out[method] = {
-                "numeric_rmse": _mean_or_none([r.numeric_rmse for r in rows]),
-                "categorical_accuracy": _mean_or_none([r.categorical_accuracy for r in rows]),
-                "downstream_accuracy": _mean_or_none([r.downstream_accuracy for r in rows]),
-                "trials": len(rows),
-            }
+            out[method] = {"trials": len(rows)}
+            for metric in _METRICS:
+                defined = [v for r in rows if (v := getattr(r, metric)) is not None]
+                out[method][metric] = mean(defined) if defined else None
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods),
-            "rates": list(self.rates),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "holdout_fraction": self.holdout_fraction,
-            "results": [
-                {
-                    "method": r.method,
-                    "rate": r.rate,
-                    "trial": r.trial,
-                    "mask_seed": r.mask_seed,
-                    "n_masked": r.n_masked,
-                    "numeric_rmse": r.numeric_rmse,
-                    "categorical_accuracy": r.categorical_accuracy,
-                    "downstream_accuracy": r.downstream_accuracy,
-                }
-                for r in self.results
-            ],
-            "aggregates": self.aggregates(),
-        }
+        return asdict(self) | {"aggregates": self.aggregates()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def summary_csv(self) -> str:
+        """One row per result, a column per TrialResult field; an
+        undefined metric is an empty field."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "method",
-                "rate",
-                "trial",
-                "mask_seed",
-                "n_masked",
-                "numeric_rmse",
-                "categorical_accuracy",
-                "downstream_accuracy",
-            ]
-        )
-        for r in self.results:
-            writer.writerow(
-                [
-                    r.method,
-                    r.rate,
-                    r.trial,
-                    r.mask_seed,
-                    r.n_masked,
-                    "" if r.numeric_rmse is None else repr(r.numeric_rmse),
-                    "" if r.categorical_accuracy is None else repr(r.categorical_accuracy),
-                    "" if r.downstream_accuracy is None else repr(r.downstream_accuracy),
-                ]
-            )
+        writer.writerow(field.name for field in fields(TrialResult))
+        writer.writerows(map(astuple, self.results))
         return buf.getvalue()
-
-
-def _mean_or_none(values: Sequence[float | None]) -> float | None:
-    defined = [v for v in values if v is not None]
-    return mean(defined) if defined else None
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -353,7 +320,8 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
 
     Every method sees the identical masked dataset within a trial.
     All randomness derives from the master seed, so reports are
-    bit-reproducible.
+    bit-reproducible.  A method that runs out of data raises its error
+    again with the trial and method in front of the message.
     """
     dataset = config.dataset
     if not dataset.is_encoded:
@@ -364,57 +332,17 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         raise ConfigError("experiment dataset must be labeled")
 
     results: list[TrialResult] = []
-
-    def score_methods(
-        masked: Dataset,
-        plan: MaskPlan,
-        holdout: Dataset | None,
-        rate: float | None,
-        rate_idx: int,
-        trial: int,
-        mask_seed: int | None,
-    ) -> None:
+    for masked, plan, holdout, rate, rate_idx, trial, mask_seed in _trials(config):
         for method_idx, method in enumerate(config.methods):
-            completed = _run_method(
-                method,
-                masked,
-                derive_seed(config.master_seed, _STAGE_METHOD, rate_idx, trial, method_idx),
-            )
-            score = score_imputation(plan, completed)
-            downstream = _downstream_accuracy(
-                completed,
-                holdout,
-                derive_seed(config.master_seed, _STAGE_DOWNSTREAM, rate_idx, trial, method_idx),
-            )
-            results.append(
-                TrialResult(
-                    method=method,
-                    rate=rate,
-                    trial=trial,
-                    mask_seed=mask_seed,
-                    n_masked=len(plan.cells),
-                    numeric_rmse=score.numeric_rmse,
-                    categorical_accuracy=score.categorical_accuracy,
-                    downstream_accuracy=downstream,
-                )
-            )
-
-    if config.plan is not None:
-        # One deterministic pass over the named cells, with no holdout
-        # so every planned record is guaranteed to be present.
-        masked, plan = mask_cells(dataset, config.plan)
-        score_methods(masked, plan, None, rate=None, rate_idx=0, trial=0, mask_seed=None)
-    else:
-        for rate_idx, rate in enumerate(config.rates):
-            for trial in range(config.trials):
-                train, holdout = _split_holdout(
-                    dataset,
-                    config.holdout_fraction,
-                    derive_seed(config.master_seed, _STAGE_HOLDOUT, rate_idx, trial),
-                )
-                mask_seed = derive_seed(config.master_seed, _STAGE_MASK, rate_idx, trial)
-                masked, plan = inject_mcar(train, rate, mask_seed)
-                score_methods(masked, plan, holdout, rate, rate_idx, trial, mask_seed)
+            path = (rate_idx, trial, method_idx)
+            try:
+                completed = _METHODS[method](masked, derive_seed(config.master_seed, _STAGE_METHOD, *path))
+                score = score_imputation(plan, completed)
+                downstream = _downstream_accuracy(completed, holdout, derive_seed(config.master_seed, _STAGE_DOWNSTREAM, *path))
+            except (ConfigError, InsufficientDataError, CannotClassifyError) as exc:
+                where = "plan" if rate is None else f"rate {rate}, trial {trial}"
+                raise type(exc)(f"{where}, {method}: {exc}") from exc
+            results.append(TrialResult(method, rate, trial, mask_seed, len(plan), *astuple(score), downstream))
     return EvaluationReport(
         methods=config.methods,
         rates=config.rates,
@@ -423,6 +351,25 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         holdout_fraction=config.holdout_fraction,
         results=tuple(results),
     )
+
+
+def _trials(config: ExperimentConfig) -> Iterator[tuple]:
+    """Each trial as (masked, plan, holdout, rate, rate_idx, trial,
+    mask_seed), made when the caller asks for it."""
+    if config.plan is not None:
+        # One deterministic pass over the named cells, with no holdout
+        # so every planned record is guaranteed to be present.
+        yield *mask_cells(config.dataset, config.plan), None, None, 0, 0, None
+        return
+    for rate_idx, rate in enumerate(config.rates):
+        for trial in range(config.trials):
+            train, holdout = _split_holdout(
+                config.dataset,
+                config.holdout_fraction,
+                derive_seed(config.master_seed, _STAGE_HOLDOUT, rate_idx, trial),
+            )
+            mask_seed = derive_seed(config.master_seed, _STAGE_MASK, rate_idx, trial)
+            yield *inject_mcar(train, rate, mask_seed), holdout, rate, rate_idx, trial, mask_seed
 
 
 def _split_holdout(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset | None]:
@@ -436,18 +383,6 @@ def _split_holdout(dataset: Dataset, fraction: float, seed: int) -> tuple[Datase
     held = np.zeros(m, dtype=bool)
     held[rng.choice(m, size=h, replace=False)] = True
     return dataset.take(np.flatnonzero(~held)), dataset.take(np.flatnonzero(held))
-
-
-def _run_method(method: str, masked: Dataset, seed: int) -> Dataset:
-    if method == METHOD_SIGNED:
-        return impute_dataset(masked, ImputeConfig(mode=MODE_SIGNED, seed=seed)).dataset
-    if method == METHOD_ABSOLUTE:
-        return impute_dataset(masked, ImputeConfig(mode=MODE_ABSOLUTE, seed=seed)).dataset
-    if method == METHOD_CLASS_STATS:
-        return baseline_class_stats(masked)
-    if method == METHOD_KNN_DONOR:
-        return baseline_knn_donor(masked)
-    raise ConfigError(f"unknown method {method!r}")
 
 
 def _downstream_accuracy(completed: Dataset, holdout: Dataset | None, seed: int) -> float | None:

@@ -702,6 +702,40 @@ def test_evaluate_spec_value_of_the_wrong_type_exits_2(tmp_path, capsys, spec, f
     assert field in err and "internal error" not in err
 
 
+def test_evaluate_outputs_are_pinned(tmp_path):
+    # The sha256 of --out and --summary as the hand-written report rows wrote them.
+    spec = write(
+        tmp_path / "exp.json",
+        json.dumps({"synthetic": {"records": 60, "seed": 7}, "rates": [0.1, 0.2], "trials": 3, "master_seed": 11}),
+    )
+    out, summary = tmp_path / "report.json", tmp_path / "summary.csv"
+    assert main(["evaluate", "--config", spec, "--out", str(out), "--summary", str(summary)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "edb42e69b34c05c8423f752e833df8b7be8251312c4758de8779406c13a3b97f"
+    )
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == (
+        "e2a16bee914ccda804323357c85aacb010d7bd3dd4323db8104a099e03225ee0"
+    )
+
+
+def test_evaluate_out_of_data_exits_3_naming_rate_trial_and_method(tmp_path, capsys):
+    spec = write(
+        tmp_path / "exp.json",
+        json.dumps({"synthetic": {"records": 60, "seed": 7}, "rates": [0.1, 0.3], "trials": 3, "master_seed": 11}),
+    )
+    assert main(["evaluate", "--config", spec]) == EXIT_INSUFFICIENT
+    err = capsys.readouterr().err
+    assert err == "error: rate 0.3, trial 0, cluster-map-paper-signed: 2 complete records cannot form 3 clusters\n"
+
+
+@pytest.mark.parametrize("argv", [["casestudy", "-v"], ["evaluate", "--config", "F", "-v"], ["casestudy", "--verbose"]])
+def test_evaluate_and_casestudy_take_no_verbose_flag(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_evaluate_requires_config_flag(capsys):
     assert main(["evaluate"]) == EXIT_USAGE
     assert "--config" in capsys.readouterr().err

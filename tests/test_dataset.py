@@ -336,6 +336,41 @@ def test_parse_encode_split_is_deterministic():
     assert dataset_to_csv(first) == dataset_to_csv(second)
 
 
+
+def test_dataset_equality_builds_no_record(monkeypatch):
+    built = []
+    original = Record.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Record, "__init__", counting)
+    text = fixture_text("table03_missing_raw.csv")
+    raw, raw_again = (parse_dataset(text, missing_schema()) for _ in range(2))
+    encoded, encoded_again = encode(raw), encode(raw_again)
+    assert raw == raw_again and encoded == encoded_again  # missing cells equal each other
+    assert raw != encoded  # symbols against ordinals
+    assert raw == Dataset(raw.schema, raw.ids, raw.labels, raw.columns)  # field texts are not compared
+    assert encoded != Dataset(encoded.schema, encoded.ids, encoded.labels[::-1], encoded.columns)
+    holed = encoded.matrix.copy()
+    holed[0, 0] = np.nan
+    assert encoded != Dataset(encoded.schema, encoded.ids, encoded.labels, holed.T)
+    assert built == []
+
+
+def test_dataset_equality_reads_cells_as_the_record_view_does():
+    schema = numeric_schema(2)
+    plain = Dataset(schema, ["R1", "R2"], ["a", None], [np.array([0.0, np.nan]), np.array([1.0, 2.0])])
+    assert plain == Dataset(schema, ["R1", "R2"], ["a", None], [np.array([-0.0, np.nan]), np.array([1.0, 2.0])])
+    # A column held as a cell tuple compares by its cells.
+    assert plain == Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, None), np.array([1.0, 2.0])])
+    assert plain != Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, 1.0), np.array([1.0, 2.0])])
+    assert plain != Dataset(schema, ["R1", "R3"], ["a", None], plain.columns)
+    assert plain != Dataset(schema, ["R1", "R2"], ["a", None], plain.columns[:1])
+    assert (plain == "R1") is False
+
+
 # --- schema config and serialization ---
 
 

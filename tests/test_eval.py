@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cmimpute.casestudy import MASKED_CELLS, fixture_text
 from cmimpute.dataset import (
@@ -23,8 +23,9 @@ from cmimpute.dataset import (
     parse_dataset,
     schema_from_dict,
 )
-from cmimpute.errors import ConfigError, NoDonorsError
+from cmimpute.errors import ConfigError, InsufficientDataError, NoDonorsError
 from cmimpute.evaluate import (
+    _METHODS,
     ALL_METHODS,
     METHOD_ABSOLUTE,
     METHOD_CLASS_STATS,
@@ -32,7 +33,6 @@ from cmimpute.evaluate import (
     METHOD_SIGNED,
     EvaluationReport,
     ExperimentConfig,
-    MaskedCell,
     MaskPlan,
     TrialResult,
     baseline_class_stats,
@@ -45,7 +45,7 @@ from cmimpute.evaluate import (
     run_experiment,
     score_imputation,
 )
-from cmimpute.mapping import squared_distances
+from cmimpute.mapping import mean, squared_distances
 from conftest import dataset_of
 
 
@@ -71,12 +71,17 @@ def two_column_dataset() -> Dataset:
     )
 
 
+def cells_of(plan: MaskPlan) -> list[tuple[str, int, float]]:
+    """The plan as (record id, attribute index, true value) per cell."""
+    return [(plan.ids[r], a, v) for r, a, v in zip(plan.rows.tolist(), plan.attrs.tolist(), plan.values.tolist())]
+
+
 # --- masking ---
 
 
 def test_inject_then_unmask_is_identity(normalized_dataset):
     masked, plan = inject_mcar(normalized_dataset, 0.2, seed=5)
-    truth = {(c.record_id, c.attr_index): c.true_value for c in plan.cells}
+    truth = {(rid, attr): value for rid, attr, value in cells_of(plan)}
     assert truth
     # Masked cells are missing and the plan holds their values; no
     # other cell, id or label changes.
@@ -90,7 +95,7 @@ def test_inject_then_unmask_is_identity(normalized_dataset):
 def test_inject_count_matches_rate(normalized_dataset):
     # 9 records x 4 attributes at rate 0.1 rounds to 4 cells.
     masked, plan = inject_mcar(normalized_dataset, 0.1, seed=7)
-    assert len(plan.cells) == 4
+    assert len(plan) == 4
     assert np.isnan(masked.matrix).sum() == 4
     again, plan_again = inject_mcar(normalized_dataset, 0.1, seed=7)
     assert again == masked and plan_again == plan
@@ -99,7 +104,18 @@ def test_inject_count_matches_rate(normalized_dataset):
 def test_inject_is_seed_sensitive(normalized_dataset):
     _, a = inject_mcar(normalized_dataset, 0.2, seed=1)
     _, b = inject_mcar(normalized_dataset, 0.2, seed=2)
-    assert a.cells != b.cells
+    assert a != b and cells_of(a) != cells_of(b)
+
+
+def test_a_plan_is_arrays_aligned_with_the_masked_dataset(normalized_dataset):
+    masked, plan = inject_mcar(normalized_dataset, 0.2, seed=5)
+    assert plan.ids is masked.ids
+    assert plan.rows.dtype == plan.attrs.dtype == np.intp and plan.values.dtype == np.float64
+    assert not plan.values.flags.writeable
+    # Row-major order, and each masked cell is missing at its row.
+    assert sorted(zip(plan.rows.tolist(), plan.attrs.tolist())) == list(zip(plan.rows.tolist(), plan.attrs.tolist()))
+    assert np.isnan(masked.matrix[plan.rows, plan.attrs]).all()
+    assert np.array_equal(normalized_dataset.matrix[plan.rows, plan.attrs], plan.values)
 
 
 @settings(max_examples=25, deadline=None)
@@ -109,7 +125,7 @@ def test_inject_never_empties_a_record(seed, rate):
     masked, plan = inject_mcar(ds, rate, seed)
     n = ds.schema.arity
     assert np.isnan(masked.matrix).sum(axis=1).max() <= n - 1
-    assert len(plan.cells) == round(rate * len(ds.records) * n)
+    assert len(plan) == round(rate * len(ds.records) * n)
 
 
 def test_inject_rate_bounds():
@@ -130,7 +146,7 @@ def test_inject_rate_too_high_for_record_capacity():
 def test_inject_tiny_rate_is_identity(normalized_dataset):
     masked, plan = inject_mcar(normalized_dataset, 0.01, seed=3)
     assert masked == normalized_dataset
-    assert plan.cells == ()
+    assert len(plan) == 0 and cells_of(plan) == []
 
 
 def test_inject_requires_complete_dataset(missing_dataset):
@@ -144,9 +160,9 @@ def test_mask_cells_reproduces_reference_missing_table(
     masked, plan = mask_cells(normalized_dataset, MASKED_CELLS)
     for r in masked.records:
         assert r.cells == missing_dataset.record(r.id).cells
-    assert [(c.record_id, c.attr_index) for c in plan.cells] == list(MASKED_CELLS)
-    assert plan.cells[0].true_value == 2.0
-    assert plan.cells[1].true_value == 7.0
+    assert [(rid, attr) for rid, attr, _ in cells_of(plan)] == list(MASKED_CELLS)
+    assert cells_of(plan)[0][2] == 2.0
+    assert cells_of(plan)[1][2] == 7.0
 
 
 def test_mask_cells_validation(normalized_dataset):
@@ -184,7 +200,6 @@ def test_score_hand_computed_rmse():
     score = score_imputation(plan, completed)
     assert score.numeric_rmse == pytest.approx(2.0)
     assert score.categorical_accuracy is None
-    assert score.n_numeric == 2 and score.n_categorical == 0
 
 
 def test_score_categorical_exact_match():
@@ -211,13 +226,56 @@ def test_score_perfect_imputation_is_zero_rmse():
     score = score_imputation(plan, mixed_complete_dataset())
     assert score.numeric_rmse == 0.0
     assert score.categorical_accuracy == 1.0
-    assert (score.n_numeric, score.n_categorical) == (1, 1)
 
 
 def test_score_rejects_unfilled_cells(normalized_dataset):
     masked, plan = mask_cells(normalized_dataset, MASKED_CELLS)
-    with pytest.raises(ValueError, match="not filled"):
+    with pytest.raises(ValueError, match=r"masked cell \(R3, 2\) was not filled"):
         score_imputation(plan, masked)
+
+
+def test_score_rejects_a_table_of_other_rows(normalized_dataset):
+    # The plan addresses cells by row, so a completed table whose rows
+    # are not the masked dataset's would be scored at the wrong cells.
+    masked, plan = mask_cells(normalized_dataset, MASKED_CELLS)
+    completed = baseline_class_stats(masked)
+    with pytest.raises(ValueError, match="records in order"):
+        score_imputation(plan, completed.take(range(len(completed) - 1, -1, -1)))
+
+
+def per_cell_score(plan: MaskPlan, completed: Dataset) -> tuple[float | None, float | None]:
+    """The scorer as it ran once per masked cell: each cell looked up
+    by its record id, a numeric error squared with Python's ** and the
+    squares added left to right, a categorical cell a hit or a miss."""
+    squared, hits = [], []
+    for rid, attr, truth in cells_of(plan):
+        value = completed.matrix[completed.ids.index(rid), attr].item()
+        if completed.schema.attributes[attr].kind == NUMERIC:
+            squared.append((value - truth) ** 2)
+        else:
+            hits.append(value == truth)
+    return (
+        math.sqrt(mean(squared)) if squared else None,
+        sum(hits) / len(hits) if hits else None,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(12, 80),
+    st.integers(0, 10_000),
+    st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.3]),
+    st.sampled_from(ALL_METHODS),
+    st.integers(0, 10_000),
+)
+def test_the_array_scorer_equals_the_per_cell_scorer(records, seed, rate, method, method_seed):
+    masked, plan = inject_mcar(make_synthetic_dataset(records, seed), rate, seed)
+    try:
+        completed = _METHODS[method](masked, method_seed)
+    except InsufficientDataError:
+        assume(False)
+    score = score_imputation(plan, completed)
+    assert (score.numeric_rmse, score.categorical_accuracy) == per_cell_score(plan, completed)
 
 
 # --- baselines ---
@@ -299,7 +357,8 @@ def test_means_add_left_to_right_on_every_python(compensated_sum):
     assert filled.record("Q").cells == (mean,)
 
     # Squared errors 1 and 2**-54, from errors 1 and 2**-27.
-    plan = MaskPlan(tuple(MaskedCell(r.id, 0, 0.0) for r in donors))
+    rows = np.arange(len(donors))
+    plan = MaskPlan(tuple(r.id for r in donors), rows, np.zeros_like(rows), np.zeros(len(donors)))
     errors = dataset_of(x, tuple(rec(r.id, math.sqrt(v), label="A") for r, v in zip(donors, SPREAD)))
     assert score_imputation(plan, errors).numeric_rmse == math.sqrt(mean)
 
@@ -455,6 +514,31 @@ def test_explicit_plan_runs_one_deterministic_pass():
     # their ideal values.
     assert row.numeric_rmse == 0.0
     assert row.categorical_accuracy == 1.0
+
+
+def test_plan_mode_report_and_summary_are_pinned():
+    # The sha256 of both outputs as the per-cell scorer and the
+    # hand-written report rows wrote them, over all four methods.
+    report = run_experiment(ExperimentConfig(mixed_complete_dataset(), plan=MASKED_CELLS, master_seed=0))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "4ace04ba4a18df8437396ab07aa4e0999ac4e6da8ecec6b10ccd8a6e8f305bfd"
+    )
+    assert hashlib.sha256(report.summary_csv().encode()).hexdigest() == (
+        "73de4a97cdb80e52a287e8bf3e7b36f54a3552ad3ff5d62ef0eb49d8208e5f31"
+    )
+
+
+def test_a_method_that_runs_out_of_data_names_its_trial():
+    config = ExperimentConfig(make_synthetic_dataset(60, seed=7), rates=(0.1, 0.3), trials=3, master_seed=11)
+    with pytest.raises(InsufficientDataError) as excinfo:
+        run_experiment(config)
+    assert str(excinfo.value) == "rate 0.3, trial 0, cluster-map-paper-signed: 2 complete records cannot form 3 clusters"
+    # A plan that holes every record leaves no donor; the error keeps its type.
+    every_record = tuple((f"R{i + 1}", 0) for i in range(12))
+    config = ExperimentConfig(make_synthetic_dataset(12, seed=0), methods=(METHOD_KNN_DONOR,), plan=every_record)
+    with pytest.raises(NoDonorsError) as excinfo:
+        run_experiment(config)
+    assert str(excinfo.value) == "plan, raw-knn-donor: no complete records to donate"
 
 
 def test_plan_mode_ignores_trial_and_rate_settings():
