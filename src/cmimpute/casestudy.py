@@ -10,6 +10,7 @@ import io
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .dataset import (
     schema_from_dict,
     split_groups,
 )
+from .evaluate import mask_cells
 from .impute import (
     MODE_ABSOLUTE,
     MODE_SIGNED,
@@ -32,7 +34,7 @@ from .impute import (
     impute_dataset,
     nearest_record,
 )
-from .kmeans import FixedPartition, cluster
+from .kmeans import ClusterModel, FixedPartition, cluster
 from .mapping import MappingTable, build_mapping, squared_distances
 
 TOLERANCE = 1e-5
@@ -105,11 +107,6 @@ def expected_clusters(name: str) -> dict[str, tuple[str, ...]]:
     return {cluster: tuple(members.split(";")) for cluster, members in _expected_rows(name)}
 
 
-def expected_donor_row(name: str) -> tuple[str, tuple[float, ...], str]:
-    rid, *cells, label = _expected_rows(name)[0]
-    return rid, tuple(float(c) for c in cells), label
-
-
 @dataclass(frozen=True)
 class CellCheck:
     table: str
@@ -148,7 +145,8 @@ class CaseStudyReport:
 
 
 class _Checks:
-    """Collects cell comparisons in presentation order."""
+    """Collects cell comparisons in presentation order: one call per
+    printed table, exact and number for the one-off cells."""
 
     def __init__(self, tolerance: float) -> None:
         self.tolerance = tolerance
@@ -158,15 +156,26 @@ class _Checks:
         ok = abs(computed - expected) <= self.tolerance
         self.rows.append(CellCheck(table, cell, f"{computed:.6f}", f"{expected:.6f}", ok))
 
-    def pair(self, table: str, cell: str, computed: tuple[float, float], expected: tuple[float, float]) -> None:
-        (a, b), (x, y) = computed, expected
+    def numbers(self, table: str, ids: Iterable[str], computed: Mapping, printed: Mapping) -> None:
+        """One number check per id, in the order of ids."""
+        for rid in ids:
+            self.number(table, rid, computed[rid], printed[rid])
+
+    def pairs(self, table: str, computed: Iterable[tuple[str, tuple]], printed: Mapping[str, tuple]) -> None:
+        """One check per computed (id, pair), against the printed pair of
+        the id.  The two values are compared unordered, so the check
+        does not depend on how the clusters are numbered."""
         tol = self.tolerance
-        ok = (abs(a - x) <= tol and abs(b - y) <= tol) or (
-            abs(a - y) <= tol and abs(b - x) <= tol
-        )
-        self.rows.append(
-            CellCheck(table, cell, f"{{{a:.6f}, {b:.6f}}}", f"{{{x:.6f}, {y:.6f}}}", ok)
-        )
+        for rid, (a, b) in computed:
+            x, y = printed[rid]
+            ok = (abs(a - x) <= tol and abs(b - y) <= tol) or (abs(a - y) <= tol and abs(b - x) <= tol)
+            self.rows.append(CellCheck(table, rid, f"{{{a:.6f}, {b:.6f}}}", f"{{{x:.6f}, {y:.6f}}}", ok))
+
+    def clusters(self, table: str, model: ClusterModel, name: str) -> None:
+        """Each printed cluster of expected/<name>.csv, in file order,
+        against the model's cluster of that number, as sorted ids."""
+        for i, (cid, members) in enumerate(expected_clusters(name).items()):
+            self.exact(table, cid, tuple(sorted(model.members(i))), tuple(sorted(members)))
 
     def exact(self, table: str, cell: str, computed: object, expected: object) -> None:
         self.rows.append(CellCheck(table, cell, str(computed), str(expected), computed == expected))
@@ -176,99 +185,57 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     """Recompute Tables VI-X, XII-XV, and XVII-XXIV and compare them
     cell by cell against the bundled printed values."""
     checks = _Checks(tolerance)
-    errata: list[Erratum] = []
 
     # --- ingestion: masked table encodes to the normalized table ---
     ds = load_missing_dataset()
     normalized = load_normalized_dataset()
-    masked = set(MASKED_CELLS)
-    for r, truth in zip(ds.records, normalized.records):
-        want = tuple(
-            None if (r.id, i) in masked else c for i, c in enumerate(truth.cells)
-        )
-        checks.exact("ingest and encoding (Tables II-III)", r.id, r.cells, want)
+    masked, _ = mask_cells(normalized, MASKED_CELLS)
+    for r, truth in zip(ds.records, masked.records):
+        checks.exact("ingest and encoding (Tables II-III)", r.id, r.cells, truth.cells)
 
     # --- group split (Tables IV-V) ---
     split = split_groups(ds)
-    checks.exact(
-        "group split (Tables IV-V)",
-        "complete group",
-        split.g1.ids,
-        ("R1", "R2", "R4", "R6", "R7", "R8", "R9"),
-    )
-    checks.exact(
-        "group split (Tables IV-V)",
-        "missing group",
-        split.g2.ids,
-        ("R3", "R5"),
-    )
+    table = "group split (Tables IV-V)"
+    checks.exact(table, "complete group", split.g1.ids, ("R1", "R2", "R4", "R6", "R7", "R8", "R9"))
+    checks.exact(table, "missing group", split.g2.ids, ("R3", "R5"))
 
     # --- imputation-phase clustering (Table VI) ---
     model = cluster(split.g1, 2, FixedPartition(IMPUTATION_PARTITION))
-    clusters6 = expected_clusters("table06_clusters")
-    checks.exact("clusters (Table VI)", "C1", tuple(sorted(model.members(0))), tuple(sorted(clusters6["C1"])))
-    checks.exact("clusters (Table VI)", "C2", tuple(sorted(model.members(1))), tuple(sorted(clusters6["C2"])))
+    checks.clusters("clusters (Table VI)", model, "table06_clusters")
 
     # --- per-centroid distances (Tables VII-VIII) ---
     # The two printed columns are swapped relative to the cluster
     # numbering of Table VI, so each record's pair is compared
     # unordered, which is labeling-independent.
-    t7 = expected_values("table07")
-    t8 = expected_values("table08")
-    for rid, computed in _distances(split.g1, model.centroids):
-        checks.pair("centroid distances (Tables VII-VIII)", rid, computed, (t7[rid], t8[rid]))
+    t7, t8 = expected_values("table07"), expected_values("table08")
+    t78 = {rid: (t7[rid], t8[rid]) for rid in t7}
+    checks.pairs("centroid distances (Tables VII-VIII)", _distances(split.g1, model.centroids), t78)
 
     # --- mapping values of the complete group (Table IX) ---
-    t9 = expected_values("table09")
     maps = build_mapping(split.g1, split.g2, model)
-    for rid in split.g1.ids:
-        checks.number("mapping values (Table IX)", rid, maps.complete_map[rid], t9[rid])
+    checks.numbers("mapping values (Table IX)", split.g1.ids, maps.complete_map, expected_values("table09"))
 
     # --- observed-coordinate distances of the queries (Table X) ---
-    t10 = expected_pairs("table10")
-    for rid, computed in _distances(split.g2, model.centroids):
-        checks.pair("query distances (Table X)", rid, computed, t10[rid])
+    checks.pairs("query distances (Table X)", _distances(split.g2, model.centroids), expected_pairs("table10"))
 
     # --- query mapping values: corrected against the Table X sums ---
     printed11 = expected_values("table11")
-    for rid, corrected in CORRECTED_QUERY_MAP.items():
-        checks.number("query mapping values (Table XI, corrected)", rid, maps.query_map[rid], corrected)
-    errata.append(
-        Erratum(
-            name="Table XI repeats Table IX values",
-            printed=f"R3 {printed11['R3']:.6f}, R5 {printed11['R5']:.6f}",
-            computed=f"R3 {maps.query_map['R3']:.6f}, R5 {maps.query_map['R5']:.6f}",
-            note=(
-                "The printed mapping values for the missing-value records equal "
-                "Table IX's values for R1 and R2 and contradict the sums of the "
-                "printed Table X. Tables XII and XIV follow the printed values and "
-                "are reproduced below by replaying them verbatim."
-            ),
-        )
-    )
+    checks.numbers("query mapping values (Table XI, corrected)", maps.query_ids, maps.query_map, CORRECTED_QUERY_MAP)
 
     # --- difference grids under the printed query maps (Tables XII, XIV) ---
     replay_maps = MappingTable(maps.donor_ids, maps.donor_values, list(printed11), list(printed11.values()))
     replay_table = difference_table(replay_maps)
-    for name, qid in (("table12", "R3"), ("table14", "R5")):
-        expected = expected_values(name)
-        label = f"difference grid, replay (Table {'XII' if qid == 'R3' else 'XIV'})"
-        for rid in split.g1.ids:
-            checks.number(label, rid, replay_table.entries[(rid, qid)], expected[rid])
+    for name, qid, roman in (("table12", "R3", "XII"), ("table14", "R5", "XIV")):
+        column = {rid: replay_table.entries[rid, qid] for rid in replay_table.g1_ids}
+        checks.numbers(f"difference grid, replay (Table {roman})", split.g1.ids, column, expected_values(name))
 
     # --- nearest donor and the imputed cells (Tables XIII, XV) ---
     result = impute_dataset(ds, ImputeConfig(mode=MODE_SIGNED, init=FixedPartition(IMPUTATION_PARTITION)))
-    for qid, table_name, roman in (("R3", "table13", "XIII"), ("R5", "table15", "XV")):
-        donor_id, donor_cells, donor_label = expected_donor_row(table_name)
-        replay_nearest = nearest_record(replay_maps, qid, MODE_SIGNED)
-        checks.exact(f"nearest donor (Table {roman})", qid, replay_nearest, (donor_id,))
-        donor = ds.record(donor_id)
-        checks.exact(
-            f"nearest donor (Table {roman})",
-            f"{donor_id} row",
-            (donor.cells, donor.label),
-            (donor_cells, donor_label),
-        )
+    for qid, name, roman in (("R3", "table13", "XIII"), ("R5", "table15", "XV")):
+        donor_id, *cells, label = _expected_rows(name)[0]
+        donor, table = ds.record(donor_id), f"nearest donor (Table {roman})"
+        checks.exact(table, qid, nearest_record(replay_maps, qid, MODE_SIGNED), (donor_id,))
+        checks.exact(table, f"{donor_id} row", (donor.cells, donor.label), (tuple(map(float, cells)), label))
     fills = {(f.query_id, f.attr_index): f for f in result.fills}
     checks.exact("imputed cells", "R3.A3", fills[("R3", 2)].value, 2.0)
     checks.exact("imputed cells", "R3.A3 symbol", fills[("R3", 2)].symbol, "d32")
@@ -282,12 +249,57 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
 
     # raw 1-NN distances (Table XVII)
     knn = classify_raw_knn(query.records[0], cds)
-    t17 = expected_values("table17")
-    for rid in cds.ids:
-        checks.number("raw 1-NN distances (Table XVII)", rid, knn.table[rid], t17[rid])
+    checks.numbers("raw 1-NN distances (Table XVII)", cds.ids, knn.table, expected_values("table17"))
     checks.exact("raw 1-NN outcome", "nearest", knn.nearest, ("R4", "R9"))
     checks.exact("raw 1-NN outcome", "labels", knn.labels, ("Level-1", "Level-2"))
-    errata.append(
+
+    # clusters over all records (Table XVIII)
+    model2 = cluster(cds, 2, FixedPartition(CLASSIFICATION_PARTITION))
+    checks.clusters("clusters (Table XVIII)", model2, "table18_clusters")
+
+    # per-centroid distances (Tables XIX-XX), mapping values (Table XXI), record by record
+    t19, t20, t21 = map(expected_values, ("table19", "table20", "table21"))
+    cmaps = build_mapping(cds, query, model2)
+    for rid, (d1, d2) in _distances(cds, model2.centroids):
+        checks.number("centroid distances (Table XIX)", rid, d1, CORRECTED_TABLE19.get(rid, t19[rid]))
+        checks.number("centroid distances (Table XX)", rid, d2, CORRECTED_TABLE20.get(rid, t20[rid]))
+        checks.number("mapping values (Table XXI)", rid, cmaps.complete_map[rid], CORRECTED_TABLE21.get(rid, t21[rid]))
+
+    # new-record distances and mapping value (Tables XXII-XXIII)
+    t22 = expected_pairs("table22")
+    d1, d2 = dict(_distances(query, model2.centroids))["R10"]
+    checks.number("new-record distances (Table XXII)", "R10 first", d1, t22["R10"][0])
+    checks.number("new-record distances (Table XXII, corrected)", "R10 second", d2, CORRECTED_TABLE22_SECOND["R10"])
+    t23 = expected_values("table23")
+    checks.number("new-record mapping value (Table XXIII)", "R10", cmaps.query_map["R10"], t23["R10"])
+
+    # difference column and the label (Table XXIV)
+    t24 = expected_values("table24")
+    signed, absolute = (classify_mapped_all(query, cds, model2, mode)[0] for mode in (MODE_SIGNED, MODE_ABSOLUTE))
+    checks.numbers("difference column (Table XXIV)", cds.ids, signed.table, t24 | CORRECTED_TABLE24)
+    checks.exact("label (signed minimum)", "nearest", signed.nearest, ("R8",))
+    checks.exact("label (signed minimum)", "labels", signed.labels, ("Level-2",))
+    checks.exact("label (absolute minimum)", "labels", absolute.labels, ("Level-2",))
+    checks.exact("label (absolute minimum)", "nearest", absolute.nearest, ("R9",))
+    # Replaying the printed mapping column instead puts R8 nearest in
+    # both modes, which is what the printed difference column shows.
+    printed_maps = MappingTable(list(t21), list(t21.values()), ["R10"], [t23["R10"]])
+    replayed = tuple(nearest_record(printed_maps, "R10", mode) for mode in (MODE_SIGNED, MODE_ABSOLUTE))
+    checks.exact("label (printed-table replay)", "nearest, both modes", replayed, (("R8",), ("R8",)))
+
+    # --- the documented errata, in report order ---
+    errata = (
+        Erratum(
+            name="Table XI repeats Table IX values",
+            printed=f"R3 {printed11['R3']:.6f}, R5 {printed11['R5']:.6f}",
+            computed=f"R3 {maps.query_map['R3']:.6f}, R5 {maps.query_map['R5']:.6f}",
+            note=(
+                "The printed mapping values for the missing-value records equal "
+                "Table IX's values for R1 and R2 and contradict the sums of the "
+                "printed Table X. Tables XII and XIV follow the printed values and "
+                "are reproduced below by replaying them verbatim."
+            ),
+        ),
         Erratum(
             name="Narrative names R8 as a nearest neighbor",
             printed="nearest to R4 and R8",
@@ -298,51 +310,7 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
                 "attained by R4 and R9 (R8 sits at 2.449490). The two-class "
                 "ambiguity is unchanged: R4 carries Level-1, R9 carries Level-2."
             ),
-        )
-    )
-
-    # clusters over all records (Table XVIII)
-    model2 = cluster(cds, 2, FixedPartition(CLASSIFICATION_PARTITION))
-    clusters18 = expected_clusters("table18_clusters")
-    checks.exact("clusters (Table XVIII)", "C1", tuple(sorted(model2.members(0))), tuple(sorted(clusters18["C1"])))
-    checks.exact("clusters (Table XVIII)", "C2", tuple(sorted(model2.members(1))), tuple(sorted(clusters18["C2"])))
-
-    # per-centroid distances (Tables XIX-XX), mapping values (Table XXI)
-    t19 = expected_values("table19")
-    t20 = expected_values("table20")
-    t21 = expected_values("table21")
-    cmaps = build_mapping(cds, query, model2)
-    for rid, (d1, d2) in _distances(cds, model2.centroids):
-        checks.number(
-            "centroid distances (Table XIX)",
-            rid,
-            d1,
-            CORRECTED_TABLE19.get(rid, t19[rid]),
-        )
-        checks.number(
-            "centroid distances (Table XX)",
-            rid,
-            d2,
-            CORRECTED_TABLE20.get(rid, t20[rid]),
-        )
-        checks.number(
-            "mapping values (Table XXI)",
-            rid,
-            cmaps.complete_map[rid],
-            CORRECTED_TABLE21.get(rid, t21[rid]),
-        )
-
-    # new-record distances and mapping value (Tables XXII-XXIII)
-    t22 = expected_pairs("table22")
-    d1, d2 = dict(_distances(query, model2.centroids))["R10"]
-    checks.number("new-record distances (Table XXII)", "R10 first", d1, t22["R10"][0])
-    checks.number(
-        "new-record distances (Table XXII, corrected)",
-        "R10 second",
-        d2,
-        CORRECTED_TABLE22_SECOND["R10"],
-    )
-    errata.append(
+        ),
         Erratum(
             name="Table XXII digit transposition",
             printed=f"{t22['R10'][1]:.6f}",
@@ -352,50 +320,11 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
                 "printed Table XXIII sum (5.053384) already uses the corrected "
                 "value."
             ),
-        )
-    )
-    t23 = expected_values("table23")
-    checks.number("new-record mapping value (Table XXIII)", "R10", cmaps.query_map["R10"], t23["R10"])
-
-    # difference column and the label (Table XXIV)
-    t24 = expected_values("table24")
-    (signed,) = classify_mapped_all(query, cds, model2, MODE_SIGNED)
-    for rid in cds.ids:
-        checks.number(
-            "difference column (Table XXIV)",
-            rid,
-            signed.table[rid],
-            CORRECTED_TABLE24.get(rid, t24[rid]),
-        )
-    checks.exact("label (signed minimum)", "nearest", signed.nearest, ("R8",))
-    checks.exact("label (signed minimum)", "labels", signed.labels, ("Level-2",))
-
-    (absolute,) = classify_mapped_all(query, cds, model2, MODE_ABSOLUTE)
-    checks.exact("label (absolute minimum)", "labels", absolute.labels, ("Level-2",))
-    checks.exact("label (absolute minimum)", "nearest", absolute.nearest, ("R9",))
-    # Replaying the printed mapping column instead puts R8 nearest in
-    # both modes, which is what the printed difference column shows.
-    printed_maps = MappingTable(list(t21), list(t21.values()), ["R10"], [t23["R10"]])
-    checks.exact(
-        "label (printed-table replay)",
-        "nearest, both modes",
-        (
-            nearest_record(printed_maps, "R10", MODE_SIGNED),
-            nearest_record(printed_maps, "R10", MODE_ABSOLUTE),
         ),
-        (("R8",), ("R8",)),
-    )
-    errata.append(
         Erratum(
             name="Row R9 of the classification tables duplicates row R1",
-            printed=(
-                f"Tables XIX/XX/XXI/XXIV print {t19['R9']:.6f} / {t20['R9']:.6f} / "
-                f"{t21['R9']:.6f} / {t24['R9']:.6f} for R9, each equal to row R1"
-            ),
-            computed=(
-                f"{CORRECTED_TABLE19['R9']:.6f} / {CORRECTED_TABLE20['R9']:.6f} / "
-                f"{CORRECTED_TABLE21['R9']:.6f} / {CORRECTED_TABLE24['R9']:.6f}"
-            ),
+            printed=f"Tables XIX/XX/XXI/XXIV print {_row_r9(t19, t20, t21, t24)} for R9, each equal to row R1",
+            computed=_row_r9(CORRECTED_TABLE19, CORRECTED_TABLE20, CORRECTED_TABLE21, CORRECTED_TABLE24),
             note=(
                 "The cluster means force these values, and Table VIII already "
                 "prints 0.829156 for the identical record and centroid. With the "
@@ -404,10 +333,14 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
                 "so the predicted label is unchanged. The signed minimum is R8 "
                 "either way."
             ),
-        )
+        ),
     )
+    return CaseStudyReport(tolerance, tuple(checks.rows), errata)
 
-    return CaseStudyReport(tolerance, tuple(checks.rows), tuple(errata))
+
+def _row_r9(*tables: Mapping[str, float]) -> str:
+    """Row R9 of each table at print precision, slash-separated."""
+    return " / ".join(f"{table['R9']:.6f}" for table in tables)
 
 
 def _distances(group: Dataset, centroids) -> list[tuple[str, tuple[float, ...]]]:
@@ -420,15 +353,10 @@ def render_report(report: CaseStudyReport) -> str:
     """Human-readable diff report: one line per table, mismatching
     cells spelled out, errata listed with printed vs computed."""
     lines = ["case-study reproduction", f"tolerance {report.tolerance:g}", ""]
-    order: list[str] = []
     grouped: dict[str, list[CellCheck]] = {}
     for check in report.checks:
-        if check.table not in grouped:
-            order.append(check.table)
-            grouped[check.table] = []
-        grouped[check.table].append(check)
-    for table in order:
-        rows = grouped[table]
+        grouped.setdefault(check.table, []).append(check)
+    for table, rows in grouped.items():
         bad = [c for c in rows if not c.ok]
         if not bad:
             lines.append(f"  ok    {table} ({len(rows)} checks)")

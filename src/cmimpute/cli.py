@@ -82,6 +82,7 @@ class RunConfig:
     with_knn_baseline: bool = False
     tolerance: float = 1e-5
     verbose: bool = False
+    config_file: str | None = None
 
 
 def _load_run_config(path: str | None) -> dict:
@@ -187,7 +188,7 @@ def cmd_impute(config: RunConfig) -> int:
     data = _require(config.data, "--data")
     schema_path = _require(config.schema, "--schema")
     out = _require(config.out, "--out")
-    _guard_outputs([data, schema_path], [out, config.report])
+    _guard_outputs([data, schema_path, config.config_file], [out, config.report])
 
     schema = load_schema(schema_path)
     dataset = encode(load_dataset(data, schema))
@@ -229,7 +230,7 @@ def cmd_classify(config: RunConfig) -> int:
     train_path = _require(config.train, "--train")
     schema_path = _require(config.schema, "--schema")
     query_path = _require(config.query, "--query")
-    _guard_outputs([train_path, schema_path, query_path], [config.out])
+    _guard_outputs([train_path, schema_path, query_path, config.config_file], [config.out])
 
     schema = load_schema(schema_path)
     train = encode(load_dataset(train_path, schema))
@@ -278,6 +279,7 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 
 def cmd_casestudy(config: RunConfig) -> int:
+    _guard_outputs([config.config_file], [config.out])
     report = run_case_study(config.tolerance)
     text = render_report(report)
     sys.stdout.write(text)
@@ -363,11 +365,11 @@ PATH_OPTIONS = ("data", "schema", "train", "query", "out", "report")
 def _resolve(args: argparse.Namespace) -> RunConfig:
     """The options of an impute, classify or casestudy run, each from
     its flag, else the config file, else (seed only) CMIMPUTE_SEED,
-    else its default.  A subcommand resolves only the options it
-    takes."""
+    else its default, and the config file's path, an input of the run.
+    A subcommand resolves only the options it takes."""
     config = _load_run_config(args.config)
     flags = vars(args)
-    options = {}
+    options = {"config_file": args.config}
     for key in PATH_OPTIONS:
         if key in flags:
             path = options[key] = _pick(flags[key], config, key, None)

@@ -9,7 +9,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -287,7 +287,7 @@ class EvaluationReport:
         return out
 
     def to_dict(self) -> dict:
-        return asdict(self) | {"aggregates": self.aggregates()}
+        return _as_dict(self) | {"results": tuple(map(_as_dict, self.results)), "aggregates": self.aggregates()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -298,8 +298,19 @@ class EvaluationReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(field.name for field in fields(TrialResult))
-        writer.writerows(map(astuple, self.results))
+        writer.writerows(map(_field_values, self.results))
         return buf.getvalue()
+
+
+def _field_values(obj) -> tuple:
+    """A dataclass's field values in field order, read as they are:
+    dataclasses.astuple would deep-copy every leaf."""
+    return tuple(getattr(obj, field.name) for field in fields(obj))
+
+
+def _as_dict(obj) -> dict:
+    """A dataclass's fields by name, read as they are (see _field_values)."""
+    return {field.name: getattr(obj, field.name) for field in fields(obj)}
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -342,7 +353,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             except (ConfigError, InsufficientDataError, CannotClassifyError) as exc:
                 where = "plan" if rate is None else f"rate {rate}, trial {trial}"
                 raise type(exc)(f"{where}, {method}: {exc}") from exc
-            results.append(TrialResult(method, rate, trial, mask_seed, len(plan), *astuple(score), downstream))
+            results.append(TrialResult(method, rate, trial, mask_seed, len(plan), *_field_values(score), downstream))
     return EvaluationReport(
         methods=config.methods,
         rates=config.rates,

@@ -18,7 +18,7 @@ from .kmeans import ClusterModel, FarthestFirst, InitPolicy, cluster
 from .mapping import MappingTable, build_mapping, mean
 
 # Literal reading of the selection rule: argmin of the signed
-# difference.  Provably query-independent (see nearest_record), kept
+# difference.  Provably query-independent (see _nearest_rows), kept
 # for table replay.
 MODE_SIGNED = "paper-signed"
 # Argmin of the absolute difference: nearest neighbor on the scalar.
@@ -57,9 +57,10 @@ def difference_table(maps: MappingTable) -> DifferenceTable:
 
 def nearest_record(maps: MappingTable, query_id: str, mode: str) -> tuple[str, ...]:
     """All donor ids attaining the minimal difference d_ij for one query
-    of the table, in donor-pool order; see _nearest_rows."""
-    ids = maps.donor_ids
-    return tuple(ids[i] for i in _nearest_rows(maps, maps.query_map[query_id], mode))
+    of the table, in donor-pool order: the query's row of _select_all,
+    the selection impute_dataset makes."""
+    (rows,) = _select_all(maps, np.array([maps.query_map[query_id]]), mode)
+    return tuple(maps.donor_ids[i] for i in rows)
 
 
 def _nearest_rows(maps: MappingTable, c: float, mode: str) -> tuple[int, ...]:
@@ -108,12 +109,14 @@ def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> list[tuple[int,
     ties it; only a query whose donor is not alone goes through
     _nearest_rows' search.  The keys are formed elementwise as
     _nearest_rows forms them, so both round the same."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     values, order = maps.sorted_arrays
+    if not len(values):
+        raise NoDonorsError("no complete records to select from")
     if mode == MODE_SIGNED:
         pick = np.zeros(len(c), dtype=np.intp)
         single = values[1] - c != values[0] - c if len(values) > 1 else np.ones(len(c), dtype=bool)
-    elif mode != MODE_ABSOLUTE:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     else:
         # Two infinite sentinels on each side: their key never ties.
         padded = np.concatenate(([math.inf] * 2, values, [math.inf] * 2))

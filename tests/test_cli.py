@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 import cmimpute.casestudy
 import cmimpute.cli
 import cmimpute.impute
-from cmimpute.casestudy import IMPUTATION_PARTITION, fixture_text
+from cmimpute.casestudy import IMPUTATION_PARTITION, fixture_text, run_case_study
 from cmimpute.cli import (
     EXIT_INSUFFICIENT,
     EXIT_INTERNAL,
@@ -235,6 +236,33 @@ def test_impute_rejects_one_file_for_both_outputs(impute_files, capsys):
     assert code == EXIT_USAGE
     assert "overwrite another output" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["casestudy", "--out", "CONFIG"],
+        ["impute", "--data", "data.csv", "--schema", "missing.json", "--out", "CONFIG"],
+        ["impute", "--data", "data.csv", "--schema", "missing.json", "--out", "o.csv", "--report", "CONFIG"],
+        ["classify", "--train", "train.csv", "--schema", "classification.json", "--query", "q.csv", "--out", "CONFIG"],
+    ],
+    ids=["casestudy-out", "impute-out", "impute-report", "classify-out"],
+)
+def test_commands_refuse_to_overwrite_their_config_file(tmp_path, capsys, argv):
+    write(tmp_path / "data.csv", fixture_text("table03_missing_raw.csv"))
+    write(tmp_path / "missing.json", fixture_text("schema_missing.json"))
+    write(tmp_path / "train.csv", fixture_text("table16_classification.csv"))
+    write(tmp_path / "classification.json", fixture_text("schema_classification.json"))
+    write(tmp_path / "q.csv", QUERY_HEADER + NEW_RECORD_ROW)
+    text = json.dumps({"seed": 3} if argv[0] != "casestudy" else {"tolerance": 1e-5})
+    config = write(tmp_path / "run.json", text)
+    argv = [config if a == "CONFIG" else str(tmp_path / a) if "." in a else a for a in argv]
+    assert main([*argv, "--config", config]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"output path {config} would overwrite an input file" in captured.err
+    assert captured.out == ""
+    assert (tmp_path / "run.json").read_text() == text
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_impute_does_not_mutate_inputs(impute_files):
@@ -789,6 +817,80 @@ def test_casestudy_checks_do_not_depend_on_the_hash_seed():
         for seed in ("1", "2")
     ]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    ("tolerance", "sha256"),
+    [
+        (1e-5, "04153208d6fe2a55347b932e133bc4d94b986de07f2ffac8108cbc1576aafad2"),
+        (1e-9, "0f84bb7f1b0277f49f6c2e29b3434ca60c73c2aa6bc8af9789cd35db67a71092"),
+    ],
+)
+def test_casestudy_report_repr_is_pinned(tolerance, sha256):
+    # The stdout pins skip the strings of passing checks and the order
+    # inside interleaved tables; the report's repr holds both.
+    report = run_case_study(tolerance)
+    assert (len(report.checks), len(report.errata)) == (118, 4)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == sha256
+
+
+# Per printed table: the mismatches that corrupting its first data row
+# gives, and the first of them as (table, cell).
+CORRUPTED_TABLE_MISMATCHES = {
+    "table06_clusters.csv": (1, "clusters (Table VI)", "C1"),
+    "table07.csv": (1, "centroid distances (Tables VII-VIII)", "R1"),
+    "table08.csv": (1, "centroid distances (Tables VII-VIII)", "R1"),
+    "table09.csv": (1, "mapping values (Table IX)", "R1"),
+    "table10.csv": (1, "query distances (Table X)", "R3"),
+    # The printed Table XI drives the replayed Table XII grid.
+    "table11.csv": (7, "difference grid, replay (Table XII)", "R1"),
+    "table12.csv": (1, "difference grid, replay (Table XII)", "R1"),
+    "table13.csv": (1, "nearest donor (Table XIII)", "R8 row"),
+    "table14.csv": (1, "difference grid, replay (Table XIV)", "R1"),
+    "table15.csv": (1, "nearest donor (Table XV)", "R8 row"),
+    "table17.csv": (1, "raw 1-NN distances (Table XVII)", "R1"),
+    "table18_clusters.csv": (1, "clusters (Table XVIII)", "C1"),
+    "table19.csv": (1, "centroid distances (Table XIX)", "R1"),
+    "table20.csv": (1, "centroid distances (Table XX)", "R1"),
+    "table21.csv": (1, "mapping values (Table XXI)", "R1"),
+    "table22.csv": (1, "new-record distances (Table XXII)", "R10 first"),
+    # The printed Table XXIII also feeds the printed-table replay.
+    "table23.csv": (2, "new-record mapping value (Table XXIII)", "R10"),
+    "table24.csv": (1, "difference column (Table XXIV)", "R1"),
+}
+
+
+def _corrupt_first_row(name: str, text: str) -> str:
+    """The fixture with its first data row corrupted: R9 moved to R2 in
+    a cluster file, 0.5 added to the first value elsewhere."""
+    header, first, *rest = text.splitlines(keepends=True)
+    if name.endswith("_clusters.csv"):
+        first = first.replace("R9", "R2")
+    else:
+        rid, value, *more = first.rstrip("\n").split(",")
+        first = ",".join([rid, repr(float(value) + 0.5), *more]) + "\n"
+    return "".join([header, first, *rest])
+
+
+def test_every_printed_table_has_a_corruption_case():
+    expected = resources.files("cmimpute") / "fixtures" / "casestudy" / "expected"
+    assert sorted(p.name for p in expected.iterdir()) == sorted(CORRUPTED_TABLE_MISMATCHES)
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_TABLE_MISMATCHES))
+def test_casestudy_checks_every_printed_table(name, monkeypatch, capsys):
+    original = cmimpute.casestudy.fixture_text
+
+    def corrupted(path):
+        text = original(path)
+        return _corrupt_first_row(name, text) if path == f"expected/{name}" else text
+
+    monkeypatch.setattr(cmimpute.casestudy, "fixture_text", corrupted)
+    report = run_case_study()
+    first = report.first_mismatch
+    assert (len(report.mismatches), first.table, first.cell) == CORRUPTED_TABLE_MISMATCHES[name]
+    assert main(["casestudy"]) == EXIT_MISMATCH
+    assert f"mismatch: {first.table}, {first.cell}:" in capsys.readouterr().err
 
 
 def test_casestudy_writes_report_file(tmp_path, capsys):

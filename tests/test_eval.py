@@ -3,6 +3,7 @@ driver."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -489,6 +490,23 @@ def test_an_experiment_builds_no_record(monkeypatch):
     assert len(report.results) == 2 * len(ALL_METHODS)
     assert built == []
     assert dataset.take([0]).records and built == ["R1"]  # the count sees a record view
+
+
+def test_an_experiment_report_deep_copies_nothing(monkeypatch):
+    # dataclasses.asdict and astuple deep-copy every field they read.
+    copies = []
+    original = copy.deepcopy
+
+    def counting(obj, *args, **kwargs):
+        copies.append(obj)
+        return original(obj, *args, **kwargs)
+
+    monkeypatch.setattr(copy, "deepcopy", counting)
+    report = run_experiment(ExperimentConfig(make_synthetic_dataset(60, seed=7), rates=(0.1,), trials=1))
+    report.to_json()
+    report.summary_csv()
+    assert len(report.results) == len(ALL_METHODS)
+    assert copies == []
 
 
 def mixed_complete_dataset() -> Dataset:

@@ -140,6 +140,18 @@ def test_nearest_rejects_unknown_query_and_mode():
         nearest_record(maps, "Q1", "closest")
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_nearest_without_donors_raises_no_donors(mode):
+    maps = mapping_table({}, {"Q1": 1.0})
+    with pytest.raises(NoDonorsError, match="no complete records to select from"):
+        nearest_record(maps, "Q1", mode)
+
+
+def test_nearest_checks_the_mode_before_the_donors():
+    with pytest.raises(ValueError, match="mode"):
+        nearest_record(mapping_table({}, {"Q1": 1.0}), "Q1", "closest")
+
+
 # Half-integer grid keeps the map subtraction exact, so difference
 # ties happen exactly when the underlying mapping values tie.
 half_integers = st.integers(0, 100).map(lambda v: v / 2)
