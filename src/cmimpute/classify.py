@@ -97,7 +97,8 @@ class _Fit:
 
     def result(self, rows: Sequence[int], table: Mapping[str, float]) -> ClassificationResult:
         """The answer whose nearest training records are the given rows."""
-        return ClassificationResult(tuple(sorted({self.labels[r] for r in rows})), tuple(self.ids[r] for r in rows), table)
+        labels = tuple(sorted({self.labels[r] for r in rows}))
+        return ClassificationResult(labels, tuple(self.ids[r] for r in rows), table)
 
     def mapping(self, model: ClusterModel) -> MappingTable:
         """The training records mapped under the model, built and

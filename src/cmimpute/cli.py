@@ -6,9 +6,9 @@ labels complete query records against a labeled training table,
 ``evaluate`` runs the masking benchmark, and ``casestudy`` recomputes
 the bundled reference tables and diffs them.
 
-Every flag has a config-file equivalent (``--config run.json`` with
-keys named after the flags); flags win on conflict.  The default seed
-can also come from the ``CMIMPUTE_SEED`` environment variable.
+Each run option is declared once, in OPTIONS.  impute, classify and
+casestudy also read options from ``--config run.json`` (keys named
+after the flags; flags win), and the seed from ``CMIMPUTE_SEED``.
 
 Exit codes: 0 success, 1 internal error, 2 parse/schema/config error
 or a path that cannot be read or written, 3 insufficient data,
@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .casestudy import render_report, run_case_study
+from .casestudy import TOLERANCE, render_report, run_case_study
 from .classify import check_training_data, classify_mapped_all, classify_raw_knn
 from .dataset import (
     Schema,
@@ -36,7 +34,6 @@ from .dataset import (
     load_dataset,
     load_schema,
     parse_dataset,
-    read_text,
     write_dataset,
 )
 from .errors import (
@@ -45,11 +42,15 @@ from .errors import (
     InsufficientDataError,
     ParseError,
     SchemaError,
+    config_bool,
     config_integer,
+    config_number,
     config_path,
     config_seed,
+    read_json,
+    read_text,
 )
-from .evaluate import load_experiment_config, run_experiment
+from .evaluate import experiment_from_spec, read_experiment_spec, run_experiment
 from .impute import MODE_ABSOLUTE, MODES, ImputeConfig, impute_dataset, provenance_csv
 from .kmeans import FarthestFirst, FixedPartition, SeededRandom, cluster
 
@@ -63,49 +64,11 @@ EXIT_UNLABELED = 4
 EXIT_MISMATCH = 5
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: flags merged over config-file values
-    merged over environment and built-in defaults."""
-
-    data: str | None = None
-    schema: str | None = None
-    train: str | None = None
-    query: str | None = None
-    mode: str = MODE_ABSOLUTE
-    seed: int = 0
-    k: int | None = None
-    init: object | None = None
-    out: str | None = None
-    report: str | None = None
-    summary: str | None = None
-    with_knn_baseline: bool = False
-    tolerance: float = 1e-5
-    verbose: bool = False
-    config_file: str | None = None
-
-
 def _load_run_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    raw = {} if path is None else read_json(path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return raw
-
-
-def _pick(flag_value, config: dict, key: str, default):
-    """Flags win, then the config file, then the default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
 
 
 def _env_seed() -> int | None:
@@ -120,26 +83,11 @@ def _env_seed() -> int | None:
         ) from None
 
 
-def _resolve_seed(flag_value, config: dict) -> int:
-    seed = _pick(flag_value, config, "seed", None)
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = 0
-    return config_seed(seed, "seed")
-
-
-def _resolve_k(flag_value, config: dict) -> int | None:
-    k = _pick(flag_value, config, "k", None)
-    if k is not None and config_integer(k, "k") < 1:
-        raise ConfigError(f"k must be positive, got {k}")
-    return k
-
-
 def _init_from_config(value, seed: int):
-    """Build a clustering init policy from its config-file form."""
+    """Build a clustering init policy from its config-file form;
+    farthest-first from the run's seed when the config gives none."""
     if value is None:
-        return None
+        return FarthestFirst(seed)
     if not isinstance(value, dict) or "policy" not in value:
         raise ConfigError("init must be an object with a 'policy' key")
     policy = value["policy"]
@@ -148,10 +96,9 @@ def _init_from_config(value, seed: int):
         if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
             raise ConfigError("fixed-partition init needs 'groups': a list of id lists")
         return FixedPartition(tuple(tuple(str(i) for i in g) for g in groups))
-    if policy == "farthest-first":
-        return FarthestFirst(config_seed(value.get("seed", seed), "init seed"))
-    if policy == "seeded-random":
-        return SeededRandom(config_seed(value.get("seed", seed), "init seed"))
+    if policy in ("farthest-first", "seeded-random"):
+        kind = FarthestFirst if policy == "farthest-first" else SeededRandom
+        return kind(config_seed(value.get("seed", seed), "init seed"))
     raise ConfigError(f"unknown init policy {policy!r}")
 
 
@@ -177,29 +124,30 @@ def _guard_outputs(inputs: list[str | None], outputs: list[str | None]) -> None:
         written.add(path)
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _write_text(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when there is none."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 # --- subcommands ---
 
 
-def cmd_impute(config: RunConfig) -> int:
-    data = _require(config.data, "--data")
-    schema_path = _require(config.schema, "--schema")
-    out = _require(config.out, "--out")
-    _guard_outputs([data, schema_path, config.config_file], [out, config.report])
+def cmd_impute(args: argparse.Namespace) -> int:
+    data = _require(args.data, "--data")
+    schema_path = _require(args.schema, "--schema")
+    out = _require(args.out, "--out")
+    _guard_outputs([data, schema_path, args.config], [out, args.report])
 
     schema = load_schema(schema_path)
     dataset = encode(load_dataset(data, schema))
-    result = impute_dataset(
-        dataset,
-        ImputeConfig(mode=config.mode, k=config.k, init=config.init, seed=config.seed),
-    )
+    result = impute_dataset(dataset, ImputeConfig(mode=args.mode, k=args.k, init=args.init))
     write_dataset(decode_dataset(result.dataset), out)
-    if config.report is not None:
-        _write_text(config.report, provenance_csv(result))
-    if config.verbose:
+    if args.report is not None:
+        _write_text(args.report, provenance_csv(result))
+    if args.verbose:
         for fill in result.fills:
             donors = ";".join(fill.donor_ids)
             value = fill.symbol if fill.symbol is not None else f"{fill.value:g}"
@@ -226,65 +174,55 @@ def _load_queries(path: str, train_schema: Schema):
     return queries
 
 
-def cmd_classify(config: RunConfig) -> int:
-    train_path = _require(config.train, "--train")
-    schema_path = _require(config.schema, "--schema")
-    query_path = _require(config.query, "--query")
-    _guard_outputs([train_path, schema_path, query_path, config.config_file], [config.out])
+def cmd_classify(args: argparse.Namespace) -> int:
+    train_path = _require(args.train, "--train")
+    schema_path = _require(args.schema, "--schema")
+    query_path = _require(args.query, "--query")
+    _guard_outputs([train_path, schema_path, query_path, args.config], [args.out])
 
     schema = load_schema(schema_path)
     train = encode(load_dataset(train_path, schema))
     queries = _load_queries(query_path, train.schema)
 
     header = ["query", "labels", "nearest"]
-    if config.with_knn_baseline:
+    if args.with_knn_baseline:
         header += ["knn_labels", "knn_nearest"]
     lines = [",".join(header)]
     if queries is not None and len(queries) > 0:
         check_training_data(train)
-        k = config.k if config.k is not None else train.n_classes
-        init = config.init if config.init is not None else FarthestFirst(config.seed)
-        model = cluster(train, k, init)
-        outcomes = classify_mapped_all(queries, train, model, config.mode)
+        model = cluster(train, args.k if args.k is not None else train.n_classes, args.init)
+        outcomes = classify_mapped_all(queries, train, model, args.mode)
         for i, (qid, outcome) in enumerate(zip(queries.ids, outcomes)):
             row = [qid, ";".join(outcome.labels), ";".join(outcome.nearest)]
-            if config.with_knn_baseline:
+            if args.with_knn_baseline:
                 knn = classify_raw_knn(queries.records[i], train)
                 row += [";".join(knn.labels), ";".join(knn.nearest)]
             lines.append(",".join(row))
-            if config.verbose:
+            if args.verbose:
                 for rid in sorted(outcome.table, key=lambda r: outcome.table[r]):
                     print(f"  {qid} vs {rid}: {outcome.table[rid]:.6f}")
-    report = "\n".join(lines) + "\n"
-    if config.out is not None:
-        _write_text(config.out, report)
-    else:
-        sys.stdout.write(report)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_evaluate(config: RunConfig) -> int:
-    spec_path = _require(config.data, "--config")
-    _guard_outputs([spec_path], [config.out, config.summary])
-    experiment = load_experiment_config(spec_path)
-    report = run_experiment(experiment)
-    text = report.to_json() + "\n"
-    if config.out is not None:
-        _write_text(config.out, text)
-    else:
-        sys.stdout.write(text)
-    if config.summary is not None:
-        _write_text(config.summary, report.summary_csv())
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    spec_path = _require(args.config, "--config")
+    spec, inputs = read_experiment_spec(spec_path)
+    _guard_outputs([spec_path, *inputs], [args.out, args.summary])
+    report = run_experiment(experiment_from_spec(spec, inputs))
+    _write_text(args.out, report.to_json() + "\n")
+    if args.summary is not None:
+        _write_text(args.summary, report.summary_csv())
     return EXIT_OK
 
 
-def cmd_casestudy(config: RunConfig) -> int:
-    _guard_outputs([config.config_file], [config.out])
-    report = run_case_study(config.tolerance)
+def cmd_casestudy(args: argparse.Namespace) -> int:
+    _guard_outputs([args.config], [args.out])
+    report = run_case_study(args.tolerance)
     text = render_report(report)
     sys.stdout.write(text)
-    if config.out is not None:
-        _write_text(config.out, text)
+    if args.out is not None:
+        _write_text(args.out, text)
     if not report.ok:
         first = report.first_mismatch
         print(
@@ -296,7 +234,46 @@ def cmd_casestudy(config: RunConfig) -> int:
     return EXIT_OK
 
 
-# --- argument parsing and dispatch ---
+# --- options, argument parsing and dispatch ---
+
+
+def _mode(value, name: str) -> str:
+    if value not in MODES:
+        raise ConfigError(f"mode must be one of {sorted(MODES)}, got {value!r}")
+    return value
+
+
+def _positive_k(value, name: str) -> int:
+    if config_integer(value, name) < 1:
+        raise ConfigError(f"k must be positive, got {value}")
+    return value
+
+
+def _positive_tolerance(value, name: str) -> float:
+    value = config_number(value, name)
+    if not value > 0:  # also rejects NaN
+        raise ConfigError("tolerance must be positive")
+    return value
+
+
+# Every run option, by its flag's dest: the check its value passes
+# whether it comes from the flag, the config file or (seed only)
+# CMIMPUTE_SEED, and its default when none of them gives it.
+OPTIONS = {
+    "data": (config_path, None),
+    "schema": (config_path, None),
+    "train": (config_path, None),
+    "query": (config_path, None),
+    "out": (config_path, None),
+    "report": (config_path, None),
+    "summary": (config_path, None),
+    "seed": (config_seed, 0),
+    "mode": (_mode, MODE_ABSOLUTE),
+    "k": (_positive_k, None),
+    "with_knn_baseline": (config_bool, False),
+    "tolerance": (_positive_tolerance, TOLERANCE),
+    "verbose": (config_bool, False),
+}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -324,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="completed dataset CSV")
     p.add_argument("--report", help="provenance CSV, one row per filled cell")
     _add_common(p)
-    p.set_defaults(resolve=_resolve, run=cmd_impute)
+    p.set_defaults(run=cmd_impute)
 
     p = subparsers.add_parser("classify", help="label complete query records")
     p.add_argument("--train", help="labeled complete training CSV")
@@ -341,77 +318,43 @@ def build_parser() -> argparse.ArgumentParser:
         help="add raw nearest-neighbor comparison columns",
     )
     _add_common(p)
-    p.set_defaults(resolve=_resolve, run=cmd_classify)
+    p.set_defaults(run=cmd_classify)
 
     p = subparsers.add_parser("evaluate", help="run a masking benchmark")
-    p.add_argument("--config", help="experiment spec JSON", dest="config")
+    p.add_argument("--config", help="experiment spec JSON")
     p.add_argument("--out", help="JSON report path (default: stdout)")
     p.add_argument("--summary", help="optional per-method summary CSV")
-    p.set_defaults(resolve=_resolve_evaluate, run=cmd_evaluate)
+    p.set_defaults(run=cmd_evaluate)
 
     p = subparsers.add_parser("casestudy", help="recompute the reference tables")
     p.add_argument("--tolerance", type=float)
     p.add_argument("--out", help="write the diff report here as well as stdout")
     p.add_argument("--config", help="JSON file with flag-named keys; flags win")
-    p.set_defaults(resolve=_resolve, run=cmd_casestudy)
+    p.set_defaults(run=cmd_casestudy)
 
     return parser
 
 
-# Options that name a file; a config file must give each as a string.
-PATH_OPTIONS = ("data", "schema", "train", "query", "out", "report")
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    """The options of an impute, classify or casestudy run, each from
-    its flag, else the config file, else (seed only) CMIMPUTE_SEED,
-    else its default, and the config file's path, an input of the run.
-    A subcommand resolves only the options it takes."""
-    config = _load_run_config(args.config)
-    flags = vars(args)
-    options = {"config_file": args.config}
-    for key in PATH_OPTIONS:
-        if key in flags:
-            path = options[key] = _pick(flags[key], config, key, None)
-            if path is not None:
-                config_path(path, key)
-    if "seed" in flags:
-        seed = _resolve_seed(args.seed, config)
-        mode = _pick(args.mode, config, "mode", MODE_ABSOLUTE)
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {sorted(MODES)}, got {mode!r}")
-        options.update(
-            mode=mode,
-            seed=seed,
-            k=_resolve_k(args.k, config),
-            init=_init_from_config(config.get("init"), seed),
-        )
-    if "with_knn_baseline" in flags:
-        options["with_knn_baseline"] = bool(
-            _pick(args.with_knn_baseline, config, "with_knn_baseline", False)
-        )
-    if "tolerance" in flags:
-        tolerance = _pick(args.tolerance, config, "tolerance", 1e-5)
-        try:
-            tolerance = float(tolerance)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"tolerance must be a number, got {tolerance!r}") from None
-        if not tolerance > 0:  # also rejects NaN
-            raise ConfigError("tolerance must be positive")
-        options["tolerance"] = tolerance
-    if "verbose" in flags:
-        options["verbose"] = bool(_pick(args.verbose, config, "verbose", False))
-    return RunConfig(**options)
-
-
-def _resolve_evaluate(args: argparse.Namespace) -> RunConfig:
-    if args.config is None:
-        raise ConfigError("missing required option --config")
-    return RunConfig(
-        data=args.config,
-        out=args.out,
-        summary=args.summary,
-    )
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The options the subcommand takes, each from its flag, else the
+    run config file, else (seed only) CMIMPUTE_SEED, else its default;
+    a JSON null leaves an option unset.  Runs that take a seed also get
+    the init policy, which only the config file sets.  The --config
+    path is kept as an input of the run; evaluate's names an experiment
+    spec, which is not read as a run config."""
+    config = {} if args.command == "evaluate" else _load_run_config(args.config)
+    resolved = argparse.Namespace(config=args.config)
+    for key in [key for key in OPTIONS if hasattr(args, key)]:
+        check, default = OPTIONS[key]
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key)
+        if value is None and key == "seed":
+            value = _env_seed()
+        setattr(resolved, key, default if value is None else check(value, key))
+    if hasattr(args, "seed"):
+        resolved.init = _init_from_config(config.get("init"), resolved.seed)
+    return resolved
 
 
 @functools.cache
@@ -424,8 +367,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = args.resolve(args)
-        return args.run(config)
+        return args.run(_resolve(args))
     except (ParseError, SchemaError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

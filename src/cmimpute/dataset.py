@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -13,7 +12,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DecodeError, ParseError, SchemaError
+from .errors import DecodeError, ParseError, SchemaError, read_json, read_text
 
 # A cell is a parsed numeric value, a categorical symbol awaiting
 # encoding, or None for a missing value.
@@ -151,14 +150,7 @@ def schema_from_dict(raw: Mapping) -> Schema:
 
 
 def load_schema(path: str) -> Schema:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8 text ({exc})") from None
-    return schema_from_dict(raw)
+    return schema_from_dict(read_json(path, SchemaError))
 
 
 @dataclass(frozen=True)
@@ -530,15 +522,6 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def read_text(path: str) -> str:
-    """The file's contents as UTF-8 text; other bytes are a ParseError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
-
-
 def load_dataset(path: str, schema: Schema) -> Dataset:
     return parse_dataset(read_text(path), schema)
 
@@ -570,7 +553,8 @@ def _encode_column(spec: AttributeSpec, column: Column, ids: Sequence[str]) -> t
     distinct.pop(None, None)
     for cell in distinct:
         if not isinstance(cell, str):
-            raise SchemaError(f"record {ids[cells.index(cell)]}: attribute {spec.name!r} expected a symbol, got {cell!r}")
+            where = f"record {ids[cells.index(cell)]}: attribute {spec.name!r}"
+            raise SchemaError(f"{where} expected a symbol, got {cell!r}")
     if not spec.encoding:
         spec = AttributeSpec(spec.name, spec.kind, {sym: i for i, sym in enumerate(sorted(distinct), start=1)})
     codes = {cell: float(spec.encode_symbol(cell)) for cell in distinct}

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks of
-config values that raise ConfigError.
+"""Exception types shared across the package, the checks of config
+values that raise ConfigError, and the readers of text and JSON files.
 
 Parsing and configuration problems subclass ValueError so callers that
 treat bad input generically keep working; data-adequacy problems
@@ -8,6 +8,8 @@ pipeline cannot proceed with it.
 """
 
 from __future__ import annotations
+
+import json
 
 
 class ParseError(ValueError):
@@ -45,6 +47,13 @@ def config_integer(value, name: str) -> int:
     return value
 
 
+def config_bool(value, name: str) -> bool:
+    """A config value that must be JSON true or false."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def config_number(value, name: str) -> float:
     """A config value that must be a real number; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -67,3 +76,24 @@ def config_seed(value, name: str) -> int:
     if config_integer(value, name) < 0:
         raise ConfigError(f"{name} must be non-negative, got {value}")
     return value
+
+
+def read_text(path: str, error_type: type[ValueError] = ParseError) -> str:
+    """The file's contents as UTF-8 text; other bytes raise error_type."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error_type(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def read_json(path: str, error_type: type[ValueError]):
+    """The JSON value in a UTF-8 file.  Text that is not UTF-8, or not
+    JSON that Python can read (an integer past the digit limit or
+    nesting past the recursion limit included), raises error_type
+    naming the path."""
+    text = read_text(path, error_type)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error_type(f"{path}: not valid JSON ({exc})") from None

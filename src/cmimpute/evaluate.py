@@ -34,6 +34,7 @@ from .errors import (
     config_number,
     config_path,
     config_seed,
+    read_json,
 )
 from .impute import MODE_ABSOLUTE, MODE_SIGNED, ImputeConfig, _pool_value, impute_dataset, missing_cells
 from .kmeans import FarthestFirst, cluster
@@ -44,11 +45,16 @@ METHOD_ABSOLUTE = "cluster-map-absolute"
 METHOD_CLASS_STATS = "per-class-mean-mode"
 METHOD_KNN_DONOR = "raw-knn-donor"
 
+
+def _cluster_map(mode: str):
+    return lambda masked, seed: impute_dataset(masked, ImputeConfig(mode, init=FarthestFirst(seed))).dataset
+
+
 # Each method as a callable (masked dataset, seed) -> completed dataset.
 # Names resolve at call time, so a rebound module function sees every call.
 _METHODS = {
-    METHOD_SIGNED: lambda masked, seed: impute_dataset(masked, ImputeConfig(mode=MODE_SIGNED, seed=seed)).dataset,
-    METHOD_ABSOLUTE: lambda masked, seed: impute_dataset(masked, ImputeConfig(mode=MODE_ABSOLUTE, seed=seed)).dataset,
+    METHOD_SIGNED: _cluster_map(MODE_SIGNED),
+    METHOD_ABSOLUTE: _cluster_map(MODE_ABSOLUTE),
     METHOD_CLASS_STATS: lambda masked, seed: baseline_class_stats(masked),
     METHOD_KNN_DONOR: lambda masked, seed: baseline_knn_donor(masked),
 }
@@ -210,9 +216,8 @@ def baseline_knn_donor(dataset: Dataset) -> Dataset:
     # most 2**20 kernel terms, which bounds the kernel's temporaries.
     G = X[complete]
     block = max(1, 2**20 // G.size)
-    donors = complete[
-        np.concatenate([squared_distances(G, X[rows[i : i + block]]).argmin(axis=0) for i in range(0, len(rows), block)])
-    ]
+    queries = (X[rows[i : i + block]] for i in range(0, len(rows), block))
+    donors = complete[np.concatenate([squared_distances(G, Q).argmin(axis=0) for Q in queries])]
     filled = X.copy()
     filled[rows] = np.where(missing[rows], X[donors], X[rows])
     return Dataset(dataset.schema, dataset.ids, dataset.labels, filled.T)
@@ -349,7 +354,8 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             try:
                 completed = _METHODS[method](masked, derive_seed(config.master_seed, _STAGE_METHOD, *path))
                 score = score_imputation(plan, completed)
-                downstream = _downstream_accuracy(completed, holdout, derive_seed(config.master_seed, _STAGE_DOWNSTREAM, *path))
+                downstream_seed = derive_seed(config.master_seed, _STAGE_DOWNSTREAM, *path)
+                downstream = _downstream_accuracy(completed, holdout, downstream_seed)
             except (ConfigError, InsufficientDataError, CannotClassifyError) as exc:
                 where = "plan" if rate is None else f"rate {rate}, trial {trial}"
                 raise type(exc)(f"{where}, {method}: {exc}") from exc
@@ -462,6 +468,19 @@ def make_synthetic_dataset(n_records: int = 60, seed: int = 7) -> Dataset:
     return Dataset(schema, ids, labels, np.array(rows, dtype=float).T)
 
 
+def read_experiment_spec(path: str) -> tuple[Mapping, tuple[str, ...]]:
+    """An experiment spec's JSON object, and the files it reads: its
+    "dataset" and "schema" paths resolved relative to the spec, or none
+    when it asks for a "synthetic" dataset."""
+    raw = read_json(path, ConfigError)
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{path}: experiment spec must be a JSON object")
+    if "synthetic" in raw or "dataset" not in raw or "schema" not in raw:
+        return raw, ()
+    base = os.path.dirname(os.path.abspath(path))
+    return raw, tuple(os.path.join(base, config_path(raw[key], key)) for key in ("dataset", "schema"))
+
+
 def load_experiment_config(path: str) -> ExperimentConfig:
     """Read an experiment spec from JSON.
 
@@ -469,29 +488,21 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     (resolved relative to the config file) or from a "synthetic"
     object with optional "records" and "seed".
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
-    if not isinstance(raw, Mapping):
-        raise ConfigError(f"{path}: experiment spec must be a JSON object")
+    return experiment_from_spec(*read_experiment_spec(path))
 
+
+def experiment_from_spec(raw: Mapping, inputs: tuple[str, ...]) -> ExperimentConfig:
+    """The experiment a spec read by read_experiment_spec describes."""
     if "synthetic" in raw:
-        synth = raw["synthetic"] or {}
+        synth = {} if raw["synthetic"] is None else raw["synthetic"]
         if not isinstance(synth, Mapping):
             raise ConfigError("'synthetic' must be an object")
-        dataset = make_synthetic_dataset(
-            n_records=config_integer(synth.get("records", 60), "synthetic.records"),
-            seed=config_seed(synth.get("seed", 7), "synthetic.seed"),
-        )
-    elif "dataset" in raw and "schema" in raw:
-        base = os.path.dirname(os.path.abspath(path))
-        data_path = os.path.join(base, config_path(raw["dataset"], "dataset"))
-        schema = load_schema(os.path.join(base, config_path(raw["schema"], "schema")))
-        dataset = encode(load_dataset(data_path, schema))
+        records = config_integer(synth.get("records", 60), "synthetic.records")
+        config_number(records, "synthetic.records")  # a count past the float range is out of range
+        dataset = make_synthetic_dataset(n_records=records, seed=config_seed(synth.get("seed", 7), "synthetic.seed"))
+    elif inputs:
+        data_path, schema_path = inputs
+        dataset = encode(load_dataset(data_path, load_schema(schema_path)))
     else:
         raise ConfigError("experiment spec needs either 'synthetic' or 'dataset' + 'schema'")
 

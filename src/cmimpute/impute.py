@@ -213,13 +213,11 @@ def _tie_class(donors: Sequence[int], g1: Dataset, maps: MappingTable) -> str | 
 @dataclass(frozen=True)
 class ImputeConfig:
     """Pipeline knobs: selection mode, cluster count (derived from the
-    labels when omitted), and init policy (farthest-first from the seed
-    when omitted)."""
+    labels when omitted), and k-means init policy."""
 
     mode: str = MODE_ABSOLUTE
     k: int | None = None
-    init: InitPolicy | None = None
-    seed: int = 0
+    init: InitPolicy = FarthestFirst(0)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -330,10 +328,9 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
         k = dataset.n_classes
         if k == 0:
             raise ConfigError("dataset has no labels; supply k explicitly")
-    init = config.init if config.init is not None else FarthestFirst(config.seed)
     split = split_groups(dataset)
     g1, g2 = split.g1, split.g2
-    model = cluster(g1, k, init)
+    model = cluster(g1, k, config.init)
     maps = build_mapping(g1, g2, model)
 
     donors = _select_all(maps, maps.query_values, config.mode)

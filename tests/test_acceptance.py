@@ -265,7 +265,7 @@ def test_c7_oracle_suites_hold():
 
     # Fixed seeds make every stage reproducible.
     masked, _plan = inject_mcar(make_synthetic_dataset(24, seed=11), 0.1, seed=3)
-    config = ImputeConfig(seed=9)
+    config = ImputeConfig(init=FarthestFirst(9))
     runs = [impute_dataset(masked, config) for _ in range(2)]
     assert runs[0].dataset == runs[1].dataset
     assert provenance_csv(runs[0]) == provenance_csv(runs[1])

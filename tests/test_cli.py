@@ -3,6 +3,7 @@ subcommands, driven through main() with real files."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,11 +28,13 @@ from cmimpute.cli import (
     EXIT_OK,
     EXIT_UNLABELED,
     EXIT_USAGE,
+    OPTIONS,
     SEED_ENV_VAR,
     main,
 )
 from cmimpute.dataset import NUMERIC, Record, dataset_to_csv, decode_dataset
 from cmimpute.evaluate import inject_mcar, make_synthetic_dataset
+from cmimpute.kmeans import FarthestFirst
 
 QUERY_HEADER = "P1,P2,P3,P4\n"
 NEW_RECORD_ROW = "2,5,2,9\n"
@@ -730,6 +734,44 @@ def test_evaluate_spec_value_of_the_wrong_type_exits_2(tmp_path, capsys, spec, f
     assert field in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("target", ["n.csv", "ns.json"], ids=["dataset", "schema"])
+@pytest.mark.parametrize("flag", ["--out", "--summary"])
+def test_evaluate_refuses_to_overwrite_a_file_its_spec_reads(tmp_path, capsys, flag, target):
+    texts = {"n.csv": fixture_text("table01_raw.csv"), "ns.json": fixture_text("schema_missing.json")}
+    for name, text in texts.items():
+        write(tmp_path / name, text)
+    spec = write(tmp_path / "spec.json", json.dumps({"dataset": "n.csv", "schema": "ns.json"}))
+    out = str(tmp_path / target)
+    assert main(["evaluate", "--config", spec, flag, out]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"output path {out} would overwrite an input file" in captured.err
+    assert captured.out == ""
+    assert {name: (tmp_path / name).read_text() for name in texts} == texts
+
+
+@pytest.mark.parametrize("synthetic", [0, False, "", []])
+def test_evaluate_falsy_synthetic_that_is_not_an_object_exits_2(tmp_path, capsys, synthetic):
+    spec = write(tmp_path / "exp.json", json.dumps({"synthetic": synthetic, "methods": ["per-class-mean-mode"]}))
+    assert main(["evaluate", "--config", spec]) == EXIT_USAGE
+    assert "'synthetic' must be an object" in capsys.readouterr().err
+
+
+def test_evaluate_null_synthetic_means_the_default_dataset(tmp_path, capsys):
+    reports = []
+    for synthetic in (None, {}):
+        spec = write(tmp_path / "exp.json", json.dumps({"synthetic": synthetic, "methods": ["per-class-mean-mode"]}))
+        assert main(["evaluate", "--config", spec]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_evaluate_record_count_past_the_float_range_exits_2(tmp_path, capsys):
+    spec = write(tmp_path / "exp.json", json.dumps({"synthetic": {"records": 10**400}}))
+    assert main(["evaluate", "--config", spec]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "synthetic.records is out of range" in err and "internal error" not in err
+
+
 def test_evaluate_outputs_are_pinned(tmp_path):
     # The sha256 of --out and --summary as the hand-written report rows wrote them.
     spec = write(
@@ -931,6 +973,102 @@ def test_casestudy_missing_fixture_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cmimpute.casestudy, "fixture_text", boom)
     assert main(["casestudy"]) == EXIT_USAGE
     assert "gone" in capsys.readouterr().err
+
+
+# --- run options ---
+
+
+def resolve(argv):
+    """The resolved options of a command line, as the subcommand gets them."""
+    return cmimpute.cli._resolve(cmimpute.cli.build_parser().parse_args(argv))
+
+
+# Per run option: a subcommand that reads it from a run config, and
+# values of the wrong JSON type for it.  evaluate reads no run config,
+# so summary, its own option, has no config value to check.
+WRONG_TYPE = [
+    ("data", "impute", 5),
+    ("schema", "impute", ["schema.json"]),
+    ("train", "classify", 5),
+    ("query", "classify", {"path": "q.csv"}),
+    ("out", "classify", 5),
+    ("report", "impute", False),
+    ("seed", "impute", "1"),
+    ("mode", "classify", 1),
+    ("k", "impute", "2"),
+    ("with_knn_baseline", "classify", "false"),
+    ("tolerance", "casestudy", True),
+    ("tolerance", "casestudy", "1e-5"),
+    ("verbose", "impute", "no"),
+]
+CONFIG_READERS = {key: command for key, command, _ in WRONG_TYPE}
+
+
+def test_every_run_config_option_has_a_wrong_type_case():
+    assert CONFIG_READERS.keys() == OPTIONS.keys() - {"summary"}
+
+
+@pytest.mark.parametrize(("key", "command", "value"), WRONG_TYPE)
+def test_run_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, key, command, value):
+    config = write(tmp_path / "run.json", json.dumps({key: value}))
+    assert main([command, "--config", config]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key} ") and captured.out == ""
+
+
+def test_evaluate_never_reads_its_spec_as_a_run_config(tmp_path, capsys):
+    spec = write(
+        tmp_path / "exp.json",
+        json.dumps({"synthetic": {"records": 12}, "methods": ["per-class-mean-mode"], "summary": 5, "out": 5}),
+    )
+    assert main(["evaluate", "--config", spec]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"]
+    assert sorted(os.listdir(tmp_path)) == ["exp.json"]
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_READERS))
+def test_a_null_option_gives_its_default(tmp_path, monkeypatch, key):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    config = write(tmp_path / "run.json", json.dumps({key: None}))
+    resolved = resolve([CONFIG_READERS[key], "--config", config])
+    assert getattr(resolved, key) == OPTIONS[key][1]
+
+
+def test_seed_comes_from_the_flag_then_the_config_then_the_environment(tmp_path, monkeypatch):
+    config = write(tmp_path / "run.json", json.dumps({"seed": 2}))
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    runs = [[], ["--config", config], ["--config", config, "--seed", "1"]]
+    assert [resolve(["impute", *argv]).seed for argv in runs] == [0, 2, 1]
+    monkeypatch.setenv(SEED_ENV_VAR, "3")
+    assert [resolve(["classify", *argv]).seed for argv in runs] == [3, 2, 1]
+    assert [resolve(["classify", *argv]).init for argv in runs] == [FarthestFirst(s) for s in (3, 2, 1)]
+
+
+def test_every_flag_is_a_checked_option_and_the_readme_lists_each():
+    parser = cmimpute.cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for sub in subparsers.choices.values() for a in sub._actions} - {"config", "help"}
+    assert dests == OPTIONS.keys()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert [row.split("`")[1] for row in rows] == list(OPTIONS)
+
+
+@pytest.mark.parametrize("value", ["1" * 5000, "[" * 100000 + "]" * 100000], ids=["digits", "nesting"])
+@pytest.mark.parametrize("reader", ["config", "schema", "spec"])
+def test_json_past_a_python_limit_exits_2(tmp_path, capsys, reader, value):
+    config = write(tmp_path / "run.json", f'{{"seed": {value}}}' if reader == "config" else "{}")
+    schema = write(tmp_path / "schema.json", f'{{"attributes": {value}}}' if reader == "schema" else "{}")
+    spec = write(tmp_path / "exp.json", f'{{"synthetic": {{"records": {value}}}}}')
+    argv = {
+        "config": ["casestudy", "--config", config],
+        "schema": ["impute", "--data", "d.csv", "--schema", schema, "--out", str(tmp_path / "o.csv")],
+        "spec": ["evaluate", "--config", spec],
+    }[reader]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "internal error" not in err
 
 
 # --- dispatch ---

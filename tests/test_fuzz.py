@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cmimpute.casestudy import CLASSIFICATION_PARTITION, IMPUTATION_PARTITION, fixture_text
 from cmimpute.classify import classify_mapped, classify_raw_knn
@@ -84,7 +84,8 @@ run_configs = st.fixed_dictionaries(
 )
 
 # Evaluate specs.  Their integers stay small, because a plausible spec
-# with a huge record or trial count is a long run, not an error.
+# with a huge record or trial count is a long run, not an error; only a
+# record count past the float range, which is an error, is drawn large.
 small_json = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 40) | st.floats(allow_nan=False) | short_text,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(short_text, inner, max_size=3),
@@ -94,7 +95,7 @@ SPEC_FIELDS = {
     "synthetic": st.fixed_dictionaries(
         {},
         optional={
-            "records": st.one_of(st.integers(0, 40), small_json),
+            "records": st.one_of(st.integers(0, 40), st.integers(10**309, 10**400), small_json),
             "seed": st.one_of(st.integers(-1, 50), small_json),
         },
     ),
@@ -141,6 +142,13 @@ def test_no_run_config_is_an_internal_error(command, data):
     """A run config, or for evaluate an experiment spec."""
     config = data.draw(CONFIGS.get(command, run_configs))
     assert run_in_scratch_dir(command, config) != EXIT_INTERNAL
+
+
+@settings(max_examples=20, deadline=None)
+@given(records=st.integers(10**309, 10**4000))
+@example(records=10**309)
+def test_a_record_count_past_the_float_range_is_a_usage_error(records):
+    assert run_in_scratch_dir("evaluate", {"synthetic": {"records": records}}) == EXIT_USAGE
 
 
 @pytest.mark.parametrize(
@@ -209,7 +217,7 @@ def test_constant_columns_and_huge_values_give_finite_results(varying, constant,
     dataset = encode(parse_dataset(text, SCHEMA))
 
     mode = data.draw(st.sampled_from(MODES))
-    result = impute_dataset(dataset, ImputeConfig(mode=mode, seed=data.draw(st.integers(0, 99))))
+    result = impute_dataset(dataset, ImputeConfig(mode=mode, init=FarthestFirst(data.draw(st.integers(0, 99)))))
     assert all(math.isfinite(f.value) for f in result.fills)
     train = result.dataset
     assert train.is_complete

@@ -4,6 +4,7 @@ end-to-end fill pipeline."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -359,7 +360,7 @@ def test_pipeline_recovers_reference_values(missing_dataset):
 
 def test_pipeline_on_complete_dataset_is_identity(normalized_dataset):
     encoded = normalized_dataset
-    result = impute_dataset(encoded, ImputeConfig(seed=5))
+    result = impute_dataset(encoded, ImputeConfig(init=FarthestFirst(5)))
     assert result.dataset == encoded
     assert result.fills == ()
     assert result.model is None and result.maps is None
@@ -722,7 +723,7 @@ def test_selection_never_builds_the_difference_table(monkeypatch, missing_datase
     synthetic, _ = mask_cells(base, [(base.records[i].id, i % 7) for i in range(0, 40, 5)])
     for dataset in (missing_dataset, synthetic):
         for mode in MODES:
-            result = impute_dataset(dataset, ImputeConfig(mode=mode, seed=1))
+            result = impute_dataset(dataset, ImputeConfig(mode=mode, init=FarthestFirst(1)))
             assert result.dataset.is_complete
 
     training = load_classification_dataset()
@@ -769,7 +770,7 @@ def test_filled_categoricals_always_decode(seed):
         i for i, a in enumerate(base.schema.attributes) if a.kind == CATEGORICAL
     )
     masked, _ = mask_cells(base, [(base.records[0].id, cat_index), (base.records[5].id, cat_index)])
-    result = impute_dataset(masked, ImputeConfig(mode=MODE_ABSOLUTE, seed=seed))
+    result = impute_dataset(masked, ImputeConfig(mode=MODE_ABSOLUTE, init=FarthestFirst(seed)))
     for fill in result.fills:
         spec = masked.schema.attributes[fill.attr_index]
         assert fill.symbol in spec.encoding
@@ -777,12 +778,17 @@ def test_filled_categoricals_always_decode(seed):
 
 
 def test_pipeline_is_deterministic(missing_dataset):
-    config = ImputeConfig(mode=MODE_ABSOLUTE, seed=13)
+    config = ImputeConfig(mode=MODE_ABSOLUTE, init=FarthestFirst(13))
     a = impute_dataset(missing_dataset, config)
     b = impute_dataset(missing_dataset, config)
     assert a.dataset == b.dataset
     assert a.fills == b.fills
     assert provenance_csv(a) == provenance_csv(b)
+
+
+def test_impute_config_takes_its_seed_through_the_init_policy():
+    assert "seed" not in {field.name for field in dataclasses.fields(ImputeConfig)}
+    assert ImputeConfig().init == FarthestFirst(0)
 
 
 def test_provenance_csv_layout(missing_dataset):
