@@ -44,7 +44,6 @@ from .evaluate import (
     ExperimentConfig,
     MaskPlan,
     inject_mcar,
-    load_experiment_config,
     make_synthetic_dataset,
     run_experiment,
     score_imputation,

@@ -29,6 +29,7 @@ from .casestudy import TOLERANCE, render_report, run_case_study
 from .classify import check_training_data, classify_mapped_all, classify_raw_knn
 from .dataset import (
     Schema,
+    csv_text,
     decode_dataset,
     encode,
     load_dataset,
@@ -187,7 +188,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     header = ["query", "labels", "nearest"]
     if args.with_knn_baseline:
         header += ["knn_labels", "knn_nearest"]
-    lines = [",".join(header)]
+    rows = []
     if queries is not None and len(queries) > 0:
         check_training_data(train)
         model = cluster(train, args.k if args.k is not None else train.n_classes, args.init)
@@ -197,11 +198,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
             if args.with_knn_baseline:
                 knn = classify_raw_knn(queries.records[i], train)
                 row += [";".join(knn.labels), ";".join(knn.nearest)]
-            lines.append(",".join(row))
+            rows.append(row)
             if args.verbose:
                 for rid in sorted(outcome.table, key=lambda r: outcome.table[r]):
                     print(f"  {qid} vs {rid}: {outcome.table[rid]:.6f}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, csv_text(header, list(zip(*rows))))
     return EXIT_OK
 
 

@@ -3,13 +3,12 @@ comparing the cluster-mapping imputer against simple baselines."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -21,9 +20,11 @@ from .dataset import (
     AttributeSpec,
     Dataset,
     Schema,
+    csv_text,
     encode,
     load_dataset,
     load_schema,
+    split_groups,
 )
 from .errors import (
     CannotClassifyError,
@@ -36,7 +37,8 @@ from .errors import (
     config_seed,
     read_json,
 )
-from .impute import MODE_ABSOLUTE, MODE_SIGNED, ImputeConfig, _pool_value, impute_dataset, missing_cells
+from .impute import MODE_ABSOLUTE, MODE_SIGNED, ImputeConfig, impute_dataset, missing_cells
+from .impute import _class_pools, _class_value, _pool_value  # the tie fill's class statistic
 from .kmeans import FarthestFirst, cluster
 from .mapping import mean, squared_distances
 
@@ -183,20 +185,20 @@ def baseline_class_stats(dataset: Dataset) -> Dataset:
     """Fill each missing cell with the mean (numeric) or mode
     (categorical, ties to the smallest value) over the complete
     records of the query's class, falling back to all complete records
-    when the class pool is empty or the query is unlabeled."""
+    when the class pool is empty or the query is unlabeled.  Each class
+    statistic is the tie fill's (_class_value), and each fallback is
+    computed once per attribute."""
     missing = missing_cells(dataset, "no complete records to aggregate")
     if missing is None:
         return dataset
-    X, labels = dataset.matrix, dataset.labels
-    complete = np.flatnonzero(~missing.any(axis=1)).tolist()
-    pools: dict[str | None, list[int]] = {}
-    for i in complete:
-        pools.setdefault(labels[i], []).append(i)
-    filled = X.copy()
+    g1, specs = split_groups(dataset).g1, dataset.schema.attributes
+    classes = _class_pools(g1).keys() - {None}
+    overall = cache(lambda attr: _pool_value(g1.matrix[:, attr].tolist(), specs[attr]))
+    filled = dataset.matrix.copy()
     for row, attr in zip(*(a.tolist() for a in np.nonzero(missing))):
-        pool = (labels[row] is not None and pools.get(labels[row])) or complete
-        filled[row, attr] = _pool_value(X[pool, attr].tolist(), dataset.schema.attributes[attr])[0]
-    return Dataset(dataset.schema, dataset.ids, labels, filled.T)
+        klass = dataset.labels[row]
+        filled[row, attr] = (_class_value(g1, klass, attr, specs[attr]) if klass in classes else overall(attr))[0]
+    return Dataset(dataset.schema, dataset.ids, dataset.labels, filled.T)
 
 
 def baseline_knn_donor(dataset: Dataset) -> Dataset:
@@ -300,21 +302,13 @@ class EvaluationReport:
     def summary_csv(self) -> str:
         """One row per result, a column per TrialResult field; an
         undefined metric is an empty field."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(field.name for field in fields(TrialResult))
-        writer.writerows(map(_field_values, self.results))
-        return buf.getvalue()
-
-
-def _field_values(obj) -> tuple:
-    """A dataclass's field values in field order, read as they are:
-    dataclasses.astuple would deep-copy every leaf."""
-    return tuple(getattr(obj, field.name) for field in fields(obj))
+        rows = [["" if v is None else str(v) for v in _as_dict(r).values()] for r in self.results]
+        return csv_text([field.name for field in fields(TrialResult)], list(zip(*rows)))
 
 
 def _as_dict(obj) -> dict:
-    """A dataclass's fields by name, read as they are (see _field_values)."""
+    """A dataclass's fields by name, in field order, read as they are:
+    dataclasses.asdict and astuple would deep-copy every leaf."""
     return {field.name: getattr(obj, field.name) for field in fields(obj)}
 
 
@@ -359,7 +353,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             except (ConfigError, InsufficientDataError, CannotClassifyError) as exc:
                 where = "plan" if rate is None else f"rate {rate}, trial {trial}"
                 raise type(exc)(f"{where}, {method}: {exc}") from exc
-            results.append(TrialResult(method, rate, trial, mask_seed, len(plan), *_field_values(score), downstream))
+            results.append(TrialResult(method, rate, trial, mask_seed, len(plan), *_as_dict(score).values(), downstream))
     return EvaluationReport(
         methods=config.methods,
         rates=config.rates,
@@ -479,16 +473,6 @@ def read_experiment_spec(path: str) -> tuple[Mapping, tuple[str, ...]]:
         return raw, ()
     base = os.path.dirname(os.path.abspath(path))
     return raw, tuple(os.path.join(base, config_path(raw[key], key)) for key in ("dataset", "schema"))
-
-
-def load_experiment_config(path: str) -> ExperimentConfig:
-    """Read an experiment spec from JSON.
-
-    The dataset comes either from "dataset" and "schema" paths
-    (resolved relative to the config file) or from a "synthetic"
-    object with optional "records" and "seed".
-    """
-    return experiment_from_spec(*read_experiment_spec(path))
 
 
 def experiment_from_spec(raw: Mapping, inputs: tuple[str, ...]) -> ExperimentConfig:

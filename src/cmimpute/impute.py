@@ -134,14 +134,24 @@ def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> list[tuple[int,
 
 def _class_pools(g1: Dataset) -> dict[str | None, list[int]]:
     """Donor-pool positions per decision class, each in pool order;
-    built on the first tie and kept with the pool, as is each class's
-    fill value per attribute (see _fill_value)."""
+    built on first use and kept with the pool."""
     pools = g1._memo.get(_class_pools)
     if pools is None:
         pools = g1._memo[_class_pools] = {}
         for i, label in enumerate(g1.labels):
             pools.setdefault(label, []).append(i)
     return pools
+
+
+def _class_value(g1: Dataset, klass: str, attr: int, spec: AttributeSpec) -> tuple[float, str]:
+    """_pool_value over the donor pool's rows of one decision class,
+    computed once per (class, attribute, kind) and kept with the pool:
+    the tie fill's and the per-class baseline's statistic."""
+    memo = g1._memo.setdefault(_pool_value, {})
+    key = (klass, attr, spec.kind)
+    if key not in memo:
+        memo[key] = _pool_value(g1.matrix[_class_pools(g1)[klass], attr].tolist(), spec)
+    return memo[key]
 
 
 def _fill_value(
@@ -159,7 +169,7 @@ def _fill_value(
     A single donor contributes its value verbatim.  Multiple tied
     donors defer to the donors' decision class over the whole donor
     pool: the modal value for a categorical attribute, the mean for a
-    numeric one, computed once per (class, attribute) and kept on g1.
+    numeric one (see _class_value).
     """
     if not math.isnan(query[attr]):
         raise ValueError(f"cell {attr} of the query is not missing")
@@ -172,11 +182,7 @@ def _fill_value(
     if klass is None:
         value, statistic = _pool_value(g1.matrix[list(donors), attr].tolist(), spec)
         return value, f"{statistic}-tied-donors"
-    memo = g1._memo.setdefault(_pool_value, {})
-    key = (klass, attr, spec.kind)
-    if key not in memo:
-        memo[key] = _pool_value(g1.matrix[_class_pools(g1)[klass], attr].tolist(), spec)
-    value, statistic = memo[key]
+    value, statistic = _class_value(g1, klass, attr, spec)
     return value, f"{statistic}-same-class"
 
 

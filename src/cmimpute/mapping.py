@@ -22,8 +22,9 @@ def squared_distances(X, U) -> np.ndarray:
 
     The arithmetic is fixed: each term (c - u) ** 2 is squared by libm
     pow (np.float_power; NumPy's square, x * x and power(x, 2) round
-    differently for roughly 0.1% of values), a missing term adds an
-    exact +0.0, and each row's terms are added left to right in
+    differently for roughly 0.1% of values), a missing term's NaN
+    square becomes an exact +0.0 by np.fmax (no square is negative or
+    -0.0), and each row's terms are added left to right in
     attribute order by np.add.accumulate, whose first partial sum is
     the first term itself, as 0.0 + term is (never np.sum, einsum or @,
     whose order differs, nor Python's sum(), which compensates from
@@ -32,8 +33,8 @@ def squared_distances(X, U) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
     d = X[:, None, :] - U[None, :, :]
-    d[np.isnan(d)] = 0.0
     np.float_power(d, 2.0, out=d)
+    np.fmax(d, 0.0, out=d)
     return np.add.accumulate(d, axis=2)[..., -1]
 
 

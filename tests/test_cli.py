@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -552,6 +553,80 @@ def test_classify_empty_query_file_gives_header_only_report(classify_files, tmp_
     )
     assert code == EXIT_OK
     assert out.read_text() == "query,labels,nearest\n"
+
+
+# Labels and symbols holding a comma, a quote and a line break: every
+# report must quote them as csv.writer does.
+AWKWARD_LABELS = ("a,b", 'say "c"', "d\ne")
+AWKWARD_SYMBOLS = ("s,1", 's"2', "s\n3")
+
+
+def awkward_files(tmp_path):
+    """A complete labeled table whose labels and categorical symbols
+    need quoting, a copy of it with holes, a query file, its schema and
+    an experiment spec naming the complete table."""
+    rng = np.random.default_rng(5)
+    segment = rng.integers(0, 3, 60)
+    x = (segment * 10 + rng.normal(0, 1, 60)).round(3)
+    y = (segment * -4 + rng.normal(0, 1, 60)).round(3)
+    symbols = [AWKWARD_SYMBOLS[s] for s in segment]
+    labels = [AWKWARD_LABELS[s] for s in segment]
+
+    def table(rows, header):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        return buf.getvalue()
+
+    rows = [[str(a), str(b), s, label] for a, b, s, label in zip(x, y, symbols, labels)]
+    holed = [list(r) for r in rows]
+    for i in range(0, 60, 7):
+        holed[i][i % 3] = "?"
+    attributes = [
+        {"name": "x", "kind": "numeric"},
+        {"name": "y", "kind": "numeric"},
+        {"name": "s", "kind": "categorical", "encoding": {s: i + 1 for i, s in enumerate(AWKWARD_SYMBOLS)}},
+    ]
+    return (
+        write(tmp_path / "train.csv", table(rows, ["x", "y", "s", "class"])),
+        write(tmp_path / "holed.csv", table(holed, ["x", "y", "s", "class"])),
+        write(tmp_path / "query.csv", table([r[:3] for r in rows[:9]], ["x", "y", "s"])),
+        write(tmp_path / "schema.json", json.dumps({"attributes": attributes, "label_column": "class"})),
+        write(tmp_path / "spec.json", json.dumps({"dataset": "train.csv", "schema": "schema.json", "trials": 2})),
+    )
+
+
+def read_rows(path) -> list[list[str]]:
+    """Every row of a CSV file, each of the header's width."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows and all(len(row) == len(header) for row in rows)
+    return rows
+
+
+def test_every_report_reads_back_as_csv_with_its_labels_and_symbols(tmp_path):
+    train, holed, query, schema, spec = awkward_files(tmp_path)
+    out, report = tmp_path / "out.csv", tmp_path / "report.csv"
+    assert main(["impute", "--data", holed, "--schema", schema, "--out", str(out), "--report", str(report)]) == EXIT_OK
+    completed, truth, holes = read_rows(out), read_rows(train), read_rows(holed)
+    assert [row[3] for row in completed] == [row[3] for row in truth]
+    assert all(c == t for got, want, hole in zip(completed, truth, holes) for c, t, h in zip(got, want, hole) if h != "?")
+    assert {row[2] for row in completed} == set(AWKWARD_SYMBOLS)
+    filled = read_rows(report)
+    assert {row[4] for row in filled if row[1] == "s"} <= set(AWKWARD_SYMBOLS)
+    assert any(row[1] == "s" for row in filled)
+
+    argv = ["classify", "--train", train, "--schema", schema, "--query", query]
+    for extra in ([], ["--with-knn-baseline"]):
+        labels = tmp_path / "labels.csv"
+        assert main(argv + extra + ["--out", str(labels)]) == EXIT_OK
+        rows = read_rows(labels)
+        assert [row[0] for row in rows] == [f"Q{i}" for i in range(1, 10)]
+        named = [label for row in rows for field in row[1::2] for label in field.split(";")]
+        assert set(named) <= set(AWKWARD_LABELS) and len(rows[0]) == 3 + len(extra) * 2
+
+    summary = tmp_path / "summary.csv"
+    assert main(["evaluate", "--config", spec, "--out", str(tmp_path / "report.json"), "--summary", str(summary)]) == EXIT_OK
+    assert len(read_rows(summary)) == 8  # four methods, two trials
 
 
 def test_classify_wrong_arity_query_exits_2_naming_row(classify_files, tmp_path, capsys):

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cmimpute.evaluate
+import cmimpute.impute
 from cmimpute.casestudy import MASKED_CELLS, fixture_text
 from cmimpute.dataset import (
     CATEGORICAL,
@@ -39,13 +41,15 @@ from cmimpute.evaluate import (
     baseline_class_stats,
     baseline_knn_donor,
     derive_seed,
+    experiment_from_spec,
     inject_mcar,
-    load_experiment_config,
     make_synthetic_dataset,
     mask_cells,
+    read_experiment_spec,
     run_experiment,
     score_imputation,
 )
+from cmimpute.impute import _pool_value
 from cmimpute.mapping import mean, squared_distances
 from conftest import dataset_of
 
@@ -299,6 +303,42 @@ def test_class_stats_falls_back_to_all_donors_for_unlabeled_query():
     completed = baseline_class_stats(dataset_of(ds.schema, records))
     # Pool is every complete record: mean of 2, 4, 9.
     assert completed.record("R5").cells[0] == pytest.approx(5.0)
+
+
+def per_cell_class_stats(dataset: Dataset) -> np.ndarray:
+    """The per-class baseline as it ran once per missing cell: the
+    cell's class pool, or every complete row, gathered for each cell."""
+    X, labels = dataset.matrix, dataset.labels
+    complete = np.flatnonzero(~np.isnan(X).any(axis=1)).tolist()
+    filled = X.copy()
+    for row, attr in zip(*np.nonzero(np.isnan(X))):
+        pool = [i for i in complete if labels[row] is not None and labels[i] == labels[row]] or complete
+        filled[row, attr] = _pool_value(X[pool, attr].tolist(), dataset.schema.attributes[attr])[0]
+    return filled
+
+
+def test_class_stats_computes_each_statistic_once(monkeypatch):
+    masked, plan = inject_mcar(make_synthetic_dataset(1000), 0.05, seed=2)
+    calls = []
+    for module in (cmimpute.impute, cmimpute.evaluate):
+        original = module._pool_value
+        monkeypatch.setattr(module, "_pool_value", lambda *a, f=original: calls.append(a[1].name) or f(*a))
+    completed = baseline_class_stats(masked)
+    assert len(plan) == 350
+    assert len(calls) <= (masked.n_classes + 1) * masked.schema.arity
+    assert np.array_equal(completed.matrix, per_cell_class_stats(masked))
+
+
+def test_class_stats_match_a_per_cell_pool_bit_for_bit():
+    # Unlabeled queries and a class whose every row has a hole take
+    # the pool of all complete rows; the rest take their class's pool.
+    masked, _ = inject_mcar(make_synthetic_dataset(200), 0.1, seed=4)
+    holed = np.isnan(masked.matrix).any(axis=1)
+    labels = [
+        None if i % 5 == 0 else "lone" if holed[i] and i % 5 == 1 else label for i, label in enumerate(masked.labels)
+    ]
+    relabeled = Dataset(masked.schema, masked.ids, labels, masked.columns)
+    assert np.array_equal(baseline_class_stats(relabeled).matrix, per_cell_class_stats(relabeled))
 
 
 def test_knn_donor_baseline_uses_observed_coordinates():
@@ -629,7 +669,7 @@ def test_load_experiment_config_synthetic(tmp_path):
             }
         )
     )
-    config = load_experiment_config(str(path))
+    config = experiment_from_spec(*read_experiment_spec(str(path)))
     assert len(config.dataset) == 20
     assert config.methods == (METHOD_ABSOLUTE,)
     assert config.rates == (0.2,)
@@ -653,7 +693,7 @@ def test_load_experiment_config_with_dataset_paths(tmp_path):
             }
         )
     )
-    config = load_experiment_config(str(path))
+    config = experiment_from_spec(*read_experiment_spec(str(path)))
     assert config.plan == (("R3", 2), ("R5", 3))
     report = run_experiment(config)
     assert report.results[0].categorical_accuracy == 1.0
@@ -664,19 +704,19 @@ def test_load_experiment_config_errors(tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
     with pytest.raises(ConfigError, match="JSON"):
-        load_experiment_config(str(bad_json))
+        experiment_from_spec(*read_experiment_spec(str(bad_json)))
 
     not_object = tmp_path / "arr.json"
     not_object.write_text("[]")
     with pytest.raises(ConfigError, match="object"):
-        load_experiment_config(str(not_object))
+        experiment_from_spec(*read_experiment_spec(str(not_object)))
 
     no_source = tmp_path / "none.json"
     no_source.write_text("{}")
     with pytest.raises(ConfigError, match="synthetic"):
-        load_experiment_config(str(no_source))
+        experiment_from_spec(*read_experiment_spec(str(no_source)))
 
     bad_plan = tmp_path / "plan.json"
     bad_plan.write_text(json.dumps({"synthetic": {}, "plan": ["R3"]}))
     with pytest.raises(ConfigError, match="plan"):
-        load_experiment_config(str(bad_plan))
+        experiment_from_spec(*read_experiment_spec(str(bad_plan)))

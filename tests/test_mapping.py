@@ -175,8 +175,8 @@ def left_to_right(terms) -> float:
 
 def reference_squared(cells, center) -> float:
     """Python's arithmetic: (c - u) ** 2 through libm pow, added left
-    to right over the observed coordinates."""
-    return left_to_right((c - u) ** 2 for c, u in zip(cells, center) if c is not None)
+    to right over the coordinates both sides observe."""
+    return left_to_right((c - u) ** 2 for c, u in zip(cells, center) if c is not None and u is not None)
 
 
 # Values hypothesis picks: magnitudes up to the parse bound and small
@@ -201,9 +201,15 @@ def test_kernel_matches_the_scalar_reference_bit_for_bit(n, k, data):
         rows[i][j] = data.draw(special_values)
     centers = rows[m:] if data.draw(st.booleans()) else data.draw(st.lists(st.sampled_from(rows), min_size=k, max_size=k))
     rows = rows[:m] + data.draw(st.lists(st.sampled_from(rows), max_size=3))  # duplicates
+    # Holes on both sides: baseline_knn_donor passes its queries,
+    # NaN cells and all, as U.
     holes = data.draw(st.sets(st.tuples(st.integers(0, len(rows) - 1), st.integers(0, n - 1)), max_size=m))
     cells = [
         tuple(None if (i, j) in holes else v for j, v in enumerate(r)) for i, r in enumerate(rows)
+    ]
+    center_holes = data.draw(st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, n - 1)), max_size=k))
+    centers = [
+        tuple(None if (i, j) in center_holes else v for j, v in enumerate(u)) for i, u in enumerate(centers)
     ]
 
     got = squared_distances(cells, centers).tolist()
