@@ -184,6 +184,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     schema = load_schema(schema_path)
     train = encode(load_dataset(train_path, schema))
     queries = _load_queries(query_path, train.schema)
+    # The report joins tied labels with ';', so a label holding one
+    # would read as several.
+    split = [rid for rid, label in zip(train.ids, train.labels) if label is not None and ";" in label]
+    if split:
+        raise ParseError(f"training record {split[0]} has a label holding ';', the report's label separator")
 
     header = ["query", "labels", "nearest"]
     if args.with_knn_baseline:

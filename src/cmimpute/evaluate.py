@@ -100,20 +100,15 @@ def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, Mask
             f"rate {rate} would mask {count} cells but only {m * (n - 1)} can be "
             "masked without emptying a record"
         )
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(m * n)
-    per_record = Counter()
-    chosen: list[tuple[int, int]] = []
-    for flat in order:
-        if len(chosen) == count:
-            break
-        row, col = divmod(int(flat), n)
-        if per_record[row] == n - 1:  # keep at least one observed cell
-            continue
-        per_record[row] += 1
-        chosen.append((row, col))
-    chosen.sort()
-    return _apply_mask(dataset, chosen)
+    order = np.random.default_rng(seed).permutation(m * n)
+    # Each cell's rank among its record's cells in permutation order:
+    # the stable sort groups the n cells of a record in that order.
+    rank = np.empty(m * n, dtype=np.intp)
+    rank[np.argsort(order // n, kind="stable")] = np.arange(m * n) % n
+    # The first count cells, in permutation order, that leave their
+    # record at least one observed cell.
+    chosen = np.sort(order[np.flatnonzero(rank < n - 1)[:count]])
+    return _apply_mask(dataset, chosen // n, chosen % n)
 
 
 def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Dataset, MaskPlan]:
@@ -137,13 +132,12 @@ def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Data
         if masked >= n:
             raise ConfigError(f"record {dataset.ids[row]} would lose every cell")
     chosen.sort()
-    return _apply_mask(dataset, chosen)
+    return _apply_mask(dataset, *np.array(chosen, dtype=np.intp).reshape(-1, 2).T)
 
 
-def _apply_mask(dataset: Dataset, chosen: list[tuple[int, int]]) -> tuple[Dataset, MaskPlan]:
-    # chosen is sorted by (row, col), so the plan lists cells in
+def _apply_mask(dataset: Dataset, rows: np.ndarray, attrs: np.ndarray) -> tuple[Dataset, MaskPlan]:
+    # The cells are sorted by (row, attr), so the plan lists them in
     # row-major order and the result is independent of selection order.
-    rows, attrs = np.array(chosen, dtype=np.intp).reshape(-1, 2).T
     values = dataset.matrix[rows, attrs]
     values.flags.writeable = False
     X = dataset.matrix.copy()
@@ -293,11 +287,9 @@ class EvaluationReport:
                 out[method][metric] = mean(defined) if defined else None
         return out
 
-    def to_dict(self) -> dict:
-        return _as_dict(self) | {"results": tuple(map(_as_dict, self.results)), "aggregates": self.aggregates()}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        report = _as_dict(self) | {"results": tuple(map(_as_dict, self.results)), "aggregates": self.aggregates()}
+        return json.dumps(report, sort_keys=True, indent=2)
 
     def summary_csv(self) -> str:
         """One row per result, a column per TrialResult field; an

@@ -693,6 +693,22 @@ def test_classify_incomplete_training_record_exits_2(tmp_path, capsys):
     assert "training record R2 has missing cells; impute first" in capsys.readouterr().err
 
 
+def test_classify_training_label_holding_the_tie_separator_exits_2_before_writing(tmp_path, capsys):
+    # With labels "Level;1" and "Level-2" a tie would print
+    # "Level;1;Level-2", which reads as three labels.
+    rows = fixture_text("table16_classification.csv").splitlines()
+    for i in (2, 4):  # R2 and R4
+        rows[i] = rows[i].replace("Level-1", "Level;1")
+    train = write(tmp_path / "train.csv", "\n".join(rows) + "\n")
+    schema = write(tmp_path / "schema.json", fixture_text("schema_classification.json"))
+    query = write(tmp_path / "query.csv", QUERY_HEADER + NEW_RECORD_ROW)
+    out = tmp_path / "labels.csv"
+    code = main(["classify", "--train", train, "--schema", schema, "--query", query, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "training record R2 has a label holding ';'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_training_without_labels_and_without_k_exits_4(tmp_path, capsys):
     rows = [row.rsplit(",", 1)[0] + "," for row in fixture_text("table16_classification.csv").splitlines()]
     train = write(tmp_path / "train.csv", "P1,P2,P3,P4,Class\n" + "\n".join(rows[1:]) + "\n")

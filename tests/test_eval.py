@@ -3,6 +3,7 @@ driver."""
 
 from __future__ import annotations
 
+import collections
 import copy
 import hashlib
 import json
@@ -131,6 +132,40 @@ def test_inject_never_empties_a_record(seed, rate):
     n = ds.schema.arity
     assert np.isnan(masked.matrix).sum(axis=1).max() <= n - 1
     assert len(plan) == round(rate * len(ds.records) * n)
+
+
+def reference_mcar_cells(m: int, n: int, rate: float, seed: int) -> list[tuple[int, int]]:
+    """inject_mcar's cell choice as a walk over the permutation: take
+    each cell in turn unless its record already has n - 1 masked cells,
+    until round(rate * m * n) are taken; (row, attr) pairs, sorted."""
+    count = round(rate * m * n)
+    per_record = collections.Counter()
+    chosen = []
+    for flat in np.random.default_rng(seed).permutation(m * n).tolist():
+        if len(chosen) == count:
+            break
+        row, attr = divmod(flat, n)
+        if per_record[row] < n - 1:
+            per_record[row] += 1
+            chosen.append((row, attr))
+    return sorted(chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 8),
+    st.floats(0.001, 0.999),
+    st.integers(0, 2**32 - 1),
+)
+def test_inject_chooses_the_cells_of_the_permutation_walk(m, n, rate, seed):
+    assume(round(rate * m * n) <= m * (n - 1))
+    schema = Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(n)), None)
+    ds = dataset_of(schema, (rec(f"R{i}", *range(i * n, (i + 1) * n)) for i in range(m)))
+    masked, plan = inject_mcar(ds, rate, seed)
+    cells = list(zip(plan.rows.tolist(), plan.attrs.tolist()))
+    assert cells == reference_mcar_cells(m, n, rate, seed)
+    assert np.isnan(masked.matrix).sum() == len(cells)
 
 
 def test_inject_rate_bounds():

@@ -1,0 +1,64 @@
+"""What the package exposes, and the README's Python blocks run as
+written."""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import cmimpute
+from cmimpute.casestudy import fixture_text
+
+MODULES = ("classify", "dataset", "errors", "evaluate", "impute", "kmeans", "mapping")
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Per fenced python block of the README, in order: each file the block
+# reads, as the bundled fixture written under that name.
+README_BLOCK_FILES = (
+    {"schema.json": "schema_missing.json", "data.csv": "table03_missing_raw.csv"},
+    {"schema.json": "schema_classification.json", "train.csv": "table16_classification.csv"},
+)
+
+
+def test_importing_the_package_loads_exactly_its_modules():
+    probe = "import sys, cmimpute; print(' '.join(sorted(m for m in sys.modules if m.startswith('cmimpute'))))"
+    package_root = os.path.dirname(os.path.dirname(cmimpute.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == ["cmimpute", *(f"cmimpute.{name}" for name in MODULES)]
+
+
+def test_the_package_binds_no_public_name_but_its_modules():
+    public = {name for name in vars(cmimpute) if not name.startswith("_")}
+    # Importing a submodule binds it too (the test suite imports cli and
+    # casestudy), so only modules of the package may appear.
+    assert set(MODULES) <= public
+    assert all(getattr(cmimpute, name).__name__ == f"cmimpute.{name}" for name in public)
+    assert not hasattr(cmimpute, "__version__")  # pyproject.toml holds the version
+
+
+def readme_python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.S | re.M)
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    blocks = readme_python_blocks()
+    assert len(blocks) == len(README_BLOCK_FILES)
+    for i, (block, files) in enumerate(zip(blocks, README_BLOCK_FILES)):
+        workdir = tmp_path / f"block{i}"
+        workdir.mkdir()
+        for name, fixture in files.items():
+            (workdir / name).write_text(fixture_text(fixture), encoding="utf-8")
+        monkeypatch.chdir(workdir)
+        exec(compile(block, f"{README.name} python block {i + 1}", "exec"), {"__name__": "__readme__"})
+    assert (tmp_path / "block0" / "completed.csv").exists()
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == "('Level-1',) ('R2',)"
