@@ -8,9 +8,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -107,8 +106,7 @@ def expected_clusters(name: str) -> dict[str, tuple[str, ...]]:
     return {cluster: tuple(members.split(";")) for cluster, members in _expected_rows(name)}
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     table: str
     cell: str
     computed: str
@@ -116,16 +114,14 @@ class CellCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(NamedTuple):
     name: str
     printed: str
     computed: str
     note: str
 
 
-@dataclass(frozen=True)
-class CaseStudyReport:
+class CaseStudyReport(NamedTuple):
     tolerance: float
     checks: tuple[CellCheck, ...]
     errata: tuple[Erratum, ...]

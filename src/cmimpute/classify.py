@@ -10,9 +10,8 @@ screened search that squares only the rows that may be nearest (raw
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from .mapping import (
 )
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     """Predicted label(s), the training record(s) that carried them,
     and the per-record distance column the decision came from, a
     read-only mapping whose values are computed when read."""

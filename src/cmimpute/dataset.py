@@ -6,9 +6,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,10 +32,9 @@ MISSING_FIELD = "?"
 MAX_MAGNITUDE = 1e100
 
 
-@dataclass(frozen=True)
 class AttributeSpec:
     """One column: its name, kind, and (for categoricals) the symbol
-    to ordinal encoding map.
+    to ordinal encoding map.  Never mutated.
 
     Ordinals are contiguous positive integers starting at 1 so that
     decoding can invert the map without ambiguity.  An empty encoding
@@ -44,21 +42,23 @@ class AttributeSpec:
     build one from the data in sorted symbol order.
     """
 
-    name: str
-    kind: str
-    encoding: Mapping[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in (NUMERIC, CATEGORICAL):
-            raise SchemaError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
-        if self.kind == NUMERIC and self.encoding:
-            raise SchemaError(f"attribute {self.name!r}: numeric attributes take no encoding")
+    def __init__(self, name: str, kind: str, encoding: Mapping[str, int] | None = None) -> None:
+        self.name, self.kind, self.encoding = name, kind, {} if encoding is None else encoding
+        if kind not in (NUMERIC, CATEGORICAL):
+            raise SchemaError(f"attribute {name!r}: unknown kind {kind!r}")
+        if kind == NUMERIC and self.encoding:
+            raise SchemaError(f"attribute {name!r}: numeric attributes take no encoding")
         if self.encoding:
             ordinals = sorted(self.encoding.values())
             if ordinals != list(range(1, len(ordinals) + 1)):
                 raise SchemaError(
-                    f"attribute {self.name!r}: ordinals must be contiguous from 1, got {ordinals}"
+                    f"attribute {name!r}: ordinals must be contiguous from 1, got {ordinals}"
                 )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AttributeSpec):
+            return NotImplemented
+        return (self.name, self.kind, self.encoding) == (other.name, other.kind, other.encoding)
 
     @property
     def is_frozen(self) -> bool:
@@ -88,23 +88,33 @@ class AttributeSpec:
         return {ordinal: symbol for symbol, ordinal in self.encoding.items()}
 
 
-@dataclass(frozen=True)
 class Schema:
     """Column specs plus the optional label column and the marker
-    strings that denote a missing cell."""
+    strings that denote a missing cell.  Never mutated."""
 
-    attributes: tuple[AttributeSpec, ...]
-    label_column: str | None = None
-    missing_markers: frozenset[str] = DEFAULT_MISSING_MARKERS
-
-    def __post_init__(self) -> None:
-        if not self.attributes:
+    def __init__(
+        self,
+        attributes: tuple[AttributeSpec, ...],
+        label_column: str | None = None,
+        missing_markers: frozenset[str] = DEFAULT_MISSING_MARKERS,
+    ) -> None:
+        self.attributes, self.label_column, self.missing_markers = attributes, label_column, missing_markers
+        if not attributes:
             raise SchemaError("schema needs at least one attribute")
-        names = [a.name for a in self.attributes]
+        names = [a.name for a in attributes]
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate attribute names: {names}")
-        if self.label_column in names:
-            raise SchemaError(f"label column {self.label_column!r} collides with an attribute")
+        if label_column in names:
+            raise SchemaError(f"label column {label_column!r} collides with an attribute")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Schema):
+            return NotImplemented
+        return (self.attributes, self.label_column, self.missing_markers) == (
+            other.attributes,
+            other.label_column,
+            other.missing_markers,
+        )
 
     @property
     def arity(self) -> int:
@@ -153,8 +163,7 @@ def load_schema(path: str) -> Schema:
     return schema_from_dict(read_json(path, SchemaError))
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One row: an id, a fixed-arity cell tuple, and an optional
     decision-class label."""
 
@@ -179,15 +188,14 @@ def _column(cells: Sequence[Cell]) -> Column:
     return tuple(cells)
 
 
-@dataclass(frozen=True)
 class FieldText:
     """A numeric column's fields as they were read and the values parsed
     from them.  The writer copies a canonical field (see
     _canonical_fields) wherever its cell still holds the value parsed
-    from it, instead of rendering the value again."""
+    from it, instead of rendering the value again.  Never mutated."""
 
-    fields: Sequence[str]
-    values: np.ndarray
+    def __init__(self, fields: Sequence[str], values: np.ndarray) -> None:
+        self.fields, self.values = fields, values
 
     @cached_property
     def canonical(self) -> np.ndarray:
@@ -344,8 +352,7 @@ class Dataset:
         return {}
 
 
-@dataclass(frozen=True)
-class GroupSplit:
+class GroupSplit(NamedTuple):
     """Complete records (g1, the donor pool) and records with at least
     one missing cell (g2, the queries), both in original order."""
 

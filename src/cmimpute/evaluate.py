@@ -7,9 +7,8 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, fields
 from functools import cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -63,17 +62,14 @@ _METHODS = {
 ALL_METHODS = tuple(_METHODS)
 
 
-@dataclass(frozen=True, eq=False)
 class MaskPlan:
     """Ground truth for every masked cell, as arrays aligned with the
     masked dataset (ids is its id tuple): cell i sits at row rows[i] and
     attribute attrs[i] and held values[i], a read-only array.  Cells
-    are in row-major order."""
+    are in row-major order.  Never mutated."""
 
-    ids: tuple[str, ...]
-    rows: np.ndarray
-    attrs: np.ndarray
-    values: np.ndarray
+    def __init__(self, ids: tuple[str, ...], rows: np.ndarray, attrs: np.ndarray, values: np.ndarray) -> None:
+        self.ids, self.rows, self.attrs, self.values = ids, rows, attrs, values
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -145,8 +141,7 @@ def _apply_mask(dataset: Dataset, rows: np.ndarray, attrs: np.ndarray) -> tuple[
     return Dataset(dataset.schema, dataset.ids, dataset.labels, X.T), MaskPlan(dataset.ids, rows, attrs, values)
 
 
-@dataclass(frozen=True)
-class ImputationScore:
+class ImputationScore(NamedTuple):
     """RMSE over numeric masked cells and exact-match accuracy over
     categorical ones; None where no cell of that kind was masked."""
 
@@ -219,39 +214,43 @@ def baseline_knn_donor(dataset: Dataset) -> Dataset:
     return Dataset(dataset.schema, dataset.ids, dataset.labels, filled.T)
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
     """A masking benchmark: either random rates over trials, or one
     explicit plan of cells to mask (plan runs skip the holdout so the
-    planned records are guaranteed to be present)."""
+    planned records are guaranteed to be present).  Never mutated."""
 
-    dataset: Dataset
-    methods: tuple[str, ...] = ALL_METHODS
-    rates: tuple[float, ...] = (0.1,)
-    trials: int = 1
-    master_seed: int = 0
-    holdout_fraction: float = 0.2
-    plan: tuple[tuple[str, int], ...] | None = None
-
-    def __post_init__(self) -> None:
-        unknown = [m for m in self.methods if m not in ALL_METHODS]
+    def __init__(
+        self,
+        dataset: Dataset,
+        methods: tuple[str, ...] = ALL_METHODS,
+        rates: tuple[float, ...] = (0.1,),
+        trials: int = 1,
+        master_seed: int = 0,
+        holdout_fraction: float = 0.2,
+        plan: tuple[tuple[str, int], ...] | None = None,
+    ) -> None:
+        self.dataset, self.methods, self.rates, self.trials = dataset, methods, rates, trials
+        self.master_seed, self.holdout_fraction, self.plan = master_seed, holdout_fraction, plan
+        unknown = [m for m in methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
-        if not self.methods:
+        if not methods:
             raise ConfigError("at least one method is required")
-        for rate in self.rates:
+        repeated = [m for m, n in Counter(methods).items() if n > 1]
+        if repeated:
+            raise ConfigError(f"method {repeated[0]!r} listed twice")
+        for rate in rates:
             if not 0 < rate < 1:
                 raise ConfigError(f"rates must lie in (0, 1), got {rate}")
-        if self.trials < 0:
-            raise ConfigError(f"trials must be non-negative, got {self.trials}")
-        if not 0 <= self.holdout_fraction < 1:
-            raise ConfigError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
-        if self.plan is not None and not self.plan:
+        if trials < 0:
+            raise ConfigError(f"trials must be non-negative, got {trials}")
+        if not 0 <= holdout_fraction < 1:
+            raise ConfigError(f"holdout_fraction must be in [0, 1), got {holdout_fraction}")
+        if plan is not None and not plan:
             raise ConfigError("an explicit plan must name at least one cell")
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     method: str
     rate: float | None
     trial: int
@@ -266,8 +265,7 @@ class TrialResult:
 _METRICS = ("numeric_rmse", "categorical_accuracy", "downstream_accuracy")
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     methods: tuple[str, ...]
     rates: tuple[float, ...]
     trials: int
@@ -288,20 +286,14 @@ class EvaluationReport:
         return out
 
     def to_json(self) -> str:
-        report = _as_dict(self) | {"results": tuple(map(_as_dict, self.results)), "aggregates": self.aggregates()}
+        report = self._asdict() | {"results": tuple(r._asdict() for r in self.results), "aggregates": self.aggregates()}
         return json.dumps(report, sort_keys=True, indent=2)
 
     def summary_csv(self) -> str:
         """One row per result, a column per TrialResult field; an
         undefined metric is an empty field."""
-        rows = [["" if v is None else str(v) for v in _as_dict(r).values()] for r in self.results]
-        return csv_text([field.name for field in fields(TrialResult)], list(zip(*rows)))
-
-
-def _as_dict(obj) -> dict:
-    """A dataclass's fields by name, in field order, read as they are:
-    dataclasses.asdict and astuple would deep-copy every leaf."""
-    return {field.name: getattr(obj, field.name) for field in fields(obj)}
+        rows = [["" if v is None else str(v) for v in r] for r in self.results]
+        return csv_text(list(TrialResult._fields), list(zip(*rows)))
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -345,7 +337,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             except (ConfigError, InsufficientDataError, CannotClassifyError) as exc:
                 where = "plan" if rate is None else f"rate {rate}, trial {trial}"
                 raise type(exc)(f"{where}, {method}: {exc}") from exc
-            results.append(TrialResult(method, rate, trial, mask_seed, len(plan), *_as_dict(score).values(), downstream))
+            results.append(TrialResult(method, rate, trial, mask_seed, len(plan), *score, downstream))
     return EvaluationReport(
         methods=config.methods,
         rates=config.rates,

@@ -6,9 +6,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +26,7 @@ MODE_ABSOLUTE = "absolute"
 MODES = (MODE_SIGNED, MODE_ABSOLUTE)
 
 
-@dataclass(frozen=True)
-class DifferenceTable:
+class DifferenceTable(NamedTuple):
     """d_ij = Map(R_i) - Map'(R_j) for every donor i and query j.
 
     Donor selection never builds it; it exists to print and check the
@@ -216,24 +214,19 @@ def _tie_class(donors: Sequence[int], g1: Dataset, maps: MappingTable) -> str | 
     return g1.labels[min(contenders, key=maps.donor_values.__getitem__)]
 
 
-@dataclass(frozen=True)
 class ImputeConfig:
     """Pipeline knobs: selection mode, cluster count (derived from the
-    labels when omitted), and k-means init policy."""
+    labels when omitted), and k-means init policy.  Never mutated."""
 
-    mode: str = MODE_ABSOLUTE
-    k: int | None = None
-    init: InitPolicy = FarthestFirst(0)
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.k is not None and (not isinstance(self.k, int) or self.k < 1):
-            raise ConfigError(f"k must be a positive integer, got {self.k!r}")
+    def __init__(self, mode: str = MODE_ABSOLUTE, k: int | None = None, init: InitPolicy = FarthestFirst(0)) -> None:
+        self.mode, self.k, self.init = mode, k, init
+        if mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        if k is not None and (not isinstance(k, int) or k < 1):
+            raise ConfigError(f"k must be a positive integer, got {k!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class CellFill:
+class CellFill(NamedTuple):
     """Provenance for one imputed cell."""
 
     query_id: str
@@ -245,7 +238,6 @@ class CellFill:
     tie_policy: str
 
 
-@dataclass(frozen=True)
 class ImputationResult:
     """The completed dataset, the selection mode, and the cluster model
     and mapping table (None when no cell was missing).  The imputed
@@ -253,17 +245,22 @@ class ImputationResult:
     query's position among the table's queries (rows), its attribute
     (attrs), its value and its tie policy; donors holds each query's
     tied donors as donor-pool positions.  fills is built from these
-    columns when first read."""
+    columns when first read.  Never mutated."""
 
-    dataset: Dataset
-    mode: str
-    model: ClusterModel | None = None
-    maps: MappingTable | None = None
-    rows: Sequence[int] = ()
-    attrs: Sequence[int] = ()
-    values: Sequence[float] = ()
-    policies: Sequence[str] = ()
-    donors: Sequence[tuple[int, ...]] = ()
+    def __init__(
+        self,
+        dataset: Dataset,
+        mode: str,
+        model: ClusterModel | None = None,
+        maps: MappingTable | None = None,
+        rows: Sequence[int] = (),
+        attrs: Sequence[int] = (),
+        values: Sequence[float] = (),
+        policies: Sequence[str] = (),
+        donors: Sequence[tuple[int, ...]] = (),
+    ) -> None:
+        self.dataset, self.mode, self.model, self.maps = dataset, mode, model, maps
+        self.rows, self.attrs, self.values, self.policies, self.donors = rows, attrs, values, policies, donors
 
     @cached_property
     def fills(self) -> tuple[CellFill, ...]:

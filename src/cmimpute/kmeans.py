@@ -3,8 +3,7 @@ policies and a fixed-partition mode for exact table reproduction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -14,15 +13,13 @@ from .errors import ConfigError, InsufficientDataError
 MAX_ITERATIONS = 100
 
 
-@dataclass(frozen=True)
-class SeededRandom:
+class SeededRandom(NamedTuple):
     """Pick k distinct records as initial centers, uniformly at random."""
 
     seed: int
 
 
-@dataclass(frozen=True)
-class FarthestFirst:
+class FarthestFirst(NamedTuple):
     """Pick a random first center, then greedily the record farthest
     from all chosen centers.  Deterministic given the seed; spreads
     centers well on small data."""
@@ -30,8 +27,7 @@ class FarthestFirst:
     seed: int
 
 
-@dataclass(frozen=True)
-class FixedPartition:
+class FixedPartition(NamedTuple):
     """Take the cluster membership as given: centroids are computed
     once and no iteration runs.  Exists so golden comparisons do not
     depend on which local optimum an iterative run lands in."""
@@ -42,8 +38,7 @@ class FixedPartition:
 InitPolicy = SeededRandom | FarthestFirst | FixedPartition
 
 
-@dataclass(frozen=True)
-class ClusterModel:
+class ClusterModel(NamedTuple):
     """Centroids plus the record-to-cluster assignment that produced
     them; k is len(centroids).  sse_history holds the total
     within-cluster sum of squared distances after every assignment step
@@ -52,7 +47,7 @@ class ClusterModel:
 
     centroids: tuple[tuple[float, ...], ...]
     assignment: Mapping[str, int]
-    sse_history: tuple[float, ...] = field(default=())
+    sse_history: tuple[float, ...] = ()
     converged: bool = True
     reseeds: int = 0
 

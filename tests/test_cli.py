@@ -496,13 +496,13 @@ def test_classify_builds_a_record_only_for_the_knn_baseline(classify_files, tmp_
     _, train, schema, query, config = classify_files
     write(tmp_path / "query.csv", QUERY_HEADER + NEW_RECORD_ROW + "1,1,1,1\n")
     built = []
-    original = Record.__init__
+    original = Record.__new__
 
-    def counting(self, *args, **kwargs):
+    def counting(cls, *args, **kwargs):
         built.append(args[0])
-        original(self, *args, **kwargs)
+        return original(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Record, "__init__", counting)
+    monkeypatch.setattr(Record, "__new__", counting)
     argv = ["classify", "--train", train, "--schema", schema, "--query", query, "--config", config]
     assert main(argv + ["--out", str(tmp_path / "mapped.csv")]) == EXIT_OK
     assert built == []
@@ -795,6 +795,14 @@ def test_evaluate_unknown_method_exits_2(tmp_path, capsys):
     )
     assert main(["evaluate", "--config", spec]) == EXIT_USAGE
     assert "telepathy" in capsys.readouterr().err
+
+
+def test_evaluate_method_listed_twice_exits_2(tmp_path, capsys):
+    spec = {"synthetic": {"records": 30}, "methods": ["raw-knn-donor", "raw-knn-donor"]}
+    assert main(["evaluate", "--config", write(tmp_path / "exp.json", json.dumps(spec))]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "method 'raw-knn-donor' listed twice" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -554,13 +554,13 @@ def test_experiment_report_is_pinned():
 def test_an_experiment_builds_no_record(monkeypatch):
     dataset = make_synthetic_dataset(60, seed=7)
     built = []
-    original = Record.__init__
+    original = Record.__new__
 
-    def counting(self, *args, **kwargs):
+    def counting(cls, *args, **kwargs):
         built.append(args[0])
-        original(self, *args, **kwargs)
+        return original(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Record, "__init__", counting)
+    monkeypatch.setattr(Record, "__new__", counting)
     report = run_experiment(ExperimentConfig(dataset, rates=(0.1,), trials=2, master_seed=3))
     assert len(report.results) == 2 * len(ALL_METHODS)
     assert built == []

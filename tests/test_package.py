@@ -3,6 +3,7 @@ written."""
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
@@ -34,6 +35,23 @@ def test_importing_the_package_loads_exactly_its_modules():
         check=True,
     )
     assert done.stdout.split() == ["cmimpute", *(f"cmimpute.{name}" for name in MODULES)]
+
+
+def test_importing_the_package_and_its_cli_loads_no_dataclasses():
+    probe = "import sys, cmimpute, cmimpute.cli; print('dataclasses' in sys.modules)"
+    package_root = os.path.dirname(os.path.dirname(cmimpute.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == ["False"]
+    modules = [importlib.import_module(f"cmimpute.{name}") for name in (*MODULES, "casestudy", "cli")]
+    classes = [v for m in modules for v in vars(m).values() if isinstance(v, type) and v.__module__ == m.__name__]
+    assert len(classes) >= 22  # the record, config and result types among them
+    assert [c.__name__ for c in classes if hasattr(c, "__dataclass_fields__")] == []
 
 
 def test_the_package_binds_no_public_name_but_its_modules():
