@@ -4,6 +4,7 @@ the donor/tie fill rules for missing cells."""
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
@@ -65,46 +66,40 @@ def _nearest_rows(maps: MappingTable, c: float, mode: str) -> tuple[int, ...]:
     """The donor-pool positions, ascending, of all donors attaining the
     minimal difference d_ij for a query whose mapping value is c.
 
-    paper-signed minimizes the signed d_ij, which does not depend on
-    the query at all: argmin_i (Map(R_i) - c) is argmin_i Map(R_i) for
-    any constant c.  absolute minimizes |d_ij|, nearest neighbor on
-    the mapping scalar.  Ties are exact float equality.
-
-    The search runs on the donor values sorted once per table, in
-    O(log m) plus the size of the tie set.  Float subtraction rounds
+    One search on the donor values sorted once per table, in O(log m)
+    plus the size of the tie set; the mode picks its start and key.
+    absolute minimizes |d_ij|, nearest neighbor on the mapping scalar,
+    from the insertion point of c.  paper-signed minimizes the signed
+    d_ij from sorted position 0: argmin_i (Map(R_i) - c) is argmin_i
+    Map(R_i) for any constant c, so it does not depend on the query.
+    Ties are exact float equality.  Float subtraction rounds
     monotonically and fl(a - c) == -fl(c - a), so fl(a - c) never
-    decreases as a grows: the signed tie set is a prefix of the sorted
-    values, and the absolute tie set a contiguous run around the
-    insertion point of c whose minimum sits at one of its two
-    neighbours.  Each run is widened with the same arithmetic as d_ij,
-    so values that rounding merges tie exactly as they do in the table.
+    decreases as a grows: the tie set is a contiguous run, which starts
+    at 0 for the signed key and holds one of the start's two neighbours
+    for the absolute one.  The run is widened with the same arithmetic
+    as d_ij, so values that rounding merges tie exactly as they do in
+    the table.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     values, order = maps.sorted_donors
     if not values:
         raise NoDonorsError("no complete records to select from")
-    if mode == MODE_SIGNED:
-        best = values[0] - c
-        lo, hi = 0, 1
-        while hi < len(values) and values[hi] - c == best:
-            hi += 1
-    else:
-        pos = bisect_left(values, c)
-        best = min(abs(values[i] - c) for i in (pos - 1, pos) if 0 <= i < len(values))
-        lo = hi = pos
-        while lo > 0 and abs(values[lo - 1] - c) == best:
-            lo -= 1
-        while hi < len(values) and abs(values[hi] - c) == best:
-            hi += 1
+    pos, key = (0, operator.pos) if mode == MODE_SIGNED else (bisect_left(values, c), abs)
+    best = min(key(values[i] - c) for i in (pos - 1, pos) if 0 <= i < len(values))
+    lo = hi = pos
+    while lo > 0 and key(values[lo - 1] - c) == best:
+        lo -= 1
+    while hi < len(values) and key(values[hi] - c) == best:
+        hi += 1
     return tuple(sorted(order[lo:hi]))
 
 
 def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> list[tuple[int, ...]]:
-    """_nearest_rows for every query mapping value in c.  Every query's
-    nearest donor is found at once on the table's sorted donor values,
-    with whether it is alone in its tie run, i.e. no second neighbour
-    ties it; only a query whose donor is not alone goes through
+    """_nearest_rows for every query mapping value in c, with the same
+    start and key: every query's nearest donor is found at once on the
+    sorted donor values (the start's left neighbour when both tie), and
+    only a query whose donor has a tying neighbour goes through
     _nearest_rows' search.  The keys are formed elementwise as
     _nearest_rows forms them, so both round the same."""
     if mode not in MODES:
@@ -112,18 +107,13 @@ def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> list[tuple[int,
     values, order = maps.sorted_arrays
     if not len(values):
         raise NoDonorsError("no complete records to select from")
-    if mode == MODE_SIGNED:
-        pick = np.zeros(len(c), dtype=np.intp)
-        single = values[1] - c != values[0] - c if len(values) > 1 else np.ones(len(c), dtype=bool)
-    else:
-        # Two infinite sentinels on each side: their key never ties.
-        padded = np.concatenate(([math.inf] * 2, values, [math.inf] * 2))
-        pos = np.searchsorted(values, c)
-        key = [np.abs(padded[pos + shift] - c) for shift in range(4)]  # pos-2 .. pos+1
-        best = np.minimum(key[1], key[2])
-        left, right = key[1] == best, key[2] == best
-        single = (left != right) & ~(left & (key[0] == best)) & ~(right & (key[3] == best))
-        pick = pos - left
+    pos, key = (0, operator.pos) if mode == MODE_SIGNED else (np.searchsorted(values, c), abs)
+    # An infinite sentinel on each side, whose key never ties: padded[p + 1] is values[p].
+    padded = np.concatenate(([math.inf], values, [math.inf]))
+    left, right = key(padded[pos] - c), key(padded[pos + 1] - c)
+    best = np.minimum(left, right)
+    pick = pos - (left <= right)
+    single = (key(padded[pick] - c) != best) & (key(padded[pick + 2] - c) != best)
     donors = [(d,) for d in order[pick].tolist()]
     for j in np.flatnonzero(~single).tolist():
         donors[j] = _nearest_rows(maps, float(c[j]), mode)

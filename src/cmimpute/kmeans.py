@@ -28,9 +28,11 @@ class FarthestFirst(NamedTuple):
 
 
 class FixedPartition(NamedTuple):
-    """Take the cluster membership as given: centroids are computed
-    once and no iteration runs.  Exists so golden comparisons do not
-    depend on which local optimum an iterative run lands in."""
+    """Take the cluster membership as given: no iteration runs, and
+    each centroid, the mean of its group's records in row order,
+    depends only on which ids the group holds.  Exists so golden
+    comparisons do not depend on which local optimum an iterative run
+    lands in."""
 
     groups: tuple[tuple[str, ...], ...]
 
@@ -63,7 +65,9 @@ def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> Cluster
     the assignment stops changing or MAX_ITERATIONS is hit;
     nearest-centroid ties go to the lowest cluster index, and a cluster
     left empty is re-seeded from the point farthest from its own
-    centroid among the clusters that can spare one.
+    centroid among the clusters that can spare one.  A fixed partition
+    gives the labels up front; its centroids are their means, as
+    Lloyd's are on every exit.
     """
     if not isinstance(g1, Dataset):
         records = tuple(g1)
@@ -84,34 +88,36 @@ def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> Cluster
         raise ValueError("duplicate record ids")
 
     if isinstance(init, FixedPartition):
-        return _fixed_partition_model(init, ids, points, k)
-
-    distinct = _distinct_up_to(points, k)
-    if k > distinct:
-        raise InsufficientDataError(f"{k} clusters over {distinct} distinct complete points")
-    centers = _initial_centers(init, points, k)
-    labels = np.full(len(points), -1, dtype=int)
-    sse_history: list[float] = []
-    converged, reseeds = False, 0
-    for _ in range(MAX_ITERATIONS):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)  # argmin takes the first minimum: lowest index wins ties
-        empties = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0).tolist()
-        for empty in empties:
-            own = ((points - centers[new_labels]) ** 2).sum(axis=1)
-            # A sole member is never moved, so no re-seed empties
-            # another cluster; with m >= k some cluster has two.
-            own[np.bincount(new_labels, minlength=k)[new_labels] < 2] = -1.0
-            j = int(own.argmax())
-            centers[empty] = points[j]
-            new_labels[j] = empty
-        reseeds += len(empties)
-        sse_history.append(float(((points - centers[new_labels]) ** 2).sum()))
-        if (new_labels == labels).all():
-            converged = True
-            break
-        labels = new_labels
-        centers = _means(points, labels, k)
+        labels = _partition_labels(init, ids, k)
+        centers, converged, reseeds = _means(points, labels, k), True, 0
+        sse_history = [float(((points - centers[labels]) ** 2).sum())]
+    else:
+        distinct = _distinct_up_to(points, k)
+        if k > distinct:
+            raise InsufficientDataError(f"{k} clusters over {distinct} distinct complete points")
+        centers = _initial_centers(init, points, k)
+        labels = np.full(len(points), -1, dtype=int)
+        sse_history: list[float] = []
+        converged, reseeds = False, 0
+        for _ in range(MAX_ITERATIONS):
+            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = d2.argmin(axis=1)  # argmin takes the first minimum: lowest index wins ties
+            empties = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0).tolist()
+            for empty in empties:
+                own = ((points - centers[new_labels]) ** 2).sum(axis=1)
+                # A sole member is never moved, so no re-seed empties
+                # another cluster; with m >= k some cluster has two.
+                own[np.bincount(new_labels, minlength=k)[new_labels] < 2] = -1.0
+                j = int(own.argmax())
+                centers[empty] = points[j]
+                new_labels[j] = empty
+            reseeds += len(empties)
+            sse_history.append(float(((points - centers[new_labels]) ** 2).sum()))
+            if (new_labels == labels).all():
+                converged = True
+                break
+            labels = new_labels
+            centers = _means(points, labels, k)
 
     # centers are the means of labels on every exit: a step that moves a
     # point recomputes them, and a step that moves none re-seeded only
@@ -147,33 +153,26 @@ def _means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return np.array([_mean(grouped[lo:hi]) for lo, hi in zip([0] + ends, ends)])
 
 
-def _fixed_partition_model(init: FixedPartition, ids: Sequence[str], points: np.ndarray, k: int) -> ClusterModel:
+def _partition_labels(init: FixedPartition, ids: Sequence[str], k: int) -> np.ndarray:
+    """Each record's group in a fixed partition, in row order, checked
+    to place every record in exactly one of k non-empty groups."""
     if len(init.groups) != k:
         raise ConfigError(f"fixed partition has {len(init.groups)} groups but k={k}")
     index = {rid: i for i, rid in enumerate(ids)}
-    seen: set[str] = set()
-    for group in init.groups:
+    labels = np.full(len(ids), -1)
+    for c, group in enumerate(init.groups):
         if not group:
             raise ConfigError("fixed partition contains an empty group")
         for rid in group:
             if rid not in index:
                 raise ConfigError(f"fixed partition names unknown record {rid!r}")
-            if rid in seen:
+            if labels[index[rid]] >= 0:
                 raise ConfigError(f"fixed partition repeats record {rid!r}")
-            seen.add(rid)
-    if seen != set(ids):
-        missing = sorted(set(ids) - seen)
+            labels[index[rid]] = c
+    missing = sorted(ids[i] for i in np.flatnonzero(labels < 0))
+    if missing:
         raise ConfigError(f"fixed partition does not cover records {missing}")
-
-    assignment = {rid: c for c, group in enumerate(init.groups) for rid in group}
-    centers = np.array([_mean(points[[index[rid] for rid in group]]) for group in init.groups])
-    labels = np.array([assignment[rid] for rid in ids])
-    sse = float(((points - centers[labels]) ** 2).sum())
-    return ClusterModel(
-        centroids=tuple(tuple(c) for c in centers.tolist()),
-        assignment=assignment,
-        sse_history=(sse,),
-    )
+    return labels
 
 
 def _initial_centers(init: InitPolicy, points: np.ndarray, k: int) -> np.ndarray:

@@ -352,6 +352,16 @@ def test_a_batch_of_queries_gets_each_query_s_own_answer(classification_dataset,
         classify_mapped_all(holed, classification_dataset, classification_model)
 
 
+def test_classifiers_reject_an_unknown_mode_and_a_batch_of_another_arity(
+    classification_dataset, classification_model
+):
+    with pytest.raises(ValueError, match="mode must be one of .*, got 'bogus'"):
+        classify_mapped(new_record(), classification_dataset, classification_model, mode="bogus")
+    narrow = dataset_of(Schema(classification_dataset.schema.attributes[:3], None), [rec("Q", 1, 1, 1)])
+    with pytest.raises(ValueError, match="queries have 3 attributes, training records 4"):
+        classify_mapped_all(narrow, classification_dataset, classification_model)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_batch_selection_agrees_with_one_query_at_a_time(data):

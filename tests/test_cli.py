@@ -358,6 +358,42 @@ def test_fixed_partition_naming_an_unknown_record_exits_2(impute_files, capsys):
     assert "R99" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([], "config file run.json must hold a JSON object"),
+        ({"init": "x"}, "init must be an object with a 'policy' key"),
+        ({"init": {"policy": "fixed-partition"}}, "fixed-partition init needs 'groups': a list of id lists"),
+        ({"init": {"policy": "nope"}}, "unknown init policy 'nope'"),
+    ],
+)
+def test_malformed_run_config_exits_2_with_its_message(impute_files, capsys, monkeypatch, config, message):
+    tmp_path, data, schema, _ = impute_files
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "run.json", json.dumps(config))
+    assert main(["impute", "--data", data, "--schema", schema, "--config", "run.json", "--out", "o.csv"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "attribute, message",
+    [
+        ({"kind": "weird"}, "attribute 'A2': unknown kind 'weird'"),
+        ({"kind": "categorical", "encoding": [1]}, "attribute entry 1: 'encoding' must be an object"),
+        ({"kind": "categorical", "encoding": {"a": "1"}}, "attribute entry 1: ordinal for 'a' must be an integer"),
+    ],
+)
+def test_malformed_schema_exits_2_with_its_message(impute_files, capsys, attribute, message):
+    tmp_path, data, schema, config = impute_files
+    raw = json.loads(Path(schema).read_text())
+    raw["attributes"][1].update(attribute)
+    write(tmp_path / "schema.json", json.dumps(raw))
+    code = main(["impute", "--data", data, "--schema", schema, "--config", config, "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_seed_from_environment(impute_files, monkeypatch):
     tmp_path, data, schema, _ = impute_files
     monkeypatch.setenv(SEED_ENV_VAR, "7")
@@ -869,6 +905,22 @@ def test_evaluate_record_count_past_the_float_range_exits_2(tmp_path, capsys):
     assert main(["evaluate", "--config", spec]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "synthetic.records is out of range" in err and "internal error" not in err
+
+
+def test_evaluate_without_a_holdout_reports_no_downstream_accuracy(tmp_path, capsys):
+    spec = {"synthetic": {"records": 20}, "holdout_fraction": 0, "methods": ["raw-knn-donor"], "trials": 2}
+    assert main(["evaluate", "--config", write(tmp_path / "exp.json", json.dumps(spec))]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert [r["downstream_accuracy"] for r in report["results"]] == [None] * 2
+    assert report["aggregates"]["raw-knn-donor"]["downstream_accuracy"] is None
+
+
+def test_evaluate_holdout_that_leaves_too_little_training_data_exits_2(tmp_path, capsys):
+    spec = {"synthetic": {"records": 12}, "holdout_fraction": 0.9}
+    assert main(["evaluate", "--config", write(tmp_path / "exp.json", json.dumps(spec))]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: holdout of 11 records leaves too little training data\n"
+    assert captured.out == ""
 
 
 def test_evaluate_outputs_are_pinned(tmp_path):

@@ -213,6 +213,12 @@ def test_encode_reference_symbols():
     assert ds.record("R1").cells[3] == 10.0  # numeric pass-through
 
 
+def test_encoding_an_encoded_dataset_names_the_record():
+    ds = encode(parse_dataset(fixture_text("table01_raw.csv"), missing_schema()))
+    with pytest.raises(SchemaError, match="record R1: attribute 'A1' expected a symbol, got 1.0"):
+        encode(ds)
+
+
 def test_encode_leaves_missing_cells_missing():
     ds = encode(parse_dataset(fixture_text("table03_missing_raw.csv"), missing_schema()))
     assert ds.record("R3").cells[2] is None
@@ -339,13 +345,13 @@ def test_parse_encode_split_is_deterministic():
 
 def test_dataset_equality_builds_no_record(monkeypatch):
     built = []
-    original = Record.__init__
+    original = Record.__new__
 
-    def counting(self, *args, **kwargs):
+    def counting(cls, *args, **kwargs):
         built.append(args[0])
-        original(self, *args, **kwargs)
+        return original(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Record, "__init__", counting)
+    monkeypatch.setattr(Record, "__new__", counting)
     text = fixture_text("table03_missing_raw.csv")
     raw, raw_again = (parse_dataset(text, missing_schema()) for _ in range(2))
     encoded, encoded_again = encode(raw), encode(raw_again)

@@ -413,6 +413,13 @@ def test_baselines_need_at_least_one_complete_record():
         baseline_knn_donor(ds)
 
 
+def test_knn_donor_baseline_names_a_record_with_no_observed_cell():
+    schema = Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC)), "class")
+    ds = dataset_of(schema, (rec("R1", 1, 2, label="a"), rec("R2", None, None, label="a")))
+    with pytest.raises(NoDonorsError, match="record R2 has no observed values"):
+        baseline_knn_donor(ds)
+
+
 def test_baselines_are_identity_on_complete_data(normalized_dataset):
     assert baseline_class_stats(normalized_dataset) is normalized_dataset
     assert baseline_knn_donor(normalized_dataset) is normalized_dataset
@@ -492,6 +499,13 @@ def test_experiment_requires_complete_labeled_input(missing_dataset):
     )
     with pytest.raises(ConfigError, match="labeled"):
         run_experiment(ExperimentConfig(unlabeled))
+
+
+def test_experiment_requires_an_encoded_dataset():
+    schema = schema_from_dict(json.loads(fixture_text("schema_missing.json")))
+    raw = parse_dataset(fixture_text("table01_raw.csv"), schema)
+    with pytest.raises(ConfigError, match="experiment dataset must be encoded"):
+        run_experiment(ExperimentConfig(raw))
 
 
 def test_zero_trials_gives_empty_wellformed_report():

@@ -96,6 +96,21 @@ def test_centroid_rejects_empty_and_incomplete_members():
         centroid([Record("R1", ("sym", 1.0))])
 
 
+def test_a_fixed_partition_s_centroids_do_not_depend_on_the_listed_order():
+    # (1e16 + 1) - 1e16 is 0 but (-1e16 + 1e16) + 1 is 1: a centroid
+    # summed in listed order would differ between the two listings.
+    records = grid_records([(1e16,), (1.0,), (-1e16,), (5.0,)])
+    listings = [(("R1", "R2", "R3"), ("R4",)), (("R3", "R1", "R2"), ("R4",))]
+    assert [cluster(records, 2, FixedPartition(p)).centroids for p in listings] == [((0.0,), (5.0,))] * 2
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        records = grid_records(rng.normal(size=(6, 2)) * 10.0 ** rng.integers(-3, 4, (6, 2)))
+        labels = rng.permutation([0, 1] + rng.integers(0, 2, 4).tolist())
+        groups = [[r.id for r, c in zip(records, labels) if c == g] for g in (0, 1)]
+        rotated = [g[1:] + g[:1] for g in groups]
+        assert cluster(records, 2, FixedPartition(groups)) == cluster(records, 2, FixedPartition(rotated))
+
+
 # --- degenerate sizes and validation ---
 
 

@@ -3,11 +3,13 @@ written."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import cmimpute
@@ -65,6 +67,27 @@ def test_the_package_binds_no_public_name_but_its_modules():
 
 def readme_python_blocks() -> list[str]:
     return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.S | re.M)
+
+
+def test_every_private_module_level_name_is_used_elsewhere_in_the_package():
+    # A helper left behind by a refactor is defined but never read.  A
+    # name counts as read when any other module-level statement of the
+    # package loads it or reads an attribute of that name.
+    defined, reads = {}, Counter()
+    for path in sorted(Path(cmimpute.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                own = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            else:
+                own = set()
+            defined.update((name, f"{path.name}:{name}") for name in own if re.fullmatch(r"_(?!_)\w*", name))
+            nodes = list(ast.walk(stmt))
+            loads = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            reads.update((loads | {n.attr for n in nodes if isinstance(n, ast.Attribute)}) - own)
+    assert defined
+    assert sorted(where for name, where in defined.items() if not reads[name]) == []
 
 
 def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
