@@ -196,7 +196,9 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     checks.exact(table, "missing group", split.g2.ids, ("R3", "R5"))
 
     # --- imputation-phase clustering (Table VI) ---
-    model = cluster(split.g1, 2, FixedPartition(IMPUTATION_PARTITION))
+    # Tables VI-XI check the pipeline's own model and mapping.
+    result = impute_dataset(ds, ImputeConfig(mode=MODE_SIGNED, init=FixedPartition(IMPUTATION_PARTITION)))
+    model, maps = result.model, result.maps
     checks.clusters("clusters (Table VI)", model, "table06_clusters")
 
     # --- per-centroid distances (Tables VII-VIII) ---
@@ -208,7 +210,6 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
     checks.pairs("centroid distances (Tables VII-VIII)", _distances(split.g1, model.centroids), t78)
 
     # --- mapping values of the complete group (Table IX) ---
-    maps = build_mapping(split.g1, split.g2, model)
     checks.numbers("mapping values (Table IX)", split.g1.ids, maps.complete_map, expected_values("table09"))
 
     # --- observed-coordinate distances of the queries (Table X) ---
@@ -226,7 +227,6 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
         checks.numbers(f"difference grid, replay (Table {roman})", split.g1.ids, column, expected_values(name))
 
     # --- nearest donor and the imputed cells (Tables XIII, XV) ---
-    result = impute_dataset(ds, ImputeConfig(mode=MODE_SIGNED, init=FixedPartition(IMPUTATION_PARTITION)))
     for qid, name, roman in (("R3", "table13", "XIII"), ("R5", "table15", "XV")):
         donor_id, *cells, label = _expected_rows(name)[0]
         donor, table = ds.record(donor_id), f"nearest donor (Table {roman})"

@@ -7,7 +7,7 @@ import csv
 import io
 import math
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -363,17 +363,18 @@ class GroupSplit(NamedTuple):
 def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     """Parse delimited text with a header row into a Dataset.
 
-    Fields matching one of the schema's missing markers become missing
-    cells.  Numeric fields are parsed as floats (non-finite values and
-    magnitudes above MAX_MAGNITUDE rejected), categorical fields stay
-    symbols until encode().  Records are assigned ids R1..Rm in row
-    order (the prefix is configurable so query files read as Q1..Qm
-    next to their training records).  An empty label field means the
-    record is unlabeled.  Text that plain splitting reads as csv.reader
-    would (see _split_fields) is split a column at a time; any other
-    text is read by csv.reader.  The fields are parsed and checked a
-    column at a time; when a check fails, the rows are checked again one
-    at a time, so the error names the first bad field in row order.
+    Each field is stripped; one that then matches a missing marker
+    becomes a missing cell.  Per numeric column, NumPy reads every other
+    field with float() in one cast (non-finite values and magnitudes
+    above MAX_MAGNITUDE rejected); categorical fields stay symbols until
+    encode().  Records are assigned ids R1..Rm in row order (the prefix
+    is configurable so query files read as Q1..Qm next to their training
+    records).  An empty label field means the record is unlabeled.  Text
+    that plain splitting reads as csv.reader would (see _split_fields)
+    is split a column at a time; any other text is read by csv.reader.
+    The fields are parsed and checked a column at a time; when a check
+    fails, or a row read by csv.reader has the wrong width, the rows are
+    checked again one at a time, so the error names the first bad row.
     """
     expected_header = list(schema.attribute_names)
     if schema.label_column is not None:
@@ -386,10 +387,16 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
         raise ParseError(f"header {header} does not match schema columns {expected_header}")
 
     if flat is None:
-        fields = _row_fields(rows[1:], schema, width)
+        if any(len(row) != width for row in rows[1:]):
+            _raise_first_error(rows[1:], schema, width)
+        fields = list(zip(*rows[1:])) or [()] * width
     else:
         fields = [flat[j :: width + 1] for j in range(width + 1, 2 * width + 1)]
-    columns = _parse_fields(fields, schema)
+    try:
+        columns = _parse_columns(fields, schema)
+    except (ParseError, SchemaError):
+        _raise_first_error(list(zip(*fields)), schema, width)
+        raise
     n, m = schema.arity, len(fields[0])
     labels = [f.strip() or None for f in columns[n]] if schema.label_column is not None else [None] * m
     ids = [f"{id_prefix}{i}" for i in range(1, m + 1)]
@@ -435,26 +442,14 @@ def _read_rows(text: str) -> list[list[str]]:
     return rows
 
 
-def _row_fields(body: list[list[str]], schema: Schema, width: int) -> list:
-    """The body rows' fields a column at a time.  A row of the wrong
-    width raises, unless a row before it holds a bad field, which is
-    named instead."""
-    for i, row in enumerate(body):
+def _raise_first_error(body: Sequence[Sequence[str]], schema: Schema, width: int) -> None:
+    """Check the body rows one at a time, in row order, and raise for the
+    first bad one: a row of the wrong width, or else the row's first bad
+    field."""
+    for rownum, row in enumerate(body, start=2):
         if len(row) != width:
-            _parse_fields(list(zip(*body[:i])) or [()] * width, schema)
-            raise ParseError(f"row {i + 2}: expected {width} fields, got {len(row)}")
-    return list(zip(*body)) or [()] * width
-
-
-def _parse_fields(fields: list, schema: Schema) -> list:
-    """_parse_columns over all rows; when it fails, the rows are parsed
-    again one at a time, so the error names the first bad field."""
-    try:
-        return _parse_columns(fields, schema)
-    except (ParseError, SchemaError):
-        for rownum, row in enumerate(zip(*fields), start=2):
-            _parse_columns([(f,) for f in row], schema, rownum)
-        raise
+            raise ParseError(f"row {rownum}: expected {width} fields, got {len(row)}")
+        _parse_columns([(f,) for f in row], schema, rownum)
 
 
 def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
@@ -462,7 +457,6 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
     time, then their raw label fields.  Raises for a bad field, which
     for a single row is its first bad field."""
     markers, nan = schema.missing_markers, math.nan
-    marker_nan = _marker_nan(markers)
     columns: list = []
     for spec, raw in zip(schema.attributes, fields):
         if spec.kind == CATEGORICAL:
@@ -475,13 +469,11 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
                 )
             columns.append(_column(symbols))
             continue
-        values = _cast(raw, marker_nan) if marker_nan is not None else None
-        if values is None:
-            try:
-                values = np.array([nan if (t := f.strip()) in markers else float(t) for f in raw])
-            except ValueError:
-                i, t = next((i, t) for i, f in enumerate(raw) if (t := f.strip()) not in markers and not _is_float(t))
-                raise ParseError(f"row {first_row + i}: {t!r} is not numeric for attribute {spec.name!r}") from None
+        try:
+            values = np.array([nan if (t := f.strip()) in markers else t for f in raw], dtype=float)
+        except ValueError:
+            i, t = next((i, t) for i, f in enumerate(raw) if (t := f.strip()) not in markers and not _is_float(t))
+            raise ParseError(f"row {first_row + i}: {t!r} is not numeric for attribute {spec.name!r}") from None
         for i in np.flatnonzero(~(np.abs(values) <= MAX_MAGNITUDE)).tolist():  # NaN fails <=
             t = raw[i].strip()
             if t in markers:
@@ -494,31 +486,6 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
             )
         columns.append(values)
     return columns + fields[schema.arity :]
-
-
-def _marker_nan(markers: frozenset[str]) -> Callable[[str, str], object] | None:
-    """A lookup that turns a field that is exactly a marker into NaN and
-    passes any other field on, for _cast; None when a cast could read a
-    field otherwise than the strip/float scan: when a marker reads as a
-    number other than NaN, since a blank-padded copy of it, a missing
-    cell to the scan, would cast to that number.  Only a marker that
-    strip() leaves as it is can equal a stripped field, so only such a
-    marker is looked up."""
-    if any(_is_float(m) and not math.isnan(float(m)) for m in markers):
-        return None
-    return {m: math.nan for m in markers if m == m.strip()}.get
-
-
-def _cast(raw: Sequence[str], marker_nan: Callable[[str, str], object]) -> np.ndarray | None:
-    """The fields as one float array, NaN for each field that is exactly
-    a marker; NumPy reads every other field with float()'s own parser,
-    which skips the blanks strip() removes.  None when a field does not
-    cast, say a bad field or a blank-padded marker, which the scan then
-    reads or names."""
-    try:
-        return np.array([marker_nan(f, f) for f in raw], dtype=float)
-    except ValueError:
-        return None
 
 
 def _is_float(text: str) -> bool:

@@ -114,14 +114,16 @@ def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Data
     index = {rid: i for i, rid in enumerate(dataset.ids)}
     n = dataset.schema.arity
     chosen: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for rid, attr in cells:
         if rid not in index:
             raise ConfigError(f"unknown record id {rid!r}")
         if not 0 <= attr < n:
             raise ConfigError(f"attribute index {attr} out of range for record {rid}")
         pair = (index[rid], attr)
-        if pair in chosen:
+        if pair in seen:
             raise ConfigError(f"cell ({rid}, {attr}) listed twice")
+        seen.add(pair)
         chosen.append(pair)
     per_record = Counter(row for row, _ in chosen)
     for row, masked in per_record.items():

@@ -6,6 +6,7 @@ import csv
 import gc
 import io
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ import cmimpute.dataset
 from cmimpute.casestudy import fixture_text
 from cmimpute.dataset import (
     CATEGORICAL,
+    MAX_MAGNITUDE,
     NUMERIC,
     AttributeSpec,
     Dataset,
@@ -166,6 +168,13 @@ def test_custom_missing_markers_override():
     assert ds.record("R1").cells == (None,)
 
 
+# Per header, the schema a row-order case is parsed under.
+ROW_ORDER_SCHEMAS = {
+    "x1,x2,class": numeric_schema(2),
+    "x1,s,class": Schema((AttributeSpec("x1", NUMERIC), AttributeSpec("s", CATEGORICAL, {"a": 1})), "class"),
+}
+
+
 @pytest.mark.parametrize(
     "text, match",
     [
@@ -174,11 +183,16 @@ def test_custom_missing_markers_override():
         ("x1,x2,class\n1,2,a\n1,a\nnan,1,a\n", "row 3: expected 3 fields"),
         ("x1,x2,class\n1,2,a\n1,nan,a\ninf,1,a\n", "row 3: non-finite value 'nan'"),
         ("x1,x2,class\n1,2e100,a\nbogus,1,a\n", "row 2: '2e100' .* magnitude bound"),
+        # The same on text that holds a quote, which csv.reader reads.
+        ('x1,x2,class\n"1",bogus,a\n1,a\n', "row 2: 'bogus'"),
+        ('x1,s,class\n"1",a,b\n1,a\n2,z,b\n', "row 3: expected 3 fields"),
+        ('x1,s,class\n"1",z,b\n1,a\n', "row 2: symbol 'z' not in the frozen encoding"),
     ],
 )
 def test_the_first_bad_field_in_row_order_is_named(text, match):
-    with pytest.raises(ParseError, match=match):
-        parse_dataset(text, numeric_schema(2))
+    error = SchemaError if "frozen encoding" in match else ParseError
+    with pytest.raises(error, match=match):
+        parse_dataset(text, ROW_ORDER_SCHEMAS[text.split("\n")[0]])
 
 
 def test_fields_parse_as_python_floats_and_markers_are_stripped():
@@ -570,15 +584,41 @@ def read_by_csv_reader(text: str, schema: Schema):
         return parse_outcome(text, schema)
 
 
-def read_by_strip_and_float(text: str, schema: Schema):
-    """parse_outcome with every numeric column read by the strip/float
-    scan, one field at a time, instead of one cast per column."""
-    with mock.patch.object(cmimpute.dataset, "_marker_nan", return_value=None):
-        return parse_outcome(text, schema)
+def read_field_by_field(text: str, schema: Schema):
+    """A reference for parse_dataset on unquoted text whose columns are
+    numeric but for the label: the rows' cell reprs, or the error for
+    the first bad field in row order.  Each field is stripped; a marker
+    is a missing cell, and anything else goes through float()."""
+    rows = [line.split(",") for line in text.split("\n")[1:] if line]
+    cells = []
+    for rownum, row in enumerate(rows, start=2):
+        record = []
+        for spec, field in zip(schema.attributes, row):
+            t, where = field.strip(), f"row {rownum}: "
+            if t in schema.missing_markers:
+                record.append(None)
+                continue
+            try:
+                value = float(t)
+            except ValueError:
+                return "ParseError", f"{where}{t!r} is not numeric for attribute {spec.name!r}"
+            if not math.isfinite(value):
+                return "ParseError", f"{where}non-finite value {t!r} for attribute {spec.name!r}"
+            if abs(value) > MAX_MAGNITUDE:
+                return "ParseError", f"{where}{t!r} for attribute {spec.name!r} exceeds the magnitude bound 1e+100"
+            record.append(value)
+        cells.append(tuple(map(repr, record)))
+    return cells
+
+
+def parsed_cells(text: str, schema: Schema):
+    """parse_outcome's error, or else its cell reprs."""
+    outcome = parse_outcome(text, schema)
+    return outcome if outcome[0] in ("ParseError", "SchemaError") else outcome[1]
 
 
 # Marker sets: the default, a blank-padded marker, markers that read as
-# NaN, and a marker that reads as a number, for which the scan is kept.
+# NaN, and a marker that reads as a number.
 MARKER_SETS = [
     frozenset({"?", "NaN", ""}),
     frozenset({"?", " x "}),
@@ -596,9 +636,8 @@ PINNED_FIELDS = [
 @pytest.mark.parametrize("field", PINNED_FIELDS)
 def test_one_cast_per_column_reads_what_strip_and_float_read(field, markers):
     schema = Schema(numeric_schema(2).attributes, "class", markers)
-    assert (cmimpute.dataset._marker_nan(markers) is None) == (markers == MARKER_SETS[3])
     for text in (f"x1,x2,class\n{field},1,a\n", f"x1,x2,class\n1,2.5,a\n-3,{field},b\n"):
-        assert parse_outcome(text, schema) == read_by_strip_and_float(text, schema)
+        assert parsed_cells(text, schema) == read_field_by_field(text, schema)
 
 
 @settings(max_examples=150, deadline=None)
@@ -609,7 +648,7 @@ def test_one_cast_per_column_reads_what_strip_and_float_read(field, markers):
 def test_one_cast_and_strip_and_float_parses_agree(rows, markers):
     schema = Schema(numeric_schema(2).attributes, "class", markers)
     text = "x1,x2,class\n" + "".join(f"{a},{b},c\n" for a, b in rows)
-    assert parse_outcome(text, schema) == read_by_strip_and_float(text, schema)
+    assert parsed_cells(text, schema) == read_field_by_field(text, schema)
 
 
 SPLIT = Schema((AttributeSpec("x1", NUMERIC), AttributeSpec("s", CATEGORICAL)), label_column="class")

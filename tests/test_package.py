@@ -90,6 +90,28 @@ def test_every_private_module_level_name_is_used_elsewhere_in_the_package():
     assert sorted(where for name, where in defined.items() if not reads[name]) == []
 
 
+def test_readme_names_no_deleted_function():
+    # Each backticked private name (`_select_all`) or module member
+    # (`impute._class_value`, `dataset.records`) of the README must be
+    # defined somewhere in the package: as a function, class or method,
+    # or as an assigned name.
+    defined = set()
+    for path in Path(cmimpute.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+    named = set()
+    for span in re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8")):
+        if match := re.fullmatch(r"(_(?!_)\w+)(\(.*\))?", span):
+            named.add(match[1])
+        elif (match := re.fullmatch(r"(\w+)\.(\w+)(\(.*\))?", span)) and match[1] in (*MODULES, "casestudy", "cli"):
+            named.add(match[2])
+    assert {"_select_all", "_class_value", "squared_distances"} <= named
+    assert sorted(named - defined) == []
+
+
 def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     blocks = readme_python_blocks()
     assert len(blocks) == len(README_BLOCK_FILES)
