@@ -66,8 +66,6 @@ def check_training_data(dataset: Dataset) -> None:
     non-empty, encoded, complete (a ParseError) and fully labeled."""
     if not len(dataset):
         raise NoDonorsError("empty training dataset")
-    if not dataset.is_encoded:
-        raise ValueError("training dataset must be encoded")
     incomplete = np.isnan(dataset.matrix).any(axis=1)
     if incomplete.any():
         rid = dataset.ids[int(incomplete.argmax())]

@@ -32,6 +32,7 @@ from .dataset import (
     csv_text,
     decode_dataset,
     encode,
+    format_number,
     load_dataset,
     load_schema,
     parse_dataset,
@@ -151,7 +152,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
     if args.verbose:
         for fill in result.fills:
             donors = ";".join(fill.donor_ids)
-            value = fill.symbol if fill.symbol is not None else f"{fill.value:g}"
+            value = fill.symbol if fill.symbol is not None else format_number(fill.value)
             print(f"{fill.query_id}.{fill.attr_name} <- {value} (donor {donors})")
     print(f"imputed {len(result.values)} cells, wrote {out}")
     return EXIT_OK

@@ -64,14 +64,6 @@ class AttributeSpec:
     def is_frozen(self) -> bool:
         return self.kind == NUMERIC or bool(self.encoding)
 
-    def encode_symbol(self, symbol: str) -> int:
-        try:
-            return self.encoding[symbol]
-        except KeyError:
-            raise SchemaError(
-                f"attribute {self.name!r}: symbol {symbol!r} not in frozen encoding"
-            ) from None
-
     def decode_value(self, value: float) -> str | float:
         if self.kind == NUMERIC:
             return value
@@ -454,17 +446,17 @@ def _raise_first_error(body: Sequence[Sequence[str]], schema: Schema, width: int
 
 def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
     """The parsed attribute columns of the fields, given a column at a
-    time, then their raw label fields.  Raises for a bad field, which
-    for a single row is its first bad field."""
+    time, then their raw label fields.  Raises for a bad field, named
+    right only for a single row: parse_dataset replays a failed column
+    pass one row at a time (_raise_first_error)."""
     markers, nan = schema.missing_markers, math.nan
     columns: list = []
     for spec, raw in zip(schema.attributes, fields):
         if spec.kind == CATEGORICAL:
             symbols = [None if (t := f.strip()) in markers else t for f in raw]
             if spec.is_frozen and not set(symbols) - {None} <= spec.encoding.keys():
-                i = next(i for i, s in enumerate(symbols) if s is not None and s not in spec.encoding)
                 raise SchemaError(
-                    f"row {first_row + i}: symbol {symbols[i]!r} not in the frozen encoding "
+                    f"row {first_row}: symbol {symbols[0]!r} not in the frozen encoding "
                     f"of attribute {spec.name!r}"
                 )
             columns.append(_column(symbols))
@@ -472,8 +464,8 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
         try:
             values = np.array([nan if (t := f.strip()) in markers else t for f in raw], dtype=float)
         except ValueError:
-            i, t = next((i, t) for i, f in enumerate(raw) if (t := f.strip()) not in markers and not _is_float(t))
-            raise ParseError(f"row {first_row + i}: {t!r} is not numeric for attribute {spec.name!r}") from None
+            field = raw[0].strip()
+            raise ParseError(f"row {first_row}: {field!r} is not numeric for attribute {spec.name!r}") from None
         for i in np.flatnonzero(~(np.abs(values) <= MAX_MAGNITUDE)).tolist():  # NaN fails <=
             t = raw[i].strip()
             if t in markers:
@@ -486,14 +478,6 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
             )
         columns.append(values)
     return columns + fields[schema.arity :]
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
 
 
 def load_dataset(path: str, schema: Schema) -> Dataset:
@@ -521,7 +505,7 @@ def encode(dataset: Dataset) -> Dataset:
 
 def _encode_column(spec: AttributeSpec, column: Column, ids: Sequence[str]) -> tuple[AttributeSpec, Column]:
     # Cells in first-appearance order (NaN, a missing number, as None);
-    # every one present must be a symbol.
+    # every one present must be a symbol, of the encoding if it is frozen.
     cells = _cells(column)
     distinct = dict.fromkeys(cells)
     distinct.pop(None, None)
@@ -529,9 +513,11 @@ def _encode_column(spec: AttributeSpec, column: Column, ids: Sequence[str]) -> t
         if not isinstance(cell, str):
             where = f"record {ids[cells.index(cell)]}: attribute {spec.name!r}"
             raise SchemaError(f"{where} expected a symbol, got {cell!r}")
+        if spec.encoding and cell not in spec.encoding:
+            raise SchemaError(f"attribute {spec.name!r}: symbol {cell!r} not in frozen encoding")
     if not spec.encoding:
         spec = AttributeSpec(spec.name, spec.kind, {sym: i for i, sym in enumerate(sorted(distinct), start=1)})
-    codes = {cell: float(spec.encode_symbol(cell)) for cell in distinct}
+    codes = {cell: float(spec.encoding[cell]) for cell in distinct}
     codes[None] = math.nan
     return spec, np.fromiter(map(codes.__getitem__, cells), float, len(cells))
 

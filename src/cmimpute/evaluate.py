@@ -111,7 +111,7 @@ def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Data
     """Mask an explicit list of (record id, attribute index) cells."""
     if not dataset.is_complete:
         raise ValueError("can only inject missingness into a complete dataset")
-    index = {rid: i for i, rid in enumerate(dataset.ids)}
+    index = dataset._by_id
     n = dataset.schema.arity
     chosen: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

@@ -288,8 +288,6 @@ class ImputationResult:
 def missing_cells(dataset: Dataset, no_donors: str) -> np.ndarray | None:
     """The missing-cell mask of an encoded dataset, or None when no cell
     is missing; NoDonorsError(no_donors) when no record is complete."""
-    if not dataset.is_encoded:
-        raise ValueError("dataset must be encoded before imputation")
     missing = np.isnan(dataset.matrix)
     incomplete = missing.any(axis=1)
     if not incomplete.any():

@@ -125,6 +125,18 @@ def test_impute_verbose_prints_each_fill_with_its_symbol(impute_files, capsys):
     ]
 
 
+def test_impute_verbose_prints_a_numeric_fill_as_the_output_holds_it(tmp_path, capsys):
+    """A fill of 1234567.5 reads the same on stdout as in the output CSV,
+    not as :g's 1.23457e+06."""
+    data = write(tmp_path / "data.csv", "x1,x2,class\n1,1234567.5,a\n2,1234567.5,a\n50,3,b\n60,3,b\n1,?,a\n")
+    attributes = [{"name": name, "kind": "numeric"} for name in ("x1", "x2")]
+    schema = write(tmp_path / "schema.json", json.dumps({"attributes": attributes, "label_column": "class"}))
+    out = tmp_path / "out.csv"
+    assert main(["impute", "--data", data, "--schema", schema, "--out", str(out), "--verbose"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "R5.x2 <- 1234567.5 (donor R2)"
+    assert out.read_text().splitlines()[-1] == "1,1234567.5,a"
+
+
 def test_impute_builds_a_cell_fill_only_for_verbose_output(impute_files, monkeypatch):
     tmp_path, data, schema, config = impute_files
     built = []

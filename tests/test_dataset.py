@@ -159,6 +159,9 @@ def test_unknown_symbol_under_frozen_encoding():
     )
     with pytest.raises(SchemaError, match="'z'"):
         parse_dataset("a,class\nz,a\n", schema)
+    # A dataset built by hand skips the parser's check; encode makes its own.
+    with pytest.raises(SchemaError, match=r"^attribute 'a': symbol 'z' not in frozen encoding$"):
+        encode(Dataset(schema, ["R1", "R2"], ["a", "a"], [("x", "z")]))
 
 
 def test_custom_missing_markers_override():
@@ -187,6 +190,17 @@ ROW_ORDER_SCHEMAS = {
         ('x1,x2,class\n"1",bogus,a\n1,a\n', "row 2: 'bogus'"),
         ('x1,s,class\n"1",a,b\n1,a\n2,z,b\n', "row 3: expected 3 fields"),
         ('x1,s,class\n"1",z,b\n1,a\n', "row 2: symbol 'z' not in the frozen encoding"),
+        # A bad field of each kind below a good row, split and by csv.reader.
+        *(
+            (text.replace("R", row), match)
+            for row in ("1", '"1"')
+            for text, match in [
+                ("x1,x2,class\nR,2,a\n3,bogus,a\n", "row 3: 'bogus' is not numeric for attribute 'x2'"),
+                ("x1,x2,class\nR,2,a\n3,inf,a\n", "row 3: non-finite value 'inf' for attribute 'x2'"),
+                ("x1,x2,class\nR,2,a\n3,1e101,a\n", "row 3: '1e101' for attribute 'x2' exceeds"),
+                ("x1,s,class\nR,a,b\n3,z,b\n", "row 3: symbol 'z' not in the frozen encoding of attribute 's'"),
+            ]
+        ),
     ],
 )
 def test_the_first_bad_field_in_row_order_is_named(text, match):

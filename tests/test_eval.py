@@ -216,6 +216,14 @@ def test_mask_cells_validation(normalized_dataset):
         mask_cells(normalized_dataset, [("R1", 0), ("R1", 1), ("R1", 2), ("R1", 3)])
 
 
+def test_mask_cells_masks_the_row_record_names_for_a_repeated_id():
+    ds = dataset_of(two_column_dataset().schema, (rec("R1", 2, 1, label="A"), rec("R1", 4, 2, label="B")))
+    masked, plan = mask_cells(ds, [("R1", 0)])
+    assert [r.cells for r in masked.records] == [(None, 1.0), (4.0, 2.0)]
+    assert masked.record("R1") == masked.records[0]
+    assert cells_of(plan) == [("R1", 0, 2.0)]
+
+
 # --- scoring ---
 
 

@@ -1,11 +1,13 @@
 """Degenerate-input fuzzing: run configs of any JSON shape, thin
 clustering grids, constant columns and magnitudes up to the parse
-bound.  Each must give a documented exit code, a typed error or a
-finite result, never an internal error or a NaN."""
+bound, and mutated data and schema files.  Each must give a documented
+exit code, a typed error or a finite result, never an internal error
+or a NaN."""
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -17,10 +19,21 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cmimpute.casestudy import CLASSIFICATION_PARTITION, IMPUTATION_PARTITION, fixture_text
 from cmimpute.classify import classify_mapped, classify_raw_knn
-from cmimpute.cli import EXIT_INTERNAL, EXIT_USAGE, main
-from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Record, Schema, encode, parse_dataset
+from cmimpute.cli import EXIT_INSUFFICIENT, EXIT_INTERNAL, EXIT_OK, EXIT_UNLABELED, EXIT_USAGE, main
+from cmimpute.dataset import (
+    CATEGORICAL,
+    MAX_MAGNITUDE,
+    NUMERIC,
+    AttributeSpec,
+    Record,
+    Schema,
+    dataset_to_csv,
+    decode_dataset,
+    encode,
+    parse_dataset,
+)
 from cmimpute.errors import InsufficientDataError
-from cmimpute.evaluate import ALL_METHODS
+from cmimpute.evaluate import ALL_METHODS, make_synthetic_dataset
 from cmimpute.impute import MODES, ImputeConfig, impute_dataset
 from cmimpute.kmeans import FarthestFirst, SeededRandom, cluster
 
@@ -227,3 +240,143 @@ def test_constant_columns_and_huge_values_give_finite_results(varying, constant,
     for outcome in (classify_mapped(query, train, model, mode), classify_raw_knn(query, train)):
         assert outcome.labels
         assert all(math.isfinite(v) for v in outcome.table.values())
+
+
+# --- (d) mutated data and schema files ---
+
+
+def synthetic_files() -> tuple[str, dict]:
+    """A small generated table, as text, and its schema as JSON."""
+    dataset = make_synthetic_dataset(12, seed=5)
+    attributes = [{"name": a.name, "kind": a.kind, "encoding": dict(a.encoding)} for a in dataset.schema.attributes]
+    return dataset_to_csv(decode_dataset(dataset)), {"attributes": attributes, "label_column": "class"}
+
+
+BASES = {
+    data: (fixture_text(data), json.loads(fixture_text(schema)))
+    for data, schema in (
+        ("table03_missing_raw.csv", "schema_missing.json"),
+        ("table01_raw.csv", "schema_missing.json"),
+        ("table16_classification.csv", "schema_classification.json"),
+    )
+} | {"synthetic": synthetic_files()}
+
+# A lone surrogate is written as the byte it escapes (surrogateescape),
+# so "\udcff" puts a byte that is not UTF-8 into the file.
+FIELD_EDITS = {
+    "empty": lambda f: "",
+    "marker": lambda f: "?",
+    "padded": lambda f: f"  {f} ",
+    "nan": lambda f: "nan",
+    "inf": lambda f: "-inf",
+    "overflow": lambda f: "1e400",
+    "word": lambda f: "x7",
+    "nul": lambda f: f + "\0",
+    "bom": lambda f: "\ufeff" + f,
+    "not utf-8": lambda f: f + "\udcff",
+}
+ROW_EDITS = ("repeat", "drop", "ragged long", "ragged short", "no header")
+SCHEMA_EDITS = ("markers", "lose a symbol", "swap kind", "no label", "rename label")
+MARKER_LISTS = ([], ["?"], ["NA"], ["?", "NaN", "", "5"], ["?", "1"])
+
+# One edit: its name and two indices (row and column, or attribute and
+# symbol or marker list), taken modulo what they index.
+edits = st.tuples(
+    st.sampled_from(tuple(FIELD_EDITS) + ROW_EDITS + SCHEMA_EDITS), st.integers(0, 60), st.integers(0, 10)
+)
+
+
+def mutate(rows: list[list[str]], schema: dict, edit: tuple) -> None:
+    """Apply one edit in place to the rows of text and to schema; an edit
+    with nothing to act on does nothing."""
+    name, i, j = edit
+    attributes = schema["attributes"]
+    if name in FIELD_EDITS and rows and rows[i % len(rows)]:
+        row = rows[i % len(rows)]
+        row[j % len(row)] = FIELD_EDITS[name](row[j % len(row)])
+    elif name == "no header" and rows:
+        del rows[0]
+    elif name in ROW_EDITS and len(rows) > 1:
+        k = 1 + i % (len(rows) - 1)
+        if name == "repeat":
+            rows.insert(k, list(rows[k]))
+        elif name == "drop":
+            del rows[k]
+        elif name == "ragged long":
+            rows[k].append("1")
+        elif rows[k]:
+            rows[k].pop()
+    elif name == "markers":
+        schema["missing_markers"] = MARKER_LISTS[i % len(MARKER_LISTS)]
+    elif name == "lose a symbol" and attributes[i % len(attributes)].get("encoding"):
+        encoding = attributes[i % len(attributes)]["encoding"]
+        lost = sorted(encoding)[j % len(encoding)]
+        kept = sorted((s for s in encoding if s != lost), key=encoding.get)
+        attributes[i % len(attributes)]["encoding"] = {s: ordinal for ordinal, s in enumerate(kept, start=1)}
+    elif name == "swap kind":
+        attribute = attributes[i % len(attributes)]
+        attribute["kind"] = CATEGORICAL if attribute["kind"] == NUMERIC else NUMERIC
+        attribute.pop("encoding", None)
+    elif name == "no label" and "label_column" in schema:
+        del schema["label_column"]
+        if j % 2:  # the data loses its label column too, and is unlabeled
+            for row in rows:
+                del row[len(attributes) :]
+    elif name == "rename label":
+        schema["label_column"] = "Label"
+
+
+def check_output(path: str, schema: dict, rows: list[list[str]]) -> None:
+    """Every attribute cell of a written table is a finite number or a
+    known symbol: one of its frozen encoding, or else one of its
+    column's input fields.  Label fields are free text."""
+    markers = set(schema.get("missing_markers", ["?", "NaN", ""]))
+    with open(path, encoding="utf-8", newline="") as fh:
+        written = list(csv.reader(fh))[1:]
+    assert written
+    for j, attribute in enumerate(schema["attributes"]):
+        cells = [row[j] for row in written]
+        if attribute["kind"] == NUMERIC:
+            assert all(math.isfinite(float(cell)) for cell in cells), cells
+        else:
+            known = attribute.get("encoding") or {row[j].strip() for row in rows[1:]} - markers
+            assert set(cells) <= set(known), (cells, known)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(BASES)), st.lists(edits, max_size=3))
+def test_mutated_data_and_schema_files_exit_with_a_documented_code(base, mutations):
+    """impute in both modes, classify with the kNN baseline and evaluate
+    read the mutated files: each run exits 0, 2, 3 or 4, never 1, and a
+    written table holds finite numbers and known symbols only."""
+    text, schema = BASES[base]
+    schema = json.loads(json.dumps(schema))
+    rows = [line.split(",") for line in text.splitlines()]
+    query = [",".join(a["name"] for a in schema["attributes"]), ",".join(rows[1][: len(schema["attributes"])])]
+    for edit in mutations:
+        mutate(rows, schema, edit)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = functools.partial(os.path.join, scratch)
+        files = {
+            "data.csv": "".join(",".join(row) + "\n" for row in rows),
+            "schema.json": json.dumps(schema),
+            "query.csv": "\n".join(query) + "\n",
+            "spec.json": json.dumps({"dataset": "data.csv", "schema": "schema.json", "rates": [0.2]}),
+        }
+        for name, content in files.items():
+            with open(path(name), "wb") as fh:
+                fh.write(content.encode("utf-8", "surrogateescape"))
+        data, schema_path = path("data.csv"), path("schema.json")
+        runs = [
+            ["impute", "--data", data, "--schema", schema_path, "--mode", mode, "--out", path(f"{mode}.csv")]
+            for mode in MODES
+        ] + [
+            ["classify", "--train", data, "--schema", schema_path, "--query", path("query.csv"), "--with-knn-baseline",
+             "--out", path("labels.csv")],
+            ["evaluate", "--config", path("spec.json"), "--out", path("report.json")],
+        ]
+        for argv in runs:
+            code = main(argv)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_INSUFFICIENT, EXIT_UNLABELED), argv
+            if code == EXIT_OK and argv[0] == "impute":
+                check_output(argv[-1], schema, rows)
