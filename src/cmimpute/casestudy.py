@@ -19,7 +19,6 @@ from .dataset import (
     AttributeSpec,
     Dataset,
     Schema,
-    encode,
     parse_dataset,
     schema_from_dict,
     split_groups,
@@ -72,20 +71,20 @@ def fixture_text(name: str) -> str:
 
 
 def load_missing_dataset() -> Dataset:
-    """The ingest table with two masked cells, encoded."""
+    """The ingest table with two masked cells."""
     schema = schema_from_dict(json.loads(fixture_text("schema_missing.json")))
-    return encode(parse_dataset(fixture_text("table03_missing_raw.csv"), schema))
+    return parse_dataset(fixture_text("table03_missing_raw.csv"), schema)
 
 
 def load_normalized_dataset() -> Dataset:
-    """The complete encoded table the imputation must recover."""
+    """The complete table the imputation must recover."""
     schema = Schema(tuple(AttributeSpec(n, NUMERIC) for n in ("A1", "A2", "A3", "A4")), "Class")
     return parse_dataset(fixture_text("table02_normalized.csv"), schema)
 
 
 def load_classification_dataset() -> Dataset:
     schema = schema_from_dict(json.loads(fixture_text("schema_classification.json")))
-    return encode(parse_dataset(fixture_text("table16_classification.csv"), schema))
+    return parse_dataset(fixture_text("table16_classification.csv"), schema)
 
 
 def _expected_rows(name: str) -> list[list[str]]:

@@ -63,7 +63,7 @@ class _Column(Mapping[str, float]):
 
 def check_training_data(dataset: Dataset) -> None:
     """The checks both classifiers run on their training dataset: it is
-    non-empty, encoded, complete (a ParseError) and fully labeled."""
+    non-empty, complete (a ParseError) and fully labeled."""
     if not len(dataset):
         raise NoDonorsError("empty training dataset")
     incomplete = np.isnan(dataset.matrix).any(axis=1)
@@ -160,8 +160,8 @@ def classify_mapped_all(
     model: ClusterModel,
     mode: str = MODE_ABSOLUTE,
 ) -> list[ClassificationResult]:
-    """classify_mapped for every record of queries, an encoded dataset
-    of complete records, in order: one mapping call for all of them,
+    """classify_mapped for every record of queries, a dataset of
+    complete records, in order: one mapping call for all of them,
     and one selection, the one impute_dataset makes."""
     fit = _fit(dataset)
     if queries.schema.arity != dataset.schema.arity:

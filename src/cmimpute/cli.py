@@ -30,8 +30,6 @@ from .classify import check_training_data, classify_mapped_all, classify_raw_knn
 from .dataset import (
     Schema,
     csv_text,
-    decode_dataset,
-    encode,
     format_number,
     load_dataset,
     load_schema,
@@ -144,9 +142,9 @@ def cmd_impute(args: argparse.Namespace) -> int:
     _guard_outputs([data, schema_path, args.config], [out, args.report])
 
     schema = load_schema(schema_path)
-    dataset = encode(load_dataset(data, schema))
+    dataset = load_dataset(data, schema)
     result = impute_dataset(dataset, ImputeConfig(mode=args.mode, k=args.k, init=args.init))
-    write_dataset(decode_dataset(result.dataset), out)
+    write_dataset(result.dataset, out)
     if args.report is not None:
         _write_text(args.report, provenance_csv(result))
     if args.verbose:
@@ -169,7 +167,7 @@ def _load_queries(path: str, train_schema: Schema):
         label_column=None,
         missing_markers=train_schema.missing_markers,
     )
-    queries = encode(parse_dataset(text, query_schema, id_prefix="Q"))
+    queries = parse_dataset(text, query_schema, id_prefix="Q")
     holed = np.isnan(queries.matrix).any(axis=1)
     if holed.any():
         raise ParseError(f"query record {queries.ids[int(holed.argmax())]} has missing cells")
@@ -183,7 +181,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     _guard_outputs([train_path, schema_path, query_path, args.config], [args.out])
 
     schema = load_schema(schema_path)
-    train = encode(load_dataset(train_path, schema))
+    train = load_dataset(train_path, schema)
     queries = _load_queries(query_path, train.schema)
     # The report joins tied labels with ';', so a label holding one
     # would read as several.

@@ -1,5 +1,7 @@
-"""Schema definition, delimited-text ingestion, categorical encoding,
-missing-cell representation, and the complete/incomplete group split."""
+"""Schema definition, delimited-text ingestion (categorical symbols
+become ordinals as they are read), missing-cell representation, the
+complete/incomplete group split and the writer, which turns ordinals
+back into symbols."""
 
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ import numpy as np
 
 from .errors import DecodeError, ParseError, SchemaError, read_json, read_text
 
-# A cell is a parsed numeric value, a categorical symbol awaiting
-# encoding, or None for a missing value.
-Cell = float | str | None
+# A cell is a number (a categorical cell holds its symbol's ordinal),
+# or None for a missing value.
+Cell = float | None
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -38,8 +40,8 @@ class AttributeSpec:
 
     Ordinals are contiguous positive integers starting at 1 so that
     decoding can invert the map without ambiguity.  An empty encoding
-    on a categorical attribute means "not yet frozen": encode() will
-    build one from the data in sorted symbol order.
+    on a categorical attribute means "not yet frozen": parse_dataset
+    builds one from the data in sorted symbol order.
     """
 
     def __init__(self, name: str, kind: str, encoding: Mapping[str, int] | None = None) -> None:
@@ -59,10 +61,6 @@ class AttributeSpec:
         if not isinstance(other, AttributeSpec):
             return NotImplemented
         return (self.name, self.kind, self.encoding) == (other.name, other.kind, other.encoding)
-
-    @property
-    def is_frozen(self) -> bool:
-        return self.kind == NUMERIC or bool(self.encoding)
 
     def decode_value(self, value: float) -> str | float:
         if self.kind == NUMERIC:
@@ -168,18 +166,6 @@ class Record(NamedTuple):
         return None not in self.cells
 
 
-# One attribute's cells in row order: a float64 array with NaN for each
-# missing cell when every present cell is a float, else a tuple of the
-# cells (symbols, None for a missing cell).
-Column = np.ndarray | tuple[Cell, ...]
-
-
-def _column(cells: Sequence[Cell]) -> Column:
-    if all(t is type(None) or issubclass(t, float) for t in set(map(type, cells))):
-        return np.array(cells, dtype=float)
-    return tuple(cells)
-
-
 class FieldText:
     """A numeric column's fields as they were read and the values parsed
     from them.  The writer copies a canonical field (see
@@ -242,33 +228,30 @@ def _canonical_fields(text: str, m: int) -> np.ndarray:
     )
 
 
-def _cells(column: Column) -> Sequence[Cell]:
+def _cells(column: np.ndarray) -> Sequence[Cell]:
     """The column's cells as a record holds them: None for a missing cell."""
-    if not isinstance(column, np.ndarray):
-        return column
     values = column.tolist()
     return [None if v != v else v for v in values] if np.isnan(column).any() else values
 
 
 class Dataset:
     """Rows sharing one schema, stored a column at a time: the record
-    ids, the labels (None for an unlabeled record) and one Column per
-    attribute.  Categorical columns hold symbols until encode() turns
-    them into float ordinals; once every column is an array the dataset
-    is encoded and its cells form one matrix.  Records are a view of
-    the columns, built when first read.  A dataset parsed from text
-    keeps each numeric column's FieldText (None for every other
-    column), which encode, decode_dataset and imputation pass on and
-    every other constructor drops.  A dataset is never mutated."""
+    ids, the labels (None for an unlabeled record) and one read-only
+    float64 array per attribute, NaN for a missing cell (the constructor
+    reads None as NaN).  A categorical column holds its symbols'
+    ordinals.  Records are a view of the columns, built when first
+    read.  A dataset parsed from text keeps each numeric column's
+    FieldText (None for every other column), which imputation passes on
+    and every other constructor drops.  A dataset is never mutated."""
 
     def __init__(
         self, schema: Schema, ids: Sequence[str], labels: Sequence[str | None], columns, field_texts=None
     ) -> None:
-        self.schema, self.ids, self.labels, self.columns = schema, tuple(ids), tuple(labels), tuple(columns)
+        self.schema, self.ids, self.labels = schema, tuple(ids), tuple(labels)
+        self.columns = tuple(np.asarray(c, dtype=float) for c in columns)
         self.field_texts = tuple(field_texts) if field_texts is not None else (None,) * len(self.columns)
         for column in self.columns:
-            if isinstance(column, np.ndarray):
-                column.flags.writeable = False
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -280,10 +263,7 @@ class Dataset:
             return NotImplemented
         heads = [(d.schema, d.ids, d.labels, len(d.columns)) for d in (self, other)]
         return heads[0] == heads[1] and all(
-            np.array_equal(a, b, equal_nan=True)
-            if isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-            else tuple(_cells(a)) == tuple(_cells(b))
-            for a, b in zip(self.columns, other.columns)
+            np.array_equal(a, b, equal_nan=True) for a, b in zip(self.columns, other.columns)
         )
 
     @property
@@ -297,19 +277,12 @@ class Dataset:
 
     @property
     def is_complete(self) -> bool:
-        return not any(np.isnan(c).any() if isinstance(c, np.ndarray) else None in c for c in self.columns)
-
-    @property
-    def is_encoded(self) -> bool:
-        """True when every present cell is numeric (symbols all encoded)."""
-        return all(isinstance(c, np.ndarray) for c in self.columns)
+        return not any(np.isnan(c).any() for c in self.columns)
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The cells as one read-only (m, n) float64 matrix, NaN for each
-        missing cell.  Built once per dataset, which must be encoded."""
-        if not self.is_encoded:
-            raise ValueError("dataset must be encoded before its cells form a matrix")
+        missing cell.  Built once per dataset."""
         matrix = np.column_stack(self.columns)
         matrix.flags.writeable = False
         return matrix
@@ -334,7 +307,7 @@ class Dataset:
             self.schema,
             [self.ids[i] for i in rows],
             [self.labels[i] for i in rows],
-            [c[index] if isinstance(c, np.ndarray) else tuple(c[i] for i in rows) for c in self.columns],
+            [c[index] for c in self.columns],
         )
 
     @cached_property
@@ -358,8 +331,12 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     Each field is stripped; one that then matches a missing marker
     becomes a missing cell.  Per numeric column, NumPy reads every other
     field with float() in one cast (non-finite values and magnitudes
-    above MAX_MAGNITUDE rejected); categorical fields stay symbols until
-    encode().  Records are assigned ids R1..Rm in row order (the prefix
+    above MAX_MAGNITUDE rejected).  Per categorical column, every other
+    field is a symbol and the cell holds its ordinal.  An encoding the
+    schema gives is frozen, and a symbol outside it is an error; an
+    attribute without one gets its distinct symbols in sorted order,
+    ordinals 1..K, and the dataset's schema carries that encoding.
+    Records are assigned ids R1..Rm in row order (the prefix
     is configurable so query files read as Q1..Qm next to their training
     records).  An empty label field means the record is unlabeled.  Text
     that plain splitting reads as csv.reader would (see _split_fields)
@@ -385,7 +362,7 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     else:
         fields = [flat[j :: width + 1] for j in range(width + 1, 2 * width + 1)]
     try:
-        columns = _parse_columns(fields, schema)
+        schema, columns = _parse_columns(fields, schema)
     except (ParseError, SchemaError):
         _raise_first_error(list(zip(*fields)), schema, width)
         raise
@@ -444,22 +421,29 @@ def _raise_first_error(body: Sequence[Sequence[str]], schema: Schema, width: int
         _parse_columns([(f,) for f in row], schema, rownum)
 
 
-def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
-    """The parsed attribute columns of the fields, given a column at a
-    time, then their raw label fields.  Raises for a bad field, named
-    right only for a single row: parse_dataset replays a failed column
-    pass one row at a time (_raise_first_error)."""
+def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> tuple[Schema, list]:
+    """The schema with every categorical attribute's encoding (built
+    from its symbols unless frozen), and the parsed attribute columns of
+    the fields, given a column at a time, then their raw label fields.
+    Raises for a bad field, named right only for a single row:
+    parse_dataset replays a failed column pass one row at a time
+    (_raise_first_error)."""
     markers, nan = schema.missing_markers, math.nan
-    columns: list = []
-    for spec, raw in zip(schema.attributes, fields):
+    specs, columns = list(schema.attributes), []
+    for j, (spec, raw) in enumerate(zip(schema.attributes, fields)):
         if spec.kind == CATEGORICAL:
-            symbols = [None if (t := f.strip()) in markers else t for f in raw]
-            if spec.is_frozen and not set(symbols) - {None} <= spec.encoding.keys():
+            symbols = [f.strip() for f in raw]
+            distinct = set(symbols) - markers
+            if spec.encoding and not distinct <= spec.encoding.keys():
                 raise SchemaError(
                     f"row {first_row}: symbol {symbols[0]!r} not in the frozen encoding "
                     f"of attribute {spec.name!r}"
                 )
-            columns.append(_column(symbols))
+            if not spec.encoding:
+                ordinals = {s: i for i, s in enumerate(sorted(distinct), start=1)}
+                specs[j] = spec = AttributeSpec(spec.name, CATEGORICAL, ordinals)
+            codes = {s: float(spec.encoding[s]) for s in distinct} | dict.fromkeys(markers, nan)
+            columns.append(np.fromiter(map(codes.__getitem__, symbols), float, len(symbols)))
             continue
         try:
             values = np.array([nan if (t := f.strip()) in markers else t for f in raw], dtype=float)
@@ -477,7 +461,7 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> list:
                 f"the magnitude bound {MAX_MAGNITUDE:g}"
             )
         columns.append(values)
-    return columns + fields[schema.arity :]
+    return Schema(tuple(specs), schema.label_column, markers), columns + fields[schema.arity :]
 
 
 def load_dataset(path: str, schema: Schema) -> Dataset:
@@ -485,59 +469,20 @@ def load_dataset(path: str, schema: Schema) -> Dataset:
 
 
 def encode(dataset: Dataset) -> Dataset:
-    """Replace categorical symbols by their ordinals.
-
-    Attributes without a frozen encoding get one built from the data:
-    distinct symbols in sorted order, ordinals 1..K.  An explicit
-    encoding in the schema always wins, so table reproductions do not
-    depend on symbol naming.  Each column is checked and encoded once
-    per distinct cell, then mapped with one dict lookup per cell.
-    """
-    specs, columns = [], []
-    for spec, column in zip(dataset.schema.attributes, dataset.columns):
-        if spec.kind == CATEGORICAL:
-            spec, column = _encode_column(spec, column, dataset.ids)
-        specs.append(spec)
-        columns.append(column)
-    schema = Schema(tuple(specs), dataset.schema.label_column, dataset.schema.missing_markers)
-    return Dataset(schema, dataset.ids, dataset.labels, columns, dataset.field_texts)
-
-
-def _encode_column(spec: AttributeSpec, column: Column, ids: Sequence[str]) -> tuple[AttributeSpec, Column]:
-    # Cells in first-appearance order (NaN, a missing number, as None);
-    # every one present must be a symbol, of the encoding if it is frozen.
-    cells = _cells(column)
-    distinct = dict.fromkeys(cells)
-    distinct.pop(None, None)
-    for cell in distinct:
-        if not isinstance(cell, str):
-            where = f"record {ids[cells.index(cell)]}: attribute {spec.name!r}"
-            raise SchemaError(f"{where} expected a symbol, got {cell!r}")
-        if spec.encoding and cell not in spec.encoding:
-            raise SchemaError(f"attribute {spec.name!r}: symbol {cell!r} not in frozen encoding")
-    if not spec.encoding:
-        spec = AttributeSpec(spec.name, spec.kind, {sym: i for i, sym in enumerate(sorted(distinct), start=1)})
-    codes = {cell: float(spec.encoding[cell]) for cell in distinct}
-    codes[None] = math.nan
-    return spec, np.fromiter(map(codes.__getitem__, cells), float, len(cells))
+    """The dataset itself: parse_dataset stores ordinals.  Only perfbench
+    still names this function."""
+    return dataset
 
 
 def decode_dataset(dataset: Dataset) -> Dataset:
-    """Render every encoded cell back to its symbol form, decoding each
-    distinct value of a column once."""
-    columns = []
-    for spec, column in zip(dataset.schema.attributes, dataset.columns):
-        if spec.kind != NUMERIC and isinstance(column, np.ndarray):
-            values = column.tolist()
-            symbols = {v: spec.decode_value(v) for v in dict.fromkeys(values) if v == v}
-            column = tuple(map(symbols.get, values))  # NaN finds no symbol: None
-        columns.append(column)
-    return Dataset(dataset.schema, dataset.ids, dataset.labels, columns, dataset.field_texts)
+    """The dataset itself: dataset_to_csv writes symbols.  Only perfbench
+    still names this function."""
+    return dataset
 
 
 def split_groups(dataset: Dataset) -> GroupSplit:
     """Partition records into the complete group and the missing-value
-    group, both keeping original order.  The dataset must be encoded."""
+    group, both keeping original order."""
     incomplete = np.isnan(dataset.matrix).any(axis=1)
     return GroupSplit(dataset.take(np.flatnonzero(~incomplete)), dataset.take(np.flatnonzero(incomplete)))
 
@@ -551,13 +496,11 @@ def format_number(value: float) -> str:
     return repr(value)
 
 
-def format_column(column: Column) -> list[str]:
-    """The column's cells as text: the missing marker, a symbol or
-    format_number's rendering.  An array is rendered by repr in bulk,
-    then its integral values (found in one NumPy pass) are rewritten as
-    integers and its NaNs as the marker."""
-    if not isinstance(column, np.ndarray):
-        return [MISSING_FIELD if c is None else c if isinstance(c, str) else format_number(c) for c in column]
+def format_column(column: np.ndarray) -> list[str]:
+    """The column's cells as text: the missing marker or format_number's
+    rendering.  The column is rendered by repr in bulk, then its
+    integral values (found in one NumPy pass) are rewritten as integers
+    and its NaNs as the marker."""
     texts = list(map(repr, column.tolist()))
     integral = np.flatnonzero((np.abs(column) < 1e15) & (column == np.trunc(column)))
     for i, text in zip(integral.tolist(), map(str, column[integral].astype(np.int64).tolist())):
@@ -597,14 +540,27 @@ def _kept_column(column: np.ndarray, kept: FieldText) -> list[str]:
     return texts
 
 
+def _symbol_column(spec: AttributeSpec, column: np.ndarray) -> list[str]:
+    """The categorical column's symbols, each distinct ordinal decoded
+    once, and the missing marker for NaN."""
+    values = column.tolist()
+    symbols = {v: spec.decode_value(v) for v in dict.fromkeys(values) if v == v}
+    return [symbols.get(v, MISSING_FIELD) for v in values]  # NaN finds no symbol
+
+
 def dataset_to_csv(dataset: Dataset) -> str:
     """Serialize with a header row, newline-terminated, deterministic;
-    cells are formatted a column at a time, and a numeric column with a
-    FieldText keeps the fields it can."""
+    cells are formatted a column at a time, a categorical column as its
+    symbols, and a numeric column with a FieldText keeps the fields it
+    can."""
     header = list(dataset.schema.attribute_names)
     columns = [
-        format_column(column) if kept is None else _kept_column(column, kept)
-        for column, kept in zip(dataset.columns, dataset.field_texts)
+        _symbol_column(spec, column)
+        if spec.kind == CATEGORICAL
+        else format_column(column)
+        if kept is None
+        else _kept_column(column, kept)
+        for spec, column, kept in zip(dataset.schema.attributes, dataset.columns, dataset.field_texts)
     ]
     if dataset.schema.label_column is not None:
         header.append(dataset.schema.label_column)
@@ -613,5 +569,6 @@ def dataset_to_csv(dataset: Dataset) -> str:
 
 
 def write_dataset(dataset: Dataset, path: str) -> None:
+    text = dataset_to_csv(dataset)  # a symbol that fails to decode leaves no file behind
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dataset_to_csv(dataset))
+        fh.write(text)

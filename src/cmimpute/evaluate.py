@@ -20,7 +20,6 @@ from .dataset import (
     Dataset,
     Schema,
     csv_text,
-    encode,
     load_dataset,
     load_schema,
     split_groups,
@@ -244,8 +243,9 @@ class ExperimentConfig:
         for rate in rates:
             if not 0 < rate < 1:
                 raise ConfigError(f"rates must lie in (0, 1), got {rate}")
-        if trials < 0:
+        if config_integer(trials, "trials") < 0:
             raise ConfigError(f"trials must be non-negative, got {trials}")
+        config_seed(master_seed, "master_seed")
         if not 0 <= holdout_fraction < 1:
             raise ConfigError(f"holdout_fraction must be in [0, 1), got {holdout_fraction}")
         if plan is not None and not plan:
@@ -320,8 +320,6 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     again with the trial and method in front of the message.
     """
     dataset = config.dataset
-    if not dataset.is_encoded:
-        raise ConfigError("experiment dataset must be encoded")
     if not dataset.is_complete:
         raise ConfigError("experiment dataset must be complete (it is the ground truth)")
     if dataset.n_classes == 0:
@@ -420,15 +418,16 @@ def _segment_counts(n_records: int) -> list[int]:
 
 
 def make_synthetic_dataset(n_records: int = 60, seed: int = 7) -> Dataset:
-    """Labeled, complete, encoded benchmark dataset with three classes
+    """Labeled, complete benchmark dataset with three classes
     clustered along one latent axis.
 
     Each class is bimodal: it unions two distant latent segments, so
     per-class statistics straddle the modes while geometric donors stay
-    local.  A six-value categorical names the segment and dominates the
-    encoded geometry (the six numerics are normalized to unit scale and
-    follow the latent value with small noise), which keeps the mapping
-    scalar informative even when a numeric cell is missing.
+    local.  A six-value categorical names the segment and, by its
+    ordinals, dominates the geometry (the six numerics are normalized
+    to unit scale and follow the latent value with small noise), which
+    keeps the mapping scalar informative even when a numeric cell is
+    missing.
     """
     if n_records < 12:
         raise ConfigError("need at least 12 records (two per latent segment)")
@@ -472,7 +471,7 @@ def experiment_from_spec(raw: Mapping, inputs: tuple[str, ...]) -> ExperimentCon
         dataset = make_synthetic_dataset(n_records=records, seed=config_seed(synth.get("seed", 7), "synthetic.seed"))
     elif inputs:
         data_path, schema_path = inputs
-        dataset = encode(load_dataset(data_path, load_schema(schema_path)))
+        dataset = load_dataset(data_path, load_schema(schema_path))
     else:
         raise ConfigError("experiment spec needs either 'synthetic' or 'dataset' + 'schema'")
 

@@ -212,7 +212,7 @@ class ImputeConfig:
         self.mode, self.k, self.init = mode, k, init
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        if k is not None and (not isinstance(k, int) or k < 1):
+        if k is not None and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
             raise ConfigError(f"k must be a positive integer, got {k!r}")
 
 
@@ -286,8 +286,8 @@ class ImputationResult:
 
 
 def missing_cells(dataset: Dataset, no_donors: str) -> np.ndarray | None:
-    """The missing-cell mask of an encoded dataset, or None when no cell
-    is missing; NoDonorsError(no_donors) when no record is complete."""
+    """The dataset's missing-cell mask, or None when no cell is
+    missing; NoDonorsError(no_donors) when no record is complete."""
     missing = np.isnan(dataset.matrix)
     incomplete = missing.any(axis=1)
     if not incomplete.any():

@@ -7,7 +7,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import NUMERIC, AttributeSpec, Dataset, Record, Schema, _column
+from .dataset import NUMERIC, AttributeSpec, Dataset, Record, Schema
 from .errors import ConfigError, InsufficientDataError
 
 MAX_ITERATIONS = 100
@@ -58,8 +58,8 @@ class ClusterModel(NamedTuple):
 
 
 def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> ClusterModel:
-    """Cluster complete records, given as an encoded dataset or as a
-    sequence of records with numeric cells, into k clusters.
+    """Cluster complete records, given as a dataset or as a sequence
+    of records with numeric cells, into k clusters.
 
     Iterative policies need k distinct points and run Lloyd steps until
     the assignment stops changing or MAX_ITERATIONS is hit;
@@ -73,7 +73,7 @@ def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> Cluster
         records = tuple(g1)
         columns = list(zip(*(r.cells for r in records), strict=True)) or [()]
         schema = Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(len(columns))))
-        g1 = Dataset(schema, [r.id for r in records], [r.label for r in records], map(_column, columns))
+        g1 = Dataset(schema, [r.id for r in records], [r.label for r in records], columns)
     if not len(g1):
         raise InsufficientDataError("no complete records to cluster")
     if k < 1:

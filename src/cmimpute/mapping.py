@@ -154,7 +154,7 @@ def _group_values(rows: Dataset, model: ClusterModel, complete: bool) -> np.ndar
 
 def build_mapping(g1: Dataset, queries: Dataset, model: ClusterModel) -> MappingTable:
     """Map(R) for the donor pool and Map'(R) for the queries, each
-    group an encoded dataset, one kernel call per group; each group's
+    group a dataset, one kernel call per group; each group's
     values stay an array aligned with its rows."""
     return MappingTable(
         g1.ids,

@@ -18,7 +18,7 @@ from cmimpute.casestudy import (
     load_missing_dataset,
     load_normalized_dataset,
 )
-from cmimpute.dataset import Dataset, Record, Schema, _column, split_groups
+from cmimpute.dataset import Dataset, Record, Schema, split_groups
 from cmimpute.kmeans import FixedPartition, cluster
 from cmimpute.mapping import MappingTable
 
@@ -48,7 +48,7 @@ def dataset_of(schema: Schema, records) -> Dataset:
     if any(len(r.cells) != schema.arity for r in records):
         raise ValueError(f"records must have {schema.arity} cells each")
     columns = list(zip(*(r.cells for r in records))) or [()] * schema.arity
-    return Dataset(schema, [r.id for r in records], [r.label for r in records], map(_column, columns))
+    return Dataset(schema, [r.id for r in records], [r.label for r in records], columns)
 
 
 def mapping_table(complete_map: dict, query_map: dict) -> MappingTable:
@@ -63,13 +63,13 @@ def new_record() -> Record:
 
 @pytest.fixture
 def missing_dataset():
-    """The encoded 9-record table with R3.A3 and R5.A4 missing."""
+    """The 9-record table with R3.A3 and R5.A4 missing."""
     return load_missing_dataset()
 
 
 @pytest.fixture
 def normalized_dataset():
-    """The encoded 9-record table with every cell present."""
+    """The 9-record table with every cell present."""
     return load_normalized_dataset()
 
 

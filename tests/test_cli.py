@@ -33,7 +33,7 @@ from cmimpute.cli import (
     SEED_ENV_VAR,
     main,
 )
-from cmimpute.dataset import NUMERIC, Record, dataset_to_csv, decode_dataset
+from cmimpute.dataset import NUMERIC, Record, dataset_to_csv
 from cmimpute.evaluate import inject_mcar, make_synthetic_dataset
 from cmimpute.kmeans import FarthestFirst
 
@@ -161,7 +161,7 @@ def test_every_missing_cell_is_filled_through_fill_value(tmp_path, monkeypatch):
         "attributes": [{"name": a.name, "kind": a.kind, "encoding": dict(a.encoding)} for a in specs],
         "label_column": masked.schema.label_column,
     }
-    data = write(tmp_path / "data.csv", dataset_to_csv(decode_dataset(masked)))
+    data = write(tmp_path / "data.csv", dataset_to_csv(masked))
     schema_path = write(tmp_path / "schema.json", json.dumps(schema))
     out, report = tmp_path / "out.csv", tmp_path / "prov.csv"
 

@@ -25,12 +25,11 @@ from cmimpute.dataset import (
     Schema,
     csv_text,
     dataset_to_csv,
-    decode_dataset,
-    encode,
     format_number,
     parse_dataset,
     schema_from_dict,
     split_groups,
+    write_dataset,
 )
 from cmimpute.errors import DecodeError, ParseError, SchemaError
 from cmimpute.impute import ImputeConfig, impute_dataset
@@ -54,21 +53,26 @@ def numeric_schema(n: int, label: str | None = "class") -> Schema:
 def test_nan_marker_becomes_missing_cell():
     raw = parse_dataset(fixture_text("table03_missing_raw.csv"), missing_schema())
     r3 = raw.record("R3")
-    assert r3.cells == ("c11", 7.0, None, 7.0)
+    assert r3.cells == (1.0, 7.0, None, 7.0)
+    assert raw.schema.attributes[0].encoding["c11"] == 1
     assert r3.label == "CLASS-1"
 
 
 def test_question_mark_marker_becomes_missing_cell():
     raw = parse_dataset(fixture_text("table03_missing_raw.csv"), missing_schema())
     r5 = raw.record("R5")
-    assert r5.cells == ("c13", 3.0, "d32", None)
+    assert r5.cells == (3.0, 3.0, 2.0, None)
+    a1, _, a3, _ = raw.schema.attributes
+    assert (a1.encoding["c13"], a3.encoding["d32"]) == (3, 2)
 
 
 def test_fully_populated_row_is_complete():
     raw = parse_dataset(fixture_text("table03_missing_raw.csv"), missing_schema())
     r1 = raw.record("R1")
     assert r1.is_complete
-    assert r1.cells == ("c11", 5.0, "d31", 10.0)
+    assert r1.cells == (1.0, 5.0, 1.0, 10.0)
+    a1, _, a3, _ = raw.schema.attributes
+    assert (a1.encoding["c11"], a3.encoding["d31"]) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -83,12 +87,6 @@ def test_fully_populated_row_is_complete():
 )
 def test_record_completeness_tests_for_none_only(cells, complete):
     assert Record("R1", cells).is_complete is complete
-
-
-def test_encoded_flag_matches_cell_types():
-    schema = numeric_schema(2)
-    assert dataset_of(schema, (Record("R1", (1.0, None)), Record("R2", (2.0, 3.0)))).is_encoded
-    assert not dataset_of(schema, (Record("R1", (1.0, None)), Record("R2", ("a", 3.0)))).is_encoded
 
 
 def test_record_lookup_by_id():
@@ -159,9 +157,6 @@ def test_unknown_symbol_under_frozen_encoding():
     )
     with pytest.raises(SchemaError, match="'z'"):
         parse_dataset("a,class\nz,a\n", schema)
-    # A dataset built by hand skips the parser's check; encode makes its own.
-    with pytest.raises(SchemaError, match=r"^attribute 'a': symbol 'z' not in frozen encoding$"):
-        encode(Dataset(schema, ["R1", "R2"], ["a", "a"], [("x", "z")]))
 
 
 def test_custom_missing_markers_override():
@@ -235,20 +230,14 @@ def test_csv_text_is_what_csv_writer_writes(rows, width):
 
 
 def test_encode_reference_symbols():
-    ds = encode(parse_dataset(fixture_text("table01_raw.csv"), missing_schema()))
+    ds = parse_dataset(fixture_text("table01_raw.csv"), missing_schema())
     assert ds.record("R2").cells[0] == 3.0  # c13
     assert ds.record("R3").cells[2] == 2.0  # d32
     assert ds.record("R1").cells[3] == 10.0  # numeric pass-through
 
 
-def test_encoding_an_encoded_dataset_names_the_record():
-    ds = encode(parse_dataset(fixture_text("table01_raw.csv"), missing_schema()))
-    with pytest.raises(SchemaError, match="record R1: attribute 'A1' expected a symbol, got 1.0"):
-        encode(ds)
-
-
 def test_encode_leaves_missing_cells_missing():
-    ds = encode(parse_dataset(fixture_text("table03_missing_raw.csv"), missing_schema()))
+    ds = parse_dataset(fixture_text("table03_missing_raw.csv"), missing_schema())
     assert ds.record("R3").cells[2] is None
     assert ds.record("R5").cells[3] is None
 
@@ -260,22 +249,60 @@ def test_decode_reference_symbols():
     assert a4.decode_value(7.0) == 7.0
 
 
-def test_decode_rejects_non_ordinal():
+def test_decode_rejects_non_ordinal(tmp_path):
     spec = AttributeSpec("a", CATEGORICAL, {"x": 1, "y": 2})
     with pytest.raises(DecodeError):
         spec.decode_value(2.5)
     with pytest.raises(DecodeError):
         spec.decode_value(3.0)
+    # The writer decodes before it opens the file, so none is left behind.
+    out = tmp_path / "out.csv"
+    with pytest.raises(DecodeError, match="value 3.0 is not an ordinal"):
+        write_dataset(Dataset(Schema((spec,)), ["R1", "R2"], [None, None], [(1.0, 3.0)]), str(out))
+    assert not out.exists()
+
+
+# A frozen categorical attribute whose ordinals are not in sorted
+# symbol order, an unfrozen one, and missing cells in both.
+MIXED = Schema(
+    (
+        AttributeSpec("x", NUMERIC),
+        AttributeSpec("f", CATEGORICAL, {"hi": 1, "lo": 2, "mid": 3}),
+        AttributeSpec("u", CATEGORICAL),
+    ),
+    label_column="class",
+)
+MIXED_TEXT = "x,f,u,class\n1,lo,zed,a\n2.5,?,apex,b\n?,hi,?,a\n3,mid,mid,\n"
 
 
 def test_decode_encode_round_trip_on_reference_table():
-    raw = parse_dataset(fixture_text("table01_raw.csv"), missing_schema())
-    assert decode_dataset(encode(raw)) == raw
+    # Parse stores ordinals and the writer gives the symbols back, on
+    # the split parse and on csv.reader's.
+    cases = [(fixture_text("table01_raw.csv"), missing_schema()), (MIXED_TEXT, MIXED)]
+    for text, schema in cases:
+        assert dataset_to_csv(parse_dataset(text, schema)) == text
+        with mock.patch.object(cmimpute.dataset, "_split_fields", return_value=None):
+            assert dataset_to_csv(parse_dataset(text, schema)) == text
+    train = parse_dataset(MIXED_TEXT, MIXED)
+    assert [r.cells for r in train.records] == [
+        (1.0, 2.0, 3.0),
+        (2.5, None, 1.0),
+        (None, 1.0, None),
+        (3.0, 3.0, 2.0),
+    ]
+    assert train.schema.attributes[:2] == MIXED.attributes[:2]
+    assert train.schema.attributes[2].encoding == {"apex": 1, "mid": 2, "zed": 3}
+    # A query file read under the training schema gets the training
+    # ordinals, not ones built from its own symbols.
+    query_schema = Schema(train.schema.attributes, None, train.schema.missing_markers)
+    queries = parse_dataset("x,f,u\n4,mid,mid\n", query_schema, id_prefix="Q")
+    assert queries.record("Q1").cells == (4.0, 3.0, 2.0)
+    assert queries.schema == query_schema
 
 
 def test_auto_encoding_uses_sorted_symbol_order():
     schema = Schema((AttributeSpec("a", CATEGORICAL),), label_column="class")
-    ds = encode(parse_dataset("a,class\nmid,x\nzed,x\napex,x\n", schema))
+    ds = parse_dataset("a,class\nmid,x\nzed,x\napex,x\n", schema)
     assert dict(ds.schema.attributes[0].encoding) == {"apex": 1, "mid": 2, "zed": 3}
     assert [r.cells[0] for r in ds.records] == [2.0, 3.0, 1.0]
 
@@ -286,7 +313,7 @@ def test_explicit_encoding_wins_over_data_order():
     schema = Schema(
         (AttributeSpec("a", CATEGORICAL, {"zed": 1, "apex": 2}),), label_column="class"
     )
-    ds = encode(parse_dataset("a,class\napex,x\nzed,x\n", schema))
+    ds = parse_dataset("a,class\napex,x\nzed,x\n", schema)
     assert [r.cells[0] for r in ds.records] == [2.0, 1.0]
 
 
@@ -304,14 +331,14 @@ def test_numeric_attribute_rejects_encoding():
 
 
 def test_split_reference_dataset():
-    ds = encode(parse_dataset(fixture_text("table03_missing_raw.csv"), missing_schema()))
+    ds = parse_dataset(fixture_text("table03_missing_raw.csv"), missing_schema())
     split = split_groups(ds)
     assert split.g1.ids == ("R1", "R2", "R4", "R6", "R7", "R8", "R9")
     assert split.g2.ids == ("R3", "R5")
 
 
 def test_split_complete_dataset_has_empty_g2():
-    ds = encode(parse_dataset(fixture_text("table01_raw.csv"), missing_schema()))
+    ds = parse_dataset(fixture_text("table01_raw.csv"), missing_schema())
     split = split_groups(ds)
     assert len(split.g2) == 0
     assert split.g1 == ds
@@ -325,15 +352,6 @@ def test_split_all_records_incomplete_has_empty_g1():
     split = split_groups(ds)
     assert len(split.g1) == 0
     assert split.g2 == ds
-
-
-def test_split_requires_encoded_dataset():
-    ds = dataset_of(
-        Schema((AttributeSpec("a", CATEGORICAL),), label_column=None),
-        (Record("R1", ("sym",)),),
-    )
-    with pytest.raises(ValueError, match="encoded"):
-        split_groups(ds)
 
 
 @given(
@@ -364,8 +382,8 @@ def test_split_partitions_every_record(rows):
 
 def test_parse_encode_split_is_deterministic():
     text = fixture_text("table03_missing_raw.csv")
-    first = encode(parse_dataset(text, missing_schema()))
-    second = encode(parse_dataset(text, missing_schema()))
+    first = parse_dataset(text, missing_schema())
+    second = parse_dataset(text, missing_schema())
     assert first == second
     assert dataset_to_csv(first) == dataset_to_csv(second)
 
@@ -382,14 +400,12 @@ def test_dataset_equality_builds_no_record(monkeypatch):
     monkeypatch.setattr(Record, "__new__", counting)
     text = fixture_text("table03_missing_raw.csv")
     raw, raw_again = (parse_dataset(text, missing_schema()) for _ in range(2))
-    encoded, encoded_again = encode(raw), encode(raw_again)
-    assert raw == raw_again and encoded == encoded_again  # missing cells equal each other
-    assert raw != encoded  # symbols against ordinals
+    assert raw == raw_again  # missing cells equal each other
     assert raw == Dataset(raw.schema, raw.ids, raw.labels, raw.columns)  # field texts are not compared
-    assert encoded != Dataset(encoded.schema, encoded.ids, encoded.labels[::-1], encoded.columns)
-    holed = encoded.matrix.copy()
+    assert raw != Dataset(raw.schema, raw.ids, raw.labels[::-1], raw.columns)
+    holed = raw.matrix.copy()
     holed[0, 0] = np.nan
-    assert encoded != Dataset(encoded.schema, encoded.ids, encoded.labels, holed.T)
+    assert raw != Dataset(raw.schema, raw.ids, raw.labels, holed.T)
     assert built == []
 
 
@@ -397,7 +413,7 @@ def test_dataset_equality_reads_cells_as_the_record_view_does():
     schema = numeric_schema(2)
     plain = Dataset(schema, ["R1", "R2"], ["a", None], [np.array([0.0, np.nan]), np.array([1.0, 2.0])])
     assert plain == Dataset(schema, ["R1", "R2"], ["a", None], [np.array([-0.0, np.nan]), np.array([1.0, 2.0])])
-    # A column held as a cell tuple compares by its cells.
+    # The constructor reads a sequence of cells, None as NaN.
     assert plain == Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, None), np.array([1.0, 2.0])])
     assert plain != Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, 1.0), np.array([1.0, 2.0])])
     assert plain != Dataset(schema, ["R1", "R3"], ["a", None], plain.columns)
@@ -552,9 +568,6 @@ def test_writing_kept_text_equals_rendering_every_cell(rows):
         return  # a field float() rejects, or one past the magnitude bound
     assert ds.field_texts[0] is not None and ds.field_texts[1] is None
     assert dataset_to_csv(ds) == rendered(ds)
-    decoded = decode_dataset(encode(ds))
-    assert decoded.field_texts == ds.field_texts
-    assert dataset_to_csv(decoded) == rendered(decoded)
 
 
 def test_a_field_holding_a_line_break_leaves_its_column_no_canonical_field():
@@ -574,8 +587,8 @@ def test_writing_kept_text_after_imputation_equals_rendering_every_cell():
             fields[i % 3] = ["?", "a", "0"][i % 3] if i % 3 else "-1"  # markers, numeric-looking ones too
         lines.append(",".join(fields))
     ds = parse_dataset("\n".join(lines) + "\n", MARKED)
-    result = impute_dataset(encode(ds), ImputeConfig(k=2))
-    completed = decode_dataset(result.dataset)
+    result = impute_dataset(ds, ImputeConfig(k=2))
+    completed = result.dataset
     assert result.fills and completed.field_texts == ds.field_texts
     assert dataset_to_csv(completed) == rendered(completed)
     assert "?" not in dataset_to_csv(completed)

@@ -23,7 +23,6 @@ from cmimpute.dataset import (
     Dataset,
     Record,
     Schema,
-    encode,
     parse_dataset,
     schema_from_dict,
 )
@@ -464,7 +463,7 @@ def test_means_add_left_to_right_on_every_python(compensated_sum):
 def test_synthetic_dataset_shape():
     ds = make_synthetic_dataset(60, seed=7)
     assert len(ds) == 60
-    assert ds.is_complete and ds.is_encoded
+    assert ds.is_complete
     assert ds.classes == ("C1", "C2", "C3")
     cat = [a for a in ds.schema.attributes if a.kind == CATEGORICAL]
     assert len(cat) == 1 and set(cat[0].encoding) == {"b1", "b2", "b3", "b4", "b5", "b6"}
@@ -492,6 +491,10 @@ def test_experiment_config_validation(normalized_dataset):
         ExperimentConfig(normalized_dataset, rates=(1.5,))
     with pytest.raises(ConfigError, match="trials"):
         ExperimentConfig(normalized_dataset, trials=-1)
+    with pytest.raises(ConfigError, match=r"^trials must be an integer, got 1\.5$"):
+        ExperimentConfig(normalized_dataset, trials=1.5)
+    with pytest.raises(ConfigError, match="^master_seed must be non-negative, got -1$"):
+        ExperimentConfig(normalized_dataset, master_seed=-1)
     with pytest.raises(ConfigError, match="holdout"):
         ExperimentConfig(normalized_dataset, holdout_fraction=1.0)
     with pytest.raises(ConfigError, match="plan"):
@@ -507,13 +510,6 @@ def test_experiment_requires_complete_labeled_input(missing_dataset):
     )
     with pytest.raises(ConfigError, match="labeled"):
         run_experiment(ExperimentConfig(unlabeled))
-
-
-def test_experiment_requires_an_encoded_dataset():
-    schema = schema_from_dict(json.loads(fixture_text("schema_missing.json")))
-    raw = parse_dataset(fixture_text("table01_raw.csv"), schema)
-    with pytest.raises(ConfigError, match="experiment dataset must be encoded"):
-        run_experiment(ExperimentConfig(raw))
 
 
 def test_zero_trials_gives_empty_wellformed_report():
@@ -610,7 +606,7 @@ def mixed_complete_dataset() -> Dataset:
     """The complete reference table under its mixed-type schema, so a
     plan can mask one categorical and one numeric cell."""
     schema = schema_from_dict(json.loads(fixture_text("schema_missing.json")))
-    return encode(parse_dataset(fixture_text("table01_raw.csv"), schema))
+    return parse_dataset(fixture_text("table01_raw.csv"), schema)
 
 
 def test_explicit_plan_runs_one_deterministic_pass():

@@ -28,8 +28,6 @@ from cmimpute.dataset import (
     Record,
     Schema,
     dataset_to_csv,
-    decode_dataset,
-    encode,
     parse_dataset,
 )
 from cmimpute.errors import InsufficientDataError
@@ -227,7 +225,7 @@ def test_constant_columns_and_huge_values_give_finite_results(varying, constant,
     complete = {tuple(r[:3]) for r in rows if "?" not in r}
     assume(len({tuple(map(float, c)) for c in complete}) >= 2)
     text = "x0,x1,x2,class\n" + "".join(",".join(r) + "\n" for r in rows)
-    dataset = encode(parse_dataset(text, SCHEMA))
+    dataset = parse_dataset(text, SCHEMA)
 
     mode = data.draw(st.sampled_from(MODES))
     result = impute_dataset(dataset, ImputeConfig(mode=mode, init=FarthestFirst(data.draw(st.integers(0, 99)))))
@@ -249,7 +247,7 @@ def synthetic_files() -> tuple[str, dict]:
     """A small generated table, as text, and its schema as JSON."""
     dataset = make_synthetic_dataset(12, seed=5)
     attributes = [{"name": a.name, "kind": a.kind, "encoding": dict(a.encoding)} for a in dataset.schema.attributes]
-    return dataset_to_csv(decode_dataset(dataset)), {"attributes": attributes, "label_column": "class"}
+    return dataset_to_csv(dataset), {"attributes": attributes, "label_column": "class"}
 
 
 BASES = {

@@ -92,7 +92,7 @@ def test_centroid_rejects_empty_and_incomplete_members():
         centroid([])
     with pytest.raises(ValueError, match="missing"):
         centroid([Record("R1", (1.0, None))])
-    with pytest.raises(ValueError, match="encoded"):
+    with pytest.raises(ValueError, match="could not convert string to float: 'sym'"):
         centroid([Record("R1", ("sym", 1.0))])
 
 
@@ -322,7 +322,7 @@ def test_model_has_k_centroids_and_assigns_every_record():
 
 
 def test_cluster_rejects_unencoded_and_incomplete_records():
-    with pytest.raises(ValueError, match="encoded"):
+    with pytest.raises(ValueError, match="could not convert string to float: 'sym'"):
         cluster([Record("R1", ("sym", 1.0)), Record("R2", (1.0, 1.0))], 1, SeededRandom(0))
     with pytest.raises(ValueError, match="missing"):
         cluster([Record("R1", (None, 1.0)), Record("R2", (1.0, 1.0))], 1, SeededRandom(0))

@@ -90,6 +90,28 @@ def test_every_private_module_level_name_is_used_elsewhere_in_the_package():
     assert sorted(where for name, where in defined.items() if not reads[name]) == []
 
 
+def test_no_module_calls_the_encode_and_decode_shims():
+    # parse_dataset stores ordinals and dataset_to_csv writes symbols, so
+    # dataset.encode and dataset.decode_dataset are identities kept only
+    # for the benchmark: no module imports them or calls them through
+    # the dataset module, and dataset.py does not call them itself.
+    shims = {"encode", "decode_dataset"}
+    found = []
+    for path in sorted(Path(cmimpute.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("dataset", "cmimpute.dataset"):
+                found += [f"{path.name}: imports {a.name}" for a in node.names if a.name in shims]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    called = func.attr if func.value.id == "dataset" else None
+                else:
+                    called = func.id if isinstance(func, ast.Name) and path.name == "dataset.py" else None
+                if called in shims:
+                    found.append(f"{path.name}:{node.lineno}: calls {called}")
+    assert found == []
+
+
 def test_readme_names_no_deleted_function():
     # Each backticked private name (`_select_all`) or module member
     # (`impute._class_value`, `dataset.records`) of the README must be

@@ -9,7 +9,7 @@ import pytest
 
 from cmimpute.casestudy import CLASSIFICATION_PARTITION, load_classification_dataset
 from cmimpute.classify import classify_mapped, classify_raw_knn
-from cmimpute.dataset import dataset_to_csv, decode_dataset, encode, parse_dataset, split_groups
+from cmimpute.dataset import dataset_to_csv, parse_dataset, split_groups
 from cmimpute.evaluate import inject_mcar, make_synthetic_dataset
 from cmimpute.impute import ImputeConfig, difference_table, impute_dataset
 from cmimpute.kmeans import FarthestFirst, FixedPartition, cluster
@@ -27,8 +27,8 @@ def test_every_traced_function_resolves(module, name):
 def real_results() -> dict[tuple[str, str], object]:
     """A value each traced function with counts returns on real input."""
     masked, _ = inject_mcar(make_synthetic_dataset(40, seed=2), 0.05, seed=2)
-    parsed = parse_dataset(dataset_to_csv(decode_dataset(masked)), masked.schema)
-    split = split_groups(encode(parsed))
+    parsed = parse_dataset(dataset_to_csv(masked), masked.schema)
+    split = split_groups(parsed)
     model = cluster(split.g1, 3, FarthestFirst(0))
     maps = build_mapping(split.g1, split.g2, model)
     training = load_classification_dataset()
@@ -38,7 +38,7 @@ def real_results() -> dict[tuple[str, str], object]:
         ("kmeans", "cluster"): model,
         ("mapping", "build_mapping"): maps,
         ("impute", "difference_table"): difference_table(maps),
-        ("impute", "impute_dataset"): impute_dataset(encode(parsed), ImputeConfig(k=3)),
+        ("impute", "impute_dataset"): impute_dataset(parsed, ImputeConfig(k=3)),
         ("classify", "classify_mapped"): classify_mapped(new_record(), training, trained),
         ("classify", "classify_raw_knn"): classify_raw_knn(new_record(), training),
     }
