@@ -240,7 +240,7 @@ def run_case_study(tolerance: float = TOLERANCE) -> CaseStudyReport:
 
     # --- classification phase ---
     cds = load_classification_dataset()
-    query = Dataset(cds.schema, ["R10"], [None], np.array([NEW_RECORD_CELLS]).T)
+    query = Dataset(cds.schema, ["R10"], [None], [NEW_RECORD_CELLS])
 
     # raw 1-NN distances (Table XVII)
     knn = classify_raw_knn(query.records[0], cds)

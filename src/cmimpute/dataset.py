@@ -168,9 +168,10 @@ class Record(NamedTuple):
 
 class FieldText:
     """A numeric column's fields as they were read and the values parsed
-    from them.  The writer copies a canonical field (see
-    _canonical_fields) wherever its cell still holds the value parsed
-    from it, instead of rendering the value again.  Never mutated."""
+    from them, a column view of the parsed matrix.  The writer copies a
+    canonical field (see _canonical_fields) wherever its cell still
+    holds the value parsed from it, instead of rendering the value
+    again.  Never mutated."""
 
     def __init__(self, fields: Sequence[str], values: np.ndarray) -> None:
         self.fields, self.values = fields, values
@@ -229,29 +230,34 @@ def _canonical_fields(text: str, m: int) -> np.ndarray:
 
 
 def _cells(column: np.ndarray) -> Sequence[Cell]:
-    """The column's cells as a record holds them: None for a missing cell."""
+    """A matrix column's cells as a record holds them: None if missing."""
     values = column.tolist()
     return [None if v != v else v for v in values] if np.isnan(column).any() else values
 
 
 class Dataset:
-    """Rows sharing one schema, stored a column at a time: the record
-    ids, the labels (None for an unlabeled record) and one read-only
-    float64 array per attribute, NaN for a missing cell (the constructor
-    reads None as NaN).  A categorical column holds its symbols'
-    ordinals.  Records are a view of the columns, built when first
-    read.  A dataset parsed from text keeps each numeric column's
-    FieldText (None for every other column), which imputation passes on
-    and every other constructor drops.  A dataset is never mutated."""
+    """Rows sharing one schema: the record ids, the labels (None when
+    unlabeled) and one read-only, C-contiguous float64 (m, n) matrix of
+    the cells, a categorical one holding its symbol's ordinal and a
+    missing one NaN.  The constructor reads None as NaN, takes over a
+    C-contiguous float64 array uncopied, and refuses a matrix of another
+    shape or labels of another length.  Records are a view of the
+    matrix, built when first read.  A dataset parsed from text keeps
+    each numeric column's FieldText (None for every other column), which
+    imputation passes on and every other constructor drops.  A dataset
+    is never mutated."""
 
     def __init__(
-        self, schema: Schema, ids: Sequence[str], labels: Sequence[str | None], columns, field_texts=None
+        self, schema: Schema, ids: Sequence[str], labels: Sequence[str | None], matrix, field_texts=None
     ) -> None:
         self.schema, self.ids, self.labels = schema, tuple(ids), tuple(labels)
-        self.columns = tuple(np.asarray(c, dtype=float) for c in columns)
-        self.field_texts = tuple(field_texts) if field_texts is not None else (None,) * len(self.columns)
-        for column in self.columns:
-            column.flags.writeable = False
+        shape = (len(self.ids), schema.arity)
+        matrix = np.ascontiguousarray(matrix, dtype=float)
+        self.matrix = matrix.reshape(0, shape[1]) if matrix.shape == (0,) else matrix  # [] holds no rows
+        if self.matrix.shape != shape or len(self.labels) != shape[0]:
+            raise ValueError(f"a {shape} dataset got a {self.matrix.shape} matrix and {len(self.labels)} labels")
+        self.matrix.flags.writeable = False
+        self.field_texts = tuple(field_texts) if field_texts is not None else (None,) * shape[1]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -261,10 +267,8 @@ class Dataset:
         missing cell; field texts are not compared."""
         if not isinstance(other, Dataset):
             return NotImplemented
-        heads = [(d.schema, d.ids, d.labels, len(d.columns)) for d in (self, other)]
-        return heads[0] == heads[1] and all(
-            np.array_equal(a, b, equal_nan=True) for a, b in zip(self.columns, other.columns)
-        )
+        heads = [(d.schema, d.ids, d.labels) for d in (self, other)]
+        return heads[0] == heads[1] and np.array_equal(self.matrix, other.matrix, equal_nan=True)
 
     @property
     def classes(self) -> tuple[str, ...]:
@@ -277,19 +281,11 @@ class Dataset:
 
     @property
     def is_complete(self) -> bool:
-        return not any(np.isnan(c).any() for c in self.columns)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The cells as one read-only (m, n) float64 matrix, NaN for each
-        missing cell.  Built once per dataset."""
-        matrix = np.column_stack(self.columns)
-        matrix.flags.writeable = False
-        return matrix
+        return not np.isnan(self.matrix).any()
 
     @cached_property
     def records(self) -> tuple[Record, ...]:
-        return tuple(map(Record, self.ids, zip(*map(_cells, self.columns)), self.labels))
+        return tuple(map(Record, self.ids, zip(*map(_cells, self.matrix.T)), self.labels))
 
     def record(self, record_id: str) -> Record:
         return self.records[self._by_id[record_id]]
@@ -303,12 +299,7 @@ class Dataset:
         """The given rows, in the given order, as a new dataset."""
         index = np.asarray(rows, dtype=np.intp)
         rows = index.tolist()
-        return Dataset(
-            self.schema,
-            [self.ids[i] for i in rows],
-            [self.labels[i] for i in rows],
-            [c[index] for c in self.columns],
-        )
+        return Dataset(self.schema, [self.ids[i] for i in rows], [self.labels[i] for i in rows], self.matrix[index])
 
     @cached_property
     def _memo(self) -> dict:
@@ -341,9 +332,10 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     records).  An empty label field means the record is unlabeled.  Text
     that plain splitting reads as csv.reader would (see _split_fields)
     is split a column at a time; any other text is read by csv.reader.
-    The fields are parsed and checked a column at a time; when a check
-    fails, or a row read by csv.reader has the wrong width, the rows are
-    checked again one at a time, so the error names the first bad row.
+    The fields are parsed and checked a column at a time, into one
+    matrix; when a check fails, or a row read by csv.reader has the
+    wrong width, the rows are checked again one at a time, so the error
+    names the first bad row.
     """
     expected_header = list(schema.attribute_names)
     if schema.label_column is not None:
@@ -362,18 +354,18 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     else:
         fields = [flat[j :: width + 1] for j in range(width + 1, 2 * width + 1)]
     try:
-        schema, columns = _parse_columns(fields, schema)
+        schema, matrix = _parse_columns(fields, schema)
     except (ParseError, SchemaError):
         _raise_first_error(list(zip(*fields)), schema, width)
         raise
-    n, m = schema.arity, len(fields[0])
-    labels = [f.strip() or None for f in columns[n]] if schema.label_column is not None else [None] * m
+    n, m = schema.arity, len(matrix)
+    labels = [f.strip() or None for f in fields[n]] if schema.label_column is not None else [None] * m
     ids = [f"{id_prefix}{i}" for i in range(1, m + 1)]
     texts = [
         FieldText(raw, column) if spec.kind == NUMERIC else None
-        for spec, raw, column in zip(schema.attributes, fields, columns)
+        for spec, raw, column in zip(schema.attributes, fields, matrix.T)
     ]
-    return Dataset(schema, ids, labels, columns[:n], texts)
+    return Dataset(schema, ids, labels, matrix, texts)
 
 
 def _split_fields(text: str, width: int) -> list[str] | None:
@@ -421,15 +413,15 @@ def _raise_first_error(body: Sequence[Sequence[str]], schema: Schema, width: int
         _parse_columns([(f,) for f in row], schema, rownum)
 
 
-def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> tuple[Schema, list]:
+def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> tuple[Schema, np.ndarray]:
     """The schema with every categorical attribute's encoding (built
-    from its symbols unless frozen), and the parsed attribute columns of
-    the fields, given a column at a time, then their raw label fields.
-    Raises for a bad field, named right only for a single row:
-    parse_dataset replays a failed column pass one row at a time
-    (_raise_first_error)."""
+    from its symbols unless frozen), and the read-only (m, n) matrix
+    parsed from the fields, given a column at a time (any label fields
+    after the attributes' are not read).  Raises for a bad field, named
+    right only for a single row: parse_dataset replays a failed column
+    pass one row at a time (_raise_first_error)."""
     markers, nan = schema.missing_markers, math.nan
-    specs, columns = list(schema.attributes), []
+    specs, matrix = list(schema.attributes), np.empty((len(fields[0]), schema.arity))
     for j, (spec, raw) in enumerate(zip(schema.attributes, fields)):
         if spec.kind == CATEGORICAL:
             symbols = [f.strip() for f in raw]
@@ -443,7 +435,7 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> tuple[Sc
                 ordinals = {s: i for i, s in enumerate(sorted(distinct), start=1)}
                 specs[j] = spec = AttributeSpec(spec.name, CATEGORICAL, ordinals)
             codes = {s: float(spec.encoding[s]) for s in distinct} | dict.fromkeys(markers, nan)
-            columns.append(np.fromiter(map(codes.__getitem__, symbols), float, len(symbols)))
+            matrix[:, j] = np.fromiter(map(codes.__getitem__, symbols), float, len(symbols))
             continue
         try:
             values = np.array([nan if (t := f.strip()) in markers else t for f in raw], dtype=float)
@@ -460,8 +452,9 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> tuple[Sc
                 f"row {first_row + i}: {t!r} for attribute {spec.name!r} exceeds "
                 f"the magnitude bound {MAX_MAGNITUDE:g}"
             )
-        columns.append(values)
-    return Schema(tuple(specs), schema.label_column, markers), columns + fields[schema.arity :]
+        matrix[:, j] = values
+    matrix.flags.writeable = False  # before parse_dataset takes its columns' views
+    return Schema(tuple(specs), schema.label_column, markers), matrix
 
 
 def load_dataset(path: str, schema: Schema) -> Dataset:
@@ -560,7 +553,7 @@ def dataset_to_csv(dataset: Dataset) -> str:
         else format_column(column)
         if kept is None
         else _kept_column(column, kept)
-        for spec, column, kept in zip(dataset.schema.attributes, dataset.columns, dataset.field_texts)
+        for spec, column, kept in zip(dataset.schema.attributes, dataset.matrix.T, dataset.field_texts)
     ]
     if dataset.schema.label_column is not None:
         header.append(dataset.schema.label_column)

@@ -139,7 +139,7 @@ def _apply_mask(dataset: Dataset, rows: np.ndarray, attrs: np.ndarray) -> tuple[
     values.flags.writeable = False
     X = dataset.matrix.copy()
     X[rows, attrs] = math.nan
-    return Dataset(dataset.schema, dataset.ids, dataset.labels, X.T), MaskPlan(dataset.ids, rows, attrs, values)
+    return Dataset(dataset.schema, dataset.ids, dataset.labels, X), MaskPlan(dataset.ids, rows, attrs, values)
 
 
 class ImputationScore(NamedTuple):
@@ -188,7 +188,7 @@ def baseline_class_stats(dataset: Dataset) -> Dataset:
     for row, attr in zip(*(a.tolist() for a in np.nonzero(missing))):
         klass = dataset.labels[row]
         filled[row, attr] = (_class_value(g1, klass, attr, specs[attr]) if klass in classes else overall(attr))[0]
-    return Dataset(dataset.schema, dataset.ids, dataset.labels, filled.T)
+    return Dataset(dataset.schema, dataset.ids, dataset.labels, filled)
 
 
 def baseline_knn_donor(dataset: Dataset) -> Dataset:
@@ -212,7 +212,7 @@ def baseline_knn_donor(dataset: Dataset) -> Dataset:
     donors = complete[np.concatenate([squared_distances(G, Q).argmin(axis=0) for Q in queries])]
     filled = X.copy()
     filled[rows] = np.where(missing[rows], X[donors], X[rows])
-    return Dataset(dataset.schema, dataset.ids, dataset.labels, filled.T)
+    return Dataset(dataset.schema, dataset.ids, dataset.labels, filled)
 
 
 class ExperimentConfig:
@@ -230,8 +230,10 @@ class ExperimentConfig:
         holdout_fraction: float = 0.2,
         plan: tuple[tuple[str, int], ...] | None = None,
     ) -> None:
-        self.dataset, self.methods, self.rates, self.trials = dataset, methods, rates, trials
-        self.master_seed, self.holdout_fraction, self.plan = master_seed, holdout_fraction, plan
+        self.dataset, self.methods, self.plan = dataset, methods, plan
+        self.rates = tuple(config_number(rate, "rate") for rate in rates)
+        self.trials, self.master_seed = config_integer(trials, "trials"), config_seed(master_seed, "master_seed")
+        self.holdout_fraction = config_number(holdout_fraction, "holdout_fraction")
         unknown = [m for m in methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
@@ -240,14 +242,13 @@ class ExperimentConfig:
         repeated = [m for m, n in Counter(methods).items() if n > 1]
         if repeated:
             raise ConfigError(f"method {repeated[0]!r} listed twice")
-        for rate in rates:
+        for rate in self.rates:
             if not 0 < rate < 1:
                 raise ConfigError(f"rates must lie in (0, 1), got {rate}")
-        if config_integer(trials, "trials") < 0:
+        if trials < 0:
             raise ConfigError(f"trials must be non-negative, got {trials}")
-        config_seed(master_seed, "master_seed")
-        if not 0 <= holdout_fraction < 1:
-            raise ConfigError(f"holdout_fraction must be in [0, 1), got {holdout_fraction}")
+        if not 0 <= self.holdout_fraction < 1:
+            raise ConfigError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
         if plan is not None and not plan:
             raise ConfigError("an explicit plan must name at least one cell")
 
@@ -443,8 +444,7 @@ def make_synthetic_dataset(n_records: int = 60, seed: int = 7) -> Dataset:
             noise = rng.normal(0.0, _NOISE_SCALE, size=len(_SLOPES))
             rows.append([a * t / _LATENT_SPAN + b + e for a, b, e in zip(_SLOPES, _INTERCEPTS, noise)] + [segment + 1])
             labels.append(_SEGMENT_CLASS[segment])
-    ids = [f"R{i + 1}" for i in range(len(rows))]
-    return Dataset(schema, ids, labels, np.array(rows, dtype=float).T)
+    return Dataset(schema, [f"R{i + 1}" for i in range(len(rows))], labels, rows)
 
 
 def read_experiment_spec(path: str) -> tuple[Mapping, tuple[str, ...]]:
@@ -493,9 +493,9 @@ def experiment_from_spec(raw: Mapping, inputs: tuple[str, ...]) -> ExperimentCon
     return ExperimentConfig(
         dataset=dataset,
         methods=tuple(str(m) for m in methods),
-        rates=tuple(config_number(r, "rate") for r in rates),
-        trials=config_integer(raw.get("trials", 1), "trials"),
-        master_seed=config_seed(raw.get("master_seed", 0), "master_seed"),
-        holdout_fraction=config_number(raw.get("holdout_fraction", 0.2), "holdout_fraction"),
+        rates=rates,
+        trials=raw.get("trials", 1),
+        master_seed=raw.get("master_seed", 0),
+        holdout_fraction=raw.get("holdout_fraction", 0.2),
         plan=plan,
     )

@@ -334,7 +334,7 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
         policies.append(policy)
     completed = dataset.matrix.copy()
     completed[missing] = values  # the same holes in the same order
-    completed = Dataset(dataset.schema, dataset.ids, dataset.labels, completed.T, dataset.field_texts)
+    completed = Dataset(dataset.schema, dataset.ids, dataset.labels, completed, dataset.field_texts)
     return ImputationResult(completed, config.mode, model, maps, rows, attrs, values, policies, donors)
 
 

@@ -71,9 +71,8 @@ def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> Cluster
     """
     if not isinstance(g1, Dataset):
         records = tuple(g1)
-        columns = list(zip(*(r.cells for r in records), strict=True)) or [()]
-        schema = Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(len(columns))))
-        g1 = Dataset(schema, [r.id for r in records], [r.label for r in records], columns)
+        schema = Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(len(records[0].cells) if records else 1)))
+        g1 = Dataset(schema, [r.id for r in records], [r.label for r in records], [r.cells for r in records])
     if not len(g1):
         raise InsufficientDataError("no complete records to cluster")
     if k < 1:

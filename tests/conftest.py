@@ -42,13 +42,10 @@ def perfbench_module(name: str, **imports: types.ModuleType) -> types.ModuleType
 
 
 def dataset_of(schema: Schema, records) -> Dataset:
-    """The records as one dataset, a column per attribute as the parser
-    builds them; records of another arity than the schema's fail."""
+    """The records as one dataset, a matrix row per record; the
+    constructor refuses records of another arity than the schema's."""
     records = tuple(records)
-    if any(len(r.cells) != schema.arity for r in records):
-        raise ValueError(f"records must have {schema.arity} cells each")
-    columns = list(zip(*(r.cells for r in records))) or [()] * schema.arity
-    return Dataset(schema, [r.id for r in records], [r.label for r in records], columns)
+    return Dataset(schema, [r.id for r in records], [r.label for r in records], [r.cells for r in records])
 
 
 def mapping_table(complete_map: dict, query_map: dict) -> MappingTable:

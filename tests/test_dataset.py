@@ -258,7 +258,7 @@ def test_decode_rejects_non_ordinal(tmp_path):
     # The writer decodes before it opens the file, so none is left behind.
     out = tmp_path / "out.csv"
     with pytest.raises(DecodeError, match="value 3.0 is not an ordinal"):
-        write_dataset(Dataset(Schema((spec,)), ["R1", "R2"], [None, None], [(1.0, 3.0)]), str(out))
+        write_dataset(Dataset(Schema((spec,)), ["R1", "R2"], [None, None], [(1.0,), (3.0,)]), str(out))
     assert not out.exists()
 
 
@@ -401,24 +401,43 @@ def test_dataset_equality_builds_no_record(monkeypatch):
     text = fixture_text("table03_missing_raw.csv")
     raw, raw_again = (parse_dataset(text, missing_schema()) for _ in range(2))
     assert raw == raw_again  # missing cells equal each other
-    assert raw == Dataset(raw.schema, raw.ids, raw.labels, raw.columns)  # field texts are not compared
-    assert raw != Dataset(raw.schema, raw.ids, raw.labels[::-1], raw.columns)
+    assert raw == Dataset(raw.schema, raw.ids, raw.labels, raw.matrix)  # field texts are not compared
+    assert raw != Dataset(raw.schema, raw.ids, raw.labels[::-1], raw.matrix)
     holed = raw.matrix.copy()
     holed[0, 0] = np.nan
-    assert raw != Dataset(raw.schema, raw.ids, raw.labels, holed.T)
+    assert raw != Dataset(raw.schema, raw.ids, raw.labels, holed)
     assert built == []
 
 
 def test_dataset_equality_reads_cells_as_the_record_view_does():
     schema = numeric_schema(2)
-    plain = Dataset(schema, ["R1", "R2"], ["a", None], [np.array([0.0, np.nan]), np.array([1.0, 2.0])])
-    assert plain == Dataset(schema, ["R1", "R2"], ["a", None], [np.array([-0.0, np.nan]), np.array([1.0, 2.0])])
-    # The constructor reads a sequence of cells, None as NaN.
-    assert plain == Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, None), np.array([1.0, 2.0])])
-    assert plain != Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, 1.0), np.array([1.0, 2.0])])
-    assert plain != Dataset(schema, ["R1", "R3"], ["a", None], plain.columns)
-    assert plain != Dataset(schema, ["R1", "R2"], ["a", None], plain.columns[:1])
+    plain = Dataset(schema, ["R1", "R2"], ["a", None], np.array([[0.0, 1.0], [np.nan, 2.0]]))
+    assert plain == Dataset(schema, ["R1", "R2"], ["a", None], np.array([[-0.0, 1.0], [np.nan, 2.0]]))
+    # The constructor reads a sequence of rows, None as NaN.
+    assert plain == Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, 1.0), (None, 2.0)])
+    assert plain != Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, 1.0), (1.0, 2.0)])
+    assert plain != Dataset(schema, ["R1", "R3"], ["a", None], plain.matrix)
     assert (plain == "R1") is False
+
+
+def test_dataset_stores_one_read_only_matrix_of_its_shape():
+    schema = numeric_schema(2)
+    plain = Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, 1.0), (None, 2.0)])
+    # A matrix of another shape, or labels of another length, is refused.
+    with pytest.raises(ValueError, match=r"^a \(2, 2\) dataset got a \(2, 1\) matrix and 2 labels$"):
+        Dataset(schema, ["R1", "R2"], ["a", None], plain.matrix[:, :1])
+    with pytest.raises(ValueError, match=r"a \(2, 2\) matrix and 1 labels"):
+        Dataset(schema, ["R1", "R2"], ["a"], plain.matrix)
+    with pytest.raises(ValueError, match=r"got a \(3, 2\) matrix"):
+        Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)])
+    # A Fortran-ordered matrix and nested rows holding None are both
+    # stored as one read-only, C-contiguous float64 matrix.
+    for cells in (np.asfortranarray([[0.0, 1.0], [np.nan, 2.0]]), [[0, 1], [None, 2]]):
+        stored = Dataset(schema, ["R1", "R2"], ["a", None], cells).matrix
+        assert stored.dtype == np.float64 and stored.shape == (2, 2)
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        assert np.array_equal(stored, plain.matrix, equal_nan=True) and math.isnan(stored[1, 0])
+    assert Dataset(schema, [], [], []).matrix.shape == (0, 2)
 
 
 # --- schema config and serialization ---
@@ -543,9 +562,9 @@ MARKED = Schema(
 
 
 def rendered(dataset: Dataset) -> str:
-    """dataset_to_csv with every cell rendered: a dataset built from
-    columns without their field text renders every cell."""
-    return dataset_to_csv(Dataset(dataset.schema, dataset.ids, dataset.labels, dataset.columns))
+    """dataset_to_csv with every cell rendered: a dataset built from a
+    matrix without its field texts renders every cell."""
+    return dataset_to_csv(Dataset(dataset.schema, dataset.ids, dataset.labels, dataset.matrix))
 
 
 @settings(max_examples=60, deadline=None)

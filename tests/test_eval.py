@@ -379,7 +379,7 @@ def test_class_stats_match_a_per_cell_pool_bit_for_bit():
     labels = [
         None if i % 5 == 0 else "lone" if holed[i] and i % 5 == 1 else label for i, label in enumerate(masked.labels)
     ]
-    relabeled = Dataset(masked.schema, masked.ids, labels, masked.columns)
+    relabeled = Dataset(masked.schema, masked.ids, labels, masked.matrix)
     assert np.array_equal(baseline_class_stats(relabeled).matrix, per_cell_class_stats(relabeled))
 
 
@@ -403,7 +403,7 @@ def test_knn_donor_blocks_match_one_kernel_call_per_query(donors):
     for row in range(donors, donors + 31):
         X[row, rng.choice(3, rng.integers(1, 3), replace=False)] = math.nan
     schema = Schema(tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(3)), "class")
-    dataset = Dataset(schema, [f"R{i}" for i in range(len(X))], [None] * len(X), X.T)
+    dataset = Dataset(schema, [f"R{i}" for i in range(len(X))], [None] * len(X), X)
     expected = X.copy()
     for row in range(donors, donors + 31):
         donor = int(squared_distances(X[:donors], X[row : row + 1]).argmin())
@@ -497,6 +497,15 @@ def test_experiment_config_validation(normalized_dataset):
         ExperimentConfig(normalized_dataset, master_seed=-1)
     with pytest.raises(ConfigError, match="holdout"):
         ExperimentConfig(normalized_dataset, holdout_fraction=1.0)
+    # Each rate and the holdout fraction must be a real number, not a
+    # string or a bool, and the rates are kept as floats.
+    with pytest.raises(ConfigError, match="^rate must be a number, got '0.1'$"):
+        ExperimentConfig(normalized_dataset, rates=("0.1",))
+    with pytest.raises(ConfigError, match="^holdout_fraction must be a number, got '0.2'$"):
+        ExperimentConfig(normalized_dataset, holdout_fraction="0.2")
+    with pytest.raises(ConfigError, match="^holdout_fraction must be a number, got False$"):
+        ExperimentConfig(normalized_dataset, holdout_fraction=False)
+    assert ExperimentConfig(normalized_dataset, rates=[1 / 2]).rates == (0.5,)
     with pytest.raises(ConfigError, match="plan"):
         ExperimentConfig(normalized_dataset, plan=())
 

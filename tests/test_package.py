@@ -112,6 +112,24 @@ def test_no_module_calls_the_encode_and_decode_shims():
     assert found == []
 
 
+def test_no_module_splits_a_matrix_into_columns_for_a_dataset():
+    # A dataset stores one (m, n) matrix, so no module reads a
+    # `columns` attribute, hands a `Dataset(...)` a transposed matrix,
+    # or stacks columns back into one outside dataset.py.
+    found = []
+    for path in sorted(Path(cmimpute.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "columns":
+                found.append(f"{path.name}:{node.lineno}: reads .columns")
+            elif isinstance(node, ast.Attribute) and node.attr == "column_stack" and path.name != "dataset.py":
+                found.append(f"{path.name}:{node.lineno}: calls column_stack")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Dataset":
+                matrix = [*node.args, *(k.value for k in node.keywords if k.arg == "matrix")][3:4]
+                if matrix and isinstance(matrix[0], ast.Attribute) and matrix[0].attr == "T":
+                    found.append(f"{path.name}:{node.lineno}: passes a transposed matrix")
+    assert found == []
+
+
 def test_readme_names_no_deleted_function():
     # Each backticked private name (`_select_all`) or module member
     # (`impute._class_value`, `dataset.records`) of the README must be
