@@ -60,6 +60,8 @@ _METHODS = {
 }
 ALL_METHODS = tuple(_METHODS)
 
+_PLAN_SHAPE = "'plan' must be a list of [record_id, attr_index] pairs"
+
 
 class MaskPlan:
     """Ground truth for every masked cell, as arrays aligned with the
@@ -86,6 +88,7 @@ def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, Mask
     never masked."""
     if not dataset.is_complete:
         raise ValueError("can only inject missingness into a complete dataset")
+    rate, seed = config_number(rate, "rate"), config_seed(seed, "seed")
     if not 0 < rate < 1:
         raise ConfigError(f"rate must be in (0, 1), got {rate}")
     m, n = len(dataset), dataset.schema.arity
@@ -107,7 +110,8 @@ def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, Mask
 
 
 def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Dataset, MaskPlan]:
-    """Mask an explicit list of (record id, attribute index) cells."""
+    """Mask an explicit list of (record id, attribute index) cells: a
+    string id of the dataset and a Python or NumPy integer index."""
     if not dataset.is_complete:
         raise ValueError("can only inject missingness into a complete dataset")
     index = dataset._by_id
@@ -115,8 +119,9 @@ def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Data
     chosen: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for rid, attr in cells:
-        if rid not in index:
+        if not isinstance(rid, str) or rid not in index:
             raise ConfigError(f"unknown record id {rid!r}")
+        attr = config_integer(attr.item() if isinstance(attr, np.integer) else attr, "plan attribute index")
         if not 0 <= attr < n:
             raise ConfigError(f"attribute index {attr} out of range for record {rid}")
         pair = (index[rid], attr)
@@ -218,7 +223,9 @@ def baseline_knn_donor(dataset: Dataset) -> Dataset:
 class ExperimentConfig:
     """A masking benchmark: either random rates over trials, or one
     explicit plan of cells to mask (plan runs skip the holdout so the
-    planned records are guaranteed to be present).  Never mutated."""
+    planned records are guaranteed to be present).  Each option's
+    default is declared here, and each option is checked here, but a
+    plan's cells are checked by mask_cells.  Never mutated."""
 
     def __init__(
         self,
@@ -230,7 +237,16 @@ class ExperimentConfig:
         holdout_fraction: float = 0.2,
         plan: tuple[tuple[str, int], ...] | None = None,
     ) -> None:
-        self.dataset, self.methods, self.plan = dataset, methods, plan
+        if not isinstance(methods, (list, tuple)):
+            raise ConfigError("'methods' must be a list")
+        if not isinstance(rates, (list, tuple)):
+            raise ConfigError("'rates' must be a list")
+        if plan is not None and not (
+            isinstance(plan, (list, tuple)) and all(isinstance(c, (list, tuple)) and len(c) == 2 for c in plan)
+        ):
+            raise ConfigError(_PLAN_SHAPE)
+        self.dataset, self.methods = dataset, tuple(methods)
+        self.plan = None if plan is None else tuple(map(tuple, plan))
         self.rates = tuple(config_number(rate, "rate") for rate in rates)
         self.trials, self.master_seed = config_integer(trials, "trials"), config_seed(master_seed, "master_seed")
         self.holdout_fraction = config_number(holdout_fraction, "holdout_fraction")
@@ -251,6 +267,10 @@ class ExperimentConfig:
             raise ConfigError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
         if plan is not None and not plan:
             raise ConfigError("an explicit plan must name at least one cell")
+        if not dataset.is_complete:
+            raise ConfigError("experiment dataset must be complete (it is the ground truth)")
+        if dataset.n_classes == 0:
+            raise ConfigError("experiment dataset must be labeled")
 
 
 class TrialResult(NamedTuple):
@@ -320,12 +340,6 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     bit-reproducible.  A method that runs out of data raises its error
     again with the trial and method in front of the message.
     """
-    dataset = config.dataset
-    if not dataset.is_complete:
-        raise ConfigError("experiment dataset must be complete (it is the ground truth)")
-    if dataset.n_classes == 0:
-        raise ConfigError("experiment dataset must be labeled")
-
     results: list[TrialResult] = []
     for masked, plan, holdout, rate, rate_idx, trial, mask_seed in _trials(config):
         for method_idx, method in enumerate(config.methods):
@@ -475,27 +489,7 @@ def experiment_from_spec(raw: Mapping, inputs: tuple[str, ...]) -> ExperimentCon
     else:
         raise ConfigError("experiment spec needs either 'synthetic' or 'dataset' + 'schema'")
 
-    methods = raw.get("methods", list(ALL_METHODS))
-    if not isinstance(methods, list):
-        raise ConfigError("'methods' must be a list")
-    rates = raw.get("rates", [0.1])
-    if not isinstance(rates, list):
-        raise ConfigError("'rates' must be a list")
-    plan = None
-    if "plan" in raw:
-        if not isinstance(raw["plan"], list) or not all(
-            isinstance(c, list) and len(c) == 2 for c in raw["plan"]
-        ):
-            raise ConfigError("'plan' must be a list of [record_id, attr_index] pairs")
-        plan = tuple(
-            (str(rid), config_integer(idx, "plan attribute index")) for rid, idx in raw["plan"]
-        )
-    return ExperimentConfig(
-        dataset=dataset,
-        methods=tuple(str(m) for m in methods),
-        rates=rates,
-        trials=raw.get("trials", 1),
-        master_seed=raw.get("master_seed", 0),
-        holdout_fraction=raw.get("holdout_fraction", 0.2),
-        plan=plan,
-    )
+    if "plan" in raw and raw["plan"] is None:
+        raise ConfigError(_PLAN_SHAPE)  # a null plan is not the library's "no plan"
+    options = ("methods", "rates", "trials", "master_seed", "holdout_fraction", "plan")
+    return ExperimentConfig(dataset, **{key: raw[key] for key in options if key in raw})

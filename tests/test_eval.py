@@ -173,6 +173,11 @@ def test_inject_rate_bounds():
         inject_mcar(ds, 0.0, seed=1)
     with pytest.raises(ConfigError):
         inject_mcar(ds, 1.0, seed=1)
+    # The rate must be a number and the seed a non-negative integer.
+    with pytest.raises(ConfigError, match="^rate must be a number, got '0.1'$"):
+        inject_mcar(ds, "0.1", seed=1)
+    with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+        inject_mcar(ds, 0.1, seed=-1)
 
 
 def test_inject_rate_too_high_for_record_capacity():
@@ -213,6 +218,14 @@ def test_mask_cells_validation(normalized_dataset):
         mask_cells(normalized_dataset, [("R1", 0), ("R1", 0)])
     with pytest.raises(ConfigError, match="every cell"):
         mask_cells(normalized_dataset, [("R1", 0), ("R1", 1), ("R1", 2), ("R1", 3)])
+    # An index is a Python or NumPy integer, not a float, bool or
+    # string, and an id that is not a string names no record.
+    for index in (0.5, True, "1"):
+        with pytest.raises(ConfigError, match=f"^plan attribute index must be an integer, got {index!r}$"):
+            mask_cells(normalized_dataset, [("R1", index)])
+    with pytest.raises(ConfigError, match=r"^unknown record id \['R1'\]$"):
+        mask_cells(normalized_dataset, [(["R1"], 0)])
+    assert mask_cells(normalized_dataset, [("R1", np.int64(1))]) == mask_cells(normalized_dataset, [("R1", 1)])
 
 
 def test_mask_cells_masks_the_row_record_names_for_a_repeated_id():
@@ -508,17 +521,25 @@ def test_experiment_config_validation(normalized_dataset):
     assert ExperimentConfig(normalized_dataset, rates=[1 / 2]).rates == (0.5,)
     with pytest.raises(ConfigError, match="plan"):
         ExperimentConfig(normalized_dataset, plan=())
+    # methods, rates and plan are lists or tuples, and each plan cell a pair.
+    with pytest.raises(ConfigError, match="^'methods' must be a list$"):
+        ExperimentConfig(normalized_dataset, methods="raw-knn-donor")
+    with pytest.raises(ConfigError, match="^'rates' must be a list$"):
+        ExperimentConfig(normalized_dataset, rates=0.1)
+    for plan in ((("R1",),), (("R1", 0, 1),)):
+        with pytest.raises(ConfigError, match=r"^'plan' must be a list of \[record_id, attr_index\] pairs$"):
+            ExperimentConfig(normalized_dataset, plan=plan)
 
 
 def test_experiment_requires_complete_labeled_input(missing_dataset):
     with pytest.raises(ConfigError, match="complete"):
-        run_experiment(ExperimentConfig(missing_dataset))
+        ExperimentConfig(missing_dataset)
     unlabeled = dataset_of(
         Schema((AttributeSpec("x", NUMERIC), AttributeSpec("y", NUMERIC))),
         (rec("R1", 1, 2), rec("R2", 3, 4)),
     )
     with pytest.raises(ConfigError, match="labeled"):
-        run_experiment(ExperimentConfig(unlabeled))
+        ExperimentConfig(unlabeled)
 
 
 def test_zero_trials_gives_empty_wellformed_report():

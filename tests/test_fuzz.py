@@ -30,8 +30,8 @@ from cmimpute.dataset import (
     dataset_to_csv,
     parse_dataset,
 )
-from cmimpute.errors import InsufficientDataError
-from cmimpute.evaluate import ALL_METHODS, make_synthetic_dataset
+from cmimpute.errors import CannotClassifyError, ConfigError, InsufficientDataError
+from cmimpute.evaluate import ALL_METHODS, EvaluationReport, ExperimentConfig, make_synthetic_dataset, run_experiment
 from cmimpute.impute import MODES, ImputeConfig, impute_dataset
 from cmimpute.kmeans import FarthestFirst, SeededRandom, cluster
 
@@ -153,6 +153,33 @@ def test_no_run_config_is_an_internal_error(command, data):
     """A run config, or for evaluate an experiment spec."""
     config = data.draw(CONFIGS.get(command, run_configs))
     assert run_in_scratch_dir(command, config) != EXIT_INTERNAL
+
+
+def tuples_of_lists(value):
+    """value with every list in it, and in its lists, made a tuple."""
+    return tuple(map(tuples_of_lists, value)) if isinstance(value, list) else value
+
+
+# ExperimentConfig's keyword arguments: a spec's option fields, each
+# drawn plausible or as any small JSON value, with lists or tuples.
+experiment_options = st.fixed_dictionaries(
+    {},
+    optional={
+        key: st.one_of(SPEC_FIELDS[key], small_json).flatmap(lambda v: st.sampled_from((v, tuples_of_lists(v))))
+        for key in ("methods", "rates", "trials", "master_seed", "holdout_fraction", "plan")
+    },
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(options=experiment_options)
+def test_a_library_experiment_gives_a_report_or_a_typed_error(options):
+    dataset = make_synthetic_dataset(12, seed=3)
+    try:
+        report = run_experiment(ExperimentConfig(dataset, **options))
+    except (ConfigError, InsufficientDataError, CannotClassifyError):
+        return
+    assert isinstance(report, EvaluationReport)
 
 
 @settings(max_examples=20, deadline=None)

@@ -112,6 +112,28 @@ def test_no_module_calls_the_encode_and_decode_shims():
     assert found == []
 
 
+def test_the_spec_reader_declares_no_experiment_option_default():
+    # Each experiment option's default is declared once, in the signature
+    # of ExperimentConfig.__init__: experiment_from_spec passes a spec's
+    # option keys through and gives no .get() a default for one of them.
+    tree = ast.parse((Path(cmimpute.__file__).parent / "evaluate.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    init = next(n for n in defs["ExperimentConfig"].body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    options = {arg.arg for arg in init.args.args[2:]}
+    assert options >= {"methods", "rates", "plan"}
+    found = [
+        f"evaluate.py:{node.lineno}: .get({node.args[0].value!r}, ...)"
+        for node in ast.walk(defs["experiment_from_spec"])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and len(node.args) == 2
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value in options
+    ]
+    assert found == []
+
+
 def test_no_module_splits_a_matrix_into_columns_for_a_dataset():
     # A dataset stores one (m, n) matrix, so no module reads a
     # `columns` attribute, hands a `Dataset(...)` a transposed matrix,
