@@ -870,11 +870,11 @@ def test_evaluate_method_listed_twice_exits_2(tmp_path, capsys):
         ({"synthetic": {}, "plan": [["R1", "0"]]}, "plan attribute index"),
         ({"synthetic": {}, "plan": [["R1", 1.0]]}, "plan attribute index"),
         ({"synthetic": {}, "plan": [["R99", 0]]}, "R99"),
+        ({"dataset": 3, "schema": "schema.json"}, "dataset"),
+        ({"dataset": "data.csv", "schema": "a\0b"}, "schema"),
         ({"synthetic": {}, "plan": None}, "plan"),
         ({"synthetic": {}, "methods": "raw-knn-donor"}, "methods"),
         ({"synthetic": {}, "rates": 0.1}, "rates"),
-        ({"dataset": 3, "schema": "schema.json"}, "dataset"),
-        ({"dataset": "data.csv", "schema": "a\0b"}, "schema"),
     ],
 )
 def test_evaluate_spec_value_of_the_wrong_type_exits_2(tmp_path, capsys, spec, field):
