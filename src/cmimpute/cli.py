@@ -43,7 +43,6 @@ from .errors import (
     ParseError,
     SchemaError,
     config_bool,
-    config_integer,
     config_number,
     config_path,
     config_seed,
@@ -92,13 +91,10 @@ def _init_from_config(value, seed: int):
         raise ConfigError("init must be an object with a 'policy' key")
     policy = value["policy"]
     if policy == "fixed-partition":
-        groups = value.get("groups")
-        if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
-            raise ConfigError("fixed-partition init needs 'groups': a list of id lists")
-        return FixedPartition(tuple(tuple(str(i) for i in g) for g in groups))
+        return FixedPartition(value.get("groups"))
     if policy in ("farthest-first", "seeded-random"):
         kind = FarthestFirst if policy == "farthest-first" else SeededRandom
-        return kind(config_seed(value.get("seed", seed), "init seed"))
+        return kind(value.get("seed", seed))
     raise ConfigError(f"unknown init policy {policy!r}")
 
 
@@ -143,7 +139,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
 
     schema = load_schema(schema_path)
     dataset = load_dataset(data, schema)
-    result = impute_dataset(dataset, ImputeConfig(mode=args.mode, k=args.k, init=args.init))
+    result = impute_dataset(dataset, args.pipeline)
     write_dataset(result.dataset, out)
     if args.report is not None:
         _write_text(args.report, provenance_csv(result))
@@ -195,7 +191,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     rows = []
     if queries is not None and len(queries) > 0:
         check_training_data(train)
-        model = cluster(train, args.k if args.k is not None else train.n_classes, args.init)
+        model = cluster(train, args.k, args.init)
         outcomes = classify_mapped_all(queries, train, model, args.mode)
         for i, (qid, outcome) in enumerate(zip(queries.ids, outcomes)):
             row = [qid, ";".join(outcome.labels), ";".join(outcome.nearest)]
@@ -242,18 +238,6 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
 # --- options, argument parsing and dispatch ---
 
 
-def _mode(value, name: str) -> str:
-    if value not in MODES:
-        raise ConfigError(f"mode must be one of {sorted(MODES)}, got {value!r}")
-    return value
-
-
-def _positive_k(value, name: str) -> int:
-    if config_integer(value, name) < 1:
-        raise ConfigError(f"k must be positive, got {value}")
-    return value
-
-
 def _positive_tolerance(value, name: str) -> float:
     value = config_number(value, name)
     if not value > 0:  # also rejects NaN
@@ -263,7 +247,7 @@ def _positive_tolerance(value, name: str) -> float:
 
 # Every run option, by its flag's dest: the check its value passes
 # whether it comes from the flag, the config file or (seed only)
-# CMIMPUTE_SEED, and its default when none of them gives it.
+# CMIMPUTE_SEED (None: ImputeConfig checks it), and its default.
 OPTIONS = {
     "data": (config_path, None),
     "schema": (config_path, None),
@@ -273,8 +257,8 @@ OPTIONS = {
     "report": (config_path, None),
     "summary": (config_path, None),
     "seed": (config_seed, 0),
-    "mode": (_mode, MODE_ABSOLUTE),
-    "k": (_positive_k, None),
+    "mode": (None, MODE_ABSOLUTE),
+    "k": (None, None),
     "with_knn_baseline": (config_bool, False),
     "tolerance": (_positive_tolerance, TOLERANCE),
     "verbose": (config_bool, False),
@@ -344,9 +328,9 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """The options the subcommand takes, each from its flag, else the
     run config file, else (seed only) CMIMPUTE_SEED, else its default;
     a JSON null leaves an option unset.  Runs that take a seed also get
-    the init policy, which only the config file sets.  The --config
-    path is kept as an input of the run; evaluate's names an experiment
-    spec, which is not read as a run config."""
+    the init policy (config file only) and their ImputeConfig, which
+    checks mode, k and init.  The --config path is kept as an input of
+    the run; evaluate's names an experiment spec, not a run config."""
     config = {} if args.command == "evaluate" else _load_run_config(args.config)
     resolved = argparse.Namespace(config=args.config)
     for key in [key for key in OPTIONS if hasattr(args, key)]:
@@ -356,9 +340,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             value = config.get(key)
         if value is None and key == "seed":
             value = _env_seed()
-        setattr(resolved, key, default if value is None else check(value, key))
+        setattr(resolved, key, default if value is None else check(value, key) if check else value)
     if hasattr(args, "seed"):
         resolved.init = _init_from_config(config.get("init"), resolved.seed)
+        resolved.pipeline = ImputeConfig(resolved.mode, resolved.k, resolved.init)
     return resolved
 
 

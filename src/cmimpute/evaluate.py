@@ -110,15 +110,18 @@ def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, Mask
 
 
 def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Dataset, MaskPlan]:
-    """Mask an explicit list of (record id, attribute index) cells: a
-    string id of the dataset and a Python or NumPy integer index."""
+    """Mask an explicit list of (record id, attribute index) pairs, each a
+    list or tuple: a string id of the dataset and a Python or NumPy int."""
     if not dataset.is_complete:
         raise ValueError("can only inject missingness into a complete dataset")
     index = dataset._by_id
     n = dataset.schema.arity
     chosen: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for rid, attr in cells:
+    for cell in cells if isinstance(cells, Iterable) else [None]:
+        if not isinstance(cell, (list, tuple)) or len(cell) != 2:
+            raise ConfigError(_PLAN_SHAPE)
+        rid, attr = cell
         if not isinstance(rid, str) or rid not in index:
             raise ConfigError(f"unknown record id {rid!r}")
         attr = config_integer(attr.item() if isinstance(attr, np.integer) else attr, "plan attribute index")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import CATEGORICAL, AttributeSpec, Dataset, csv_text, format_column, split_groups
 from .errors import ConfigError, InsufficientDataError, NoDonorsError
-from .kmeans import ClusterModel, FarthestFirst, InitPolicy, cluster
+from .kmeans import ClusterModel, FarthestFirst, InitPolicy, check_clustering, cluster, resolve_k
 from .mapping import MappingTable, build_mapping, mean
 
 # Literal reading of the selection rule: argmin of the signed
@@ -25,6 +25,13 @@ MODE_SIGNED = "paper-signed"
 MODE_ABSOLUTE = "absolute"
 
 MODES = (MODE_SIGNED, MODE_ABSOLUTE)
+
+
+def check_mode(mode: str) -> str:
+    """mode, refused with ConfigError unless it is one of MODES."""
+    if not isinstance(mode, str) or mode not in MODES:
+        raise ConfigError(f"mode must be one of {sorted(MODES)}, got {mode!r}")
+    return mode
 
 
 class DifferenceTable(NamedTuple):
@@ -80,8 +87,7 @@ def _nearest_rows(maps: MappingTable, c: float, mode: str) -> tuple[int, ...]:
     as d_ij, so values that rounding merges tie exactly as they do in
     the table.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     values, order = maps.sorted_donors
     if not values:
         raise NoDonorsError("no complete records to select from")
@@ -102,8 +108,7 @@ def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> list[tuple[int,
     only a query whose donor has a tying neighbour goes through
     _nearest_rows' search.  The keys are formed elementwise as
     _nearest_rows forms them, so both round the same."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     values, order = maps.sorted_arrays
     if not len(values):
         raise NoDonorsError("no complete records to select from")
@@ -205,15 +210,12 @@ def _tie_class(donors: Sequence[int], g1: Dataset, maps: MappingTable) -> str | 
 
 
 class ImputeConfig:
-    """Pipeline knobs: selection mode, cluster count (derived from the
-    labels when omitted), and k-means init policy.  Never mutated."""
+    """Pipeline knobs, checked when built: selection mode, cluster count
+    (derived from the labels when omitted), k-means init.  Never mutated."""
 
     def __init__(self, mode: str = MODE_ABSOLUTE, k: int | None = None, init: InitPolicy = FarthestFirst(0)) -> None:
-        self.mode, self.k, self.init = mode, k, init
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        if k is not None and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
-            raise ConfigError(f"k must be a positive integer, got {k!r}")
+        self.mode, self.k, self.init = check_mode(mode), k, init
+        check_clustering(k, init)
 
 
 class CellFill(NamedTuple):
@@ -314,14 +316,8 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
     if empty.any():
         raise InsufficientDataError(f"record {dataset.ids[int(empty.argmax())]} has no observed values")
 
-    k = config.k
-    if k is None:
-        k = dataset.n_classes
-        if k == 0:
-            raise ConfigError("dataset has no labels; supply k explicitly")
-    split = split_groups(dataset)
-    g1, g2 = split.g1, split.g2
-    model = cluster(g1, k, config.init)
+    g1, g2 = split_groups(dataset)
+    model = cluster(g1, resolve_k(config.k, dataset), config.init)
     maps = build_mapping(g1, g2, model)
 
     donors = _select_all(maps, maps.query_values, config.mode)

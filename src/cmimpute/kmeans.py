@@ -8,7 +8,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .dataset import NUMERIC, AttributeSpec, Dataset, Record, Schema
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, config_integer, config_seed
 
 MAX_ITERATIONS = 100
 
@@ -57,9 +57,30 @@ class ClusterModel(NamedTuple):
         return tuple(rid for rid, c in self.assignment.items() if c == cluster_index)
 
 
-def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> ClusterModel:
+def check_clustering(k: int | None, init: InitPolicy) -> None:
+    """ConfigError unless k is None (one cluster per class) or a positive
+    int, and init is a policy with a non-negative int seed or id lists."""
+    if k is not None and config_integer(k, "k") < 1:
+        raise ConfigError(f"k must be positive, got {k}")
+    if isinstance(init, (SeededRandom, FarthestFirst)):
+        config_seed(init.seed, "init seed")
+    elif not isinstance(init, FixedPartition):
+        raise ConfigError(f"unknown init policy {init!r}")
+    elif not isinstance(init.groups, (list, tuple)) or not all(isinstance(g, (list, tuple)) for g in init.groups):
+        raise ConfigError("fixed-partition init needs 'groups': a list of id lists")
+
+
+def resolve_k(k: int | None, labeled: Dataset) -> int:
+    """k, or when it is None the number of decision classes in labeled."""
+    k = labeled.n_classes if k is None else k
+    if not k:
+        raise ConfigError("dataset has no labels; supply k explicitly")
+    return k
+
+
+def cluster(g1: Dataset | Sequence[Record], k: int | None, init: InitPolicy) -> ClusterModel:
     """Cluster complete records, given as a dataset or as a sequence
-    of records with numeric cells, into k clusters.
+    of records with numeric cells, into k clusters (one per class if None).
 
     Iterative policies need k distinct points and run Lloyd steps until
     the assignment stops changing or MAX_ITERATIONS is hit;
@@ -69,14 +90,14 @@ def cluster(g1: Dataset | Sequence[Record], k: int, init: InitPolicy) -> Cluster
     gives the labels up front; its centroids are their means, as
     Lloyd's are on every exit.
     """
+    check_clustering(k, init)
     if not isinstance(g1, Dataset):
         records = tuple(g1)
         schema = Schema(tuple(AttributeSpec(f"a{j}", NUMERIC) for j in range(len(records[0].cells) if records else 1)))
         g1 = Dataset(schema, [r.id for r in records], [r.label for r in records], [r.cells for r in records])
     if not len(g1):
         raise InsufficientDataError("no complete records to cluster")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    k = resolve_k(k, g1)
     if len(g1) < k:
         raise InsufficientDataError(f"{len(g1)} complete records cannot form {k} clusters")
     missing = np.isnan(g1.matrix).any(axis=1)
@@ -163,7 +184,7 @@ def _partition_labels(init: FixedPartition, ids: Sequence[str], k: int) -> np.nd
         if not group:
             raise ConfigError("fixed partition contains an empty group")
         for rid in group:
-            if rid not in index:
+            if not isinstance(rid, str) or rid not in index:
                 raise ConfigError(f"fixed partition names unknown record {rid!r}")
             if labels[index[rid]] >= 0:
                 raise ConfigError(f"fixed partition repeats record {rid!r}")
@@ -174,18 +195,14 @@ def _partition_labels(init: FixedPartition, ids: Sequence[str], k: int) -> np.nd
     return labels
 
 
-def _initial_centers(init: InitPolicy, points: np.ndarray, k: int) -> np.ndarray:
+def _initial_centers(init: SeededRandom | FarthestFirst, points: np.ndarray, k: int) -> np.ndarray:
     m = len(points)
+    rng = np.random.default_rng(init.seed)
     if isinstance(init, SeededRandom):
-        rng = np.random.default_rng(init.seed)
-        picks = rng.choice(m, size=k, replace=False)
-        return points[picks].copy()
-    if isinstance(init, FarthestFirst):
-        rng = np.random.default_rng(init.seed)
-        chosen = [int(rng.integers(m))]
-        nearest = np.full(m, np.inf)  # squared distance to the nearest chosen center
-        while len(chosen) < k:
-            np.minimum(nearest, ((points - points[chosen[-1]]) ** 2).sum(axis=1), out=nearest)
-            chosen.append(int(nearest.argmax()))
-        return points[chosen].copy()
-    raise TypeError(f"unknown init policy: {init!r}")
+        return points[rng.choice(m, size=k, replace=False)].copy()
+    chosen = [int(rng.integers(m))]
+    nearest = np.full(m, np.inf)  # squared distance to the nearest chosen center
+    while len(chosen) < k:
+        np.minimum(nearest, ((points - points[chosen[-1]]) ** 2).sum(axis=1), out=nearest)
+        chosen.append(int(nearest.argmax()))
+    return points[chosen].copy()

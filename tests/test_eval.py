@@ -226,6 +226,10 @@ def test_mask_cells_validation(normalized_dataset):
     with pytest.raises(ConfigError, match=r"^unknown record id \['R1'\]$"):
         mask_cells(normalized_dataset, [(["R1"], 0)])
     assert mask_cells(normalized_dataset, [("R1", np.int64(1))]) == mask_cells(normalized_dataset, [("R1", 1)])
+    # A cell is a 2-item list or tuple, and the cells are iterable.
+    for cells in ([("R1",)], [("R1", 0, 1)], 5):
+        with pytest.raises(ConfigError, match=r"^'plan' must be a list of \[record_id, attr_index\] pairs$"):
+            mask_cells(normalized_dataset, cells)
 
 
 def test_mask_cells_masks_the_row_record_names_for_a_repeated_id():

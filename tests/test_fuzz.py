@@ -29,11 +29,20 @@ from cmimpute.dataset import (
     Schema,
     dataset_to_csv,
     parse_dataset,
+    split_groups,
 )
+import cmimpute.errors
 from cmimpute.errors import CannotClassifyError, ConfigError, InsufficientDataError
-from cmimpute.evaluate import ALL_METHODS, EvaluationReport, ExperimentConfig, make_synthetic_dataset, run_experiment
+from cmimpute.evaluate import (
+    ALL_METHODS,
+    EvaluationReport,
+    ExperimentConfig,
+    inject_mcar,
+    make_synthetic_dataset,
+    run_experiment,
+)
 from cmimpute.impute import MODES, ImputeConfig, impute_dataset
-from cmimpute.kmeans import FarthestFirst, SeededRandom, cluster
+from cmimpute.kmeans import FarthestFirst, FixedPartition, SeededRandom, cluster
 
 # --- (a) run configs ---
 
@@ -180,6 +189,44 @@ def test_a_library_experiment_gives_a_report_or_a_typed_error(options):
     except (ConfigError, InsufficientDataError, CannotClassifyError):
         return
     assert isinstance(report, EvaluationReport)
+
+
+# cmimpute's own exception types: every failure a library call may raise.
+LIBRARY_ERRORS = tuple(
+    value for value in vars(cmimpute.errors).values() if isinstance(value, type) and issubclass(value, Exception)
+)
+# A masked synthetic table, and its complete rows, which a fixed
+# partition drawn below splits into one to four groups.
+MASKED = inject_mcar(make_synthetic_dataset(12, seed=3), 0.1, seed=0)[0]
+COMPLETE = split_groups(MASKED).g1
+id_partitions = st.permutations(COMPLETE.ids).flatmap(
+    lambda ids: st.integers(1, 4).map(lambda k: [list(ids[i::k]) for i in range(k)])
+)
+# ImputeConfig's and cluster's options, each drawn plausible or as any
+# small JSON value; an init policy is built from either, or is the value.
+pipeline_modes = st.one_of(st.sampled_from(MODES), small_json)
+pipeline_ks = st.one_of(st.none(), st.integers(-1, 8), small_json)
+seeds = st.one_of(st.integers(-2, 50), small_json)
+groups = st.one_of(id_partitions, small_json).flatmap(lambda v: st.sampled_from((v, tuples_of_lists(v))))
+pipeline_inits = st.one_of(
+    st.builds(SeededRandom, seeds), st.builds(FarthestFirst, seeds), st.builds(FixedPartition, groups), small_json
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mode=pipeline_modes, k=pipeline_ks, init=pipeline_inits, cluster_k=pipeline_ks)
+def test_a_library_pipeline_gives_a_result_or_a_typed_error(mode, k, init, cluster_k):
+    try:
+        result = impute_dataset(MASKED, ImputeConfig(mode, k, init))
+    except LIBRARY_ERRORS:
+        pass
+    else:
+        assert result.dataset.is_complete
+    try:
+        model = cluster(COMPLETE, cluster_k, init)
+    except LIBRARY_ERRORS:
+        return
+    assert sorted(set(model.assignment.values())) == list(range(len(model.centroids)))
 
 
 @settings(max_examples=20, deadline=None)

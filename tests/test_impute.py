@@ -50,7 +50,7 @@ from cmimpute.impute import (
     nearest_record,
     provenance_csv,
 )
-from cmimpute.kmeans import FarthestFirst, FixedPartition, cluster
+from cmimpute.kmeans import FarthestFirst, FixedPartition, SeededRandom, cluster
 from cmimpute.mapping import MappingTable, build_mapping
 from conftest import dataset_of, mapping_table, new_record
 
@@ -410,8 +410,12 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="k"):
         ImputeConfig(k=0)
     for k in ("2", 1.5, True):
-        with pytest.raises(ConfigError, match="k must be a positive integer"):
+        with pytest.raises(ConfigError, match=f"^k must be an integer, got {k!r}$"):
             ImputeConfig(k=k)
+    # Each init policy is checked when the config is built, not at k-means time.
+    for init in ("x", SeededRandom(-1), SeededRandom("a"), FarthestFirst(1.5), FixedPartition(5)):
+        with pytest.raises(ConfigError, match="init"):
+            ImputeConfig(init=init)
 
 
 def test_natural_tie_flows_through_provenance():

@@ -137,6 +137,33 @@ def test_nonpositive_k_rejected():
         cluster(grid_records([(0, 0)]), 0, SeededRandom(0))
 
 
+@pytest.mark.parametrize(
+    ("k", "init", "message"),
+    [
+        ("2", FarthestFirst(0), "k must be an integer, got '2'"),
+        (2.0, FarthestFirst(0), "k must be an integer, got 2.0"),
+        (True, FarthestFirst(0), "k must be an integer, got True"),
+        (0, FarthestFirst(0), "k must be positive, got 0"),
+        (3, "x", "unknown init policy 'x'"),
+        (2, SeededRandom(-1), "init seed must be non-negative, got -1"),
+        (2, FarthestFirst(1.5), "init seed must be an integer, got 1.5"),
+        (2, FixedPartition(5), "fixed-partition init needs 'groups': a list of id lists"),
+        (2, FixedPartition(("R1", "R2")), "fixed-partition init needs 'groups': a list of id lists"),
+        (2, FixedPartition(((["R1"],), ("R2",))), r"fixed partition names unknown record \['R1'\]"),
+    ],
+)
+def test_a_bad_k_or_init_policy_is_a_config_error_in_the_cli_s_words(k, init, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        cluster(grid_records([(0, 0), (1, 1), (5, 5)]), k, init)
+
+
+def test_k_none_takes_one_cluster_per_class():
+    records = [Record("R1", (0.0,), "A"), Record("R2", (1.0,), "B"), Record("R3", (9.0,), "A")]
+    assert cluster(records, None, FarthestFirst(0)) == cluster(records, 2, FarthestFirst(0))
+    with pytest.raises(ConfigError, match="no labels"):
+        cluster(grid_records([(0, 0), (1, 1)]), None, FarthestFirst(0))
+
+
 def test_duplicate_record_ids_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         cluster([rec("R1", 0), rec("R1", 1)], 1, SeededRandom(0))

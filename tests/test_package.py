@@ -13,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import cmimpute
+import cmimpute.cli
 from cmimpute.casestudy import fixture_text
 
 MODULES = ("classify", "dataset", "errors", "evaluate", "impute", "kmeans", "mapping")
@@ -110,6 +111,22 @@ def test_no_module_calls_the_encode_and_decode_shims():
                 if called in shims:
                     found.append(f"{path.name}:{node.lineno}: calls {called}")
     assert found == []
+
+
+def test_each_pipeline_option_is_checked_in_one_place():
+    # impute.check_mode checks the selection mode, and kmeans.check_clustering
+    # k and the init policy; ImputeConfig and cluster call them, and the
+    # CLI hands its options to ImputeConfig with no check of its own.
+    package = Path(cmimpute.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    for text, owner in (("mode must be one of", "impute.py"), ("k must be positive", "kmeans.py")):
+        assert [name for name, source in sources.items() for _ in range(source.count(text))] == [owner], text
+    cli = ast.parse(sources["cli.py"])
+    defined = {node.name for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)}
+    assert defined & {"_mode", "_positive_k"} == set()
+    strings = [node.value for node in ast.walk(cli) if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert [s for s in strings if "init seed" in s or "must be one of" in s or s.startswith("k must")] == []
+    assert [cmimpute.cli.OPTIONS[key][0] for key in ("mode", "k")] == [None, None]
 
 
 def test_the_spec_reader_declares_no_experiment_option_default():
