@@ -4,9 +4,10 @@ as a classifier, plus the raw 1-NN baseline it is compared against.
 The training side of both (the data checks, the training matrix and,
 per model, the training mapping table) is fitted once per training
 dataset, on its first query, and kept on the dataset.  A query then
-pays only for its own mapping value and a bisect (mapped) or a
-screened search that squares only the rows that may be nearest (raw
-1-NN); its distance column is computed when read."""
+pays only for its own mapping value and the donor search
+impute_dataset makes (mapped), or a screened search that squares
+only the rows that may be nearest (raw 1-NN); its distance column is
+computed when read."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, Record
 from .errors import CannotClassifyError, NoDonorsError, ParseError
-from .impute import MODE_ABSOLUTE, _nearest_rows, _select_all
+from .impute import MODE_ABSOLUTE, _select_all
 from .kmeans import ClusterModel
 from .mapping import (
     MappingTable,
@@ -150,8 +151,10 @@ def classify_mapped(
     fit = _fit(dataset)
     maps = fit.mapping(model)
     q = _query_row(query, dataset)
-    c = check_map_value("query_map", query.id, float(map_values(q[None, :], model.centroids)[0]))
-    return _mapped(fit, maps, _nearest_rows(maps, c, mode), c)
+    c = map_values(q[None, :], model.centroids)
+    value = check_map_value("query_map", query.id, float(c[0]))
+    (rows,) = _select_all(maps, c, mode)
+    return _mapped(fit, maps, rows, value)
 
 
 def classify_mapped_all(

@@ -86,8 +86,6 @@ def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, Mask
     """Mask round(rate * m * n) uniformly chosen cells, never leaving a
     record with every cell missing.  Labels are not cells and are
     never masked."""
-    if not dataset.is_complete:
-        raise ValueError("can only inject missingness into a complete dataset")
     rate, seed = config_number(rate, "rate"), config_seed(seed, "seed")
     if not 0 < rate < 1:
         raise ConfigError(f"rate must be in (0, 1), got {rate}")
@@ -112,8 +110,6 @@ def inject_mcar(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, Mask
 def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Dataset, MaskPlan]:
     """Mask an explicit list of (record id, attribute index) pairs, each a
     list or tuple: a string id of the dataset and a Python or NumPy int."""
-    if not dataset.is_complete:
-        raise ValueError("can only inject missingness into a complete dataset")
     index = dataset._by_id
     n = dataset.schema.arity
     chosen: list[tuple[int, int]] = []
@@ -141,6 +137,8 @@ def mask_cells(dataset: Dataset, cells: Iterable[tuple[str, int]]) -> tuple[Data
 
 
 def _apply_mask(dataset: Dataset, rows: np.ndarray, attrs: np.ndarray) -> tuple[Dataset, MaskPlan]:
+    if not dataset.is_complete:
+        raise ConfigError("can only inject missingness into a complete dataset")
     # The cells are sorted by (row, attr), so the plan lists them in
     # row-major order and the result is independent of selection order.
     values = dataset.matrix[rows, attrs]

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -18,7 +17,7 @@ from .kmeans import ClusterModel, FarthestFirst, InitPolicy, check_clustering, c
 from .mapping import MappingTable, build_mapping, mean
 
 # Literal reading of the selection rule: argmin of the signed
-# difference.  Provably query-independent (see _nearest_rows), kept
+# difference.  Provably query-independent (see _select_all), kept
 # for table replay.
 MODE_SIGNED = "paper-signed"
 # Argmin of the absolute difference: nearest neighbor on the scalar.
@@ -69,59 +68,56 @@ def nearest_record(maps: MappingTable, query_id: str, mode: str) -> tuple[str, .
     return tuple(maps.donor_ids[i] for i in rows)
 
 
-def _nearest_rows(maps: MappingTable, c: float, mode: str) -> tuple[int, ...]:
-    """The donor-pool positions, ascending, of all donors attaining the
-    minimal difference d_ij for a query whose mapping value is c.
+def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> list[tuple[int, ...]]:
+    """For every query mapping value in c, the donor-pool positions,
+    ascending, of all donors attaining the minimal difference d_ij: the
+    one donor search, O(q log m) plus each distinct tie run's length.
 
-    One search on the donor values sorted once per table, in O(log m)
-    plus the size of the tie set; the mode picks its start and key.
-    absolute minimizes |d_ij|, nearest neighbor on the mapping scalar,
-    from the insertion point of c.  paper-signed minimizes the signed
-    d_ij from sorted position 0: argmin_i (Map(R_i) - c) is argmin_i
-    Map(R_i) for any constant c, so it does not depend on the query.
-    Ties are exact float equality.  Float subtraction rounds
+    absolute minimizes |d_ij|, nearest neighbour on the mapping scalar;
+    paper-signed minimizes the signed d_ij, and argmin_i (Map(R_i) - c)
+    is argmin_i Map(R_i) for any constant c, so it does not depend on
+    the query.  Ties are exact float equality.  Float subtraction rounds
     monotonically and fl(a - c) == -fl(c - a), so fl(a - c) never
-    decreases as a grows: the tie set is a contiguous run, which starts
-    at 0 for the signed key and holds one of the start's two neighbours
-    for the absolute one.  The run is widened with the same arithmetic
-    as d_ij, so values that rounding merges tie exactly as they do in
-    the table.
+    decreases as a grows along the sorted donor values.  Each query's
+    minimum is therefore at one of two sorted neighbours (the insertion
+    point of c in absolute mode, the two smallest values in
+    paper-signed), and its tie set is the contiguous run where
+    fl(values[i] - c) lies in [-|best|, best]: |d| <= best for the
+    absolute key, and nothing lies below the signed minimum best.  A
+    query whose nearest donor has no tying neighbour is alone; the runs
+    of the others are found together by one bisection on that same
+    subtraction, so values that rounding merges tie exactly as they do
+    in the difference table.  Queries on the same run share one tuple.
     """
     check_mode(mode)
-    values, order = maps.sorted_donors
-    if not values:
+    padded, order = maps.sorted_arrays  # padded[i + 1] is the i-th smallest donor value
+    if not len(order):
         raise NoDonorsError("no complete records to select from")
-    pos, key = (0, operator.pos) if mode == MODE_SIGNED else (bisect_left(values, c), abs)
-    best = min(key(values[i] - c) for i in (pos - 1, pos) if 0 <= i < len(values))
-    lo = hi = pos
-    while lo > 0 and key(values[lo - 1] - c) == best:
-        lo -= 1
-    while hi < len(values) and key(values[hi] - c) == best:
-        hi += 1
-    return tuple(sorted(order[lo:hi]))
-
-
-def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> list[tuple[int, ...]]:
-    """_nearest_rows for every query mapping value in c, with the same
-    start and key: every query's nearest donor is found at once on the
-    sorted donor values (the start's left neighbour when both tie), and
-    only a query whose donor has a tying neighbour goes through
-    _nearest_rows' search.  The keys are formed elementwise as
-    _nearest_rows forms them, so both round the same."""
-    check_mode(mode)
-    values, order = maps.sorted_arrays
-    if not len(values):
-        raise NoDonorsError("no complete records to select from")
-    pos, key = (0, operator.pos) if mode == MODE_SIGNED else (np.searchsorted(values, c), abs)
-    # An infinite sentinel on each side, whose key never ties: padded[p + 1] is values[p].
-    padded = np.concatenate(([math.inf], values, [math.inf]))
-    left, right = key(padded[pos] - c), key(padded[pos + 1] - c)
+    # Each query's two candidates are padded[p - 1] and padded[p].
+    p, key = (2, operator.pos) if mode == MODE_SIGNED else (np.searchsorted(padded, c), abs)
+    left, right = key(padded[p - 1] - c), key(padded[p] - c)
     best = np.minimum(left, right)
-    pick = pos - (left <= right)
-    single = (key(padded[pick] - c) != best) & (key(padded[pick + 2] - c) != best)
-    donors = [(d,) for d in order[pick].tolist()]
-    for j in np.flatnonzero(~single).tolist():
-        donors[j] = _nearest_rows(maps, float(c[j]), mode)
+    pick = p - (left <= right)
+    single = (key(padded[pick - 1] - c) != best) & (key(padded[pick + 1] - c) != best)
+    donors = [(d,) for d in order[pick - 1].tolist()]
+    if single.all():
+        return donors
+    tied = np.flatnonzero(~single)
+    # The first padded position whose difference reaches each bound: a
+    # run's start, reaching -|best|, and its end, passing best.  The
+    # sentinels bracket every answer in (lo, hi].
+    bounds = np.concatenate((-np.abs(best[tied]), np.nextafter(best[tied], math.inf)))
+    ct = np.tile(c[tied], 2)
+    lo, hi = np.zeros(len(bounds), dtype=np.intp), np.full(len(bounds), len(padded) - 1)
+    for _ in range(len(padded).bit_length()):
+        mid = (lo + hi) // 2
+        reached = padded[mid] - ct >= bounds
+        lo, hi = np.where(reached, lo, mid), np.where(reached, mid, hi)
+    starts, stops = np.split(hi - 1, 2)
+    runs = list(zip(starts.tolist(), stops.tolist()))
+    shared = {run: tuple(sorted(order[run[0] : run[1]].tolist())) for run in set(runs)}
+    for j, run in zip(tied.tolist(), runs):
+        donors[j] = shared[run]
     return donors
 
 

@@ -102,10 +102,10 @@ def cluster(g1: Dataset | Sequence[Record], k: int | None, init: InitPolicy) -> 
         raise InsufficientDataError(f"{len(g1)} complete records cannot form {k} clusters")
     missing = np.isnan(g1.matrix).any(axis=1)
     if missing.any():
-        raise ValueError(f"record {g1.ids[int(missing.argmax())]} has missing cells")
+        raise ConfigError(f"record {g1.ids[int(missing.argmax())]} has missing cells")
     ids, points = g1.ids, g1.matrix
     if len(set(ids)) != len(ids):
-        raise ValueError("duplicate record ids")
+        raise ConfigError("duplicate record ids")
 
     if isinstance(init, FixedPartition):
         labels = _partition_labels(init, ids, k)

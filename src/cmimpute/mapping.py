@@ -124,16 +124,12 @@ class MappingTable:
 
     @cached_property
     def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Donor mapping values in ascending order (a stable sort), each
-        paired with its donor's position in donor-pool order."""
+        """Donor mapping values in ascending order (a stable sort)
+        between a -inf and a +inf sentinel, and each value's donor
+        position in donor-pool order: padded[i + 1] is donor order[i]'s
+        value."""
         order = np.argsort(self.donor_values, kind="stable")
-        return self.donor_values[order], order
-
-    @cached_property
-    def sorted_donors(self) -> tuple[list[float], list[int]]:
-        """sorted_arrays as lists, for a bisect of one scalar."""
-        values, order = self.sorted_arrays
-        return values.tolist(), order.tolist()
+        return np.concatenate(([-math.inf], self.donor_values[order], [math.inf])), order
 
 
 def _group_values(rows: Dataset, model: ClusterModel, complete: bool) -> np.ndarray:

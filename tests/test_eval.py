@@ -230,6 +230,11 @@ def test_mask_cells_validation(normalized_dataset):
     for cells in ([("R1",)], [("R1", 0, 1)], 5):
         with pytest.raises(ConfigError, match=r"^'plan' must be a list of \[record_id, attr_index\] pairs$"):
             mask_cells(normalized_dataset, cells)
+    # Only a complete dataset is masked, by either masker.
+    holed, _ = mask_cells(normalized_dataset, [("R1", 0)])
+    for masker in (lambda ds: mask_cells(ds, [("R2", 0)]), lambda ds: inject_mcar(ds, 0.1, seed=0)):
+        with pytest.raises(ConfigError, match="^can only inject missingness into a complete dataset$"):
+            masker(holed)
 
 
 def test_mask_cells_masks_the_row_record_names_for_a_repeated_id():

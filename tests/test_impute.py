@@ -46,6 +46,7 @@ from cmimpute.impute import (
     ImputeConfig,
     difference_table,
     _fill_value,
+    _select_all,
     impute_dataset,
     nearest_record,
     provenance_csv,
@@ -238,6 +239,27 @@ def test_sorted_selection_keeps_ties_rounding_merges():
     assert nearest_record(maps, "Q1", MODE_SIGNED) == brute_nearest(maps, "Q1", MODE_SIGNED)
     assert nearest_record(maps, "Q1", MODE_ABSOLUTE) == ("R4",)
     assert nearest_record(maps, "Q1", MODE_ABSOLUTE) == brute_nearest(maps, "Q1", MODE_ABSOLUTE)
+
+
+def test_long_tie_runs_select_as_the_scan_does_and_share_one_tuple():
+    # About 3,000 donors on three values, each with a few nextafter
+    # neighbours, in shuffled pool order.  A query far from a group
+    # rounds the group and its neighbours onto one difference, so a run
+    # spans distinct values; 1e17 and 2e17 land on the same run in both
+    # modes.
+    def group(b: float) -> list[float]:
+        return [b] * 990 + [float(np.nextafter(b, -np.inf))] * 3 + [_ulps_up(b, 1)] * 3 + [_ulps_up(b, 2)] * 2
+
+    values = np.random.default_rng(4).permutation([v for b in (1.0, 7.25, 1e16) for v in group(b)]).tolist()
+    queries = (0.0, 3.0, 7.25, 5e15, 1e16, 1e17, 2e17)
+    maps = mapping_table({f"R{i}": v for i, v in enumerate(values)}, {f"Q{j}": c for j, c in enumerate(queries)})
+    for mode in MODES:
+        for q in maps.query_map:
+            assert nearest_record(maps, q, mode) == brute_nearest(maps, q, mode)
+        selected = _select_all(maps, maps.query_values, mode)
+        assert len(selected[5]) > 990 and selected[5] is selected[6]
+        runs = [run for run in selected if len(run) > 1]
+        assert all(a is b for a in runs for b in runs if a == b)
 
 
 # --- single-cell fills ---

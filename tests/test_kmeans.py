@@ -15,8 +15,9 @@ from cmimpute.casestudy import (
     expected_clusters,
 )
 from cmimpute import kmeans
-from cmimpute.dataset import Record, split_groups
+from cmimpute.dataset import Dataset, Record, split_groups
 from cmimpute.errors import ConfigError, InsufficientDataError
+from cmimpute.evaluate import make_synthetic_dataset, mask_cells
 from cmimpute.kmeans import (
     MAX_ITERATIONS,
     ClusterModel,
@@ -167,6 +168,9 @@ def test_k_none_takes_one_cluster_per_class():
 def test_duplicate_record_ids_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         cluster([rec("R1", 0), rec("R1", 1)], 1, SeededRandom(0))
+    ds = make_synthetic_dataset(12, seed=1)
+    with pytest.raises(ConfigError, match="^duplicate record ids$"):
+        cluster(Dataset(ds.schema, ("R1",) * len(ds), ds.labels, ds.matrix), 2, FarthestFirst(0))
 
 
 def test_fixed_partition_validation():
@@ -353,6 +357,9 @@ def test_cluster_rejects_unencoded_and_incomplete_records():
         cluster([Record("R1", ("sym", 1.0)), Record("R2", (1.0, 1.0))], 1, SeededRandom(0))
     with pytest.raises(ValueError, match="missing"):
         cluster([Record("R1", (None, 1.0)), Record("R2", (1.0, 1.0))], 1, SeededRandom(0))
+    holed, _ = mask_cells(make_synthetic_dataset(12, seed=1), [("R1", 0)])
+    with pytest.raises(ConfigError, match="^record R1 has missing cells$"):
+        cluster(holed, 2, FarthestFirst(0))
 
 
 # --- the arithmetic of a mean ---

@@ -129,6 +129,23 @@ def test_each_pipeline_option_is_checked_in_one_place():
     assert [cmimpute.cli.OPTIONS[key][0] for key in ("mode", "k")] == [None, None]
 
 
+def test_the_package_has_one_donor_search():
+    # impute._select_all is the only donor search: it bisects the sorted
+    # donor arrays itself, so no module imports bisect and no list mirror
+    # of the sorted values or second search exists.
+    package = Path(cmimpute.__file__).parent
+    imports = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(alias.name == "bisect" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "bisect"
+    ]
+    assert imports == []
+    assert not hasattr(cmimpute.mapping.MappingTable, "sorted_donors")
+    assert not hasattr(cmimpute.impute, "_nearest_rows")
+
+
 def test_the_spec_reader_declares_no_experiment_option_default():
     # Each experiment option's default is declared once, in the signature
     # of ExperimentConfig.__init__: experiment_from_spec passes a spec's
