@@ -1,8 +1,8 @@
 """Classification of new complete records: the mapped pipeline reused
 as a classifier, plus the raw 1-NN baseline it is compared against.
 
-The training side of both (the data checks, the training matrix and,
-per model, the training mapping table) is fitted once per training
+The training side of both (the data checks, the training matrix and
+the mapping table of the last model given) is fitted once per training
 dataset, on its first query, and kept on the dataset.  A query then
 pays only for its own mapping value and the donor search
 impute_dataset makes (mapped), or a screened search that squares
@@ -22,6 +22,7 @@ from .impute import MODE_ABSOLUTE, _select_all
 from .kmeans import ClusterModel
 from .mapping import (
     MappingTable,
+    _group_values,
     check_map_value,
     map_values,
     nearest_rows,
@@ -62,30 +63,35 @@ class _Column(Mapping[str, float]):
         return len(self._source)
 
 
-def check_training_data(dataset: Dataset) -> None:
-    """The checks both classifiers run on their training dataset: it is
-    non-empty, complete (a ParseError) and fully labeled."""
-    if not len(dataset):
-        raise NoDonorsError("empty training dataset")
-    incomplete = np.isnan(dataset.matrix).any(axis=1)
-    if incomplete.any():
-        rid = dataset.ids[int(incomplete.argmax())]
-        raise ParseError(f"training record {rid} has missing cells; impute first")
-    unlabeled = [rid for rid, label in zip(dataset.ids, dataset.labels) if label is None]
-    if unlabeled:
-        raise CannotClassifyError(f"training records without labels: {unlabeled}")
+def check_training_data(dataset: Dataset) -> _Fit:
+    """The dataset's fit, built by the first call that passes the checks
+    both classifiers run on their training dataset: it is non-empty,
+    complete (a ParseError) and fully labeled.  A dataset that fails
+    them keeps no fit and fails them again next time."""
+    fit = dataset._memo.get(_Fit)
+    if fit is None:
+        if not len(dataset):
+            raise NoDonorsError("empty training dataset")
+        incomplete = np.isnan(dataset.matrix).any(axis=1)
+        if incomplete.any():
+            rid = dataset.ids[int(incomplete.argmax())]
+            raise ParseError(f"training record {rid} has missing cells; impute first")
+        unlabeled = [rid for rid, label in zip(dataset.ids, dataset.labels) if label is None]
+        if unlabeled:
+            raise CannotClassifyError(f"training records without labels: {unlabeled}")
+        fit = dataset._memo[_Fit] = _Fit(dataset)
+    return fit
 
 
 class _Fit:
     """The training side of both classifiers for one checked training
     dataset: its ids, labels, id -> row map and matrix, but not the
     dataset, so the dataset that keeps it is still freed by reference
-    counting."""
+    counting, and one slot for a model and its training mapping table."""
 
     def __init__(self, dataset: Dataset) -> None:
-        check_training_data(dataset)
         self.ids, self.labels, self.rows, self.matrix = dataset.ids, dataset.labels, dataset._by_id, dataset.matrix
-        self._maps: dict[int, tuple[ClusterModel, MappingTable]] = {}
+        self._model = self._maps = None
 
     @cached_property
     def by_column(self) -> np.ndarray:
@@ -98,36 +104,21 @@ class _Fit:
         return ClassificationResult(labels, tuple(self.ids[r] for r in rows), table)
 
     def mapping(self, model: ClusterModel) -> MappingTable:
-        """The training records mapped under the model, built and
-        checked on the model's first use.  Entries are keyed by
-        id(model) and hold the model itself, so the identity test never
-        matches a different model that reuses a freed id."""
-        entry = self._maps.get(id(model))
-        if entry is None or entry[0] is not model:
+        """The training records mapped under the model, checked and
+        mapped anew whenever a model other than the slot's arrives."""
+        if model is not self._model:
             if set(model.assignment) != set(self.rows):
                 raise ValueError("model was built on different records than the training dataset")
-            n, arity = self.matrix.shape[1], len(model.centroids[0])
-            if n != arity:
-                raise ValueError(f"dataset has {n} attributes, the model's centroids {arity}")
-            maps = MappingTable(self.ids, map_values(self.matrix, model.centroids), (), np.empty(0))
-            entry = self._maps[id(model)] = (model, maps)
-        return entry[1]
-
-
-def _fit(dataset: Dataset) -> _Fit:
-    """The dataset's fit, built on the first call.  A dataset that
-    fails the checks keeps no fit and fails them again next time."""
-    fit = dataset._memo.get(_Fit)
-    if fit is None:
-        fit = dataset._memo[_Fit] = _Fit(dataset)
-    return fit
+            values = _group_values(self.ids, self.matrix, model, complete=True)
+            self._maps, self._model = MappingTable(self.ids, values, (), np.empty(0)), model
+        return self._maps
 
 
 def _query_row(query: Record, dataset: Dataset) -> np.ndarray:
     """The query's cells as a float row, checked to be complete and of
     the training records' arity."""
     if not query.is_complete:
-        raise ValueError(f"query {query.id} has missing cells")
+        raise ParseError(f"query record {query.id} has missing cells")
     n = dataset.schema.arity
     if len(query.cells) != n:
         raise ValueError(f"query {query.id} has {len(query.cells)} cells, training records have {n}")
@@ -148,13 +139,10 @@ def classify_mapped(
     model, so post-imputation records participate).  Returns all tied
     labels when several records attain the minimal difference.
     """
-    fit = _fit(dataset)
+    fit = check_training_data(dataset)
     maps = fit.mapping(model)
-    q = _query_row(query, dataset)
-    c = map_values(q[None, :], model.centroids)
-    value = check_map_value("query_map", query.id, float(c[0]))
-    (rows,) = _select_all(maps, c, mode)
-    return _mapped(fit, maps, rows, value)
+    (result,) = _classify(fit, maps, model.centroids, (query.id,), _query_row(query, dataset)[None, :], mode)
+    return result
 
 
 def classify_mapped_all(
@@ -164,17 +152,24 @@ def classify_mapped_all(
     mode: str = MODE_ABSOLUTE,
 ) -> list[ClassificationResult]:
     """classify_mapped for every record of queries, a dataset of
-    complete records, in order: one mapping call for all of them,
-    and one selection, the one impute_dataset makes."""
-    fit = _fit(dataset)
+    complete records (a missing cell is a ParseError), in order: one
+    mapping call and one selection for all of them."""
+    fit = check_training_data(dataset)
+    maps = fit.mapping(model)
     if queries.schema.arity != dataset.schema.arity:
         raise ValueError(f"queries have {queries.schema.arity} attributes, training records {dataset.schema.arity}")
-    incomplete = np.isnan(queries.matrix).any(axis=1)
-    if incomplete.any():
-        raise ValueError(f"query {queries.ids[int(incomplete.argmax())]} has missing cells")
-    maps = fit.mapping(model)
-    c = map_values(queries.matrix, model.centroids)
-    values = [check_map_value("query_map", rid, v) for rid, v in zip(queries.ids, c.tolist())]
+    holed = np.isnan(queries.matrix).any(axis=1)
+    if holed.any():
+        raise ParseError(f"query record {queries.ids[int(holed.argmax())]} has missing cells")
+    return _classify(fit, maps, model.centroids, queries.ids, queries.matrix, mode)
+
+
+def _classify(fit: _Fit, maps: MappingTable, centroids, ids: Sequence[str], X, mode: str) -> list[ClassificationResult]:
+    """Mapped answers for the checked query rows X, maps holding the
+    training records mapped under the centroids: one mapping call, a
+    value check per query and one selection, impute_dataset's."""
+    c = map_values(X, centroids)
+    values = [check_map_value("query_map", rid, v) for rid, v in zip(ids, c.tolist())]
     return [_mapped(fit, maps, rows, v) for rows, v in zip(_select_all(maps, c, mode), values)]
 
 
@@ -196,7 +191,7 @@ def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
     kernel call over the whole matrix, made when the table is first
     read.
     """
-    fit = _fit(dataset)
+    fit = check_training_data(dataset)
     X, q = fit.matrix, _query_row(query, dataset)
     rows, exact = nearest_rows(fit.by_column, q)
     distances = np.sqrt(exact)

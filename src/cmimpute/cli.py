@@ -23,8 +23,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .casestudy import TOLERANCE, render_report, run_case_study
 from .classify import check_training_data, classify_mapped_all, classify_raw_knn
 from .dataset import (
@@ -158,16 +156,8 @@ def _load_queries(path: str, train_schema: Schema):
     text = read_text(path)
     if not text.strip():
         return None
-    query_schema = Schema(
-        train_schema.attributes,
-        label_column=None,
-        missing_markers=train_schema.missing_markers,
-    )
-    queries = parse_dataset(text, query_schema, id_prefix="Q")
-    holed = np.isnan(queries.matrix).any(axis=1)
-    if holed.any():
-        raise ParseError(f"query record {queries.ids[int(holed.argmax())]} has missing cells")
-    return queries
+    query_schema = Schema(train_schema.attributes, None, train_schema.missing_markers)
+    return parse_dataset(text, query_schema, id_prefix="Q")
 
 
 def cmd_classify(args: argparse.Namespace) -> int:

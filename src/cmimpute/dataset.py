@@ -241,11 +241,12 @@ class Dataset:
     the cells, a categorical one holding its symbol's ordinal and a
     missing one NaN.  The constructor reads None as NaN, takes over a
     C-contiguous float64 array uncopied, and refuses a matrix of another
-    shape or labels of another length.  Records are a view of the
-    matrix, built when first read.  A dataset parsed from text keeps
-    each numeric column's FieldText (None for every other column), which
-    imputation passes on and every other constructor drops.  A dataset
-    is never mutated."""
+    shape or labels of another length, and, as the parser does, a cell
+    beyond MAX_MAGNITUDE or infinite (a SchemaError).  Records are a
+    view of the matrix, built when first read.  A dataset parsed from
+    text keeps each numeric column's FieldText (None for every other
+    column), which imputation passes on and every other constructor
+    drops.  A dataset is never mutated."""
 
     def __init__(
         self, schema: Schema, ids: Sequence[str], labels: Sequence[str | None], matrix, field_texts=None
@@ -253,9 +254,13 @@ class Dataset:
         self.schema, self.ids, self.labels = schema, tuple(ids), tuple(labels)
         shape = (len(self.ids), schema.arity)
         matrix = np.ascontiguousarray(matrix, dtype=float)
-        self.matrix = matrix.reshape(0, shape[1]) if matrix.shape == (0,) else matrix  # [] holds no rows
+        self.matrix = X = matrix.reshape(0, shape[1]) if matrix.shape == (0,) else matrix  # [] holds no rows
         if self.matrix.shape != shape or len(self.labels) != shape[0]:
             raise ValueError(f"a {shape} dataset got a {self.matrix.shape} matrix and {len(self.labels)} labels")
+        if X.size and max(np.fmax.reduce(X.ravel()), -np.fmin.reduce(X.ravel())) > MAX_MAGNITUDE:  # both skip NaN
+            i, j = divmod(int((np.abs(X) > MAX_MAGNITUDE).argmax()), shape[1])
+            cell = f"record {self.ids[i]}: {float(X[i, j])} for attribute {schema.attributes[j].name!r}"
+            raise SchemaError(f"{cell} exceeds the magnitude bound {MAX_MAGNITUDE:g}")
         self.matrix.flags.writeable = False
         self.field_texts = tuple(field_texts) if field_texts is not None else (None,) * shape[1]
 

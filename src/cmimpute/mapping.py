@@ -132,20 +132,18 @@ class MappingTable:
         return np.concatenate(([-math.inf], self.donor_values[order], [math.inf])), order
 
 
-def _group_values(rows: Dataset, model: ClusterModel, complete: bool) -> np.ndarray:
-    """Mapping value per record of one group, in row order, checked to
-    have an observed cell (a donor: no missing cell), raised for the
-    first record that fails."""
+def _group_values(ids: Sequence[str], X: np.ndarray, model: ClusterModel, complete: bool) -> np.ndarray:
+    """Mapping value per row of X, one group's matrix (its records' ids
+    given), checked for the model's arity and an observed cell (a donor:
+    no missing cell), raised for the first record that fails."""
     arity = len(model.centroids[0])
-    if rows.schema.arity != arity:
-        raise ValueError(f"dataset has {rows.schema.arity} attributes, the model's centroids {arity}")
-    if not len(rows):
-        return np.empty(0)
-    missing = np.isnan(rows.matrix)
+    if X.shape[1] != arity:
+        raise ValueError(f"dataset has {X.shape[1]} attributes, the model's centroids {arity}")
+    missing = np.isnan(X)
     bad = missing.any(axis=1) if complete else missing.all(axis=1)
     if bad.any():
-        raise ValueError((MISSING if complete else UNOBSERVED).format(rows.ids[int(bad.argmax())]))
-    return map_values(rows.matrix, model.centroids)
+        raise ValueError((MISSING if complete else UNOBSERVED).format(ids[int(bad.argmax())]))
+    return map_values(X, model.centroids)
 
 
 def build_mapping(g1: Dataset, queries: Dataset, model: ClusterModel) -> MappingTable:
@@ -154,7 +152,7 @@ def build_mapping(g1: Dataset, queries: Dataset, model: ClusterModel) -> Mapping
     values stay an array aligned with its rows."""
     return MappingTable(
         g1.ids,
-        _group_values(g1, model, complete=True),
+        _group_values(g1.ids, g1.matrix, model, complete=True),
         queries.ids,
-        _group_values(queries, model, complete=False),
+        _group_values(queries.ids, queries.matrix, model, complete=False),
     )

@@ -426,6 +426,7 @@ def test_training_set_is_mapped_once_per_model_across_queries(
 
     other = cluster(classification_dataset.records, 3, FarthestFirst(0))
     monkeypatch.setattr(cmimpute.classify, "map_values", counting)
+    monkeypatch.setattr(cmimpute.mapping, "map_values", counting)  # the training side maps through _group_values
     training = copy_of(classification_dataset)
     for j in range(6):
         query = rec(f"Q{j + 1}", j, 1, 2, j % 3)

@@ -18,13 +18,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cmimpute.casestudy import CLASSIFICATION_PARTITION, IMPUTATION_PARTITION, fixture_text
-from cmimpute.classify import classify_mapped, classify_raw_knn
+from cmimpute.classify import classify_mapped, classify_mapped_all, classify_raw_knn
 from cmimpute.cli import EXIT_INSUFFICIENT, EXIT_INTERNAL, EXIT_OK, EXIT_UNLABELED, EXIT_USAGE, main
 from cmimpute.dataset import (
     CATEGORICAL,
     MAX_MAGNITUDE,
     NUMERIC,
     AttributeSpec,
+    Dataset,
     Record,
     Schema,
     dataset_to_csv,
@@ -32,13 +33,14 @@ from cmimpute.dataset import (
     split_groups,
 )
 import cmimpute.errors
-from cmimpute.errors import CannotClassifyError, ConfigError, InsufficientDataError
+from cmimpute.errors import CannotClassifyError, ConfigError, InsufficientDataError, SchemaError
 from cmimpute.evaluate import (
     ALL_METHODS,
     EvaluationReport,
     ExperimentConfig,
     inject_mcar,
     make_synthetic_dataset,
+    mask_cells,
     run_experiment,
 )
 from cmimpute.impute import MODES, ImputeConfig, impute_dataset
@@ -227,6 +229,50 @@ def test_a_library_pipeline_gives_a_result_or_a_typed_error(mode, k, init, clust
     except LIBRARY_ERRORS:
         return
     assert sorted(set(model.assignment.values())) == list(range(len(model.centroids)))
+
+
+# Matrix cells: a few values drawn often, so cells and rows repeat, the
+# magnitude bound and the first values past it, huge and infinite
+# values, a missing cell, and any float.
+PAST_BOUND = math.nextafter(MAX_MAGNITUDE, math.inf)
+matrix_cells = st.one_of(
+    st.sampled_from(
+        (0.0, 1.0, 2.0, MAX_MAGNITUDE, -MAX_MAGNITUDE, PAST_BOUND, -PAST_BOUND, 1e300, -1e300, math.inf, -math.inf)
+    ),
+    st.just(math.nan),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), n=st.integers(1, 3), data=st.data())
+def test_a_library_dataset_gives_a_result_or_a_typed_error(m, n, data):
+    """A matrix built in code, then imputed, masked by mask_cells cells
+    of any small JSON shape, and clustered and classified against
+    itself."""
+    schema = Schema(tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(n)), label_column="class")
+    ids = [f"R{i + 1}" for i in range(m)]
+    labels = data.draw(st.lists(st.sampled_from(("A", "B", None)), min_size=m, max_size=m))
+    matrix = data.draw(st.lists(st.lists(matrix_cells, min_size=n, max_size=n), min_size=m, max_size=m))
+    bounded = all(abs(v) <= MAX_MAGNITUDE for row in matrix for v in row if v == v)
+    try:
+        dataset = Dataset(schema, ids, labels, matrix)
+    except SchemaError:
+        assert not bounded
+        return
+    assert bounded
+    pairs = st.tuples(st.sampled_from(ids + ["R0"]), st.integers(-1, n))
+    cells = data.draw(st.one_of(st.lists(st.one_of(pairs, pairs.map(list)), max_size=4), small_json))
+    calls = (
+        lambda: impute_dataset(dataset).dataset.is_complete,
+        lambda: len(mask_cells(dataset, cells)[0]) == m,
+        lambda: len(classify_mapped_all(dataset, dataset, cluster(dataset, None, FarthestFirst(0)))) == m,
+    )
+    for call in calls:
+        try:
+            assert call()
+        except LIBRARY_ERRORS:
+            pass
 
 
 @settings(max_examples=20, deadline=None)

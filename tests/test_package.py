@@ -13,8 +13,11 @@ from collections import Counter
 from pathlib import Path
 
 import cmimpute
+import cmimpute.classify
 import cmimpute.cli
 from cmimpute.casestudy import fixture_text
+from cmimpute.evaluate import make_synthetic_dataset
+from cmimpute.kmeans import FarthestFirst, cluster
 
 MODULES = ("classify", "dataset", "errors", "evaluate", "impute", "kmeans", "mapping")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -127,6 +130,28 @@ def test_each_pipeline_option_is_checked_in_one_place():
     strings = [node.value for node in ast.walk(cli) if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert [s for s in strings if "init seed" in s or "must be one of" in s or s.startswith("k must")] == []
     assert [cmimpute.cli.OPTIONS[key][0] for key in ("mode", "k")] == [None, None]
+
+
+def test_each_classifier_input_is_checked_in_one_place():
+    # classify_mapped_all refuses a query with a missing cell, in the
+    # words the CLI prints, so the CLI checks no query matrix itself;
+    # mapping._group_values alone compares the model's arity with the
+    # data's; and the fit keeps one model slot, not a table of models.
+    package = Path(cmimpute.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    cli = list(ast.walk(ast.parse(sources["cli.py"])))
+    imported = [a.name for node in cli if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names]
+    imported += [node.module for node in cli if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name and name.split(".")[0] == "numpy"] == []
+    assert [node for node in cli if isinstance(node, ast.Attribute) and node.attr == "isnan"] == []
+    assert [node for node in cli if isinstance(node, ast.Name) and node.id == "isnan"] == []
+    for text, owner in (('"query record {', "classify.py"), ("the model's centroids", "mapping.py")):
+        assert [name for name, source in sources.items() if text in source] == [owner], text
+    training = make_synthetic_dataset(12, seed=3)
+    for k in (2, 3, 2):
+        cmimpute.classify.classify_mapped_all(training, training, cluster(training, k, FarthestFirst(0)))
+    fit = training._memo[cmimpute.classify._Fit]
+    assert [name for name, value in vars(fit).items() if isinstance(value, dict) and value is not fit.rows] == []
 
 
 def test_the_package_has_one_donor_search():
