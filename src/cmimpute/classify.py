@@ -16,8 +16,8 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Record
-from .errors import CannotClassifyError, NoDonorsError, ParseError
+from .dataset import MAX_MAGNITUDE, TOO_LARGE, Dataset, Record
+from .errors import CannotClassifyError, NoDonorsError, ParseError, SchemaError
 from .impute import MODE_ABSOLUTE, _select_all
 from .kmeans import ClusterModel
 from .mapping import (
@@ -115,13 +115,17 @@ class _Fit:
 
 
 def _query_row(query: Record, dataset: Dataset) -> np.ndarray:
-    """The query's cells as a float row, checked to be complete and of
-    the training records' arity."""
-    if not query.is_complete:
+    """The query's cells as a float row, checked in plain Python to be
+    of the training records' arity and, as in a Dataset, complete (NaN
+    is missing) and within MAX_MAGNITUDE."""
+    if not query.is_complete or any(v != v for v in query.cells):
         raise ParseError(f"query record {query.id} has missing cells")
     n = dataset.schema.arity
     if len(query.cells) != n:
         raise ValueError(f"query {query.id} has {len(query.cells)} cells, training records have {n}")
+    for value, spec in zip(query.cells, dataset.schema.attributes):
+        if abs(value) > MAX_MAGNITUDE:
+            raise SchemaError(TOO_LARGE.format(query.id, float(value), spec.name))
     return np.array(query.cells, dtype=float)
 
 

@@ -32,6 +32,8 @@ MISSING_FIELD = "?"
 # and records, stay far below the float range, so no distance, mean or
 # k-means sum the pipeline forms overflows.
 MAX_MAGNITUDE = 1e100
+# The SchemaError message for a record's cell beyond it (or infinite): record id, value, attribute name.
+TOO_LARGE = "record {}: {} for attribute {!r} exceeds the magnitude bound %g" % MAX_MAGNITUDE
 
 
 class AttributeSpec:
@@ -167,26 +169,24 @@ class Record(NamedTuple):
 
 
 class FieldText:
-    """A numeric column's fields as they were read and the values parsed
-    from them, a column view of the parsed matrix.  The writer copies a
-    canonical field (see _canonical_fields) wherever its cell still
-    holds the value parsed from it, instead of rendering the value
-    again.  Never mutated."""
+    """A numeric column's fields as read, "\n"-joined into one text, and
+    the values parsed from them, a column view of the parsed matrix.
+    The writer copies a canonical field (see _canonical_fields) wherever
+    its cell still holds its parsed value.  Never mutated."""
 
-    def __init__(self, fields: Sequence[str], values: np.ndarray) -> None:
-        self.fields, self.values = fields, values
+    def __init__(self, text: str, values: np.ndarray) -> None:
+        self.text, self.values = text, values
 
     @cached_property
     def canonical(self) -> np.ndarray:
         """Per field, whether it is canonical: computed on the first
         write, so a dataset that is never written never pays for it.  A
         field holding a line break (csv.reader reads one from a quoted
-        field) would split the joined text anew, so in that column no
-        field counts as canonical and every cell is rendered."""
-        text, m = "\n".join(self.fields), len(self.fields)
-        if text.count("\n") != m - 1:
-            return np.zeros(m, dtype=bool)
-        return _canonical_fields(text, m)
+        field) would split the text anew, so in that column no field
+        counts as canonical and every cell is rendered."""
+        if self.text.count("\n") != len(self.values) - 1:
+            return np.zeros(len(self.values), dtype=bool)
+        return _canonical_fields(self.text, len(self.values))
 
 
 # Per byte, 0 for a digit or a line break, 1 for a dot and 2 for any
@@ -259,8 +259,7 @@ class Dataset:
             raise ValueError(f"a {shape} dataset got a {self.matrix.shape} matrix and {len(self.labels)} labels")
         if X.size and max(np.fmax.reduce(X.ravel()), -np.fmin.reduce(X.ravel())) > MAX_MAGNITUDE:  # both skip NaN
             i, j = divmod(int((np.abs(X) > MAX_MAGNITUDE).argmax()), shape[1])
-            cell = f"record {self.ids[i]}: {float(X[i, j])} for attribute {schema.attributes[j].name!r}"
-            raise SchemaError(f"{cell} exceeds the magnitude bound {MAX_MAGNITUDE:g}")
+            raise SchemaError(TOO_LARGE.format(self.ids[i], float(X[i, j]), schema.attributes[j].name))
         self.matrix.flags.writeable = False
         self.field_texts = tuple(field_texts) if field_texts is not None else (None,) * shape[1]
 
@@ -364,10 +363,11 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
         _raise_first_error(list(zip(*fields)), schema, width)
         raise
     n, m = schema.arity, len(matrix)
-    labels = [f.strip() or None for f in fields[n]] if schema.label_column is not None else [None] * m
+    classes: dict[str, str] = {}  # one str object per class name
+    labels = [classes.setdefault(t, t) or None for t in map(str.strip, fields[n])] if n < width else [None] * m
     ids = [f"{id_prefix}{i}" for i in range(1, m + 1)]
     texts = [
-        FieldText(raw, column) if spec.kind == NUMERIC else None
+        FieldText("\n".join(raw), column) if spec.kind == NUMERIC else None
         for spec, raw, column in zip(schema.attributes, fields, matrix.T)
     ]
     return Dataset(schema, ids, labels, matrix, texts)
@@ -528,11 +528,13 @@ def csv_text(header: list[str], columns: Sequence[Sequence[str]]) -> str:
 
 def _kept_column(column: np.ndarray, kept: FieldText) -> list[str]:
     """format_column's text for the column, copying each canonical field
-    whose cell still equals the value parsed from it and rendering the
-    rest; NaN equals nothing, so every missing or filled cell is
-    rendered."""
-    texts = list(kept.fields)
-    rest = np.flatnonzero(~(kept.canonical & (kept.values == column)))
+    whose cell still equals the value parsed from it (the text is split
+    only then) and rendering the rest; NaN equals nothing, so every
+    missing or filled cell is rendered."""
+    copied = kept.canonical & (kept.values == column)
+    if not copied.any():
+        return format_column(column)
+    texts, rest = kept.text.split("\n"), np.flatnonzero(~copied)
     for i, text in zip(rest.tolist(), format_column(column[rest])):
         texts[i] = text
     return texts

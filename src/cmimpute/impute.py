@@ -158,7 +158,8 @@ def _fill_value(
     A single donor contributes its value verbatim.  Multiple tied
     donors defer to the donors' decision class over the whole donor
     pool: the modal value for a categorical attribute, the mean for a
-    numeric one (see _class_value).
+    numeric one (see _class_value), the class found once per donor
+    tuple and mapping table.
     """
     if not math.isnan(query[attr]):
         raise ValueError(f"cell {attr} of the query is not missing")
@@ -167,7 +168,10 @@ def _fill_value(
     if len(donors) == 1:
         return float(g1.matrix[donors[0], attr]), "single-donor"
 
-    klass = _tie_class(donors, g1, maps)
+    slot = g1._memo.get(_tie_class)
+    if slot is None or slot[0] is not maps:  # one slot: (maps, {donor tuple: (its tie class,)})
+        slot = g1._memo[_tie_class] = (maps, {})
+    (klass,) = slot[1].get(donors) or slot[1].setdefault(donors, (_tie_class(donors, g1, maps),))
     if klass is None:
         value, statistic = _pool_value(g1.matrix[list(donors), attr].tolist(), spec)
         return value, f"{statistic}-tied-donors"

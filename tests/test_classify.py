@@ -16,7 +16,8 @@ import cmimpute.mapping
 from cmimpute.casestudy import expected_values
 from cmimpute.classify import classify_mapped, classify_mapped_all, classify_raw_knn
 from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Dataset, Record, Schema
-from cmimpute.errors import CannotClassifyError, NoDonorsError
+from cmimpute.errors import CannotClassifyError, NoDonorsError, ParseError, SchemaError
+from cmimpute.evaluate import make_synthetic_dataset
 from cmimpute.impute import MODE_ABSOLUTE, MODE_SIGNED, MODES
 from cmimpute.kmeans import FarthestFirst, SeededRandom, cluster
 from cmimpute.mapping import MappingTable, build_mapping, nearest_rows, squared_distances
@@ -587,3 +588,25 @@ def test_the_search_squares_only_rows_that_may_be_nearest(monkeypatch):
     calls.clear()
     assert outcome.table["R11"] < outcome.table["R12"] < outcome.table["R13"]
     assert calls == [len(rows)]  # the table's column: one kernel call, on the first read
+
+
+@pytest.mark.parametrize("bad", [math.inf, 1e300, -1e101])
+def test_a_query_cell_beyond_the_magnitude_bound_is_refused_as_a_dataset_refuses_it(bad):
+    training = make_synthetic_dataset(40, seed=1)
+    model = cluster(training, None, FarthestFirst(0))
+    query = training.records[0]._replace(cells=(bad,) + training.records[0].cells[1:])
+    with pytest.raises(SchemaError) as refused:
+        Dataset(training.schema, [query.id], [query.label], [query.cells])
+    for classify in (lambda: classify_mapped(query, training, model), lambda: classify_raw_knn(query, training)):
+        with pytest.raises(SchemaError) as exc:
+            classify()
+        assert str(exc.value) == str(refused.value)
+
+
+def test_a_nan_query_cell_is_a_missing_cell():
+    training = make_synthetic_dataset(40, seed=1)
+    model = cluster(training, None, FarthestFirst(0))
+    query = training.records[0]._replace(cells=(math.nan,) + training.records[0].cells[1:])
+    for classify in (lambda: classify_mapped(query, training, model), lambda: classify_raw_knn(query, training)):
+        with pytest.raises(ParseError, match=f"query record {query.id} has missing cells"):
+            classify()

@@ -622,7 +622,7 @@ def parse_outcome(text: str, schema: Schema):
     except (ParseError, SchemaError) as exc:
         return type(exc).__name__, str(exc)
     cells = [tuple(map(repr, r.cells)) for r in ds.records]
-    return ds.ids, cells, ds.labels, dataset_to_csv(ds), [t and list(t.fields) for t in ds.field_texts]
+    return ds.ids, cells, ds.labels, dataset_to_csv(ds), [t and t.text for t in ds.field_texts]
 
 
 def read_by_csv_reader(text: str, schema: Schema):
@@ -773,3 +773,17 @@ def test_parsing_an_unquoted_table_allocates_no_list_per_row():
     assert collections_while(lambda: parse_dataset(text, numeric_schema(2))) == 0
     with mock.patch.object(cmimpute.dataset, "_split_fields", return_value=None):
         assert collections_while(lambda: parse_dataset(text, numeric_schema(2))) > 0
+
+
+@pytest.mark.parametrize("split", [cmimpute.dataset._split_fields, lambda text, width: None], ids=["split", "csv-reader"])
+def test_a_parsed_dataset_holds_no_object_per_field(split):
+    text = "x1,x2,class\n" + "".join(f"{i / 8:g},{i % 7},c{i % 3}\n" for i in range(4000))
+    with mock.patch.object(cmimpute.dataset, "_split_fields", split):
+        ds = parse_dataset(text, numeric_schema(2))
+    for kept in ds.field_texts:
+        # One text per column, and no list or tuple of fields beside it.
+        assert sorted(type(v).__name__ for v in vars(kept).values()) == ["ndarray", "str"]
+        assert kept.text.count("\n") == len(ds) - 1
+    assert ds.classes == ("c0", "c1", "c2")
+    assert len({id(label) for label in ds.labels}) == 3  # one object per class name
+    assert dataset_to_csv(ds) == text

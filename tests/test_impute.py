@@ -814,3 +814,43 @@ def test_provenance_csv_layout(missing_dataset):
     assert lines[0] == "query,attribute,donors,value,symbol,mode,tie_policy"
     assert lines[1] == "R3,A3,R8,2,d32,paper-signed,single-donor"
     assert lines[2] == "R5,A4,R8,7,,paper-signed,single-donor"
+
+
+def three_point_table(m: int) -> Dataset:
+    """m labeled records of 4 numeric attributes holding 3 distinct
+    points, 5% of cells masked: nearly every query ties with hundreds of
+    donors, and many queries share one donor tuple."""
+    rng = np.random.default_rng(m)
+    points = np.array([[0, 0, 0, 0], [1, 2, 3, 4], [5, 3, 1, 6]], dtype=float)
+    schema = Schema(tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(4)), "class")
+    labels = [f"C{c}" for c in rng.integers(1, 4, m).tolist()]
+    table = Dataset(schema, [f"R{i}" for i in range(1, m + 1)], labels, points[rng.integers(0, 3, m)])
+    return inject_mcar(table, 0.05, seed=0)[0]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "table, k",
+    [(lambda: three_point_table(1000), 3), (lambda: three_point_table(4000), 3), (tie_heavy_table, 2)],
+    ids=["3-points-1k", "3-points-4k", "every-policy"],
+)
+def test_tie_class_runs_once_per_donor_tuple(monkeypatch, table, k, mode):
+    table, config = table(), ImputeConfig(mode=mode, k=k)
+    tie_class, calls = cmimpute.impute._tie_class, []
+
+    def counted(donors, g1, maps):
+        calls.append(donors)
+        if forget:  # drop the kept classes: every tied cell computes its own
+            g1._memo.pop(counted)
+        return tie_class(donors, g1, maps)
+
+    monkeypatch.setattr(cmimpute.impute, "_tie_class", counted)
+    forget = False
+    kept = impute_dataset(table, config)
+    tied = {donors for donors in kept.donors if len(donors) > 1}
+    assert tied and sorted(calls) == sorted(tied)
+    forget, calls[:] = True, []
+    fresh = impute_dataset(table, config)
+    assert len(calls) == sum(len(kept.donors[j]) > 1 for j in kept.rows)
+    assert np.array_equal(kept.dataset.matrix, fresh.dataset.matrix)
+    assert kept.policies == fresh.policies and provenance_csv(kept) == provenance_csv(fresh)
