@@ -20,14 +20,7 @@ from .dataset import MAX_MAGNITUDE, TOO_LARGE, Dataset, Record
 from .errors import CannotClassifyError, NoDonorsError, ParseError, SchemaError
 from .impute import MODE_ABSOLUTE, _select_all
 from .kmeans import ClusterModel
-from .mapping import (
-    MappingTable,
-    _group_values,
-    check_map_value,
-    map_values,
-    nearest_rows,
-    squared_distances,
-)
+from .mapping import MappingTable, check_model, map_values, nearest_rows, squared_distances
 
 
 class ClassificationResult(NamedTuple):
@@ -87,11 +80,12 @@ class _Fit:
     """The training side of both classifiers for one checked training
     dataset: its ids, labels, id -> row map and matrix, but not the
     dataset, so the dataset that keeps it is still freed by reference
-    counting, and one slot for a model and its training mapping table."""
+    counting, and one slot for a model, its checked centroids and its
+    training mapping table."""
 
     def __init__(self, dataset: Dataset) -> None:
         self.ids, self.labels, self.rows, self.matrix = dataset.ids, dataset.labels, dataset._by_id, dataset.matrix
-        self._model = self._maps = None
+        self._model = self._slot = None
 
     @cached_property
     def by_column(self) -> np.ndarray:
@@ -103,15 +97,17 @@ class _Fit:
         labels = tuple(sorted({self.labels[r] for r in rows}))
         return ClassificationResult(labels, tuple(self.ids[r] for r in rows), table)
 
-    def mapping(self, model: ClusterModel) -> MappingTable:
-        """The training records mapped under the model, checked and
-        mapped anew whenever a model other than the slot's arrives."""
+    def mapping(self, model: ClusterModel) -> tuple[np.ndarray, MappingTable]:
+        """The model's checked centroids and the training records mapped
+        under them (complete, as check_training_data proved), both made
+        anew whenever a model other than the slot's arrives."""
         if model is not self._model:
             if set(model.assignment) != set(self.rows):
-                raise ValueError("model was built on different records than the training dataset")
-            values = _group_values(self.ids, self.matrix, model, complete=True)
-            self._maps, self._model = MappingTable(self.ids, values, (), np.empty(0)), model
-        return self._maps
+                raise SchemaError("model was built on different records than the training dataset")
+            centroids = check_model(model, self.matrix.shape[1])
+            maps = MappingTable(self.ids, map_values(self.matrix, centroids), (), np.empty(0))
+            self._slot, self._model = (centroids, maps), model
+        return self._slot
 
 
 def _query_row(query: Record, dataset: Dataset) -> np.ndarray:
@@ -122,7 +118,7 @@ def _query_row(query: Record, dataset: Dataset) -> np.ndarray:
         raise ParseError(f"query record {query.id} has missing cells")
     n = dataset.schema.arity
     if len(query.cells) != n:
-        raise ValueError(f"query {query.id} has {len(query.cells)} cells, training records have {n}")
+        raise SchemaError(f"query {query.id} has {len(query.cells)} cells, training records have {n}")
     for value, spec in zip(query.cells, dataset.schema.attributes):
         if abs(value) > MAX_MAGNITUDE:
             raise SchemaError(TOO_LARGE.format(query.id, float(value), spec.name))
@@ -144,8 +140,8 @@ def classify_mapped(
     labels when several records attain the minimal difference.
     """
     fit = check_training_data(dataset)
-    maps = fit.mapping(model)
-    (result,) = _classify(fit, maps, model.centroids, (query.id,), _query_row(query, dataset)[None, :], mode)
+    centroids, maps = fit.mapping(model)
+    (result,) = _classify(fit, maps, centroids, _query_row(query, dataset)[None, :], mode)
     return result
 
 
@@ -159,22 +155,21 @@ def classify_mapped_all(
     complete records (a missing cell is a ParseError), in order: one
     mapping call and one selection for all of them."""
     fit = check_training_data(dataset)
-    maps = fit.mapping(model)
+    centroids, maps = fit.mapping(model)
     if queries.schema.arity != dataset.schema.arity:
-        raise ValueError(f"queries have {queries.schema.arity} attributes, training records {dataset.schema.arity}")
+        raise SchemaError(f"queries have {queries.schema.arity} attributes, training records {dataset.schema.arity}")
     holed = np.isnan(queries.matrix).any(axis=1)
     if holed.any():
         raise ParseError(f"query record {queries.ids[int(holed.argmax())]} has missing cells")
-    return _classify(fit, maps, model.centroids, queries.ids, queries.matrix, mode)
+    return _classify(fit, maps, centroids, queries.matrix, mode)
 
 
-def _classify(fit: _Fit, maps: MappingTable, centroids, ids: Sequence[str], X, mode: str) -> list[ClassificationResult]:
+def _classify(fit: _Fit, maps: MappingTable, centroids: np.ndarray, X, mode: str) -> list[ClassificationResult]:
     """Mapped answers for the checked query rows X, maps holding the
-    training records mapped under the centroids: one mapping call, a
-    value check per query and one selection, impute_dataset's."""
+    training records mapped under the checked centroids: one mapping
+    call and one selection, impute_dataset's."""
     c = map_values(X, centroids)
-    values = [check_map_value("query_map", rid, v) for rid, v in zip(ids, c.tolist())]
-    return [_mapped(fit, maps, rows, v) for rows, v in zip(_select_all(maps, c, mode), values)]
+    return [_mapped(fit, maps, rows, v) for rows, v in zip(_select_all(maps, c, mode), c.tolist())]
 
 
 def _mapped(fit: _Fit, maps: MappingTable, rows: Sequence[int], c: float) -> ClassificationResult:

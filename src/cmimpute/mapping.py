@@ -10,7 +10,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import MAX_MAGNITUDE, Dataset
+from .errors import SchemaError
 from .kmeans import ClusterModel
 
 
@@ -79,15 +80,28 @@ def mean(values: Sequence[float]) -> float:
     return total / len(values)
 
 
-MISSING = "record {} has missing cells"
-UNOBSERVED = "record {} has no observed values"
+ARITY = "dataset has {} attributes, the model's centroids {}"
 
 
-def check_map_value(table: str, rid: str, value: float) -> float:
-    """The value, if it is a usable mapping value: finite and non-negative."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{table}[{rid!r}] = {value!r} is not a finite non-negative value")
-    return value
+def check_model(model: ClusterModel, arity: int) -> np.ndarray:
+    """The model's centroids as one read-only (k, n) float array: k >= 1,
+    n the data's arity and every coordinate finite and within
+    MAX_MAGNITUDE, or a SchemaError.  Under that bound, as under a
+    dataset's, every mapping value is finite and non-negative."""
+    try:
+        U = np.array(model.centroids, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        U = np.empty(0)
+    if U.ndim != 2 or not len(U):
+        raise SchemaError("the model's centroids are not one or more rows of numbers of one length")
+    if U.shape[1] != arity:
+        raise SchemaError(ARITY.format(arity, U.shape[1]))
+    bad = ~(np.abs(U) <= MAX_MAGNITUDE)  # NaN fails <=
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), arity)
+        raise SchemaError(f"the model's centroid {i + 1} coordinate {j + 1}: {U[i, j]} is not within {MAX_MAGNITUDE:g}")
+    U.flags.writeable = False
+    return U
 
 
 class MappingTable:
@@ -104,7 +118,7 @@ class MappingTable:
             bad = ~((values >= 0) & (values < math.inf))  # NaN fails both
             if bad.any():
                 i = int(bad.argmax())
-                check_map_value(name, ids[i], float(values[i]))
+                raise SchemaError(f"{name}[{ids[i]!r}] = {float(values[i])!r} is not a finite non-negative value")
             values.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
@@ -132,27 +146,17 @@ class MappingTable:
         return np.concatenate(([-math.inf], self.donor_values[order], [math.inf])), order
 
 
-def _group_values(ids: Sequence[str], X: np.ndarray, model: ClusterModel, complete: bool) -> np.ndarray:
-    """Mapping value per row of X, one group's matrix (its records' ids
-    given), checked for the model's arity and an observed cell (a donor:
-    no missing cell), raised for the first record that fails."""
-    arity = len(model.centroids[0])
-    if X.shape[1] != arity:
-        raise ValueError(f"dataset has {X.shape[1]} attributes, the model's centroids {arity}")
-    missing = np.isnan(X)
-    bad = missing.any(axis=1) if complete else missing.all(axis=1)
-    if bad.any():
-        raise ValueError((MISSING if complete else UNOBSERVED).format(ids[int(bad.argmax())]))
-    return map_values(X, model.centroids)
-
-
 def build_mapping(g1: Dataset, queries: Dataset, model: ClusterModel) -> MappingTable:
-    """Map(R) for the donor pool and Map'(R) for the queries, each
-    group a dataset, one kernel call per group; each group's
-    values stay an array aligned with its rows."""
-    return MappingTable(
-        g1.ids,
-        _group_values(g1.ids, g1.matrix, model, complete=True),
-        queries.ids,
-        _group_values(queries.ids, queries.matrix, model, complete=False),
-    )
+    """Map(R) for the donor pool, whose records are complete, and Map'(R)
+    for the queries, each with an observed cell, one kernel call per
+    group; each group's values stay an array aligned with its rows."""
+    U = check_model(model, g1.matrix.shape[1])
+    missing = np.isnan(g1.matrix).any(axis=1)
+    if missing.any():
+        raise SchemaError(f"record {g1.ids[int(missing.argmax())]} has missing cells")
+    if queries.matrix.shape[1] != U.shape[1]:
+        raise SchemaError(ARITY.format(queries.matrix.shape[1], U.shape[1]))
+    unobserved = np.isnan(queries.matrix).all(axis=1)
+    if unobserved.any():
+        raise SchemaError(f"record {queries.ids[int(unobserved.argmax())]} has no observed values")
+    return MappingTable(g1.ids, map_values(g1.matrix, U), queries.ids, map_values(queries.matrix, U))

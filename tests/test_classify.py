@@ -244,7 +244,7 @@ def test_incomplete_query_rejected(classification_dataset, classification_model)
 def test_model_trained_on_other_records_rejected(classification_dataset):
     training = tiny_training()
     foreign = cluster(training.records, 2, SeededRandom(1))
-    with pytest.raises(ValueError, match="different records"):
+    with pytest.raises(SchemaError, match="different records"):
         classify_mapped(new_record(), classification_dataset, foreign)
 
 
@@ -359,7 +359,7 @@ def test_classifiers_reject_an_unknown_mode_and_a_batch_of_another_arity(
     with pytest.raises(ValueError, match="mode must be one of .*, got 'bogus'"):
         classify_mapped(new_record(), classification_dataset, classification_model, mode="bogus")
     narrow = dataset_of(Schema(classification_dataset.schema.attributes[:3], None), [rec("Q", 1, 1, 1)])
-    with pytest.raises(ValueError, match="queries have 3 attributes, training records 4"):
+    with pytest.raises(SchemaError, match="queries have 3 attributes, training records 4"):
         classify_mapped_all(narrow, classification_dataset, classification_model)
 
 
@@ -387,9 +387,9 @@ def test_fit_still_rejects_a_foreign_model_after_a_successful_call(
 ):
     before = classify_mapped(new_record(), classification_dataset, classification_model)
     foreign = cluster(tiny_training().records, 2, SeededRandom(1))
-    with pytest.raises(ValueError, match="different records"):
+    with pytest.raises(SchemaError, match="different records"):
         classify_mapped(new_record(), classification_dataset, foreign)
-    with pytest.raises(ValueError, match="different records"):
+    with pytest.raises(SchemaError, match="different records"):
         classify_mapped(new_record(), classification_dataset, foreign)
     assert classify_mapped(new_record(), classification_dataset, classification_model) == before
 
@@ -422,12 +422,11 @@ def test_training_set_is_mapped_once_per_model_across_queries(
 
     def counting(X, centroids):
         if len(X) > 1:  # a query is mapped as a row of its own
-            calls.append(next(m for m in (classification_model, other) if m.centroids == centroids))
+            calls.append(next(m for m in (classification_model, other) if np.array_equal(m.centroids, centroids)))
         return original(X, centroids)
 
     other = cluster(classification_dataset.records, 3, FarthestFirst(0))
     monkeypatch.setattr(cmimpute.classify, "map_values", counting)
-    monkeypatch.setattr(cmimpute.mapping, "map_values", counting)  # the training side maps through _group_values
     training = copy_of(classification_dataset)
     for j in range(6):
         query = rec(f"Q{j + 1}", j, 1, 2, j % 3)
@@ -479,15 +478,15 @@ def test_raw_knn_ties_are_exact_float_equality():
 
 
 def test_raw_knn_rejects_a_query_of_the_wrong_arity(classification_dataset):
-    with pytest.raises(ValueError, match="3 cells"):
+    with pytest.raises(SchemaError, match="3 cells"):
         classify_raw_knn(rec("Q", 1, 1, 1), classification_dataset)
 
 
 def test_both_classifiers_word_a_wrong_arity_alike(classification_dataset, classification_model):
     message = "query Q has 3 cells, training records have 4"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(SchemaError, match=message):
         classify_mapped(rec("Q", 1, 1, 1), classification_dataset, classification_model)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(SchemaError, match=message):
         classify_raw_knn(rec("Q", 1, 1, 1), classification_dataset)
 
 
@@ -610,3 +609,36 @@ def test_a_nan_query_cell_is_a_missing_cell():
     for classify in (lambda: classify_mapped(query, training, model), lambda: classify_raw_knn(query, training)):
         with pytest.raises(ParseError, match=f"query record {query.id} has missing cells"):
             classify()
+
+
+# A hand-built model, each with the words that refuse it: one coordinate
+# of the first centroid set, the centroids of another arity, ragged, or
+# none at all.
+NOT_ROWS = "the model's centroids are not one or more rows of numbers of one length"
+MODEL_EDITS = {
+    **{
+        str(v): (lambda c, v=v: ((v,) + c[0][1:],) + c[1:], f"the model's centroid 1 coordinate 1: {v} is not within 1e+100")
+        for v in (math.inf, 1e300, -1e101, math.nan)
+    },
+    "wide": (lambda c: tuple(row + (0.0,) for row in c), "dataset has 7 attributes, the model's centroids 8"),
+    "ragged": (lambda c: c[:1] + (c[1][:-1],) + c[2:], NOT_ROWS),
+    "none": (lambda c: (), NOT_ROWS),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("edit", "message"), MODEL_EDITS.values(), ids=MODEL_EDITS)
+def test_a_hand_built_model_is_refused_where_it_enters(edit, message):
+    training = make_synthetic_dataset(40, seed=1)
+    model = cluster(training, None, FarthestFirst(0))
+    model = model._replace(centroids=edit(model.centroids))
+    queries = make_synthetic_dataset(12, seed=5)
+    calls = (
+        lambda: classify_mapped(queries.records[0], training, model),
+        lambda: classify_mapped_all(queries, training, model),
+        lambda: build_mapping(training, queries, model),
+    )
+    for call in calls:
+        with pytest.raises(SchemaError) as refused:
+            call()
+        assert str(refused.value) == message

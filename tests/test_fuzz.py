@@ -44,7 +44,8 @@ from cmimpute.evaluate import (
     run_experiment,
 )
 from cmimpute.impute import MODES, ImputeConfig, impute_dataset
-from cmimpute.kmeans import FarthestFirst, FixedPartition, SeededRandom, cluster
+from cmimpute.kmeans import ClusterModel, FarthestFirst, FixedPartition, SeededRandom, cluster
+from cmimpute.mapping import build_mapping
 
 # --- (a) run configs ---
 
@@ -249,7 +250,10 @@ matrix_cells = st.one_of(
 def test_a_library_dataset_gives_a_result_or_a_typed_error(m, n, data):
     """A matrix built in code, then imputed, masked by mask_cells cells
     of any small JSON shape, and clustered and classified against
-    itself."""
+    itself; and a model built in code, of zero to three centroids of any
+    cells and of arity n - 1 to n + 1 each, clustering the dataset's own
+    records or others, used to classify and to map.  A call that
+    succeeds with such a model must have been given a usable one."""
     schema = Schema(tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(n)), label_column="class")
     ids = [f"R{i + 1}" for i in range(m)]
     labels = data.draw(st.lists(st.sampled_from(("A", "B", None)), min_size=m, max_size=m))
@@ -273,6 +277,27 @@ def test_a_library_dataset_gives_a_result_or_a_typed_error(m, n, data):
             assert call()
         except LIBRARY_ERRORS:
             pass
+    rows = st.lists(matrix_cells, min_size=n - 1, max_size=n + 1).map(tuple)
+    centroids = tuple(data.draw(st.lists(rows, max_size=3)))
+    model = ClusterModel(centroids, data.draw(st.sampled_from((dict.fromkeys(ids, 0), {"R0": 0}))))
+    usable = centroids and all(len(c) == n and all(abs(v) <= MAX_MAGNITUDE for v in c) for c in centroids)
+
+    def mapping_values():
+        maps = build_mapping(*split_groups(dataset), model)
+        return maps.donor_values.tolist() + maps.query_values.tolist()
+
+    model_calls = (  # (call, whether its values are mapping values, not a classifier's signed column)
+        (lambda: [v for o in classify_mapped_all(dataset, dataset, model) for v in o.table.values()], False),
+        (lambda: list(classify_mapped(dataset.records[0], dataset, model).table.values()), False),
+        (mapping_values, True),
+    )
+    for call, mapping in model_calls:
+        try:
+            values = call()
+        except LIBRARY_ERRORS:
+            continue
+        assert usable
+        assert all(math.isfinite(v) and (v >= 0 or not mapping) for v in values)
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from cmimpute.casestudy import expected_pairs, expected_values
 from cmimpute.classify import classify_mapped, classify_raw_knn
 from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Dataset, Record, Schema, split_groups
+from cmimpute.errors import SchemaError
 from cmimpute.kmeans import ClusterModel
 from cmimpute.mapping import MappingTable, build_mapping, map_values, squared_distances
 from conftest import dataset_of
@@ -75,10 +76,10 @@ def test_type1_matches_brute_force(cells, data):
 
 
 def test_type1_arity_and_missing_errors():
-    with pytest.raises(ValueError, match="dataset has 2 attributes, the model's centroids 1"):
+    with pytest.raises(SchemaError, match="dataset has 2 attributes, the model's centroids 1"):
         query_map(rec("R", 1, 2), model_with((1.0,)))
     # Donors are mapped by type-1 distance, so a donor must be complete.
-    with pytest.raises(ValueError, match="R has missing cells"):
+    with pytest.raises(SchemaError, match="R has missing cells"):
         build_mapping(numeric(rec("R", 1, None)), numeric(rec("Q", 1, 2)).take([]), model_with((1.0, 2.0)))
 
 
@@ -86,14 +87,14 @@ def test_build_mapping_rejects_a_dataset_of_another_arity():
     # The kernel broadcasts, so without the check a one-attribute
     # dataset would map to numbers under a two-attribute model.
     queries = numeric(rec("Q", 1, 2)).take([])
-    with pytest.raises(ValueError, match="dataset has 1 attributes, the model's centroids 2"):
+    with pytest.raises(SchemaError, match="dataset has 1 attributes, the model's centroids 2"):
         build_mapping(numeric(rec("R", 1)), queries, model_with((1.0, 2.0)))
-    with pytest.raises(ValueError, match="dataset has 1 attributes"):
+    with pytest.raises(SchemaError, match="dataset has 1 attributes"):
         build_mapping(numeric(rec("R", 1, 2)), numeric(rec("Q", 1)), model_with((1.0, 2.0)))
     # The mapped classifier reaches it through a model whose ids match.
     train = dataset_of(Schema((AttributeSpec("x", NUMERIC),), "class"), (Record("R1", (1.0,), "A"),))
     model = ClusterModel(((1.0, 2.0),), {"R1": 0})
-    with pytest.raises(ValueError, match="dataset has 1 attributes"):
+    with pytest.raises(SchemaError, match="dataset has 1 attributes"):
         classify_mapped(rec("Q", 1, 2), train, model)
 
 
@@ -133,7 +134,7 @@ def test_type2_never_exceeds_any_completion(cells, data):
 
 
 def test_type2_all_missing_rejected():
-    with pytest.raises(ValueError, match="no observed"):
+    with pytest.raises(SchemaError, match="no observed"):
         query_map(rec("R", None, None), model_with((0.0, 0.0)))
 
 
@@ -284,11 +285,11 @@ def test_map_invariant_under_centroid_permutation(cells, centers):
 
 
 def test_mapping_table_rejects_bad_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match=r"^complete_map\['R1'\] = -0.5 is not a finite non-negative value$"):
         MappingTable(["R1"], [-0.5], [], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match=r"^query_map\['Q1'\] = nan is not"):
         MappingTable(["R1"], [1.0], ["Q1"], [float("nan")])
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match=r"^complete_map\['R1'\] = inf is not"):
         MappingTable(["R1"], [float("inf")], [], [])
 
 

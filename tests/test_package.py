@@ -135,8 +135,10 @@ def test_each_pipeline_option_is_checked_in_one_place():
 def test_each_classifier_input_is_checked_in_one_place():
     # classify_mapped_all refuses a query with a missing cell, in the
     # words the CLI prints, so the CLI checks no query matrix itself;
-    # mapping._group_values alone compares the model's arity with the
-    # data's; and the fit keeps one model slot, not a table of models.
+    # mapping.check_model alone checks a model against the data, called
+    # where a model enters (build_mapping and the fit's model slot), so
+    # no mapping value is checked again; every refusal is a typed error;
+    # and the fit keeps one model slot, not a table of models.
     package = Path(cmimpute.__file__).parent
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     cli = list(ast.walk(ast.parse(sources["cli.py"])))
@@ -147,6 +149,17 @@ def test_each_classifier_input_is_checked_in_one_place():
     assert [node for node in cli if isinstance(node, ast.Name) and node.id == "isnan"] == []
     for text, owner in (('"query record {', "classify.py"), ("the model's centroids", "mapping.py")):
         assert [name for name, source in sources.items() if text in source] == [owner], text
+    assert not hasattr(cmimpute.mapping, "check_map_value")
+    callers = [
+        f"{name}:{function.name}"
+        for name, source in sources.items()
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and "check_model" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert sorted(callers) == ["classify.py:mapping", "mapping.py:build_mapping"]
+    assert [name for name in ("classify.py", "mapping.py") if "raise ValueError(" in sources[name]] == []
     training = make_synthetic_dataset(12, seed=3)
     for k in (2, 3, 2):
         cmimpute.classify.classify_mapped_all(training, training, cluster(training, k, FarthestFirst(0)))
