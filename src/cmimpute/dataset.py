@@ -8,8 +8,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,6 +177,7 @@ class FieldText:
 
     def __init__(self, text: str, values: np.ndarray) -> None:
         self.text, self.values = text, values
+        values.flags.writeable = False  # a view of the matrix, which a dataset never writes
 
     @cached_property
     def canonical(self) -> np.ndarray:
@@ -242,7 +244,7 @@ class Dataset:
     missing one NaN.  The constructor reads None as NaN, takes over a
     C-contiguous float64 array uncopied, and refuses a matrix of another
     shape or labels of another length, and, as the parser does, a cell
-    beyond MAX_MAGNITUDE or infinite (a SchemaError).  Records are a
+    beyond MAX_MAGNITUDE or infinite (each a SchemaError).  Records are a
     view of the matrix, built when first read.  A dataset parsed from
     text keeps each numeric column's FieldText (None for every other
     column), which imputation passes on and every other constructor
@@ -256,7 +258,7 @@ class Dataset:
         matrix = np.ascontiguousarray(matrix, dtype=float)
         self.matrix = X = matrix.reshape(0, shape[1]) if matrix.shape == (0,) else matrix  # [] holds no rows
         if self.matrix.shape != shape or len(self.labels) != shape[0]:
-            raise ValueError(f"a {shape} dataset got a {self.matrix.shape} matrix and {len(self.labels)} labels")
+            raise SchemaError(f"a {shape} dataset got a {self.matrix.shape} matrix and {len(self.labels)} labels")
         if X.size and max(np.fmax.reduce(X.ravel()), -np.fmin.reduce(X.ravel())) > MAX_MAGNITUDE:  # both skip NaN
             i, j = divmod(int((np.abs(X) > MAX_MAGNITUDE).argmax()), shape[1])
             raise SchemaError(TOO_LARGE.format(self.ids[i], float(X[i, j]), schema.attributes[j].name))
@@ -320,6 +322,10 @@ class GroupSplit(NamedTuple):
     g2: Dataset
 
 
+BLOCK = 1 << 15  # parse_dataset cuts the text after the first run of line breaks past every BLOCK characters
+_CUT = re.compile(r"\n+|\Z")
+
+
 def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     """Parse delimited text with a header row into a Dataset.
 
@@ -333,44 +339,35 @@ def parse_dataset(text: str, schema: Schema, id_prefix: str = "R") -> Dataset:
     ordinals 1..K, and the dataset's schema carries that encoding.
     Records are assigned ids R1..Rm in row order (the prefix
     is configurable so query files read as Q1..Qm next to their training
-    records).  An empty label field means the record is unlabeled.  Text
-    that plain splitting reads as csv.reader would (see _split_fields)
-    is split a column at a time; any other text is read by csv.reader.
-    The fields are parsed and checked a column at a time, into one
-    matrix; when a check fails, or a row read by csv.reader has the
-    wrong width, the rows are checked again one at a time, so the error
-    names the first bad row.
+    records).  An empty label field means the record is unlabeled.  If
+    each block of lines (see BLOCK) splits as csv.reader reads it (see
+    _split_fields), the blocks are split and parsed one at a time, a
+    column at a time, so no list of every line or field is ever alive;
+    else csv.reader reads the text as one block.  When a block's check
+    fails, or a row csv.reader reads has the wrong width, its rows are
+    checked again one at a time, so the error names the first bad row.
     """
-    expected_header = list(schema.attribute_names)
+    header = list(schema.attribute_names)
     if schema.label_column is not None:
-        expected_header.append(schema.label_column)
-    width = len(expected_header)
-    flat = _split_fields(text, width)
-    rows = _read_rows(text) if flat is None else None
-    header = [f.strip() for f in (rows[0] if flat is None else flat[:width])]
-    if header != expected_header:
-        raise ParseError(f"header {header} does not match schema columns {expected_header}")
+        header.append(schema.label_column)
+    dataset = _parse_blocks(_split_blocks(text, header), schema, id_prefix)
+    return _parse_blocks(_read_blocks(text, schema, header), schema, id_prefix) if dataset is None else dataset
 
-    if flat is None:
-        if any(len(row) != width for row in rows[1:]):
-            _raise_first_error(rows[1:], schema, width)
-        fields = list(zip(*rows[1:])) or [()] * width
-    else:
-        fields = [flat[j :: width + 1] for j in range(width + 1, 2 * width + 1)]
-    try:
-        schema, matrix = _parse_columns(fields, schema)
-    except (ParseError, SchemaError):
-        _raise_first_error(list(zip(*fields)), schema, width)
-        raise
-    n, m = schema.arity, len(matrix)
-    classes: dict[str, str] = {}  # one str object per class name
-    labels = [classes.setdefault(t, t) or None for t in map(str.strip, fields[n])] if n < width else [None] * m
-    ids = [f"{id_prefix}{i}" for i in range(1, m + 1)]
-    texts = [
-        FieldText("\n".join(raw), column) if spec.kind == NUMERIC else None
-        for spec, raw, column in zip(schema.attributes, fields, matrix.T)
-    ]
-    return Dataset(schema, ids, labels, matrix, texts)
+
+def _split_blocks(text: str, header: list[str]) -> Iterator[list | None]:
+    """Each block's columns of fields, the header left out; None for the
+    first block _split_fields cannot read or with another header."""
+    start, width = 0, len(header)
+    while start < len(text) or not start:  # an empty text too: it has no header
+        end = _CUT.search(text, start + BLOCK).end()
+        flat = _split_fields(text[start:end], width)
+        if flat is None or not start and [f.strip() for f in flat[:width]] != header:
+            yield None
+            return
+        skip = 0 if start else width + 1
+        if len(flat) > skip:
+            yield [flat[j :: width + 1] for j in range(skip, skip + width)]
+        start = end
 
 
 def _split_fields(text: str, width: int) -> list[str] | None:
@@ -393,9 +390,9 @@ def _split_fields(text: str, width: int) -> list[str] | None:
     return flat
 
 
-def _read_rows(text: str) -> list[list[str]]:
-    """The text's non-blank rows as csv.reader reads them; the first is
-    the header."""
+def _read_blocks(text: str, schema: Schema, header: list[str]) -> list[list]:
+    """The body of the text's non-blank rows as csv.reader reads them,
+    one block of columns of fields, once the header and widths check."""
     rows: list[list[str]] = []
     try:
         for row in csv.reader(io.StringIO(text)):
@@ -405,49 +402,82 @@ def _read_rows(text: str) -> list[list[str]]:
         raise ParseError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ParseError("no header row")
-    return rows
+    if [f.strip() for f in rows[0]] != header:
+        raise ParseError(f"header {[f.strip() for f in rows[0]]} does not match schema columns {header}")
+    if any(len(row) != len(header) for row in rows[1:]):
+        _raise_first_error(rows[1:], schema, len(header))
+    return [list(zip(*rows[1:])) or [()] * len(header)]
 
 
-def _raise_first_error(body: Sequence[Sequence[str]], schema: Schema, width: int) -> None:
-    """Check the body rows one at a time, in row order, and raise for the
-    first bad one: a row of the wrong width, or else the row's first bad
-    field."""
-    for rownum, row in enumerate(body, start=2):
+def _parse_blocks(blocks: Iterable, schema: Schema, id_prefix: str) -> Dataset | None:
+    """The dataset the blocks of columns of fields hold, or None if one
+    is None: then csv.reader must read the text, and name any error."""
+    n, parts, kept, labels, classes = schema.arity, [np.empty((0, schema.arity))], {}, [], {}
+    for columns in blocks:
+        if columns is None:
+            return None
+        try:
+            _parse_columns(columns, schema, part := np.empty((len(columns[0]), n)), kept)
+        except (ParseError, SchemaError):
+            if None in blocks:  # a later block does not split
+                return None
+            _raise_first_error(list(zip(*columns)), schema, len(columns), len(labels) + 2)
+            raise
+        parts.append(part)
+        label_fields = map(str.strip, columns[n]) if n < len(columns) else ("",) * len(part)  # "": unlabeled
+        labels += [classes.setdefault(t, t) or None for t in label_fields]  # one str object per class name
+    matrix, specs, texts = np.concatenate(parts), list(schema.attributes), [None] * n
+    for j, spec in enumerate(specs):
+        if spec.kind == NUMERIC:
+            texts[j] = FieldText("\n".join(kept.pop(j, ())), matrix[:, j])
+        elif not spec.encoding:  # sorted once, and its column remapped by one take
+            codes = kept.get(j, {})
+            encoding = {s: i for i, s in enumerate(sorted(s for s in codes if codes[s] >= 0), 1)}
+            remap = np.full(len(codes) + 1, math.nan)  # a marker's NaN code reads as -1, the last entry
+            remap[[int(codes[s]) for s in encoding]] = list(encoding.values())
+            matrix[:, j] = remap[np.nan_to_num(matrix[:, j], nan=-1.0).astype(np.intp)]
+            specs[j] = AttributeSpec(spec.name, CATEGORICAL, encoding)
+    schema = Schema(tuple(specs), schema.label_column, schema.missing_markers)
+    return Dataset(schema, [f"{id_prefix}{i}" for i in range(1, len(labels) + 1)], labels, matrix, texts)
+
+
+def _raise_first_error(body: Sequence[Sequence[str]], schema: Schema, width: int, first_row: int = 2) -> None:
+    """Check the body rows, the first numbered first_row, in row order
+    and raise for the first bad one: its width, or else its first field."""
+    for rownum, row in enumerate(body, start=first_row):
         if len(row) != width:
             raise ParseError(f"row {rownum}: expected {width} fields, got {len(row)}")
-        _parse_columns([(f,) for f in row], schema, rownum)
+        _parse_columns([(f,) for f in row], schema, np.empty((1, schema.arity)), {}, rownum)
 
 
-def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> tuple[Schema, np.ndarray]:
-    """The schema with every categorical attribute's encoding (built
-    from its symbols unless frozen), and the read-only (m, n) matrix
-    parsed from the fields, given a column at a time (any label fields
-    after the attributes' are not read).  Raises for a bad field, named
-    right only for a single row: parse_dataset replays a failed column
-    pass one row at a time (_raise_first_error)."""
+def _parse_columns(fields: list, schema: Schema, out: np.ndarray, kept: dict, first_row: int = 2) -> None:
+    """Parse the fields, given a column at a time (any label fields
+    after the attributes' are not read), into out, their rows of the
+    matrix.  kept carries per column what earlier blocks left: a numeric
+    one's texts, or a categorical one's code per symbol (a frozen ordinal,
+    else its order of first sight; NaN for a marker).  Raises for a bad
+    field, named right only for a single row (_raise_first_error)."""
     markers, nan = schema.missing_markers, math.nan
-    specs, matrix = list(schema.attributes), np.empty((len(fields[0]), schema.arity))
     for j, (spec, raw) in enumerate(zip(schema.attributes, fields)):
         if spec.kind == CATEGORICAL:
-            symbols = [f.strip() for f in raw]
-            distinct = set(symbols) - markers
-            if spec.encoding and not distinct <= spec.encoding.keys():
+            if j not in kept:
+                kept[j] = {s: float(o) for s, o in spec.encoding.items()} | {s: nan for s in markers}
+            symbols, codes = [*map(str.strip, raw)], kept[j]
+            new = set(symbols) - codes.keys()
+            if spec.encoding and new:
                 raise SchemaError(
                     f"row {first_row}: symbol {symbols[0]!r} not in the frozen encoding "
                     f"of attribute {spec.name!r}"
                 )
-            if not spec.encoding:
-                ordinals = {s: i for i, s in enumerate(sorted(distinct), start=1)}
-                specs[j] = spec = AttributeSpec(spec.name, CATEGORICAL, ordinals)
-            codes = {s: float(spec.encoding[s]) for s in distinct} | dict.fromkeys(markers, nan)
-            matrix[:, j] = np.fromiter(map(codes.__getitem__, symbols), float, len(symbols))
+            codes.update((s, float(i)) for i, s in enumerate(new, len(codes)))
+            out[:, j] = np.fromiter(map(codes.__getitem__, symbols), float, len(symbols))
             continue
         try:
             values = np.array([nan if (t := f.strip()) in markers else t for f in raw], dtype=float)
         except ValueError:
             field = raw[0].strip()
             raise ParseError(f"row {first_row}: {field!r} is not numeric for attribute {spec.name!r}") from None
-        for i in np.flatnonzero(~(np.abs(values) <= MAX_MAGNITUDE)).tolist():  # NaN fails <=
+        for i in (~(np.abs(values) <= MAX_MAGNITUDE)).nonzero()[0].tolist():  # NaN fails <=
             t = raw[i].strip()
             if t in markers:
                 continue
@@ -457,9 +487,8 @@ def _parse_columns(fields: list, schema: Schema, first_row: int = 2) -> tuple[Sc
                 f"row {first_row + i}: {t!r} for attribute {spec.name!r} exceeds "
                 f"the magnitude bound {MAX_MAGNITUDE:g}"
             )
-        matrix[:, j] = values
-    matrix.flags.writeable = False  # before parse_dataset takes its columns' views
-    return Schema(tuple(specs), schema.label_column, markers), matrix
+        out[:, j] = values
+        kept.setdefault(j, []).append("\n".join(raw))
 
 
 def load_dataset(path: str, schema: Schema) -> Dataset:

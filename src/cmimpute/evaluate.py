@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     InsufficientDataError,
     NoDonorsError,
+    SchemaError,
     config_integer,
     config_number,
     config_path,
@@ -159,15 +160,15 @@ class ImputationScore(NamedTuple):
 def score_imputation(plan: MaskPlan, completed: Dataset) -> ImputationScore:
     """Score completed's values at the plan's cells against the true
     values.  completed must hold the masked dataset's records in its
-    order, so its ids must equal plan.ids; a ValueError says otherwise,
+    order, so its ids must equal plan.ids; a SchemaError says otherwise,
     or names the first masked cell left missing."""
     if completed.ids != plan.ids:
-        raise ValueError("the completed dataset does not hold the masked dataset's records in order")
+        raise SchemaError("the completed dataset does not hold the masked dataset's records in order")
     filled = completed.matrix[plan.rows, plan.attrs]
     unfilled = np.isnan(filled)
     if unfilled.any():
         i = int(unfilled.argmax())
-        raise ValueError(f"masked cell ({plan.ids[plan.rows[i]]}, {plan.attrs[i]}) was not filled")
+        raise SchemaError(f"masked cell ({plan.ids[plan.rows[i]]}, {plan.attrs[i]}) was not filled")
     numeric = np.array([spec.kind == NUMERIC for spec in completed.schema.attributes], dtype=bool)[plan.attrs]
     squared = np.float_power(filled[numeric] - plan.values[numeric], 2.0).tolist()
     hits = (filled == plan.values)[~numeric]

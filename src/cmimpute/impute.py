@@ -49,7 +49,7 @@ def difference_table(maps: MappingTable) -> DifferenceTable:
     if not maps.complete_map:
         raise NoDonorsError("no complete records to difference against")
     if not maps.query_map:
-        raise ValueError("no query records in the mapping table")
+        raise InsufficientDataError("no query records in the mapping table")
     g1_ids = tuple(maps.complete_map)
     query_ids = tuple(maps.query_map)
     entries = {

@@ -7,6 +7,8 @@ import gc
 import io
 import json
 import math
+import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -424,11 +426,11 @@ def test_dataset_stores_one_read_only_matrix_of_its_shape():
     schema = numeric_schema(2)
     plain = Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, 1.0), (None, 2.0)])
     # A matrix of another shape, or labels of another length, is refused.
-    with pytest.raises(ValueError, match=r"^a \(2, 2\) dataset got a \(2, 1\) matrix and 2 labels$"):
+    with pytest.raises(SchemaError, match=r"^a \(2, 2\) dataset got a \(2, 1\) matrix and 2 labels$"):
         Dataset(schema, ["R1", "R2"], ["a", None], plain.matrix[:, :1])
-    with pytest.raises(ValueError, match=r"a \(2, 2\) matrix and 1 labels"):
+    with pytest.raises(SchemaError, match=r"a \(2, 2\) matrix and 1 labels"):
         Dataset(schema, ["R1", "R2"], ["a"], plain.matrix)
-    with pytest.raises(ValueError, match=r"got a \(3, 2\) matrix"):
+    with pytest.raises(SchemaError, match=r"got a \(3, 2\) matrix"):
         Dataset(schema, ["R1", "R2"], ["a", None], [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)])
     # A Fortran-ordered matrix and nested rows holding None are both
     # stored as one read-only, C-contiguous float64 matrix.
@@ -699,6 +701,17 @@ def test_one_cast_and_strip_and_float_parses_agree(rows, markers):
 
 SPLIT = Schema((AttributeSpec("x1", NUMERIC), AttributeSpec("s", CATEGORICAL)), label_column="class")
 LIMIT = csv.field_size_limit()
+BLOCK = cmimpute.dataset.BLOCK
+FROZEN_SPLIT = Schema((AttributeSpec("x1", NUMERIC), AttributeSpec("s", CATEGORICAL, {"m": 1, "n": 2})), "class")
+# A header line and body lines of 16 characters each, so BLOCK (a
+# multiple of 16) characters end a line: the first block holds the line
+# at BLOCK too, the header and 2,048 rows.
+HEADER16 = "x1,s,class".ljust(15) + "\n"
+FULL_BLOCK_ROWS = BLOCK // 16
+
+
+def row16(i: int, symbol: str = "", x: str = "") -> str:
+    return f"{x or f'{i:011d}'},{symbol or 'mn'[i % 2]},c\n"
 
 
 @pytest.mark.parametrize(
@@ -740,9 +753,17 @@ csv_fields = st.one_of(
 @given(
     st.lists(st.lists(csv_fields, min_size=1, max_size=4), max_size=5),
     st.sampled_from(["", "\n", "\r\n", "\n\n"]),
+    st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(-2, 2))),
 )
-def test_split_and_csv_reader_parses_agree(rows, end):
-    text = "x1,s,class\n" + "\n".join(map(",".join, rows)) + end
+def test_split_and_csv_reader_parses_agree(rows, end, cut):
+    """The drawn rows; with a cut drawn, rows that split are put after
+    the first few drawn ones, so the rest lie around the first cut."""
+    body = list(map(",".join, rows))
+    if cut is not None:
+        at, shift = cut
+        before = len("x1,s,class\n") + sum(len(line) + 1 for line in body[:at])
+        body[at:at] = [row16(i)[:-1] for i in range(max(0, (BLOCK - before) // 16 + shift))]
+    text = "x1,s,class\n" + "\n".join(body) + end
     assert parse_outcome(text, SPLIT) == read_by_csv_reader(text, SPLIT)
 
 
@@ -787,3 +808,106 @@ def test_a_parsed_dataset_holds_no_object_per_field(split):
     assert ds.classes == ("c0", "c1", "c2")
     assert len({id(label) for label in ds.labels}) == 3  # one object per class name
     assert dataset_to_csv(ds) == text
+
+
+# --- parsing a block of lines at a time ---
+
+
+def table16(rows: int, **last) -> str:
+    """The header, then the rows; the last one's symbol or first field as given."""
+    return HEADER16 + "".join(row16(i) for i in range(rows - 1)) + row16(rows - 1, **last)
+
+
+def blocks_split(text: str, schema: Schema) -> int:
+    """How many blocks parse_dataset splits the text into."""
+    with mock.patch.object(cmimpute.dataset, "_split_fields", wraps=cmimpute.dataset._split_fields) as split:
+        try:
+            parse_dataset(text, schema)
+        except (ParseError, SchemaError):
+            pass
+    return split.call_count
+
+
+OVER_LIMIT = "x" * (LIMIT + 1)
+LATE = 2 * FULL_BLOCK_ROWS + 500  # rows: the last lies in the third block
+
+
+@pytest.mark.parametrize(
+    "text, schema, blocks",
+    [
+        pytest.param(table16(10), SPLIT, 1, id="one-block"),
+        pytest.param(table16(FULL_BLOCK_ROWS), SPLIT, 1, id="one-full-block"),
+        pytest.param(table16(FULL_BLOCK_ROWS) + "\n\n", SPLIT, 1, id="one-full-block-then-blank-lines"),
+        pytest.param(table16(FULL_BLOCK_ROWS + 1), SPLIT, 2, id="one-row-over"),
+        pytest.param(table16(LATE), SPLIT, 3, id="several-blocks"),
+        pytest.param(table16(LATE, symbol="a"), SPLIT, 3, id="new-symbol-in-the-last-block"),
+        pytest.param(table16(LATE, symbol="?"), SPLIT, 3, id="marker-in-the-last-block"),
+        pytest.param(table16(LATE), FROZEN_SPLIT, 3, id="frozen"),
+        pytest.param(table16(LATE, symbol="a"), FROZEN_SPLIT, 3, id="frozen-unknown-symbol-in-the-last-block"),
+        pytest.param(table16(LATE, x="bogus"), SPLIT, 3, id="bad-field-in-the-last-block"),
+        pytest.param(table16(LATE, x="1e101"), SPLIT, 3, id="too-large-in-the-last-block"),
+        pytest.param(table16(LATE, symbol="a,b"), SPLIT, 3, id="wide-row-in-the-last-block"),
+        pytest.param(table16(LATE)[:-3] + "\n", SPLIT, 3, id="short-row-in-the-last-block"),
+        pytest.param(table16(LATE, symbol=OVER_LIMIT), SPLIT, 3, id="over-limit-line-in-the-last-block"),
+        pytest.param(table16(LATE, symbol='"a"'), SPLIT, 3, id="quote-in-the-last-block"),
+        pytest.param(
+            table16(FULL_BLOCK_ROWS + 1) + "\n" + table16(FULL_BLOCK_ROWS)[len(HEADER16) :], SPLIT, 3,
+            id="blank-line-at-a-cut",
+        ),
+        pytest.param(
+            table16(FULL_BLOCK_ROWS) + "\n" * BLOCK + table16(9)[len(HEADER16) :], SPLIT, 2, id="a-block-of-blank-lines"
+        ),
+        pytest.param(HEADER16 + "\n" * BLOCK + table16(9)[len(HEADER16) :], SPLIT, 2, id="blank-lines-after-header"),
+        pytest.param(HEADER16[:-1] + " " * BLOCK + "\n" + table16(9)[len(HEADER16) :], SPLIT, 2, id="a-long-header"),
+        pytest.param(HEADER16 + "".join(f"{i:011d},?,c\n" for i in range(LATE)), SPLIT, 3, id="marker-only-column"),
+        pytest.param(HEADER16 + "?," * 2 + "c\n" + table16(LATE)[len(HEADER16) :], SPLIT, 3, id="marker-only-row"),
+        # A bad field or header in the first block with a block that does
+        # not split after it: csv.reader reads the text, and its error wins.
+        pytest.param(
+            table16(3, x="bogus") + table16(LATE, symbol=OVER_LIMIT)[len(HEADER16) :], SPLIT, 3,
+            id="bad-field-then-over-limit",
+        ),
+        pytest.param(
+            table16(3, x="bogus") + table16(LATE, symbol="a,b")[len(HEADER16) :], SPLIT, 3, id="bad-field-then-wide"
+        ),
+        pytest.param(
+            table16(LATE, symbol=OVER_LIMIT).replace("class", "label", 1), SPLIT, 1, id="bad-header-then-over-limit"
+        ),
+    ],
+)
+def test_a_table_parsed_a_block_at_a_time_reads_what_csv_reader_reads(text, schema, blocks):
+    assert blocks_split(text, schema) == blocks
+    assert parse_outcome(text, schema) == read_by_csv_reader(text, schema)
+
+
+def test_block_cuts_leave_one_text_per_column_and_one_sorted_encoding():
+    text = table16(LATE, symbol="a")
+    ds = parse_dataset(text, SPLIT)
+    assert ds.schema.attributes[1].encoding == {"a": 1, "m": 2, "n": 3}  # "a" is first seen in the last block
+    assert ds.matrix[:, 1].tolist() == [2.0, 3.0] * (LATE // 2 - 1) + [2.0, 1.0]
+    assert ds.field_texts[0].text == "\n".join(line.split(",")[0] for line in text.split("\n")[1:-1])
+    assert not ds.matrix.flags.writeable and not ds.field_texts[0].values.flags.writeable
+
+
+def test_parsing_a_large_table_peaks_below_twice_what_it_keeps():
+    """tracemalloc's peak during the parse of a 16k-row mixed table is at
+    most twice what the parsed dataset holds: the split and cast fields
+    of one block are alive at a time, not those of the whole table."""
+    rng = random.Random(0)
+    schema = Schema(
+        tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(6)) + (AttributeSpec("seg", CATEGORICAL),), "class"
+    )
+    lines = [",".join(a.name for a in schema.attributes) + ",class"]
+    for _ in range(16_000):
+        fields = [repr(round(rng.uniform(0.0, 1.0), 6)) for _ in range(6)] + [f"s{rng.randrange(6)}"]
+        lines.append(",".join("?" if rng.random() < 0.05 else f for f in fields) + f",C{rng.randrange(3)}")
+    text = "\n".join(lines) + "\n"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ds = parse_dataset(text, schema)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 16_000
+    assert peak <= 2 * kept, (peak, kept)

@@ -26,7 +26,7 @@ from cmimpute.dataset import (
     parse_dataset,
     schema_from_dict,
 )
-from cmimpute.errors import ConfigError, InsufficientDataError, NoDonorsError
+from cmimpute.errors import ConfigError, InsufficientDataError, NoDonorsError, SchemaError
 from cmimpute.evaluate import (
     _METHODS,
     ALL_METHODS,
@@ -299,7 +299,7 @@ def test_score_perfect_imputation_is_zero_rmse():
 
 def test_score_rejects_unfilled_cells(normalized_dataset):
     masked, plan = mask_cells(normalized_dataset, MASKED_CELLS)
-    with pytest.raises(ValueError, match=r"masked cell \(R3, 2\) was not filled"):
+    with pytest.raises(SchemaError, match=r"masked cell \(R3, 2\) was not filled"):
         score_imputation(plan, masked)
 
 
@@ -308,7 +308,7 @@ def test_score_rejects_a_table_of_other_rows(normalized_dataset):
     # are not the masked dataset's would be scored at the wrong cells.
     masked, plan = mask_cells(normalized_dataset, MASKED_CELLS)
     completed = baseline_class_stats(masked)
-    with pytest.raises(ValueError, match="records in order"):
+    with pytest.raises(SchemaError, match="records in order"):
         score_imputation(plan, completed.take(range(len(completed) - 1, -1, -1)))
 
 

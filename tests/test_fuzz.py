@@ -243,6 +243,10 @@ matrix_cells = st.one_of(
     st.just(math.nan),
     st.floats(),
 )
+# Centroid cells a usable model may hold: finite, within the bound.
+USABLE_CELLS = st.one_of(
+    st.sampled_from((0.0, 1.0, 2.0, MAX_MAGNITUDE, -MAX_MAGNITUDE)), st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)
+)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -250,10 +254,12 @@ matrix_cells = st.one_of(
 def test_a_library_dataset_gives_a_result_or_a_typed_error(m, n, data):
     """A matrix built in code, then imputed, masked by mask_cells cells
     of any small JSON shape, and clustered and classified against
-    itself; and a model built in code, of zero to three centroids of any
-    cells and of arity n - 1 to n + 1 each, clustering the dataset's own
-    records or others, used to classify and to map.  A call that
-    succeeds with such a model must have been given a usable one."""
+    itself; and a model built in code, clustering the dataset's own
+    records or others, used to classify and to map.  Its centroids are
+    drawn wide (zero to three, of any cells and of arity n - 1 to n + 1
+    each) or usable (one to three, of arity n, finite and within the
+    bound).  A call that succeeds with such a model must have been given
+    a usable one."""
     schema = Schema(tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(n)), label_column="class")
     ids = [f"R{i + 1}" for i in range(m)]
     labels = data.draw(st.lists(st.sampled_from(("A", "B", None)), min_size=m, max_size=m))
@@ -278,7 +284,8 @@ def test_a_library_dataset_gives_a_result_or_a_typed_error(m, n, data):
         except LIBRARY_ERRORS:
             pass
     rows = st.lists(matrix_cells, min_size=n - 1, max_size=n + 1).map(tuple)
-    centroids = tuple(data.draw(st.lists(rows, max_size=3)))
+    usable_rows = st.lists(USABLE_CELLS, min_size=n, max_size=n).map(tuple)
+    centroids = tuple(data.draw(st.one_of(st.lists(rows, max_size=3), st.lists(usable_rows, min_size=1, max_size=3))))
     model = ClusterModel(centroids, data.draw(st.sampled_from((dict.fromkeys(ids, 0), {"R0": 0}))))
     usable = centroids and all(len(c) == n and all(abs(v) <= MAX_MAGNITUDE for v in c) for c in centroids)
 

@@ -107,7 +107,7 @@ def test_difference_zero_when_maps_equal():
 def test_difference_requires_donors_and_queries():
     with pytest.raises(NoDonorsError):
         table_of({}, {"Q1": 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientDataError, match="^no query records in the mapping table$"):
         table_of({"R1": 1.0}, {})
 
 
