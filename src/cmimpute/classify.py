@@ -169,7 +169,8 @@ def _classify(fit: _Fit, maps: MappingTable, centroids: np.ndarray, X, mode: str
     training records mapped under the checked centroids: one mapping
     call and one selection, impute_dataset's."""
     c = map_values(X, centroids)
-    return [_mapped(fit, maps, rows, v) for rows, v in zip(_select_all(maps, c, mode), c.tolist())]
+    run, runs = _select_all(maps, c, mode)
+    return [_mapped(fit, maps, runs[r], v) for r, v in zip(run, c.tolist())]
 
 
 def _mapped(fit: _Fit, maps: MappingTable, rows: Sequence[int], c: float) -> ClassificationResult:

@@ -455,7 +455,9 @@ def _parse_columns(fields: list, schema: Schema, out: np.ndarray, kept: dict, fi
     after the attributes' are not read), into out, their rows of the
     matrix.  kept carries per column what earlier blocks left: a numeric
     one's texts, or a categorical one's code per symbol (a frozen ordinal,
-    else its order of first sight; NaN for a marker).  Raises for a bad
+    else a provisional code, given to a block's new symbols in set order,
+    which the hash seed decides, until the encoding sorted after the last
+    block replaces it; NaN for a marker).  Raises for a bad
     field, named right only for a single row (_raise_first_error)."""
     markers, nan = schema.missing_markers, math.nan
     for j, (spec, raw) in enumerate(zip(schema.attributes, fields)):

@@ -11,7 +11,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import CATEGORICAL, AttributeSpec, Dataset, csv_text, format_column, split_groups
+from .dataset import CATEGORICAL, AttributeSpec, Dataset, _symbol_column, csv_text, format_column, split_groups
 from .errors import ConfigError, InsufficientDataError, NoDonorsError
 from .kmeans import ClusterModel, FarthestFirst, InitPolicy, check_clustering, cluster, resolve_k
 from .mapping import MappingTable, build_mapping, mean
@@ -62,16 +62,17 @@ def difference_table(maps: MappingTable) -> DifferenceTable:
 
 def nearest_record(maps: MappingTable, query_id: str, mode: str) -> tuple[str, ...]:
     """All donor ids attaining the minimal difference d_ij for one query
-    of the table, in donor-pool order: the query's row of _select_all,
+    of the table, in donor-pool order: the query's run of _select_all,
     the selection impute_dataset makes."""
-    (rows,) = _select_all(maps, np.array([maps.query_map[query_id]]), mode)
-    return tuple(maps.donor_ids[i] for i in rows)
+    (j,), runs = _select_all(maps, np.array([maps.query_map[query_id]]), mode)
+    return tuple(maps.donor_ids[i] for i in runs[j])
 
 
-def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> list[tuple[int, ...]]:
-    """For every query mapping value in c, the donor-pool positions,
-    ascending, of all donors attaining the minimal difference d_ij: the
-    one donor search, O(q log m) plus each distinct tie run's length.
+def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(run, runs): each distinct set of donors attaining the minimal
+    difference d_ij for a query mapping value in c, once, as ascending
+    donor-pool positions, and each query's index into runs: the one
+    donor search, O(q log m) plus each distinct tie run's length.
 
     absolute minimizes |d_ij|, nearest neighbour on the mapping scalar;
     paper-signed minimizes the signed d_ij, and argmin_i (Map(R_i) - c)
@@ -84,10 +85,11 @@ def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> list[tuple[int,
     paper-signed), and its tie set is the contiguous run where
     fl(values[i] - c) lies in [-|best|, best]: |d| <= best for the
     absolute key, and nothing lies below the signed minimum best.  A
-    query whose nearest donor has no tying neighbour is alone; the runs
-    of the others are found together by one bisection on that same
-    subtraction, so values that rounding merges tie exactly as they do
-    in the difference table.  Queries on the same run share one tuple.
+    query whose nearest donor has no tying neighbour is a run of one;
+    the runs of the others are found together by one bisection on that
+    same subtraction, so values that rounding merges tie exactly as they
+    do in the difference table.  Each query's run is a span of the
+    sorted donors, and queries on the same span share one index.
     """
     check_mode(mode)
     padded, order = maps.sorted_arrays  # padded[i + 1] is the i-th smallest donor value
@@ -99,26 +101,23 @@ def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> list[tuple[int,
     best = np.minimum(left, right)
     pick = p - (left <= right)
     single = (key(padded[pick - 1] - c) != best) & (key(padded[pick + 1] - c) != best)
-    donors = [(d,) for d in order[pick - 1].tolist()]
-    if single.all():
-        return donors
-    tied = np.flatnonzero(~single)
-    # The first padded position whose difference reaches each bound: a
-    # run's start, reaching -|best|, and its end, passing best.  The
-    # sentinels bracket every answer in (lo, hi].
-    bounds = np.concatenate((-np.abs(best[tied]), np.nextafter(best[tied], math.inf)))
-    ct = np.tile(c[tied], 2)
-    lo, hi = np.zeros(len(bounds), dtype=np.intp), np.full(len(bounds), len(padded) - 1)
-    for _ in range(len(padded).bit_length()):
-        mid = (lo + hi) // 2
-        reached = padded[mid] - ct >= bounds
-        lo, hi = np.where(reached, lo, mid), np.where(reached, mid, hi)
-    starts, stops = np.split(hi - 1, 2)
-    runs = list(zip(starts.tolist(), stops.tolist()))
-    shared = {run: tuple(sorted(order[run[0] : run[1]].tolist())) for run in set(runs)}
-    for j, run in zip(tied.tolist(), runs):
-        donors[j] = shared[run]
-    return donors
+    starts, stops = pick - 1, pick  # each query's run is order[start:stop]
+    if not single.all():
+        tied = np.flatnonzero(~single)
+        # The first padded position whose difference reaches each bound:
+        # a run's start, reaching -|best|, and its end, passing best.
+        # The sentinels bracket every answer in (lo, hi].
+        bounds = np.concatenate((-np.abs(best[tied]), np.nextafter(best[tied], math.inf)))
+        ct = np.tile(c[tied], 2)
+        lo, hi = np.zeros(len(bounds), dtype=np.intp), np.full(len(bounds), len(padded) - 1)
+        for _ in range(len(padded).bit_length()):
+            mid = (lo + hi) // 2
+            reached = padded[mid] - ct >= bounds
+            lo, hi = np.where(reached, lo, mid), np.where(reached, mid, hi)
+        starts[tied], stops[tied] = np.split(hi - 1, 2)
+    spans: dict[tuple[int, int], int] = {}
+    run = [spans.setdefault(span, len(spans)) for span in zip(starts.tolist(), stops.tolist())]
+    return run, [tuple(sorted(order[start:stop].tolist())) for start, stop in spans]
 
 
 def _class_pools(g1: Dataset) -> dict[str | None, list[int]]:
@@ -149,17 +148,17 @@ def _fill_value(
     donors: Sequence[int],
     g1: Dataset,
     spec: AttributeSpec,
-    maps: MappingTable,
+    klass: str | None,
 ) -> tuple[float, str]:
-    """Value for one missing cell of a query, given its row of cells
-    and the donor-pool positions of its tied nearest donors, and the
-    tie policy that produced it.
+    """Value for one missing cell of a query, given its row of cells,
+    the donor-pool positions of its tied nearest donors and, for more
+    than one, their _tie_class, and the tie policy that produced it.
 
     A single donor contributes its value verbatim.  Multiple tied
     donors defer to the donors' decision class over the whole donor
     pool: the modal value for a categorical attribute, the mean for a
-    numeric one (see _class_value), the class found once per donor
-    tuple and mapping table.
+    numeric one (see _class_value), or, when klass is None, to the
+    donors themselves.
     """
     if not math.isnan(query[attr]):
         raise ValueError(f"cell {attr} of the query is not missing")
@@ -167,11 +166,6 @@ def _fill_value(
         raise NoDonorsError("empty donor set")
     if len(donors) == 1:
         return float(g1.matrix[donors[0], attr]), "single-donor"
-
-    slot = g1._memo.get(_tie_class)
-    if slot is None or slot[0] is not maps:  # one slot: (maps, {donor tuple: (its tie class,)})
-        slot = g1._memo[_tie_class] = (maps, {})
-    (klass,) = slot[1].get(donors) or slot[1].setdefault(donors, (_tie_class(donors, g1, maps),))
     if klass is None:
         value, statistic = _pool_value(g1.matrix[list(donors), attr].tolist(), spec)
         return value, f"{statistic}-tied-donors"
@@ -235,9 +229,10 @@ class ImputationResult:
     and mapping table (None when no cell was missing).  The imputed
     cells are kept as columns, one entry per cell in row order: its
     query's position among the table's queries (rows), its attribute
-    (attrs), its value and its tie policy; donors holds each query's
-    tied donors as donor-pool positions.  fills is built from these
-    columns when first read.  Never mutated."""
+    (attrs), its value and its tie policy.  runs holds each distinct set
+    of tied donors once, as donor-pool positions, and run[j] is query
+    j's index into it.  fills is built from these columns when first
+    read.  Never mutated."""
 
     def __init__(
         self,
@@ -249,40 +244,39 @@ class ImputationResult:
         attrs: Sequence[int] = (),
         values: Sequence[float] = (),
         policies: Sequence[str] = (),
-        donors: Sequence[tuple[int, ...]] = (),
+        run: Sequence[int] = (),
+        runs: Sequence[tuple[int, ...]] = (),
     ) -> None:
         self.dataset, self.mode, self.model, self.maps = dataset, mode, model, maps
-        self.rows, self.attrs, self.values, self.policies, self.donors = rows, attrs, values, policies, donors
+        self.rows, self.attrs, self.values, self.policies = rows, attrs, values, policies
+        self.run, self.runs = run, runs
 
     @cached_property
     def fills(self) -> tuple[CellFill, ...]:
         """Provenance per imputed cell, in row order."""
-        query_ids, names, donor_ids, symbols = self._cells()
+        query_ids, names, cell_runs, symbols = self._cells()
+        named = [tuple(self.maps.donor_ids[d] for d in donors) for donors in self.runs]
+        donor_ids = [named[r] for r in cell_runs]
         return tuple(map(CellFill, query_ids, self.attrs, names, donor_ids, self.values, symbols, self.policies))
 
-    def _cells(self) -> tuple[list[str], list[str], list[tuple[str, ...]], list[str | None]]:
+    def _cells(self) -> tuple[list[str], list[str], list[int], list[str | None]]:
         """Per imputed cell: its query's id, its attribute's name, its
-        donors' ids (one tuple per distinct donor set) and its value's
-        symbol (None for a numeric attribute), each distinct value of a
-        categorical attribute decoded once."""
+        query's index into runs and its value's symbol (None for a
+        numeric attribute)."""
         if self.maps is None:
             return [], [], [], []
         specs = self.dataset.schema.attributes
-        query_ids, donor_ids = self.maps.query_ids, self.maps.donor_ids
-        named = {ds: tuple(donor_ids[d] for d in ds) for ds in set(self.donors)}
         symbols: list[str | None] = [None] * len(self.values)
         attrs, values = np.array(self.attrs, dtype=np.intp), np.array(self.values, dtype=float)
         for a, spec in enumerate(specs):
             if spec.kind == CATEGORICAL:
                 cells = np.flatnonzero(attrs == a).tolist()
-                column = values[cells].tolist()
-                decoded = {v: str(spec.decode_value(v)) for v in set(column)}
-                for i, v in zip(cells, column):
-                    symbols[i] = decoded[v]
+                for i, symbol in zip(cells, _symbol_column(spec, values[cells])):
+                    symbols[i] = symbol
         return (
-            [query_ids[j] for j in self.rows],
+            [self.maps.query_ids[j] for j in self.rows],
             [specs[a].name for a in self.attrs],
-            [named[self.donors[j]] for j in self.rows],
+            [self.run[j] for j in self.rows],
             symbols,
         )
 
@@ -320,31 +314,33 @@ def impute_dataset(dataset: Dataset, config: ImputeConfig | None = None) -> Impu
     model = cluster(g1, resolve_k(config.k, dataset), config.init)
     maps = build_mapping(g1, g2, model)
 
-    donors = _select_all(maps, maps.query_values, config.mode)
+    run, runs = _select_all(maps, maps.query_values, config.mode)
+    classes = [_tie_class(donors, g1, maps) if len(donors) > 1 else None for donors in runs]
     rows, attrs = (a.tolist() for a in np.nonzero(missing[missing.any(axis=1)]))  # the holes of g2, row by row
     specs, queries = dataset.schema.attributes, g2.matrix
     values, policies = [], []
     for j, attr in zip(rows, attrs):
-        value, policy = _fill_value(queries[j], attr, donors[j], g1, specs[attr], maps)
+        r = run[j]
+        value, policy = _fill_value(queries[j], attr, runs[r], g1, specs[attr], classes[r])
         values.append(value)
         policies.append(policy)
     completed = dataset.matrix.copy()
     completed[missing] = values  # the same holes in the same order
     completed = Dataset(dataset.schema, dataset.ids, dataset.labels, completed, dataset.field_texts)
-    return ImputationResult(completed, config.mode, model, maps, rows, attrs, values, policies, donors)
+    return ImputationResult(completed, config.mode, model, maps, rows, attrs, values, policies, run, runs)
 
 
 def provenance_csv(result: ImputationResult) -> str:
     """One row per imputed cell, for audit, built a column at a time
     from the result's columns; no CellFill is built."""
-    query_ids, names, donor_ids, symbols = result._cells()
-    joined = {ids: ";".join(ids) for ids in set(donor_ids)}
+    query_ids, names, cell_runs, symbols = result._cells()
+    joined = [";".join(result.maps.donor_ids[d] for d in donors) for donors in result.runs]
     return csv_text(
         ["query", "attribute", "donors", "value", "symbol", "mode", "tie_policy"],
         [
             query_ids,
             names,
-            [joined[ids] for ids in donor_ids],
+            [joined[r] for r in cell_runs],
             format_column(np.array(result.values, dtype=float)),
             ["" if symbol is None else symbol for symbol in symbols],
             [result.mode] * len(result.values),

@@ -1319,3 +1319,58 @@ def test_installed_console_script_smoke():
     )
     # Module execution without a subcommand is a usage error.
     assert proc.returncode == EXIT_USAGE
+
+
+def test_impute_and_classify_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # A categorical column whose encoding the parse builds (set orders
+    # of its symbols change with PYTHONHASHSEED), long tie runs over
+    # four distinct points, and unlabeled rows, alone on the fourth.
+    rng = np.random.default_rng(3)
+    points = [["0", "0", "lo"], ["1", "2", "mid"], ["4", "1", "hi"], ["9", "9", "top"]]
+    rows = [
+        points[p] + ["" if p == 3 else label]
+        for p, label in zip(rng.integers(0, 4, 400).tolist(), rng.choice(["A", "B", ""], 400).tolist())
+    ]
+    train = "".join(",".join(r[:3] + [r[3] or "A"]) + "\n" for r in rows[:200])
+    for i in rng.choice(400, 60, replace=False).tolist():
+        rows[i][i % 3] = "?"
+    attributes = [{"name": n, "kind": "numeric"} for n in "xy"] + [{"name": "c", "kind": "categorical"}]
+    files = {
+        "schema.json": json.dumps({"attributes": attributes, "label_column": "class"}),
+        "data.csv": "x,y,c,class\n" + "".join(",".join(r) + "\n" for r in rows),
+        "train.csv": "x,y,c,class\n" + train,
+        "query.csv": "x,y,c\n" + "".join(",".join(p) + "\n" for p in points + [["1", "1", "mid"]]),
+    }
+    runs = [
+        ["impute", "--data", "data.csv", "--schema", "schema.json", "--mode", mode, "--k", "3", "--verbose"]
+        + ["--out", f"{mode}.csv", "--report", f"{mode}-report.csv"]
+        for mode in ("absolute", "paper-signed")
+    ]
+    runs.append(
+        ["classify", "--train", "train.csv", "--schema", "schema.json", "--query", "query.csv"]
+        + ["--with-knn-baseline", "--verbose", "--out", "labels.csv"]
+    )
+    code = "import json, sys; from cmimpute.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
+    package_root = os.path.dirname(os.path.dirname(cmimpute.__file__))
+    outputs = []
+    for seed in ("1", "2"):
+        work = tmp_path / seed
+        work.mkdir()
+        for name, text in files.items():
+            write(work / name, text)
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)],
+            cwd=work,
+            capture_output=True,
+            check=True,
+            env=dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+            ),
+        )
+        outputs.append((done.stdout, {p.name: p.read_bytes() for p in sorted(work.iterdir())}))
+    assert outputs[0] == outputs[1]
+    stdout, written = outputs[0]
+    assert b"<-" in stdout and b" vs " in stdout
+    assert b"tied-donors" in written["absolute-report.csv"] and b"A;B" in written["labels.csv"]

@@ -48,6 +48,7 @@ from cmimpute.impute import (
     difference_table,
     _fill_value,
     _select_all,
+    _tie_class,
     impute_dataset,
     nearest_record,
     provenance_csv,
@@ -257,18 +258,23 @@ def test_long_tie_runs_select_as_the_scan_does_and_share_one_tuple():
     for mode in MODES:
         for q in maps.query_map:
             assert nearest_record(maps, q, mode) == brute_nearest(maps, q, mode)
-        selected = _select_all(maps, maps.query_values, mode)
-        assert len(selected[5]) > 990 and selected[5] is selected[6]
-        runs = [run for run in selected if len(run) > 1]
-        assert all(a is b for a in runs for b in runs if a == b)
+        run, runs = _select_all(maps, maps.query_values, mode)
+        assert len(runs[run[5]]) > 990 and run[5] == run[6]  # one index, so one tuple
+        assert sorted(set(run)) == list(range(len(runs))) and len(set(runs)) == len(runs)
 
 
 # --- single-cell fills ---
 
 NUM_SPEC = AttributeSpec("x", NUMERIC)
 CAT_SPEC = AttributeSpec("c", CATEGORICAL, {"u": 1, "v": 2, "w": 3})
-# Only a class-count tie reads mapping values; these fills have none.
+# Only a class-count tie reads mapping values; these ties have none.
 NO_TIE_MAPS = mapping_table({}, {})
+
+
+def tie_fill(query, attr, donors, g1, spec, maps=NO_TIE_MAPS):
+    """_fill_value for tied donors, given their _tie_class, as
+    impute_dataset finds it once per run."""
+    return _fill_value(query, attr, donors, g1, spec, _tie_class(donors, g1, maps))
 
 
 def pool(*records: Record) -> Dataset:
@@ -283,8 +289,8 @@ def row(*cells) -> np.ndarray:
 
 def test_single_donor_fills_verbatim():
     g1 = pool(rec("R8", 3, 6, 2, 7, label="CLASS-2"))
-    assert _fill_value(row(1, 7, None, 7), 2, (0,), g1, CAT_SPEC, NO_TIE_MAPS) == (2.0, "single-donor")
-    assert _fill_value(row(3, 3, 2, None), 3, (0,), g1, NUM_SPEC, NO_TIE_MAPS) == (7.0, "single-donor")
+    assert _fill_value(row(1, 7, None, 7), 2, (0,), g1, CAT_SPEC, None) == (2.0, "single-donor")
+    assert _fill_value(row(3, 3, 2, None), 3, (0,), g1, NUM_SPEC, None) == (7.0, "single-donor")
 
 
 def test_tied_donors_numeric_mean_over_donor_class():
@@ -293,7 +299,7 @@ def test_tied_donors_numeric_mean_over_donor_class():
         rec("R2", 4, 9, label="A"),
         rec("R3", 2, 100, label="B"),
     )
-    assert _fill_value(row(1, None), 1, (0, 1), g1, NUM_SPEC, NO_TIE_MAPS) == (7.0, "mean-same-class")
+    assert tie_fill(row(1, None), 1, (0, 1), g1, NUM_SPEC) == (7.0, "mean-same-class")
 
 
 def test_tied_donors_categorical_mode_over_donor_class():
@@ -303,7 +309,7 @@ def test_tied_donors_categorical_mode_over_donor_class():
         rec("R3", 2, 2, label="A"),
         rec("R4", 9, 3, label="B"),
     )
-    assert _fill_value(row(1, None), 1, (0, 2), g1, CAT_SPEC, NO_TIE_MAPS) == (1.0, "modal-same-class")
+    assert tie_fill(row(1, None), 1, (0, 2), g1, CAT_SPEC) == (1.0, "modal-same-class")
 
 
 def test_categorical_modal_tie_takes_smallest_value():
@@ -311,7 +317,7 @@ def test_categorical_modal_tie_takes_smallest_value():
         rec("R1", 0, 2, label="A"),
         rec("R2", 4, 1, label="A"),
     )
-    assert _fill_value(row(1, None), 1, (0, 1), g1, CAT_SPEC, NO_TIE_MAPS) == (1.0, "modal-same-class")
+    assert tie_fill(row(1, None), 1, (0, 1), g1, CAT_SPEC) == (1.0, "modal-same-class")
 
 
 def test_class_count_tie_resolved_by_lowest_mapping_donor():
@@ -323,7 +329,7 @@ def test_class_count_tie_resolved_by_lowest_mapping_donor():
     donors = (1, 0)  # donor order must not decide
     maps = mapping_table({"R1": 2.0, "R2": 4.0, "R4": 3.0}, {"Q": 3.0})
     # R1 has the lowest mapping value, so class A's records average.
-    assert _fill_value(row(1, None), 1, donors, g1, NUM_SPEC, maps) == (6.0, "mean-same-class")
+    assert tie_fill(row(1, None), 1, donors, g1, NUM_SPEC, maps) == (6.0, "mean-same-class")
 
 
 def test_mean_fill_adds_left_to_right_on_every_python(compensated_sum):
@@ -348,15 +354,15 @@ def test_mean_fill_adds_left_to_right_on_every_python(compensated_sum):
 
 def test_unlabeled_donors_pool_is_the_donors():
     g1 = pool(rec("R1", 0, 5), rec("R2", 4, 9), rec("R3", 2, 100))
-    assert _fill_value(row(1, None), 1, (0, 1), g1, NUM_SPEC, NO_TIE_MAPS) == (7.0, "mean-tied-donors")
+    assert tie_fill(row(1, None), 1, (0, 1), g1, NUM_SPEC) == (7.0, "mean-tied-donors")
 
 
 def test_fill_value_contract_errors():
     g1 = pool(rec("R1", 1, 2))
     with pytest.raises(ValueError, match="not missing"):
-        _fill_value(row(1, 2), 1, (0,), g1, NUM_SPEC, NO_TIE_MAPS)
+        _fill_value(row(1, 2), 1, (0,), g1, NUM_SPEC, None)
     with pytest.raises(NoDonorsError):
-        _fill_value(row(1, None), 1, (), g1, NUM_SPEC, NO_TIE_MAPS)
+        _fill_value(row(1, None), 1, (), g1, NUM_SPEC, None)
 
 
 # --- the full pipeline ---
@@ -861,7 +867,33 @@ def test_tie_class_runs_once_per_donor_tuple(monkeypatch, name, table, k, mode):
 
     monkeypatch.setattr(cmimpute.impute, "_tie_class", counted)
     result = impute_dataset(table(), ImputeConfig(mode=mode, k=k))
-    tied = {donors for donors in result.donors if len(donors) > 1}
+    tied = [donors for donors in result.runs if len(donors) > 1]
     assert tied and sorted(calls) == sorted(tied)
     text = dataset_to_csv(result.dataset) + provenance_csv(result)
     assert hashlib.sha256(text.encode()).hexdigest() == TIE_TABLE_PINS[name, mode]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("m", [1000, 4000])
+def test_tie_fill_and_report_hash_no_donor_per_cell(monkeypatch, m, mode):
+    # A scaling guard without a clock: every donor position the search
+    # hands out is a counted int, so a lookup of a tied cell by its
+    # donors, O(tie size) per cell, shows up as hashes.
+    hashes = []
+
+    class Counted(int):
+        def __hash__(self):
+            hashes.append(self)
+            return int.__hash__(self)
+
+    plain = MappingTable.sorted_arrays.func
+
+    def counted(maps):
+        padded, order = plain(maps)
+        return padded, np.array([Counted(d) for d in order.tolist()], dtype=object)
+
+    monkeypatch.setattr(MappingTable, "sorted_arrays", property(counted))
+    result = impute_dataset(three_point_table(m), ImputeConfig(mode=mode, k=3))
+    assert provenance_csv(result).count("\n") == len(result.values) + 1
+    hashed = len(hashes)
+    assert hashed <= sum(len(ids) for ids in {f.donor_ids for f in result.fills})
