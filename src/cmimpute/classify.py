@@ -193,7 +193,7 @@ def classify_raw_knn(query: Record, dataset: Dataset) -> ClassificationResult:
     """
     fit = check_training_data(dataset)
     X, q = fit.matrix, _query_row(query, dataset)
-    rows, exact = nearest_rows(fit.by_column, q)
-    distances = np.sqrt(exact)
+    rows, exact = nearest_rows(fit.by_column, q[None, :])
+    distances = np.sqrt(exact[:, 0])
     column = cache(lambda: np.sqrt(squared_distances(X, q[None, :])[:, 0]))
     return fit.result(rows[distances == distances.min()].tolist(), _Column(fit.rows, lambda row: float(column()[row])))

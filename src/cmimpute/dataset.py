@@ -541,19 +541,16 @@ def format_column(column: np.ndarray) -> list[str]:
 
 def csv_text(header: list[str], columns: Sequence[Sequence[str]]) -> str:
     """CSV text as csv.writer writes it with "\n" line ends: the header
-    row, then one row per position of the columns.  When no field needs
-    quoting, the rows are joined directly: the same text, written
-    several times faster."""
+    row, then one row per position of the columns.  When no column has
+    a field that needs quoting, the header line and the rows are joined
+    once: the same text, written several times faster."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     rows = zip(*columns)
-    joined = "".join(map("".join, columns))
-    if len(columns) > 1 and not any(ch in joined for ch in ',"\r\n'):
-        lines = "\n".join(map(",".join, rows))
-        buf.write(lines and lines + "\n")
-    else:
-        writer.writerows(rows)
+    if len(columns) > 1 and not any(ch in text for text in map("".join, columns) for ch in ',"\r\n'):
+        return "\n".join([buf.getvalue()[:-1], *map(",".join, rows), ""])
+    writer.writerows(rows)
     return buf.getvalue()
 
 

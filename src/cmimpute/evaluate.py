@@ -39,7 +39,7 @@ from .errors import (
 from .impute import MODE_ABSOLUTE, MODE_SIGNED, ImputeConfig, impute_dataset, missing_cells
 from .impute import _class_pools, _class_value, _pool_value  # the tie fill's class statistic
 from .kmeans import FarthestFirst, cluster
-from .mapping import mean, squared_distances
+from .mapping import mean, nearest_rows
 
 METHOD_SIGNED = "cluster-map-paper-signed"
 METHOD_ABSOLUTE = "cluster-map-absolute"
@@ -210,13 +210,13 @@ def baseline_knn_donor(dataset: Dataset) -> Dataset:
     if empty.any():
         raise NoDonorsError(f"record {dataset.ids[int(empty.argmax())]} has no observed values")
     complete, rows = np.flatnonzero(~incomplete), np.flatnonzero(incomplete)
-    # The query's NaN cells drop out of every distance, and argmin
-    # keeps the earliest of tied donors.  Queries go in blocks of at
-    # most 2**20 kernel terms, which bounds the kernel's temporaries.
-    G = X[complete]
+    # The query's NaN cells drop out of every distance, and nearest_rows
+    # keeps every row at its minimum, ascending, so argmin takes the
+    # earliest tied donor.  Blocks of 2**20 screen terms bound temporaries.
+    G = np.asfortranarray(X[complete])
     block = max(1, 2**20 // G.size)
-    queries = (X[rows[i : i + block]] for i in range(0, len(rows), block))
-    donors = complete[np.concatenate([squared_distances(G, Q).argmin(axis=0) for Q in queries])]
+    searches = (nearest_rows(G, X[rows[i : i + block]]) for i in range(0, len(rows), block))
+    donors = complete[np.concatenate([near[exact.argmin(axis=0)] for near, exact in searches])]
     filled = X.copy()
     filled[rows] = np.where(missing[rows], X[donors], X[rows])
     return Dataset(dataset.schema, dataset.ids, dataset.labels, filled)

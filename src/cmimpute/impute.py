@@ -115,9 +115,9 @@ def _select_all(maps: MappingTable, c: np.ndarray, mode: str) -> tuple[list[int]
             reached = padded[mid] - ct >= bounds
             lo, hi = np.where(reached, lo, mid), np.where(reached, mid, hi)
         starts[tied], stops[tied] = np.split(hi - 1, 2)
-    spans: dict[tuple[int, int], int] = {}
-    run = [spans.setdefault(span, len(spans)) for span in zip(starts.tolist(), stops.tolist())]
-    return run, [tuple(sorted(order[start:stop].tolist())) for start, stop in spans]
+    spans: dict[int, int] = {}
+    run = [spans.setdefault(span, len(spans)) for span in (starts * len(padded) + stops).tolist()]
+    return run, [tuple(sorted(order[slice(*divmod(span, len(padded)))].tolist())) for span in spans]
 
 
 def _class_pools(g1: Dataset) -> dict[str | None, list[int]]:

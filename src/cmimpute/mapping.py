@@ -39,30 +39,33 @@ def squared_distances(X, U) -> np.ndarray:
     return np.add.accumulate(d, axis=2)[..., -1]
 
 
-def nearest_rows(X, q) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a complete matrix X that may be nearest to the
-    complete row q, ascending, with their exact squared distances from
-    squared_distances: a superset of the kernel's tie set, found
-    without squaring every term through pow.
+def nearest_rows(X, Q) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending rows of a complete matrix X that may be nearest to
+    some row of the block Q, and their squared_distances to every row
+    of Q, found without pow on every term.  A NaN in Q is a coordinate
+    the query does not observe: its term is +0.0, as in the kernel.
 
     A screen squares each difference by multiplication and adds the
-    squares in whatever order np.sum takes.  pow(d, 2) and d * d differ
+    squares in whatever order np.sum takes: pow(d, 2) and d * d differ
     by at most an ulp, and n non-negative terms added in any order come
     within a relative (n - 1) * 2**-53 of their exact sum, so a row's
     screen and kernel sums differ by a few n ulps, plus n subnormal ulps
-    where squares underflow.  Any row whose kernel sum equals the
-    kernel's minimum, or rounds to the same square root, therefore has
-    a screen sum within min * (1 + (n + 2) * 2**-48) + (n + 2) *
-    2**-1060, a bound with several times that slack; every other row is
-    ruled out unsquared.  A minimum so large that the bound overflows
-    rules out no row.
+    where squares underflow.  A row that ties a query's kernel minimum,
+    or its square root, has a screen sum within that query's screen min *
+    (1 + (n + 2) * 2**-48) + (n + 2) * 2**-1060, several times that
+    slack; a row outside every query's bound is ruled out unsquared, and
+    no row returned lies below any query's minimum.  A minimum so large
+    that the bound overflows rules out no row.
     """
-    d = X.T - q[:, None]  # a column-major X makes this one contiguous pass
+    d = X.T[:, None, :] - Q.T[:, :, None]  # (n, q, m): a column-major X makes each query one contiguous pass
     d *= d
+    if np.isnan(Q).any():
+        np.fmax(d, 0.0, out=d)
     screen = d.sum(axis=0)
     n = len(d) + 2
-    rows = np.flatnonzero(screen <= screen.min() * (1 + n * 2.0**-48) + n * 2.0**-1060)
-    return rows, squared_distances(X[rows], q[None, :])[:, 0]
+    bound = screen.min(axis=1, keepdims=True) * (1 + n * 2.0**-48) + n * 2.0**-1060
+    rows = np.flatnonzero((screen <= bound).any(axis=0))
+    return rows, squared_distances(X[rows], Q)
 
 
 def map_values(X, centroids) -> np.ndarray:

@@ -17,7 +17,7 @@ from cmimpute.casestudy import expected_values
 from cmimpute.classify import classify_mapped, classify_mapped_all, classify_raw_knn
 from cmimpute.dataset import MAX_MAGNITUDE, NUMERIC, AttributeSpec, Dataset, Record, Schema
 from cmimpute.errors import CannotClassifyError, NoDonorsError, ParseError, SchemaError
-from cmimpute.evaluate import make_synthetic_dataset
+from cmimpute.evaluate import baseline_knn_donor, make_synthetic_dataset
 from cmimpute.impute import MODE_ABSOLUTE, MODE_SIGNED, MODES
 from cmimpute.kmeans import FarthestFirst, SeededRandom, cluster
 from cmimpute.mapping import MappingTable, build_mapping, nearest_rows, squared_distances
@@ -522,13 +522,16 @@ def check_against_the_full_kernel(training: Dataset, query: Record) -> None:
     assert outcome.nearest == tuple(training.ids[i] for i in ties)
     assert outcome.labels == tuple(sorted({training.labels[i] for i in ties}))
     assert dict(outcome.table) == dict(zip(training.ids, distances.tolist()))
-    rows, exact = nearest_rows(training.matrix, np.array(query.cells))
+    rows, exact = nearest_rows(training.matrix, np.array([query.cells]))
     assert set(ties) <= set(rows.tolist())
-    assert exact.tolist() == squares[rows].tolist()
+    assert exact[:, 0].tolist() == squares[rows].tolist()
 
 
 @st.composite
-def knn_problems(draw):
+def knn_rows(draw):
+    """Rows of 2-4 cells at one drawn scale, with ±MAX_MAGNITUDE cells,
+    a FLIP, MERGE or UNDERFLOW pair and duplicates, in a drawn order,
+    and the cell strategy they were drawn from."""
     n = draw(st.integers(2, 4))
     # 2**-512 puts differences below 1e-154, where squares underflow.
     scale = draw(st.sampled_from([2.0**-512, 1.0, 2.0**300]))
@@ -541,7 +544,13 @@ def knn_problems(draw):
     pair, shift = draw(st.sampled_from([((), 1.0), (FLIP, 1.0), (FLIP, 2.0**300), (MERGE, 1.0), (MERGE, 2.0**-20), (UNDERFLOW, 1.0)]))
     rows += [[v * shift for v in r] + [0.0] * (n - 2) for r in pair]
     rows += draw(st.lists(st.sampled_from(rows), max_size=3))  # duplicates
-    rows = draw(st.permutations(rows))
+    return draw(st.permutations(rows)), cell
+
+
+@st.composite
+def knn_problems(draw):
+    rows, cell = draw(knn_rows())
+    n = len(rows[0])
     labels = draw(st.lists(st.sampled_from("ABC"), min_size=len(rows), max_size=len(rows)))
     query = [0.0] * n if draw(st.booleans()) else draw(st.lists(cell, min_size=n, max_size=n))
     return knn_training(rows, labels), rec("Q", *query)
@@ -587,6 +596,46 @@ def test_the_search_squares_only_rows_that_may_be_nearest(monkeypatch):
     calls.clear()
     assert outcome.table["R11"] < outcome.table["R12"] < outcome.table["R13"]
     assert calls == [len(rows)]  # the table's column: one kernel call, on the first read
+
+
+@st.composite
+def knn_donor_problems(draw):
+    """A matrix of knn_rows donors, each given one more drawn cell, and
+    1-7 queries of the same cells, in a drawn order.  Every query hides
+    that last cell, so donors tie as the knn_rows do, and its fill
+    shows which donor was taken; it hides up to n - 1 others.  A
+    nonzero per_block repeats the donors after them until
+    baseline_knn_donor's blocks hold at most per_block queries each."""
+    donors, cell = draw(knn_rows())
+    n = len(donors[0])
+    donors = [r + [draw(cell)] for r in donors]
+    query = st.one_of(st.just([0.0] * (n + 1)), st.lists(cell, min_size=n + 1, max_size=n + 1))
+    holes = st.sets(st.integers(0, n - 1), max_size=n - 1).map(lambda hole: hole | {n})
+    queries = [
+        [math.nan if j in hole else v for j, v in enumerate(q)]
+        for q, hole in draw(st.lists(st.tuples(query, holes), min_size=1, max_size=7))
+    ]
+    rows = draw(st.permutations(donors + queries))
+    per_block = draw(st.sampled_from([0, 3]))
+    if per_block:
+        rows += donors * -(-(2**20 // per_block) // (len(donors) * (n + 1)))
+    return np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(knn_donor_problems())
+def test_knn_donor_equals_a_per_query_full_kernel_argmin(X):
+    # Each query's donor is the earliest complete row at its full
+    # kernel minimum over the query's observed cells.
+    schema = Schema(tuple(AttributeSpec(f"x{j}", NUMERIC) for j in range(X.shape[1])), "class")
+    dataset = Dataset(schema, [f"R{i}" for i in range(len(X))], [None] * len(X), X)
+    holed = np.isnan(X)
+    complete = np.flatnonzero(~holed.any(axis=1))
+    G, expected = X[complete], X.copy()
+    for row in np.flatnonzero(holed.any(axis=1)):
+        donor = complete[squared_distances(G, X[row : row + 1])[:, 0].argmin()]
+        expected[row] = np.where(holed[row], X[donor], X[row])
+    assert baseline_knn_donor(dataset).matrix.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.inf, 1e300, -1e101])

@@ -184,6 +184,23 @@ def test_the_package_has_one_donor_search():
     assert not hasattr(cmimpute.impute, "_nearest_rows")
 
 
+def test_the_package_has_one_nearest_row_search():
+    # mapping.nearest_rows is the only full-dimensional 1-NN search: the
+    # raw-kNN classifier and the raw-kNN donor baseline call it, and the
+    # baseline no longer runs the kernel over every complete row itself.
+    package = Path(cmimpute.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    callers = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "nearest_rows" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert sorted(callers) == ["classify.py", "evaluate.py"]
+    names = {alias.name for node in ast.walk(trees["evaluate.py"]) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "nearest_rows" in names and "squared_distances" not in names
+
+
 def test_the_spec_reader_declares_no_experiment_option_default():
     # Each experiment option's default is declared once, in the signature
     # of ExperimentConfig.__init__: experiment_from_spec passes a spec's
